@@ -32,7 +32,7 @@ from .weighted_ineq import HARDY_CASES, InequalitySpec
 from .weights import WeightExpr, WeightSyntaxError, parse_weight
 
 __all__ = ["Scenario", "ConfigError", "load_config", "parse_grid",
-           "parse_function"]
+           "parse_function", "Const", "ExpDecay"]
 
 SCENARIO_KINDS = ("sv-check", "norm", "holmstedt", "negative-demo",
                   "reiterate", "lk-check", "hardy-check", "constants")
@@ -67,16 +67,54 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+@dataclass(frozen=True)
+class Const:
+    """The constant function c, with its exact integral."""
+
+    c: float
+
+    def __call__(self, t: float) -> float:
+        return self.c
+
+    def integral(self, lo: float, hi: float) -> float:
+        """int_lo^hi c du; +inf over an infinite range when c > 0."""
+        if self.c == 0.0:
+            return 0.0
+        return self.c * (hi - lo)
+
+
+@dataclass(frozen=True)
+class ExpDecay:
+    """exp(-rate*t), with its exact integral."""
+
+    rate: float
+
+    def __call__(self, t: float) -> float:
+        return math.exp(-self.rate * t)
+
+    def integral(self, lo: float, hi: float) -> float:
+        """int_lo^hi exp(-rate*u) du; +inf over an infinite range when
+        rate <= 0, and when the value overflows."""
+        r = self.rate
+        if r == 0.0:
+            return hi - lo
+        if hi == math.inf and r < 0.0:
+            return math.inf
+        try:
+            return math.exp(-r * lo) * -math.expm1(-r * (hi - lo)) / r
+        except OverflowError:
+            return math.inf
+
+
 def parse_function(text: str) -> Callable[[float], float]:
     """Positive functions for the Hardy checks: ``const(c)``,
-    ``expdecay(rate)`` for exp(-rate*t), or any weight expression."""
+    ``expdecay(rate)`` for exp(-rate*t), or any weight expression.  Each
+    result integrates exactly (see ``weighted_ineq._integral``)."""
     s = text.strip()
     if s.startswith("const(") and s.endswith(")"):
-        c = float(s[6:-1])
-        return lambda t: c
+        return Const(float(s[6:-1]))
     if s.startswith("expdecay(") and s.endswith(")"):
-        rate = float(s[9:-1])
-        return lambda t: math.exp(-rate * t)
+        return ExpDecay(float(s[9:-1]))
     return parse_weight(s)
 
 

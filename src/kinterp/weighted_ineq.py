@@ -380,9 +380,35 @@ def _plain_quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     return val
 
 
+def _integral(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """int_lo^hi f(u) du; +inf when divergent.
+
+    A weight expression integrates through its canonical terms (closed form,
+    the incomplete gamma function, or quadrature of the smooth term in log
+    coordinates where neither applies), an object with an ``integral(lo, hi)``
+    method (``const``, ``expdecay``) through that method; only an opaque
+    callable goes to QUADPACK.
+    """
+    if lo >= hi:
+        return 0.0
+    if isinstance(f, WeightExpr):
+        return weight_kernel_integral(f, 1.0, 1.0, lo, hi)
+    integral = getattr(f, "integral", None)
+    if integral is not None:
+        return integral(lo, hi)
+    return _plain_quad(f, lo, hi)
+
+
 def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
                   phi: Callable[[float], float]) -> Callable[[float], float]:
-    """The constructed right-hand weight v of the four Hardy-type estimates."""
+    """The constructed right-hand weight v of the four Hardy-type estimates.
+
+    Raises ValueError when the case's defining integral diverges.  That probe
+    is exact for weight expressions, ``const`` and ``expdecay``; for an opaque
+    callable it is QUADPACK's value with its warnings silenced, which on a
+    divergent range can be finite garbage (int_1^inf 1 du comes back as -1.0),
+    so a divergent opaque input is not caught.
+    """
     if case not in HARDY_CASES:
         raise ValueError(f"unknown hardy case {case!r}")
     if case in ("HET1", "HET2") and not alpha > 1.0:
@@ -392,10 +418,10 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
 
     zero_w = w(0.5) == 0.0 and w(2.0) == 0.0 and w(17.0) == 0.0
     if not zero_w:
-        probe = {"HET1": _plain_quad(w, 1.0, _INF),
-                 "HET2": _plain_quad(w, 0.0, 1.0),
-                 "HET3plus": _plain_quad(w, 1.0, _INF),
-                 "HET3": _plain_quad(phi, 1.0, _INF)}[case]
+        probe = {"HET1": _integral(w, 1.0, _INF),
+                 "HET2": _integral(w, 0.0, 1.0),
+                 "HET3plus": _integral(w, 1.0, _INF),
+                 "HET3": _integral(phi, 1.0, _INF)}[case]
         if not math.isfinite(probe):
             raise ValueError(f"{case} needs a convergent defining integral")
 
@@ -404,25 +430,25 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
             wt = w(t)
             if wt == 0.0:
                 return 0.0
-            return wt ** (1.0 - alpha) * (phi(t) * _plain_quad(w, t, _INF)) ** alpha
+            return wt ** (1.0 - alpha) * (phi(t) * _integral(w, t, _INF)) ** alpha
     elif case == "HET2":
         def v(t: float) -> float:
             wt = w(t)
             if wt == 0.0:
                 return 0.0
-            return wt ** (1.0 - alpha) * (phi(t) * _plain_quad(w, 0.0, t)) ** alpha
+            return wt ** (1.0 - alpha) * (phi(t) * _integral(w, 0.0, t)) ** alpha
     elif case == "HET3plus":
         def v(t: float) -> float:
-            head = _plain_quad(phi, 0.0, t)
+            head = _integral(phi, 0.0, t)
             if head <= 0.0:
                 return 0.0
-            return phi(t) * head ** (alpha - 1.0) * _plain_quad(w, t, _INF)
+            return phi(t) * head ** (alpha - 1.0) * _integral(w, t, _INF)
     else:  # HET3
         def v(t: float) -> float:
-            tail = _plain_quad(phi, t, _INF)
+            tail = _integral(phi, t, _INF)
             if tail <= 0.0:
                 return 0.0
-            return phi(t) * tail ** (alpha - 1.0) * _plain_quad(w, 0.0, t)
+            return phi(t) * tail ** (alpha - 1.0) * _integral(w, 0.0, t)
     return v
 
 
@@ -463,7 +489,7 @@ class StepFunction:
             a2, b2 = max(a, lo), min(b, hi)
             if v == 0.0 or a2 >= b2:
                 continue
-            total += v ** power * _plain_quad(g, a2, b2)
+            total += v ** power * _integral(g, a2, b2)
         return total
 
 
@@ -539,7 +565,7 @@ def _hardy_lhs(case: str, alpha: float, w, phi, h: StepFunction) -> float:
     if inner_head and h.tail == 0.0:
         const = inner(prev)  # h vanishes beyond its support: inner is flat
         if const > 0.0:
-            total += const ** alpha * _plain_quad(w, prev, _INF)
+            total += const ** alpha * _integral(w, prev, _INF)
     else:
         total += _plain_quad(outer_integrand, prev, _INF)
     return total
@@ -581,7 +607,7 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
         return _plain_quad(outer, 0.0, _INF)
 
     def rhs_condition(x: float) -> float:
-        return _plain_quad(v, x, _INF)
+        return _integral(v, x, _INF)
 
     def lhs_inequality(h: StepFunction) -> float:
         def outer(t: float) -> float:

@@ -90,10 +90,26 @@ class SideForm:
 # ---------------------------------------------------------------------------
 
 class WeightExpr:
-    """Base class of weight expressions; positive and finite on (0, inf)."""
+    """Base class of weight expressions; positive and finite on (0, inf).
+
+    Subclasses give their side form through ``_side``; :meth:`side_forms`
+    compiles the (lo, hi) pair once and caches it on the node, outside the
+    dataclass fields, so equality and hashing ignore the cache.
+    """
+
+    def _side(self, side: str) -> SideForm:
+        raise NotImplementedError
+
+    def side_forms(self) -> tuple[SideForm, SideForm]:
+        forms = self.__dict__.get("_side_forms")
+        if forms is None:
+            forms = (self._side("lo"), self._side("hi"))
+            object.__setattr__(self, "_side_forms", forms)
+        return forms
 
     def side(self, side: str) -> SideForm:
-        raise NotImplementedError
+        lo, hi = self.side_forms()
+        return lo if side == "lo" else hi
 
     def log_terms(self, lo: float, hi: float, q: float) -> list["LogTerm"]:
         """Canonical terms of int_lo^hi b(u)^q du/u (structured-integrand hook)."""
@@ -110,9 +126,10 @@ class WeightExpr:
     def _value(self, t: float) -> float:
         if not (t > 0.0) or not math.isfinite(t):
             raise ValueError(f"weights are defined on (0, inf), got t={t!r}")
+        lo, hi = self.side_forms()
         if t >= 1.0:
-            return self.side("hi").value(math.log(t))
-        return self.side("lo").value(-math.log(t))
+            return hi.value(math.log(t))
+        return lo.value(-math.log(t))
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -123,7 +140,7 @@ class WeightExpr:
 
 @dataclass(frozen=True, repr=False)
 class One(WeightExpr):
-    def side(self, side: str) -> SideForm:
+    def _side(self, side: str) -> SideForm:
         return SideForm()
 
     def to_text(self) -> str:
@@ -135,7 +152,7 @@ class PowerLog(WeightExpr):
     alpha0: float
     alpha_inf: float
 
-    def side(self, side: str) -> SideForm:
+    def _side(self, side: str) -> SideForm:
         return SideForm(self.alpha0 if side == "lo" else self.alpha_inf)
 
     def to_text(self) -> str:
@@ -150,7 +167,7 @@ class ExpLog(WeightExpr):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("explog exponent must lie in (0, 1)")
 
-    def side(self, side: str) -> SideForm:
+    def _side(self, side: str) -> SideForm:
         return SideForm(0.0, ((self.alpha, 1.0),))
 
     def to_text(self) -> str:
@@ -162,7 +179,7 @@ class Product(WeightExpr):
     left: WeightExpr
     right: WeightExpr
 
-    def side(self, side: str) -> SideForm:
+    def _side(self, side: str) -> SideForm:
         return self.left.side(side).combined(self.right.side(side))
 
     def to_text(self) -> str:
@@ -178,7 +195,7 @@ class Power(WeightExpr):
         if not math.isfinite(self.r):
             raise ValueError("pow exponent must be finite")
 
-    def side(self, side: str) -> SideForm:
+    def _side(self, side: str) -> SideForm:
         return self.base.side(side).scaled(self.r)
 
     def to_text(self) -> str:
@@ -189,7 +206,7 @@ class Power(WeightExpr):
 class Flip(WeightExpr):
     inner: WeightExpr
 
-    def side(self, side: str) -> SideForm:
+    def _side(self, side: str) -> SideForm:
         return self.inner.side("hi" if side == "lo" else "lo")
 
     def to_text(self) -> str:

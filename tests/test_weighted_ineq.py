@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate as sci_integrate
 
+from kinterp.config import ExpDecay, parse_function
 from kinterp.norms import weighted_knorm
 from kinterp.profiles import KProfile
 from kinterp.weighted_ineq import (
+    _integral,
     InequalitySpec,
     StepFunction,
     best_constant_probe,
@@ -17,7 +21,7 @@ from kinterp.weighted_ineq import (
     random_quasiconcave,
     window_condition,
 )
-from kinterp.weights import parse_weight
+from kinterp.weights import WeightExpr, parse_weight
 
 INF = math.inf
 
@@ -207,6 +211,85 @@ def test_hardy_sampled_families_bounded():
         rep = hardy_check(case, alpha, lambda t: math.exp(-t),
                           lambda t: math.exp(-0.5 * t), samples=12)
         assert rep.max_ratio < 50.0
+
+
+def test_hardy_build_v_rejects_divergent_structured_inputs():
+    # int_1^inf const(1) du and int_1^inf (1+ln u)^-1/2 du both diverge
+    with pytest.raises(ValueError, match="needs a convergent defining integral"):
+        hardy_build_v("HET3", 0.5, parse_function("expdecay(1)"),
+                      parse_function("const(1)"))
+    with pytest.raises(ValueError, match="needs a convergent defining integral"):
+        hardy_build_v("HET1", 2.0, parse_function("log(0,-0.5)"),
+                      parse_function("const(1)"))
+
+
+def _mp_broken_log(a0, ainf):
+    """(1-ln u)^a0 on (0,1], (1+ln u)^ainf beyond, written out in mpmath."""
+    def f(u):
+        lu = mpmath.log(u)
+        return (1 - lu) ** a0 if u <= 1 else (1 + lu) ** ainf
+    return f
+
+
+# (grammar or config text, the same function in mpmath)
+_CLOSED_FORMS = [
+    ("log(0,-2)", _mp_broken_log(0, -2)),
+    ("log(0.5,-2.5)", _mp_broken_log(0.5, -2.5)),
+    ("flip(log(-2.5,0.5))", _mp_broken_log(0.5, -2.5)),
+    ("const(1.7)", lambda u: mpmath.mpf(1.7)),
+    ("expdecay(1)", lambda u: mpmath.exp(-u)),
+    ("expdecay(0.35)", lambda u: mpmath.exp(-0.35 * u)),
+]
+
+
+@pytest.mark.parametrize("text,mp_f", _CLOSED_FORMS)
+@pytest.mark.parametrize("lo,hi", [(0.3, 7.0), (2.0, 40.0), (0.0, 0.4),
+                                   (0.0, 5.0), (0.5, INF), (3.0, INF)])
+def test_closed_form_integral_against_mpmath(text, mp_f, lo, hi):
+    f = parse_function(text)
+    got = _integral(f, lo, hi)
+    if hi == INF and not isinstance(f, ExpDecay):
+        # slowly varying weights and positive constants are not integrable
+        # at infinity
+        assert got == INF
+        return
+    with mpmath.workdps(30):
+        pts = [lo] + ([mpmath.mpf(1)] if lo < 1.0 < hi else []) \
+            + [mpmath.inf if hi == INF else hi]
+        want = float(mpmath.quad(mp_f, pts))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_integrals_of_degenerate_config_functions():
+    assert parse_function("expdecay(0)").integral(1.0, INF) == INF
+    assert parse_function("expdecay(0)").integral(1.0, 3.5) == 2.5
+    assert parse_function("expdecay(-1)").integral(0.0, INF) == INF
+    assert parse_function("expdecay(-1)").integral(0.0, 1e3) == INF
+    assert parse_function("const(0)").integral(0.0, INF) == 0.0
+
+
+def test_hardy_check_keeps_structured_inputs_off_quadpack(monkeypatch):
+    quad = sci_integrate.quad
+    integrands = []
+
+    def counting_quad(f, *args, **kwargs):
+        integrands.append(f)
+        return quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", counting_quad)
+    h = StepFunction([0.5, 3.0], [2.0, 0.7])
+    rep = hardy_check("HET1", 2.0, parse_function("expdecay(1)"),
+                      parse_function("log(0,-2)"), h_family=[h])
+    assert 0.0 < rep.max_ratio < INF
+    assert integrands
+    for f in integrands:
+        owner = getattr(f, "__self__", f)
+        assert not isinstance(owner, (WeightExpr, ExpDecay))
+        # the outer integrals over composed integrands, or canonical terms
+        # in log coordinates inside the quadrature layer
+        assert (f.__qualname__ in ("_hardy_lhs.<locals>.outer_integrand",
+                                   "hardy_build_v.<locals>.v")
+                or f.__module__ == "kinterp.quadrature"), f.__qualname__
 
 
 # ---------------------------------------------------------------------------

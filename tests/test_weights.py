@@ -326,3 +326,14 @@ def test_ast_flip_evaluates_at_reciprocal(b, logt):
     t = math.exp(logt)
     assert eval_weight(Flip(b), t) == pytest.approx(eval_weight(b, 1.0 / t),
                                                     rel=1e-8)
+
+
+def test_cached_side_forms_leave_equality_and_values_unchanged():
+    text = "mul(log(0,-2),pow(explog(0.3),-1))"
+    a, b = parse_weight(text), parse_weight(text)
+    a(2.5)  # compiles and caches a's side forms; b stays uncompiled
+    assert a == b and hash(a) == hash(b)
+    assert a.side_forms() == (b._side("lo"), b._side("hi"))
+    for t in (1e-6, 0.3, 1.0, 2.5, 1e6):
+        fresh = b._side("hi" if t >= 1.0 else "lo")
+        assert a(t) == fresh.value(abs(math.log(t)))
