@@ -162,12 +162,13 @@ def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
 
 
 def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
-                   b: WeightExpr, lo: float = 0.0, hi: float = _INF
-                   ) -> IntegralResult:
+                   b: WeightExpr, lo: float = 0.0, hi: float = _INF,
+                   memo: Optional[dict] = None) -> IntegralResult:
     """int_lo^hi (u^{-theta} b(u) K(u))^q du/u with K given as a curve.
 
     Returns the q-th power of the quasi-norm (callers take the root), +inf
-    with the divergent end when the integral blows up.
+    with the divergent end when the integral blows up.  ``memo`` is handed
+    to :func:`integrate_terms` for the canonical terms.
     """
     if curve.is_zero() or lo >= hi:
         return IntegralResult(0.0, 0.0)
@@ -194,7 +195,7 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
             terms = _segment_terms(expanded, theta, q, structured.side(side),
                                    side, u0, u1)
             terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
-            res = integrate_terms(terms)
+            res = integrate_terms(terms, memo)
         else:
             v, e = _segment_adaptive(curve, theta, q, b, u0, u1, end)
             res = IntegralResult(v, e if v != _INF else _INF,
@@ -271,13 +272,14 @@ def space_norm(f: KProfile, s: SpaceSpec,
 # ---------------------------------------------------------------------------
 
 def partial_norms(f: KProfile, t: float, case: str,
-                  q0: float, b0: WeightExpr, q1: float, b1: WeightExpr
-                  ) -> tuple[float, float]:
+                  q0: float, b0: WeightExpr, q1: float, b1: WeightExpr,
+                  memo: Optional[dict] = None) -> tuple[float, float]:
     """(I, J) of the limiting frames.
 
     ``limiting0``: I = ||u^{-1/q0} b0 K||_{q0,(0,t)} and
     J = ||u^{-1/q1} b1 K||_{q1,(t,inf)}; ``limiting1`` carries the extra
-    u^{-1} factor on both pieces.
+    u^{-1} factor on both pieces.  ``memo`` is passed to
+    :func:`weighted_knorm`.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -289,12 +291,12 @@ def partial_norms(f: KProfile, t: float, case: str,
     if q0 == _INF:
         I = _weighted_ksup(f.curve, theta, b0, 0.0, t)
     else:
-        res = weighted_knorm(f.curve, theta, q0, b0, 0.0, t)
+        res = weighted_knorm(f.curve, theta, q0, b0, 0.0, t, memo)
         I = res.value ** (1.0 / q0) if not res.divergent else _INF
     if q1 == _INF:
         J = _weighted_ksup(f.curve, theta, b1, t, _INF)
     else:
-        res = weighted_knorm(f.curve, theta, q1, b1, t, _INF)
+        res = weighted_knorm(f.curve, theta, q1, b1, t, _INF, memo)
         J = res.value ** (1.0 / q1) if not res.divergent else _INF
     return I, J
 

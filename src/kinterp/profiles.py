@@ -247,9 +247,6 @@ class PiecewiseCurve:
         pieces.insert(i, pieces[i])
         return PiecewiseCurve(breaks, pieces)
 
-    def grid_values(self, grid: GridSpec = GridSpec(1e-8, 1e8, 16)) -> np.ndarray:
-        return np.array([self(float(t)) for t in grid.points()])
-
 
 def _segment_probe(breaks: Sequence[float], i: int) -> float:
     """A point strictly inside segment i of the given breakpoints."""
@@ -333,25 +330,6 @@ class KProfile:
         pieces.append((Atom(pts[-1][1], 0.0),))
         return KProfile(PiecewiseCurve(breaks, pieces),
                         "piecewise[" + ",".join(f"({t:g},{k:g})" for t, k in pts) + "]")
-
-    @staticmethod
-    def from_node_powers(t_nodes: Sequence[float], k_first: float,
-                         exponents: Sequence[float],
-                         left_exp: float = 1.0, right_exp: float = 0.0
-                         ) -> "KProfile":
-        """Pure power segments k_i (t/t_i)^theta_i with continuity at nodes."""
-        ts = [float(t) for t in t_nodes]
-        if sorted(ts) != ts or len(exponents) != len(ts) - 1:
-            raise ValueError("need ascending nodes and one exponent per gap")
-        ks = [float(k_first)]
-        for (t0, t1), th in zip(zip(ts[:-1], ts[1:]), exponents):
-            ks.append(ks[-1] * (t1 / t0) ** th)
-        breaks = list(ts)
-        pieces = [(Atom(ks[0] / ts[0] ** left_exp, left_exp),)]
-        for (t0, k0), th in zip(zip(ts[:-1], ks[:-1]), exponents):
-            pieces.append((Atom(k0 / t0 ** th, th),))
-        pieces.append((Atom(ks[-1] / ts[-1] ** right_exp, right_exp),))
-        return KProfile(PiecewiseCurve(breaks, pieces), "node-powers")
 
 
 def profile_eval(k: KProfile, t: float) -> float:
@@ -683,12 +661,6 @@ def _conjugate_curve(curve: PiecewiseCurve) -> PiecewiseCurve:
 def conjugate_profile(k: KProfile) -> KProfile:
     """The profile t -> t K(1/t); exact on atoms."""
     return KProfile(_conjugate_curve(k.curve), f"conj[{k.label}]")
-
-
-def conjugate_realization(f: Rearrangement) -> Rearrangement:
-    """Rearrangement realizing the conjugate of f's K-profile, exactly."""
-    K = K_from_rearrangement(f)
-    return realize_rearrangement(conjugate_profile(K))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,7 @@ AT_INFINITY = "at_infinity"
 
 _INF = math.inf
 
-# Closed-form segment results carry ~1 ulp noise per operation; adaptive paths
-# are requested at this relative tolerance.
-CLOSED_FORM_RTOL = 1e-9
+# Adaptive paths are requested at this relative tolerance.
 ADAPTIVE_RTOL = 1e-7
 _QUAD_EPSREL = 1e-11
 
@@ -224,12 +222,24 @@ def term_value(term: LogTerm) -> tuple[float, float]:
     return val, err
 
 
-def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
-    """Sum canonical terms in the given (fixed) order."""
+def integrate_terms(terms: Sequence[LogTerm],
+                    memo: Optional[dict] = None) -> IntegralResult:
+    """Sum canonical terms in the given (fixed) order.
+
+    ``memo``, when given, maps a term to its ``term_value`` and is filled as
+    terms are integrated; a caller that integrates the same terms many times
+    (one profile swept over a grid) passes one dict for the whole sweep.
+    """
     total = 0.0
     err = 0.0
     for term in terms:
-        v, e = term_value(term)
+        if memo is None:
+            v, e = term_value(term)
+        else:
+            ve = memo.get(term)
+            if ve is None:
+                ve = memo[term] = term_value(term)
+            v, e = ve
         if v == _INF:
             return IntegralResult(_INF, _INF,
                                   AT_ZERO if term.end == "zero" else AT_INFINITY)

@@ -13,6 +13,13 @@ K-functional, and the measure picks up the factor rho'(t)/rho(t), obtained by
 central differences in log t.  A genuine double-layer decomposition infimum
 would stack a second search on top of the first without adding verification
 power.
+
+Neither the index nor its log-derivative depends on the profile, so
+:func:`reiteration_check` tabulates them once per spec and shares the table
+across profiles; each profile's sweep over the table memoizes its canonical
+terms, since most segments of I and J do not move with t.  A profile whose
+iterated-space norm is 0 or infinite is skipped before the composite-weight
+norm is computed.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .holmstedt import HolmstedtCase, HypothesisError, rhs_formula
+from .holmstedt import HolmstedtCase, HypothesisError
 from .norms import (
     MONOTONE_THRESHOLD,
     SpaceSpec,
     check_condition_monotone_index,
     index,
+    partial_norms,
     quasi_monotone_constant,
     space_norm,
     weighted_knorm,
@@ -303,28 +311,59 @@ class ReiterationReport:
         return max(ratios) / min(ratios) if ratios else _INF
 
 
-def _composite_norm(spec: ReiterationSpec, f: KProfile,
-                    grid: GridSpec = GridSpec(1e-12, 1e12, 12)) -> float:
-    """Outer quasi-norm of the iterated space via the s = index(t) substitution."""
-    case = spec.inner_case()
+#: (grid step in ln t, one row per grid point): a row is (t, index,
+#: d ln index / d ln t), or None where the index is degenerate or its
+#: log-derivative is not positive, so the outer integrand is 0 there.
+IndexTable = tuple[float, list[Optional[tuple[float, float, float]]]]
+
+
+def _index_table(spec: ReiterationSpec, grid: GridSpec) -> IndexTable:
+    """The profile-independent part of the s = index(t) substitution."""
     xs = np.log(grid.points())
-    vals = []
+    rows: list[Optional[tuple[float, float, float]]] = []
     for x in xs:
         t = math.exp(float(x))
         idx = spec.index_value(t)
         if idx is None or not (0.0 < idx < _INF):
-            vals.append(0.0)
+            rows.append(None)
             continue
         ell = _dlog_index(spec, t)  # measure factor d ln(index)
         if math.isnan(ell) or ell <= 0.0:
+            rows.append(None)
+            continue
+        rows.append((t, idx, ell))
+    return xs[1] - xs[0], rows
+
+
+def _inner_rhs(spec: ReiterationSpec, f: KProfile, t: float, idx: float,
+               memo: dict) -> float:
+    """I + idx J at t: the value of ``rhs_formula(spec.inner_case(), f, t)``
+    without recomputing the index, with the canonical terms memoized."""
+    I, J = partial_norms(f, t, f"limiting{spec.side}", spec.q0, spec.b0,
+                         spec.q1, spec.b1, memo)
+    return I + idx * J
+
+
+def _composite_norm(spec: ReiterationSpec, f: KProfile,
+                    table: IndexTable) -> float:
+    """Outer quasi-norm of the iterated space via the s = index(t) substitution.
+
+    ``table`` comes from :func:`_index_table` and is shared by every profile
+    of a check; the canonical-term memo lives for this one profile's sweep.
+    """
+    h, rows = table
+    memo: dict = {}
+    vals = []
+    for row in rows:
+        if row is None:
             vals.append(0.0)
             continue
-        surrogate = rhs_formula(case, f, t)
+        t, idx, ell = row
+        surrogate = _inner_rhs(spec, f, t, idx, memo)
         if not (0.0 <= surrogate < _INF):
             return _INF
-        expo = -spec.theta
-        vals.append((idx ** expo * spec.b(idx) * surrogate) ** spec.q * ell)
-    h = xs[1] - xs[0]
+        vals.append((idx ** -spec.theta * spec.b(idx) * surrogate) ** spec.q
+                    * ell)
     total = float(np.sum(vals)) * h - 0.5 * h * (vals[0] + vals[-1])
     return total ** (1.0 / spec.q)
 
@@ -333,18 +372,27 @@ def reiteration_check(spec: ReiterationSpec,
                       profiles: Sequence[Rearrangement],
                       grid: GridSpec = GridSpec(1e-12, 1e12, 12)
                       ) -> ReiterationReport:
-    """Compare the iterated-space norm against the composite-weight norm."""
+    """Compare the iterated-space norm against the composite-weight norm.
+
+    The index table on ``grid`` is built once and shared across profiles.
+    A profile whose iterated-space norm is not in (0, inf) counts as skipped
+    without evaluating the composite-weight side.
+    """
     notes = spec.verify_hypotheses()
+    table = _index_table(spec, grid)
     composite = CompositeWeight(spec)
     theta_side = 0.0 if spec.side == 0 else 1.0
     rows: list[tuple[str, float, float, float]] = []
     skipped = 0
     for f in profiles:
         K = K_from_rearrangement(f)
-        lhs = _composite_norm(spec, K, grid)
+        lhs = _composite_norm(spec, K, table)
+        if not (0.0 < lhs < _INF):
+            skipped += 1
+            continue
         res = weighted_knorm(K.curve, theta_side, spec.q, composite)
         rhs = res.value ** (1.0 / spec.q) if not res.divergent else _INF
-        if 0.0 < lhs < _INF and 0.0 < rhs < _INF:
+        if 0.0 < rhs < _INF:
             rows.append((f.label, lhs, rhs, lhs / rhs))
         else:
             skipped += 1

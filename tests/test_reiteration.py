@@ -3,12 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from kinterp.holmstedt import HypothesisError
-from kinterp.profiles import Rearrangement, profile_suite, random_rearrangement
+from scipy import integrate as sci_integrate
+
+from kinterp import quadrature, reiteration
+from kinterp.holmstedt import HypothesisError, rhs_formula
+from kinterp.profiles import (
+    K_from_rearrangement,
+    KProfile,
+    Rearrangement,
+    parse_profile,
+    profile_suite,
+    random_rearrangement,
+    realize_rearrangement,
+)
 from kinterp.quadrature import GridSpec
 from kinterp.reiteration import (
+    CompositeWeight,
     LKSpec,
     ReiterationSpec,
+    _composite_norm,
+    _index_table,
+    _inner_rhs,
     build_hat_b,
     build_tilde_b,
     lk_identification_check,
@@ -16,7 +31,7 @@ from kinterp.reiteration import (
     lorentz_karamata_norm,
     reiteration_check,
 )
-from kinterp.weights import parse_weight
+from kinterp.weights import Flip, parse_weight
 
 INF = math.inf
 
@@ -215,3 +230,128 @@ def test_formula_mirror_is_not_theorem_valid(spec_main):
     from kinterp.holmstedt import HypothesisError
     with pytest.raises(HypothesisError):
         spec_main.flipped().verify_hypotheses()
+
+
+# ---------------------------------------------------------------------------
+# shared index table and per-sweep memo
+# ---------------------------------------------------------------------------
+
+CHECK_GRID = GridSpec(1e-12, 1e12, 12)
+PIECEWISE = "piecewise[(0.163,0.46),(0.326,0.619),(2.67,1.52)]"
+
+
+def _bench_spec(side: int) -> ReiterationSpec:
+    """A spec of the reiteration benchmark's shape; side 1 is the t -> 1/t
+    mirror with the weight slots swapped."""
+    b0, b1 = parse_weight("log(-2.2,-2.2)"), parse_weight("log(0,-3.25)")
+    if side == 0:
+        return ReiterationSpec(side=0, theta=0.45, q=1.0, b=parse_weight("one"),
+                               q0=1.0, b0=b0, q1=2.0, b1=b1)
+    return ReiterationSpec(side=1, theta=0.55, q=2.0, b=parse_weight("log(0,-1)"),
+                           q0=1.0, b0=Flip(b1), q1=1.0, b1=Flip(b0))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_index_table_sweep_equals_rhs_formula(side):
+    spec = _bench_spec(side)
+    case = spec.inner_case()
+    _, rows = _index_table(spec, CHECK_GRID)
+    live = [row for row in rows if row is not None]
+    assert len(rows) == len(CHECK_GRID.points()) and len(live) > 200
+    for text in ("min1", PIECEWISE):
+        K = parse_profile(text)
+        memo: dict = {}
+        for t, idx, _ in live:
+            assert idx == spec.index_value(t)
+            assert _inner_rhs(spec, K, t, idx, memo) == rhs_formula(case, K, t)
+        assert memo
+
+
+def test_zero_profile_sweep_is_zero():
+    spec = _bench_spec(0)
+    t, idx, _ = next(r for r in _index_table(spec, CHECK_GRID)[1] if r)
+    zero = KProfile.zero()
+    assert _inner_rhs(spec, zero, t, idx, {}) == 0.0 \
+        == rhs_formula(spec.inner_case(), zero, t)
+
+
+def _count_quad(monkeypatch) -> list:
+    calls: list = []
+    quad = sci_integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_sweep_hands_quadpack_each_term_once(monkeypatch, side):
+    # segments of I and J that do not move with t (such as [1, inf) in J for
+    # t < 1) give the same canonical term at every grid point of a sweep
+    spec = _bench_spec(side)
+    calls = _count_quad(monkeypatch)
+    sweeps: list[dict] = []
+    active: list = [None]  # QUADPACK calls per term of the running sweep
+    term_value = quadrature.term_value
+
+    def traced_term_value(term):
+        before = len(calls)
+        out = term_value(term)
+        if active[0] is not None and len(calls) > before:
+            active[0][term] = active[0].get(term, 0) + 1
+        return out
+
+    def traced_composite_norm(*args, **kwargs):
+        active[0] = {}
+        sweeps.append(active[0])
+        try:
+            return _composite_norm(*args, **kwargs)
+        finally:
+            active[0] = None
+
+    monkeypatch.setattr(quadrature, "term_value", traced_term_value)
+    monkeypatch.setattr(reiteration, "_composite_norm", traced_composite_norm)
+    suite = [realize_rearrangement(parse_profile(p)) for p in ("min1", PIECEWISE)]
+    rep = reiteration_check(spec, suite)
+    assert rep.rows
+    assert len(sweeps) == 2 and all(sweeps)
+    for sweep in sweeps:
+        assert max(sweep.values()) == 1
+
+
+def test_no_cache_outlives_a_check(monkeypatch):
+    # profiles no other test uses, so a cache that outlived earlier checks
+    # would still be cold for the first call here
+    spec = _bench_spec(0)
+    suite = [realize_rearrangement(parse_profile(p)) for p in
+             ("piecewise[(0.0713,0.29),(4.1,2.3)]", "piecewise[(0.5,0.8),(20,3)]")]
+    calls = _count_quad(monkeypatch)
+    first = reiteration_check(spec, suite)
+    n_first = len(calls)
+    second = reiteration_check(spec, suite)
+    assert n_first > 0
+    assert len(calls) - n_first == n_first
+    assert first.rows == second.rows
+
+
+def test_lost_row_skips_composite_weight(monkeypatch):
+    spec = _bench_spec(0)
+    power = realize_rearrangement(parse_profile("power(0.4)"))
+    table = _index_table(spec, CHECK_GRID)
+    assert _composite_norm(spec, K_from_rearrangement(power), table) == INF
+    evals = [0]
+    composite_call = CompositeWeight.__call__
+
+    def counted(self, t):
+        evals[0] += 1
+        return composite_call(self, t)
+
+    monkeypatch.setattr(CompositeWeight, "__call__", counted)
+    rep = reiteration_check(spec, [power])
+    assert rep.rows == [] and rep.skipped == 1
+    assert evals[0] == 0
+    rep = reiteration_check(spec, [realize_rearrangement(parse_profile("min1"))])
+    assert len(rep.rows) == 1 and evals[0] > 0
