@@ -1,6 +1,12 @@
 """Numerical laboratory for limiting K-interpolation formulas on (L1, Linf)."""
 
-from .quadrature import GridSpec, IntegralResult, integrate_log, sup_log
+from .quadrature import (
+    GridSpec,
+    IntegralOverflowError,
+    IntegralResult,
+    integrate_log,
+    sup_log,
+)
 from .weights import (
     WeightExpr,
     One,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,20 +61,24 @@ _MAX_EXPAND_Q = 4
 @dataclass(frozen=True)
 class SpaceSpec:
     """A K-interpolation space (theta, q, b); limiting thetas require the
-    matching integrability class of the weight."""
+    matching integrability class of the weight.
+
+    ``memo`` (not stored) is passed to :func:`classify` for that check.
+    """
 
     theta: float
     q: float
     b: WeightExpr
+    memo: InitVar[Optional[dict]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, memo: Optional[dict]) -> None:
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [0, 1]")
         if not (self.q > 0.0):
             raise ValueError("q must be positive (inf allowed)")
-        if self.theta == 0.0 and not classify(self.b, self.q).in_SV0q:
+        if self.theta == 0.0 and not classify(self.b, self.q, memo).in_SV0q:
             raise ValueError("theta = 0 requires the tail class of the weight")
-        if self.theta == 1.0 and not classify(self.b, self.q).in_SV1q:
+        if self.theta == 1.0 and not classify(self.b, self.q, memo).in_SV1q:
             raise ValueError("theta = 1 requires the head class of the weight")
 
     def label(self) -> str:
@@ -181,10 +185,13 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
     total = 0.0
     err = 0.0
     structured: Optional[WeightExpr] = b if isinstance(b, WeightExpr) else None
-    for u0, u1 in zip(cuts[:-1], cuts[1:]):
+    # segment k of cuts is segment k + first of its finite positive points
+    probe_breaks = [c for c in cuts if 0.0 < c < _INF]
+    first = 0 if lo == 0.0 else 1
+    for k, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
         if u0 == u1:
             continue
-        mid = _geo_mid(u0, u1)
+        mid = _segment_probe(probe_breaks, k + first)
         atoms = curve.pieces[curve.piece_index(mid)]
         if not atoms:
             continue
@@ -206,14 +213,6 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
         total += res.value
         err += res.error_bound
     return IntegralResult(total, err)
-
-
-def _geo_mid(u0: float, u1: float) -> float:
-    if u0 == 0.0:
-        return u1 / 2.0
-    if u1 == _INF:
-        return u0 * 2.0
-    return math.sqrt(u0 * u1)
 
 
 def _weighted_ksup(curve: PiecewiseCurve, theta: float, b, lo: float, hi: float
@@ -257,11 +256,15 @@ def _weighted_ksup(curve: PiecewiseCurve, theta: float, b, lo: float, hi: float
 
 
 def space_norm(f: KProfile, s: SpaceSpec,
-               lo: float = 0.0, hi: float = _INF) -> float:
-    """||t^{-theta-1/q} b(t) K(t,f)||_{q,(lo,hi)}; +inf allowed."""
+               lo: float = 0.0, hi: float = _INF,
+               memo: Optional[dict] = None) -> float:
+    """||t^{-theta-1/q} b(t) K(t,f)||_{q,(lo,hi)}; +inf allowed.
+
+    ``memo`` is passed to :func:`weighted_knorm`.
+    """
     if s.q == _INF:
         return _weighted_ksup(f.curve, s.theta, s.b, lo, hi)
-    res = weighted_knorm(f.curve, s.theta, s.q, s.b, lo, hi)
+    res = weighted_knorm(f.curve, s.theta, s.q, s.b, lo, hi, memo)
     if res.divergent:
         return _INF
     return res.value ** (1.0 / s.q)
@@ -317,14 +320,18 @@ class IndexPair:
 
 
 def index(t: float, kind: str, q0: float, b0: WeightExpr,
-          q1: float, b1: WeightExpr, eps: float = 0.0) -> IndexPair:
-    """rho / rho_eps (tail quotients) and eta / eta_eps (head quotients)."""
+          q1: float, b1: WeightExpr, eps: float = 0.0,
+          memo: Optional[dict] = None) -> IndexPair:
+    """rho / rho_eps (tail quotients) and eta / eta_eps (head quotients).
+
+    ``memo`` is passed to the weight q-norms.
+    """
     if kind in ("rho", "rho_eps"):
-        num = tail_qnorm(b0, q0, t)
-        den = tail_qnorm(b1, q1, t)
+        num = tail_qnorm(b0, q0, t, memo)
+        den = tail_qnorm(b1, q1, t, memo)
     elif kind in ("eta", "eta_eps"):
-        num = head_qnorm(b0, q0, t)
-        den = head_qnorm(b1, q1, t)
+        num = head_qnorm(b0, q0, t, memo)
+        den = head_qnorm(b1, q1, t, memo)
     else:
         raise ValueError(f"unknown index kind {kind!r}")
     if kind.endswith("_eps"):
@@ -381,9 +388,13 @@ def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
                                    q1: float, b1: WeightExpr,
                                    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
                                    threshold: float = MONOTONE_THRESHOLD,
-                                   grid: GridSpec = STANDARD_GRID
+                                   grid: GridSpec = STANDARD_GRID,
+                                   memo: Optional[dict] = None
                                    ) -> ConditionReport:
-    """Search the eps grid for a quasi-nondecreasing rho_eps (or eta_eps)."""
+    """Search the eps grid for a quasi-nondecreasing rho_eps (or eta_eps).
+
+    ``memo`` is passed to :func:`index`.
+    """
     if kind not in ("rho_eps", "eta_eps"):
         raise ValueError("kind must be rho_eps or eta_eps")
     ts = grid.points()
@@ -393,7 +404,7 @@ def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
     skipped = 0
     keep = np.ones(len(ts), dtype=bool)
     for i, t in enumerate(ts):
-        pair = index(float(t), base_kind, q0, b0, q1, b1)
+        pair = index(float(t), base_kind, q0, b0, q1, b1, memo=memo)
         nums[i], dens[i] = pair.numerator, pair.denominator
         if not pair.defined or pair.numerator == _INF or pair.numerator == 0.0:
             keep[i] = False

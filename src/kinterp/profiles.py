@@ -595,6 +595,8 @@ def _crossing_point(f: Rearrangement, lam: float) -> float:
     x_lo, x_hi = math.log(lo_t), math.log(hi_t)
     for _ in range(200):
         m = 0.5 * (x_lo + x_hi)
+        if m == x_lo or m == x_hi:  # the bracket is one ulp wide; m is the answer
+            break
         if curve(math.exp(m)) >= lam:
             x_lo = m
         else:

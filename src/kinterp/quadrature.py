@@ -29,6 +29,7 @@ __all__ = [
     "AT_INFINITY",
     "GridSpec",
     "IntegralResult",
+    "IntegralOverflowError",
     "LogTerm",
     "term_diverges_at_inf",
     "exp_pow_integral",
@@ -107,6 +108,14 @@ class NonFiniteIntegrandError(ValueError):
     """The integrand evaluated to NaN or a signed infinity."""
 
 
+class IntegralOverflowError(ValueError):
+    """A convergent integral over a finite segment exceeds the float range.
+
+    This is not a divergence: the integral exists, but e^{a x} overflows
+    before the segment ends.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Canonical terms
 # ---------------------------------------------------------------------------
@@ -158,10 +167,17 @@ def _quad(f: Callable[[float], float], x1: float, x2: float) -> tuple[float, flo
     return val, err
 
 
+def _overflow(a: float, beta: float, x1: float, x2: float) -> IntegralOverflowError:
+    return IntegralOverflowError(
+        f"int e^({a!r} x) (1+x)^{beta!r} dx over [{x1!r}, {x2!r}] overflows")
+
+
 def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float, float]:
     """(value, error) of int_{x1}^{x2} e^{a x} (1+x)^beta dx, [x1,x2] in [0,inf].
 
     Assumes convergence (check :func:`term_diverges_at_inf` first when x2=inf).
+    Raises :class:`IntegralOverflowError` on a finite segment where a*x
+    exceeds 700, instead of returning an infinity that reads as divergence.
     """
     if x1 == x2:
         return 0.0, 0.0
@@ -183,7 +199,7 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
             val = -math.exp(a * x1) / a
             return val, 4e-16 * abs(val)
         if a * max(x1, x2) > 700.0:
-            return _INF, _INF
+            raise _overflow(a, beta, x1, x2)
         val = (math.exp(a * x2) - math.exp(a * x1)) / a
         return val, 4e-16 * abs(val)
     if x2 == _INF:
@@ -202,7 +218,7 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     xm = x2 if a > 0.0 else x1
     scale = a * xm
     if scale > 700.0:
-        return _INF, _INF
+        raise _overflow(a, beta, x1, x2)
     val, err = _quad(lambda x: math.exp(a * (x - xm)) * (1.0 + x) ** beta, x1, x2)
     m = math.exp(scale)
     return val * m, err * m
@@ -226,20 +242,20 @@ def integrate_terms(terms: Sequence[LogTerm],
                     memo: Optional[dict] = None) -> IntegralResult:
     """Sum canonical terms in the given (fixed) order.
 
-    ``memo``, when given, maps a term to its ``term_value`` and is filled as
-    terms are integrated; a caller that integrates the same terms many times
-    (one profile swept over a grid) passes one dict for the whole sweep.
+    ``memo``, when given, is filled as terms are integrated; a caller that
+    integrates the same terms many times (one scan or one profile sweep)
+    passes one dict for that whole computation and drops it afterwards.  A
+    term without ``gammas`` is stored under its coefficient-free integral
+    ``(a, beta, x1, x2)`` and scaled by ``coef`` on every use, which is the
+    arithmetic :func:`term_value` does itself; a stretched-exponential term
+    is stored under the whole :class:`LogTerm`, because QUADPACK integrates
+    its coefficient inside the integrand.  Results are bit-identical with
+    and without a memo.
     """
     total = 0.0
     err = 0.0
     for term in terms:
-        if memo is None:
-            v, e = term_value(term)
-        else:
-            ve = memo.get(term)
-            if ve is None:
-                ve = memo[term] = term_value(term)
-            v, e = ve
+        v, e = term_value(term) if memo is None else _memo_value(term, memo)
         if v == _INF:
             return IntegralResult(_INF, _INF,
                                   AT_ZERO if term.end == "zero" else AT_INFINITY)
@@ -249,6 +265,23 @@ def integrate_terms(terms: Sequence[LogTerm],
         total += v
         err += e
     return IntegralResult(total, err)
+
+
+def _memo_value(term: LogTerm, memo: dict) -> tuple[float, float]:
+    """``term_value(term)`` through ``memo`` (see :func:`integrate_terms`)."""
+    if term.gammas or term.coef == 0.0 or term.x1 == term.x2:
+        ve = memo.get(term)
+        if ve is None:
+            ve = memo[term] = term_value(term)
+        return ve
+    key = (term.a, term.beta, term.x1, term.x2)
+    ve = memo.get(key)
+    if ve is None:
+        ve = memo[key] = term_value(LogTerm(1.0, *key))
+    v, e = ve
+    if v == _INF:  # +inf for any sign of coef when divergent; not a product
+        return term_value(term)
+    return term.coef * v, abs(term.coef) * e
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -359,27 +360,12 @@ def weight_kernel_integral(b: WeightExpr, q: float, kernel_power: float,
 def _weight_sup(b: WeightExpr, lo: float, hi: float) -> float:
     """Essential supremum of b on (lo, hi); +inf when b blows up at an open end."""
     candidates: list[float] = []
-    for side, x1, x2 in _side_ranges(lo, hi):
-        form = b.side(side)
-        if x2 == _INF and _form_unbounded(form):
+    for term in _weight_terms(b, 1.0, lo, hi):
+        form = b.side("lo" if term.end == "zero" else "hi")
+        if term.x2 == _INF and _form_unbounded(form):
             return _INF
-        candidates.append(_form_sup(form, x1, x2))
+        candidates.append(_form_sup(form, term.x1, term.x2))
     return max(candidates)
-
-
-def _side_ranges(lo: float, hi: float) -> list[tuple[str, float, float]]:
-    ranges = []
-    if lo < 1.0:
-        x1 = -math.log(min(hi, 1.0))
-        x2 = -math.log(lo) if lo > 0.0 else _INF
-        if x2 > x1:
-            ranges.append(("lo", x1, x2))
-    if hi > 1.0:
-        x1 = math.log(max(lo, 1.0))
-        x2 = math.log(hi) if hi != _INF else _INF
-        if x2 > x1:
-            ranges.append(("hi", x1, x2))
-    return ranges
 
 
 def _form_unbounded(form: SideForm) -> bool:
@@ -403,21 +389,26 @@ def _form_sup(form: SideForm, x1: float, x2: float) -> float:
     return math.exp(max(vals))
 
 
-def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
-    """||u^{-1/q} b(u)||_{q,(t,inf)}; +inf when divergent."""
+def tail_qnorm(b: WeightExpr, q: float, t: float,
+               memo: Optional[dict] = None) -> float:
+    """||u^{-1/q} b(u)||_{q,(t,inf)}; +inf when divergent.
+
+    ``memo`` is handed to :func:`integrate_terms`.
+    """
     if t <= 0.0:
         raise ValueError("t must be positive")
     if q == _INF:
         return _weight_sup(b, t, _INF)
     if q <= 0.0:
         raise ValueError("q must be positive or inf")
-    res = integrate_terms(_weight_terms(b, q, t, _INF))
+    res = integrate_terms(_weight_terms(b, q, t, _INF), memo)
     return res.value ** (1.0 / q) if res.value != _INF else _INF
 
 
-def head_qnorm(b: WeightExpr, q: float, t: float) -> float:
+def head_qnorm(b: WeightExpr, q: float, t: float,
+               memo: Optional[dict] = None) -> float:
     """||u^{-1/q} b(u)||_{q,(0,t)}; the exact mirror of the tail norm."""
-    return tail_qnorm(Flip(b), q, 1.0 / t)
+    return tail_qnorm(Flip(b), q, 1.0 / t, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +424,11 @@ class SVClassReport:
     head_value_at_1: float
 
 
-def classify(b: WeightExpr, q: float) -> SVClassReport:
-    tail = tail_qnorm(b, q, 1.0)
-    head = head_qnorm(b, q, 1.0)
+def classify(b: WeightExpr, q: float,
+             memo: Optional[dict] = None) -> SVClassReport:
+    """The q-norms of b on (1, inf) and (0, 1); ``memo`` is passed to both."""
+    tail = tail_qnorm(b, q, 1.0, memo)
+    head = head_qnorm(b, q, 1.0, memo)
     return SVClassReport(q=q, in_SV0q=math.isfinite(tail),
                          in_SV1q=math.isfinite(head),
                          tail_value_at_1=tail, head_value_at_1=head)

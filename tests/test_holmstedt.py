@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate as sci_integrate
 
 from kinterp.holmstedt import (
     DecompositionTable,
     HolmstedtCase,
     HypothesisError,
+    ScanRow,
     equivalence_scan,
     incompatibility_M,
     index_value,
     lhs_decomposition,
     negative_demo,
     rhs_formula,
+    verify_hypotheses,
 )
 from kinterp.norms import SpaceSpec, space_norm
 from kinterp.profiles import (
@@ -256,3 +259,111 @@ def test_lhs_limiting11_reduction_is_exact(w_l02):
     for s in (0.3, 1.0, 4.0):
         direct = lhs_decomposition(case11, conj, s)
         assert direct == pytest.approx(s * table00.best(1.0 / s), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scan's canonical-term memo
+# ---------------------------------------------------------------------------
+
+# the benchmark's explog-scan shape: a stretched-exponential b0
+EXPLOG_B0 = parse_weight("mul(log(0,-2),pow(explog(0.3),-1))")
+EXPLOG_CASE = HolmstedtCase("limiting00", 1.0, 2.0, EXPLOG_B0,
+                            parse_weight("log(0,-2)"))
+MEMO_GRID = GridSpec(1e-4, 1e4, 8)
+MIN1 = realize_rearrangement(parse_profile("min1"))
+
+
+def _integral_key(f, x1, x2):
+    """What QUADPACK is asked to integrate: a canonical term's bound
+    integrand, or a closure over the parameters of one, on [x1, x2]."""
+    owner = getattr(f, "__self__", None)
+    if owner is not None:
+        return owner, x1, x2
+    cells = tuple(c.cell_contents for c in f.__closure__ or ())
+    return f.__code__, cells, x1, x2
+
+
+def _record_quad(monkeypatch) -> list:
+    keys: list = []
+    quad = sci_integrate.quad
+
+    def recorded(f, x1, x2, *args, **kwargs):
+        keys.append(_integral_key(f, x1, x2))
+        return quad(f, x1, x2, *args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", recorded)
+    return keys
+
+
+def _memoless_rows(case, f, grid) -> list[ScanRow]:
+    """The rows ``equivalence_scan`` keeps, from ``verify_hypotheses``,
+    ``lhs_decomposition`` and ``rhs_formula`` called without a memo."""
+    verify_hypotheses(case)
+    K = K_from_rearrangement(f)
+    if case.kind == "limiting11":
+        red = HolmstedtCase("limiting00", q0=case.q1, q1=case.q0,
+                            b0=Flip(case.b1), b1=Flip(case.b0))
+        conj = realize_rearrangement(conjugate_profile(K))
+        table = DecompositionTable(conj, *red.spaces())
+        conj_K = K_from_rearrangement(conj)
+    else:
+        table = DecompositionTable(f, *case.spaces())
+    rows = []
+    for t in grid.points():
+        t = float(t)
+        s = index_value(case, t)
+        if s is None or not (0.0 < s < INF):
+            continue
+        lhs = lhs_decomposition(case, f, s, table)
+        if case.kind == "limiting11":
+            rhs = s * rhs_formula(red, conj_K, 1.0 / t)
+        else:
+            rhs = rhs_formula(case, K, t)
+        if 0.0 < lhs < INF and 0.0 < rhs < INF:
+            rows.append(ScanRow(t, lhs, rhs))
+    return rows
+
+
+def test_scan_hands_quadpack_each_integral_once(monkeypatch):
+    keys = _record_quad(monkeypatch)
+    assert _memoless_rows(EXPLOG_CASE, MIN1, MEMO_GRID)
+    needed = set(keys)
+    assert len(keys) > len(needed)
+    for _ in range(2):  # the second scan finds nothing the first one stored
+        keys.clear()
+        rep = equivalence_scan(EXPLOG_CASE, MIN1, MEMO_GRID)
+        assert rep.rows and rep.skipped == 0
+        assert len(keys) == len(set(keys))
+        # the memo changes how often an integral reaches QUADPACK, not which
+        assert set(keys) == needed
+
+
+def test_no_memo_outlives_a_scan(monkeypatch):
+    # a profile no other test uses, so a cache that outlived earlier scans
+    # would still be cold for the first scan here
+    f = realize_rearrangement(parse_profile("piecewise[(0.21,0.37),(3.3,1.9)]"))
+    keys = _record_quad(monkeypatch)
+    first = equivalence_scan(EXPLOG_CASE, f, MEMO_GRID)
+    n_first = len(keys)
+    second = equivalence_scan(EXPLOG_CASE, f, MEMO_GRID)
+    assert n_first > 0
+    assert len(keys) - n_first == n_first
+    assert first.rows == second.rows
+
+
+@pytest.mark.parametrize("kind", ["limiting00", "limiting11", "nonlimiting"])
+def test_scan_rows_equal_memoless_values(kind):
+    b1 = parse_weight("log(0,-2)")
+    if kind == "limiting00":
+        case, f = EXPLOG_CASE, MIN1
+    elif kind == "limiting11":
+        case = HolmstedtCase("limiting11", 2.0, 1.0, Flip(b1), Flip(EXPLOG_B0))
+        f = MIN1
+    else:
+        # stretched-exponential terms that differ only in their coefficient
+        case = HolmstedtCase("nonlimiting", 1.0, 2.0, b1, EXPLOG_B0,
+                             theta0=0.25, theta1=0.75)
+        f = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
+    rep = equivalence_scan(case, f, MEMO_GRID)
+    assert len(rep.rows) == len(MEMO_GRID.points())
+    assert rep.rows == _memoless_rows(case, f, MEMO_GRID)

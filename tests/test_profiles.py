@@ -209,3 +209,64 @@ def test_parse_profile_literals():
     assert parse_profile("piecewise[(1,1),(10,2)]")(10.0) == 2.0
     with pytest.raises(ValueError):
         parse_profile("spline(3)")
+
+
+# ---------------------------------------------------------------------------
+# Crossing point of a truncation level
+# ---------------------------------------------------------------------------
+
+def _crossing_point_200(f: Rearrangement, lam: float) -> float:
+    """Reference: the crossing point with the fixed 200-step bisection."""
+    curve = f.curve
+    probes = [1e-12] + list(curve.breaks) + [max(list(curve.breaks) or [1.0]) * 1e12]
+    prev_t = probes[0]
+    if curve(prev_t) < lam:
+        return 0.0
+    for t in probes[1:]:
+        v = curve(t * (1.0 - 1e-15))
+        v_right = curve(t * (1.0 + 1e-15)) if t < probes[-1] else v
+        if v >= lam and v_right < lam:
+            return t
+        if v < lam:
+            lo_t, hi_t = prev_t, t
+            break
+        prev_t = t
+    else:
+        return math.inf
+    piece = curve.pieces[curve.piece_index(math.sqrt(lo_t * hi_t))]
+    if len(piece) == 1 and piece[0].logexp == 0.0 and piece[0].power != 0.0:
+        a = piece[0]
+        return (lam / a.coef) ** (1.0 / a.power)
+    x_lo, x_hi = math.log(lo_t), math.log(hi_t)
+    for _ in range(200):
+        m = 0.5 * (x_lo + x_hi)
+        if curve(math.exp(m)) >= lam:
+            x_lo = m
+        else:
+            x_hi = m
+        if x_hi - x_lo < 1e-15:
+            break
+    return math.exp(0.5 * (x_lo + x_hi))
+
+
+@pytest.mark.parametrize("log_t", [-12.0, -9.0, 9.0, 12.0])
+def test_crossing_point_stops_when_the_bracket_stops(monkeypatch, log_t):
+    # at |ln t| > 8 one ulp of ln t exceeds the 1e-15 stop width, so the
+    # bracket stops moving long before 200 bisection steps
+    from kinterp.profiles import _crossing_point
+    f = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
+    assert any(a.logexp != 0.0 for p in f.curve.pieces for a in p)
+    lam = f.curve(math.exp(log_t))
+    want = _crossing_point_200(f, lam)
+    evals = [0]
+    curve_call = PiecewiseCurve.__call__
+
+    def counted(self, t):
+        evals[0] += 1
+        return curve_call(self, t)
+
+    monkeypatch.setattr(PiecewiseCurve, "__call__", counted)
+    got = _crossing_point(f, lam)
+    assert got == want
+    assert got == pytest.approx(math.exp(log_t), rel=1e-12)
+    assert evals[0] <= 60  # probes and bisection together

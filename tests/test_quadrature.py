@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from kinterp.quadrature import (
     AT_ZERO,
     GridSpec,
+    IntegralOverflowError,
+    LogTerm,
     exp_pow_integral,
     golden_min,
     integrate_log,
+    integrate_terms,
     sup_log,
 )
 from kinterp.weights import parse_weight
@@ -117,3 +120,53 @@ def test_envelope_tail_bound():
 def test_envelope_flags_divergence():
     res = integrate_log(lambda u: 1.0, 1.0, (0.0, 1.0), envelope=(0.0, 0.0))
     assert res.value == INF and res.divergent_end == AT_ZERO
+
+
+# ---------------------------------------------------------------------------
+# finite-segment overflow and the term memo
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("end", ["inf", "zero"])
+def test_finite_segment_overflow_is_not_divergence(beta, end):
+    # int_0^400 e^{2x} (1+x)^beta dx is finite but exceeds the float range
+    term = LogTerm(1.0, 2.0, beta, 0.0, 400.0, end=end)
+    with pytest.raises(IntegralOverflowError):
+        integrate_terms([term])
+    memo: dict = {}
+    with pytest.raises(IntegralOverflowError):
+        integrate_terms([term], memo)
+    assert memo == {}
+    with pytest.raises(IntegralOverflowError):
+        exp_pow_integral(2.0, beta, 0.0, 400.0)
+    assert issubclass(IntegralOverflowError, ValueError)
+
+
+MEMO_TERMS = [
+    LogTerm(-0.5, -1.0, 0.5, 0.0, 2.0),
+    LogTerm(2.0, -1.0, 0.5, 0.0, 2.0),
+    LogTerm(2.0, -1.0, 0.5, 0.0, 2.0, end="zero"),
+    LogTerm(0.0, -1.0, 0.5, 0.0, 2.0),
+    LogTerm(3.0, -1.0, 0.5, 1.0, 1.0),
+    LogTerm(1.5, 0.0, -2.5, 1.0, INF),
+    LogTerm(-1.5, 0.0, -2.5, 1.0, INF),
+    LogTerm(3.0, 0.0, -2.0, 0.0, INF, ((0.3, -1.0),)),
+    LogTerm(-3.0, 0.0, -2.0, 0.0, INF, ((0.3, -1.0),)),
+    LogTerm(0.7, 0.0, -2.0, 0.0, INF, ((0.3, -1.0),)),
+    LogTerm(-2.0, 0.5, 0.0, 1.0, INF),  # divergent, negative coef
+    LogTerm(2.0, 0.5, 0.0, 1.0, INF, end="zero"),
+]
+
+
+def test_memo_gives_the_unmemoized_values():
+    memo: dict = {}
+    for order in (MEMO_TERMS, MEMO_TERMS[::-1]):
+        for term in order:
+            want = integrate_terms([term])
+            assert integrate_terms([term], memo) == want
+            assert integrate_terms([term], {}) == want
+    assert integrate_terms(MEMO_TERMS[:10], memo) == integrate_terms(MEMO_TERMS[:10])
+    # coefficient-free integrals are shared across coefficients; a
+    # stretched-exponential term keeps its own entry per coefficient
+    assert (-1.0, 0.5, 0.0, 2.0) in memo
+    assert sum(isinstance(k, LogTerm) and k.gammas != () for k in memo) == 3
