@@ -47,6 +47,7 @@ from .norms import (
 from .weighted_ineq import (
     InequalitySpec,
     ConstantReport,
+    DivergentIntegralError,
     compute_constant,
     best_constant_probe,
     window_condition,

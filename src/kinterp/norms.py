@@ -27,7 +27,7 @@ from .quadrature import (
     integrate_terms,
     term_diverges_at_inf,
 )
-from .weights import Flip, SideForm, WeightExpr, classify, head_qnorm, tail_qnorm
+from .weights import Flip, SideForm, WeightExpr, head_qnorm, tail_qnorm
 
 __all__ = [
     "SpaceSpec",
@@ -63,7 +63,7 @@ class SpaceSpec:
     """A K-interpolation space (theta, q, b); limiting thetas require the
     matching integrability class of the weight.
 
-    ``memo`` (not stored) is passed to :func:`classify` for that check.
+    ``memo`` (not stored) is passed to the q-norm at t = 1 of that check.
     """
 
     theta: float
@@ -76,9 +76,11 @@ class SpaceSpec:
             raise ValueError("theta must lie in [0, 1]")
         if not (self.q > 0.0):
             raise ValueError("q must be positive (inf allowed)")
-        if self.theta == 0.0 and not classify(self.b, self.q, memo).in_SV0q:
+        if self.theta == 0.0 and not math.isfinite(
+                tail_qnorm(self.b, self.q, 1.0, memo)):
             raise ValueError("theta = 0 requires the tail class of the weight")
-        if self.theta == 1.0 and not classify(self.b, self.q, memo).in_SV1q:
+        if self.theta == 1.0 and not math.isfinite(
+                head_qnorm(self.b, self.q, 1.0, memo)):
             raise ValueError("theta = 1 requires the head class of the weight")
 
     def label(self) -> str:

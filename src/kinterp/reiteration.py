@@ -44,7 +44,8 @@ from .norms import (
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
 from .quadrature import GridSpec, STANDARD_GRID
-from .weights import Flip, WeightExpr, classify, weight_kernel_integral
+from .weights import (Flip, WeightExpr, head_qnorm, tail_qnorm,
+                      weight_kernel_integral)
 
 __all__ = [
     "ReiterationSpec",
@@ -99,10 +100,9 @@ class ReiterationSpec:
                 raise ValueError(
                     f"reiteration requires finite {name} (q = inf is outside "
                     "the supported hypotheses)")
+        qnorm_at_1 = tail_qnorm if self.side == 0 else head_qnorm
         for j, (qj, bj) in enumerate(((self.q0, self.b0), (self.q1, self.b1))):
-            rep = classify(bj, qj)
-            ok = rep.in_SV0q if self.side == 0 else rep.in_SV1q
-            if not ok:
+            if not math.isfinite(qnorm_at_1(bj, qj, 1.0)):
                 raise ValueError(f"b{j} is not in the required integrability "
                                  f"class for side {self.side}")
 
@@ -451,7 +451,7 @@ def lk_identification_check(suite: Sequence[Rearrangement], q: float, b: WeightE
     The interpolation side uses K(t,f) = int_0^t f*; since K(t,f) >= t f*(t)
     the ratio is bounded below by 1 up to quadrature error.
     """
-    if not classify(b, q).in_SV1q:
+    if not math.isfinite(head_qnorm(b, q, 1.0)):
         raise ValueError("the identification needs the head class of b")
     lk_spec = LKSpec(_INF, q, b)
     space = SpaceSpec(1.0, q, b)

@@ -13,7 +13,6 @@ probe uses).  A2/A4 are the integral-form constants of the q < p regime.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +24,6 @@ from .profiles import KProfile, K_from_rearrangement, random_rearrangement
 from .quadrature import GridSpec, STANDARD_GRID, golden_max
 from .weights import (
     WeightExpr,
-    classify,
     tail_qnorm,
     weight_kernel_integral,
 )
@@ -33,6 +31,7 @@ from .weights import (
 __all__ = [
     "InequalitySpec",
     "ConstantReport",
+    "DivergentIntegralError",
     "StepFunction",
     "compute_constant",
     "quasiconcave_ratio",
@@ -67,9 +66,9 @@ class InequalitySpec:
             raise ValueError("p and q must be finite and positive")
 
     def require_sv_classes(self) -> None:
-        if not classify(self.v, self.p).in_SV0q:
+        if not math.isfinite(tail_qnorm(self.v, self.p, 1.0)):
             raise ValueError("v must lie in the tail class for exponent p")
-        if not classify(self.w, self.q).in_SV0q:
+        if not math.isfinite(tail_qnorm(self.w, self.q, 1.0)):
             raise ValueError("w must lie in the tail class for exponent q")
 
 
@@ -370,13 +369,26 @@ def window_condition(spec: InequalitySpec, side: str,
 HARDY_CASES = ("HET1", "HET2", "HET3plus", "HET3")
 
 
+class DivergentIntegralError(ValueError):
+    """QUADPACK reports an opaque integrand's integral as probably divergent."""
+
+
+#: the message scipy's ``quad`` returns for QUADPACK status ier = 5
+_QUADPACK_DIVERGENT = "The integral is probably divergent"
+
+
 def _plain_quad(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """int_lo^hi f(u) du by QUADPACK; raises :class:`DivergentIntegralError`
+    when QUADPACK reports the integral as probably divergent."""
     if lo >= hi:
         return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
-        val, _ = _sci_integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-10,
-                                     limit=200)
+    val, _, _, *message = _sci_integrate.quad(f, lo, hi, epsabs=1e-13,
+                                              epsrel=1e-10, limit=200,
+                                              full_output=1)
+    if message and message[0].startswith(_QUADPACK_DIVERGENT):
+        raise DivergentIntegralError(
+            f"QUADPACK reports the integral over ({lo!r}, {hi!r}) as "
+            "probably divergent")
     return val
 
 
@@ -405,9 +417,9 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
 
     Raises ValueError when the case's defining integral diverges.  That probe
     is exact for weight expressions, ``const`` and ``expdecay``; for an opaque
-    callable it is QUADPACK's value with its warnings silenced, which on a
-    divergent range can be finite garbage (int_1^inf 1 du comes back as -1.0),
-    so a divergent opaque input is not caught.
+    callable it rests on QUADPACK's status (:func:`_plain_quad` raises
+    :class:`DivergentIntegralError` when QUADPACK reports divergence), so a
+    slowly divergent opaque integrand can still pass it.
     """
     if case not in HARDY_CASES:
         raise ValueError(f"unknown hardy case {case!r}")
@@ -418,10 +430,12 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
 
     zero_w = w(0.5) == 0.0 and w(2.0) == 0.0 and w(17.0) == 0.0
     if not zero_w:
-        probe = {"HET1": _integral(w, 1.0, _INF),
-                 "HET2": _integral(w, 0.0, 1.0),
-                 "HET3plus": _integral(w, 1.0, _INF),
-                 "HET3": _integral(phi, 1.0, _INF)}[case]
+        f, lo, hi = {"HET1": (w, 1.0, _INF), "HET2": (w, 0.0, 1.0),
+                     "HET3plus": (w, 1.0, _INF), "HET3": (phi, 1.0, _INF)}[case]
+        try:
+            probe = _integral(f, lo, hi)
+        except DivergentIntegralError:
+            probe = _INF
         if not math.isfinite(probe):
             raise ValueError(f"{case} needs a convergent defining integral")
 
@@ -595,7 +609,8 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
     The condition integrates the kernel tail int_x^inf psi(t, u) du against w
     and compares with int_x^inf v; plugging the step h = chi_(x,inf) into the
     inequality reproduces the condition exactly, which is what the reported
-    reduction discrepancy measures.
+    reduction discrepancy measures.  A :class:`DivergentIntegralError` from
+    the quadrature of an opaque kernel, w or v propagates.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,8 +95,10 @@ class WeightExpr:
     """Base class of weight expressions; positive and finite on (0, inf).
 
     Subclasses give their side form through ``_side``; :meth:`side_forms`
-    compiles the (lo, hi) pair once and caches it on the node, outside the
-    dataclass fields, so equality and hashing ignore the cache.
+    compiles the (lo, hi) pair once and caches it on the node, and the scalar
+    evaluator built from that pair is cached beside it.  Both caches live
+    outside the dataclass fields, so equality and hashing ignore them; the
+    evaluator (a closure) is also left out of the pickled state.
     """
 
     def _side(self, side: str) -> SideForm:
@@ -119,18 +122,22 @@ class WeightExpr:
     def breakpoints(self, lo: float, hi: float) -> list[float]:
         return [1.0] if lo < 1.0 < hi else []
 
-    def __call__(self, t) -> float:
-        if isinstance(t, np.ndarray):
-            return np.array([self._value(float(u)) for u in t])
-        return self._value(float(t))
+    @cached_property
+    def _evaluator(self) -> Callable[[float], float]:
+        return _compile_weight(*self.side_forms())
 
-    def _value(self, t: float) -> float:
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ValueError(f"weights are defined on (0, inf), got t={t!r}")
-        lo, hi = self.side_forms()
-        if t >= 1.0:
-            return hi.value(math.log(t))
-        return lo.value(-math.log(t))
+    def __call__(self, t) -> float:
+        value = self._evaluator
+        if type(t) is float:
+            return value(t)
+        if isinstance(t, np.ndarray):
+            return np.array([value(float(u)) for u in t])
+        return value(float(t))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_evaluator", None)
+        return state
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -216,6 +223,47 @@ class Flip(WeightExpr):
 
 def _fmt(x: float) -> str:
     return repr(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(x)
+
+
+def _compile_side(form: SideForm) -> Callable[[float], float]:
+    """x -> ``form.value(x)`` with the same IEEE operations, specialised by
+    shape (no stretched term, one, several).
+
+    ``sum`` starts from 0 and adds left to right, and 0 + y == y up to the
+    sign of a zero, which ``exp`` ignores; CPython 3.12 made ``sum`` of
+    floats compensated, so there the several-term shape can differ from
+    ``form.value`` in the last bit.
+    """
+    beta, gammas = form.beta, form.gammas
+    exp = math.exp
+    if not gammas:
+        # exp(0) == 1.0 and y * 1.0 == y, so the factor is dropped exactly
+        return lambda x: (1.0 + x) ** beta
+    if len(gammas) == 1:
+        ((alpha, gamma),) = gammas
+        return lambda x: (1.0 + x) ** beta * exp(gamma * x ** alpha)
+    (alpha0, gamma0), rest = gammas[0], gammas[1:]
+
+    def several(x: float) -> float:
+        extra = gamma0 * x ** alpha0
+        for alpha, gamma in rest:
+            extra += gamma * x ** alpha
+        return (1.0 + x) ** beta * exp(extra)
+    return several
+
+
+def _compile_weight(lo: SideForm, hi: SideForm) -> Callable[[float], float]:
+    """The scalar evaluator t -> b(t) of the weight with side forms (lo, hi)."""
+    value_lo, value_hi = _compile_side(lo), _compile_side(hi)
+    log, isfinite = math.log, math.isfinite
+
+    def value(t: float) -> float:
+        if not (t > 0.0) or not isfinite(t):
+            raise ValueError(f"weights are defined on (0, inf), got t={t!r}")
+        if t >= 1.0:
+            return value_hi(log(t))
+        return value_lo(-log(t))
+    return value
 
 
 def eval_weight(b: WeightExpr, t: float) -> float:
@@ -424,11 +472,10 @@ class SVClassReport:
     head_value_at_1: float
 
 
-def classify(b: WeightExpr, q: float,
-             memo: Optional[dict] = None) -> SVClassReport:
-    """The q-norms of b on (1, inf) and (0, 1); ``memo`` is passed to both."""
-    tail = tail_qnorm(b, q, 1.0, memo)
-    head = head_qnorm(b, q, 1.0, memo)
+def classify(b: WeightExpr, q: float) -> SVClassReport:
+    """The q-norms of b on (1, inf) and (0, 1)."""
+    tail = tail_qnorm(b, q, 1.0)
+    head = head_qnorm(b, q, 1.0)
     return SVClassReport(q=q, in_SV0q=math.isfinite(tail),
                          in_SV1q=math.isfinite(head),
                          tail_value_at_1=tail, head_value_at_1=head)

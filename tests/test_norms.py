@@ -32,6 +32,28 @@ def test_limiting_space_requires_class(w_one, w_l02, w_lm20):
     SpaceSpec(0.5, 2.0, w_one)  # interior theta needs no class
 
 
+@pytest.mark.parametrize("theta,beta", [(0.0, -3.0), (1.0, 2.0)])
+def test_limiting_space_check_integrates_one_side(monkeypatch, theta, beta):
+    # log(2,-3): theta = 0 reads the tail (1+x)^-3 only, theta = 1 the head
+    # (1+x)^2 only
+    from kinterp import weights
+    original = weights.integrate_terms
+    handed = []
+
+    def recording(terms, memo=None):
+        handed.extend(terms)
+        return original(terms, memo)
+
+    monkeypatch.setattr(weights, "integrate_terms", recording)
+    b = parse_weight("log(2,-3)")
+    if theta == 0.0:
+        SpaceSpec(theta, 1.0, b)
+    else:
+        with pytest.raises(ValueError, match="head class"):
+            SpaceSpec(theta, 1.0, b)
+    assert [term.beta for term in handed] == [beta]
+
+
 # ---------------------------------------------------------------------------
 # space_norm
 # ---------------------------------------------------------------------------

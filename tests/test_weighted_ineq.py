@@ -10,6 +10,8 @@ from kinterp.norms import weighted_knorm
 from kinterp.profiles import KProfile
 from kinterp.weighted_ineq import (
     _integral,
+    _plain_quad,
+    DivergentIntegralError,
     InequalitySpec,
     StepFunction,
     best_constant_probe,
@@ -223,6 +225,31 @@ def test_hardy_build_v_rejects_divergent_structured_inputs():
                       parse_function("const(1)"))
 
 
+def test_plain_quad_reports_divergence():
+    # QUADPACK's value here is -1.0; its status says "probably divergent"
+    with pytest.raises(DivergentIntegralError):
+        _plain_quad(lambda t: 1.0, 1.0, INF)
+    assert _plain_quad(lambda t: math.exp(-t), 1.0, INF) == pytest.approx(
+        math.exp(-1.0), rel=1e-12)
+
+
+def test_hardy_build_v_rejects_divergent_opaque_input():
+    with pytest.raises(ValueError, match="needs a convergent defining integral"):
+        hardy_build_v("HET1", 2.0, lambda t: 1.0, lambda t: math.exp(-t))
+
+
+def test_hardy_build_v_probes_only_its_own_case():
+    # int_1^inf phi diverges, but only HET3 is defined through it
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return 1.0
+    v = hardy_build_v("HET1", 2.0, lambda t: math.exp(-t), phi)
+    assert calls == []
+    assert v(1.0) == pytest.approx(math.exp(-1.0), rel=1e-8)
+
+
 def _mp_broken_log(a0, ainf):
     """(1-ln u)^a0 on (0,1], (1+ln u)^ainf beyond, written out in mpmath."""
     def f(u):
@@ -308,6 +335,12 @@ def test_hmt_zero_v_fails():
     rep = hmt_check(1.0, lambda t, u: math.exp(-t - u), lambda t: 1.0,
                     lambda t: 0.0, x_grid=[0.5], samples=2)
     assert not rep.condition_holds and not rep.inequality_holds
+
+
+def test_hmt_divergent_v_raises():
+    with pytest.raises(DivergentIntegralError):
+        hmt_check(1.0, lambda t, u: math.exp(-t - u), lambda t: 1.0,
+                  lambda t: 1.0, x_grid=[1.0], samples=2)
 
 
 def test_hmt_alpha_validation():

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -337,3 +340,65 @@ def test_cached_side_forms_leave_equality_and_values_unchanged():
     for t in (1e-6, 0.3, 1.0, 2.5, 1e6):
         fresh = b._side("hi" if t >= 1.0 else "lo")
         assert a(t) == fresh.value(abs(math.log(t)))
+
+
+# (text, number of stretched terms on each side): the compiled evaluator's
+# three shapes, plus pow and flip of them
+_EVAL_SHAPES = [
+    ("one", 0),
+    ("log(0.5,-2)", 0),
+    ("explog(0.4)", 1),
+    ("mul(pow(explog(0.3),-1),explog(0.7))", 2),
+    ("mul(mul(explog(0.2),pow(explog(0.5),-1.5)),explog(0.8))", 3),
+    ("pow(mul(log(1,-2),explog(0.6)),-0.5)", 1),
+    ("flip(mul(log(0,-2),pow(explog(0.3),-1)))", 1),
+]
+
+
+def _reference(text):
+    """t -> SideForm.value on side forms of a node that is never evaluated."""
+    node = parse_weight(text)
+    lo, hi = node._side("lo"), node._side("hi")
+    return lambda t: (hi if t >= 1.0 else lo).value(abs(math.log(t)))
+
+
+@pytest.mark.parametrize("text,n_gammas", _EVAL_SHAPES)
+def test_compiled_evaluator_equals_side_form_value(text, n_gammas):
+    b, ref = parse_weight(text), _reference(text)
+    assert all(len(form.gammas) == n_gammas for form in b.side_forms())
+    ts = np.exp(np.random.default_rng(7).uniform(-30.0, 30.0, 100_003))
+    want = [ref(t) for t in ts.tolist()]
+    assert [b(t) for t in ts.tolist()] == want
+    assert b(ts).tolist() == want
+    assert b(1.0) == ref(1.0) == 1.0
+
+
+def test_compiled_evaluator_input_types():
+    b = parse_weight("mul(log(0,-2),pow(explog(0.3),-1))")
+    for t in (np.float64(2.5), 3, 7.0, np.int64(5)):
+        got = b(t)
+        assert type(got) is float and got == b(float(t))
+    ts = np.array([0.25, 1.0, 3.0])
+    got = b(ts)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.tolist() == [b(0.25), b(1.0), b(3.0)]
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf])
+def test_compiled_evaluator_rejects_points_outside_domain(t):
+    b = parse_weight("explog(0.5)")
+    with pytest.raises(ValueError, match="defined on"):
+        b(t)
+    with pytest.raises(ValueError, match="defined on"):
+        b(np.array([1.0, t]))
+
+
+@pytest.mark.parametrize("text,n_gammas", _EVAL_SHAPES)
+def test_evaluated_weight_keeps_equality_repr_and_pickling(text, n_gammas):
+    fresh, b = parse_weight(text), parse_weight(text)
+    b(2.5)
+    assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+        assert clone == b and hash(clone) == hash(b) and repr(clone) == repr(b)
+        for t in (1e-6, 0.3, 1.0, 2.5, 1e6):
+            assert clone(t) == b(t)
