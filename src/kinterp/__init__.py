@@ -4,8 +4,6 @@ from .quadrature import (
     GridSpec,
     IntegralOverflowError,
     IntegralResult,
-    integrate_log,
-    sup_log,
 )
 from .weights import (
     WeightExpr,
@@ -17,7 +15,6 @@ from .weights import (
     Flip,
     SVClassReport,
     parse_weight,
-    eval_weight,
     tail_qnorm,
     head_qnorm,
     classify,
@@ -27,7 +24,6 @@ from .profiles import (
     KProfile,
     Rearrangement,
     parse_profile,
-    profile_eval,
     check_quasiconcave,
     K_from_rearrangement,
     realize_rearrangement,

@@ -41,7 +41,8 @@ from .profiles import (
     realize_rearrangement,
     truncation_split,
 )
-from .quadrature import GridSpec, SCAN_GRID, STANDARD_GRID, golden_min
+from .quadrature import (GridSpec, SCAN_GRID, STANDARD_GRID, golden_min,
+                         term_memo)
 from .weights import Flip, Power, Product, WeightExpr, head_qnorm
 
 __all__ = [
@@ -97,9 +98,7 @@ class HolmstedtCase:
                     or not (0.0 < self.theta0 < self.theta1 < 1.0):
                 raise ValueError("nonlimiting requires 0 < theta0 < theta1 < 1")
 
-    def spaces(self, memo: Optional[dict] = None
-               ) -> tuple[SpaceSpec, SpaceSpec]:
-        """(X0, X1); ``memo`` is passed to their weight-class checks."""
+    def spaces(self) -> tuple[SpaceSpec, SpaceSpec]:
         if self.kind == "limiting00":
             th0 = th1 = 0.0
         elif self.kind == "limiting11":
@@ -108,8 +107,8 @@ class HolmstedtCase:
             th0 = th1 = float(self.theta)
         else:
             th0, th1 = float(self.theta0), float(self.theta1)
-        return (SpaceSpec(th0, self.q0, self.b0, memo),
-                SpaceSpec(th1, self.q1, self.b1, memo))
+        return (SpaceSpec(th0, self.q0, self.b0),
+                SpaceSpec(th1, self.q1, self.b1))
 
     def label(self) -> str:
         extra = ""
@@ -127,18 +126,12 @@ def _flip_reduced(case: HolmstedtCase) -> HolmstedtCase:
                          b0=Flip(case.b1), b1=Flip(case.b0))
 
 
-def index_value(case: HolmstedtCase, t: float,
-                memo: Optional[dict] = None) -> Optional[float]:
-    """The argument s at which the outer K-functional is evaluated.
-
-    ``memo`` is passed to :func:`index` in the limiting frames.
-    """
+def index_value(case: HolmstedtCase, t: float) -> Optional[float]:
+    """The argument s at which the outer K-functional is evaluated."""
     if case.kind == "limiting00":
-        return index(t, "rho", case.q0, case.b0, case.q1, case.b1,
-                     memo=memo).value
+        return index(t, "rho", case.q0, case.b0, case.q1, case.b1).value
     if case.kind == "limiting11":
-        return index(t, "eta", case.q0, case.b0, case.q1, case.b1,
-                     memo=memo).value
+        return index(t, "eta", case.q0, case.b0, case.q1, case.b1).value
     ratio = case.b0(t) / case.b1(t)
     if case.kind == "interior_equal_q":
         return ratio
@@ -149,27 +142,23 @@ def index_value(case: HolmstedtCase, t: float,
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def rhs_formula(case: HolmstedtCase, f: KProfile, t: float,
-                memo: Optional[dict] = None) -> float:
-    """The Holmstedt right-hand side I + s J of the given case at t.
-
-    ``memo`` is passed to the index and to the partial norms.
-    """
+def rhs_formula(case: HolmstedtCase, f: KProfile, t: float) -> float:
+    """The Holmstedt right-hand side I + s J of the given case at t."""
     if f.curve.is_zero():
         return 0.0
-    s = index_value(case, t, memo)
+    s = index_value(case, t)
     if s is None:
         raise ValueError(f"index undefined at t={t!r}")
     if case.kind == "limiting00":
         I, J = partial_norms(f, t, "limiting0", case.q0, case.b0,
-                             case.q1, case.b1, memo)
+                             case.q1, case.b1)
     elif case.kind == "limiting11":
         I, J = partial_norms(f, t, "limiting1", case.q0, case.b0,
-                             case.q1, case.b1, memo)
+                             case.q1, case.b1)
     else:
-        X0, X1 = case.spaces(memo)
-        I = space_norm(f, X0, 0.0, t, memo)
-        J = space_norm(f, X1, t, _INF, memo)
+        X0, X1 = case.spaces()
+        I = space_norm(f, X0, 0.0, t)
+        J = space_norm(f, X1, t, _INF)
     return I + s * J
 
 
@@ -186,23 +175,18 @@ class DecompositionTable:
 
     The objective N0(lam) + s*N1(lam) is then a vector operation per scan row,
     and the golden-section refinement memoizes any extra levels it probes.
-    ``memo``, when given, is the canonical-term memo of the caller (see
-    :func:`kinterp.quadrature.integrate_terms`); the table keeps it for its
-    own lifetime and passes it to every ``space_norm`` it makes: the full
-    profile's and those of every truncation level, including the levels the
-    refinement probes.  The levels share segments whose terms differ only in
-    ``coef``, so each such integral is computed once.
+    The levels share segments whose terms differ only in ``coef``, so inside
+    a scan (see :func:`equivalence_scan`) each such integral is computed
+    once.
     """
 
-    def __init__(self, f: Rearrangement, X0: SpaceSpec, X1: SpaceSpec,
-                 memo: Optional[dict] = None):
+    def __init__(self, f: Rearrangement, X0: SpaceSpec, X1: SpaceSpec):
         self.f = f
         self.X0 = X0
         self.X1 = X1
-        self._term_memo = memo
         K = K_from_rearrangement(f)
-        self.norm_full_0 = space_norm(K, X0, memo=memo)
-        self.norm_full_1 = space_norm(K, X1, memo=memo)
+        self.norm_full_0 = space_norm(K, X0)
+        self.norm_full_1 = space_norm(K, X1)
         self._memo: dict[float, tuple[float, float]] = {}
         levels = f.node_values()
         if levels:
@@ -220,10 +204,8 @@ class DecompositionTable:
         if got is not None:
             return got
         f0, f1 = truncation_split(self.f, lam)
-        n0 = space_norm(K_from_rearrangement(f0), self.X0,
-                        memo=self._term_memo)
-        n1 = space_norm(K_from_rearrangement(f1), self.X1,
-                        memo=self._term_memo)
+        n0 = space_norm(K_from_rearrangement(f0), self.X0)
+        n1 = space_norm(K_from_rearrangement(f1), self.X1)
         self._memo[lam] = (n0, n1)
         return n0, n1
 
@@ -319,21 +301,16 @@ class ScanReport:
 
 
 def verify_hypotheses(case: HolmstedtCase,
-                      grid: GridSpec = STANDARD_GRID,
-                      memo: Optional[dict] = None) -> list[str]:
-    """Run the case's precondition checks; raises HypothesisError on failure.
-
-    ``memo`` is passed to the weight-class checks and the index computations.
-    """
+                      grid: GridSpec = STANDARD_GRID) -> list[str]:
+    """Run the case's precondition checks; raises HypothesisError on failure."""
     notes: list[str] = []
-    case.spaces(memo)  # SV-class preconditions raise ValueError on their own
+    case.spaces()  # SV-class preconditions raise ValueError on their own
     if case.kind in ("limiting00", "limiting11"):
         kind = "rho_eps" if case.kind == "limiting00" else "eta_eps"
         base = kind.split("_")[0]
         if case.q0 != case.q1:
             rep = check_condition_monotone_index(kind, case.q0, case.b0,
-                                                 case.q1, case.b1, grid=grid,
-                                                 memo=memo)
+                                                 case.q1, case.b1, grid=grid)
             if not rep.passed:
                 raise HypothesisError(
                     f"{kind} equivalent to a nondecreasing function",
@@ -342,7 +319,7 @@ def verify_hypotheses(case: HolmstedtCase,
             notes.append(f"{kind} passes at eps={rep.best_eps:g} "
                          f"(constant {rep.best_constant:.3g})")
         else:
-            vals = [index_value(case, float(t), memo) for t in grid.points()]
+            vals = [index_value(case, float(t)) for t in grid.points()]
             if any(v is None for v in vals):
                 raise HypothesisError(f"{base} defined on the grid")
             c = quasi_monotone_constant(np.array(vals), grid.points())
@@ -364,49 +341,38 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
                      ) -> ScanReport:
     """Scan lhs/rhs over the t grid after verifying the case hypotheses.
 
-    One canonical-term memo (see :func:`kinterp.quadrature.integrate_terms`)
-    is created here and dropped on return.  The hypothesis checks, the index
-    at every row, the decomposition table and the right-hand sides all fill
-    and read it, so each distinct integral of the scan is computed once; the
-    rows are bit-identical to ``lhs_decomposition`` and ``rhs_formula``
-    called without a memo.
+    The scan runs in one :func:`kinterp.quadrature.term_memo` scope, shared
+    by the hypothesis checks, the index at every row, the decomposition table
+    and the right-hand sides, so each distinct integral of the scan is
+    computed once; the rows are bit-identical to ``lhs_decomposition`` and
+    ``rhs_formula`` called outside a scope.
     """
-    memo: dict = {}
-    notes = verify_hypotheses(case, memo=memo)
-    fr = _as_rearrangement(f)
-    label = fr.label
-
-    if case.kind == "limiting11":
-        # exact t -> 1/t reduction; see the module docstring
-        red = _flip_reduced(case)
-        conj = realize_rearrangement(conjugate_profile(K_from_rearrangement(fr)))
-        table = DecompositionTable(conj, *red.spaces(memo), memo=memo)
-        conj_profile = K_from_rearrangement(conj)
-        report = ScanReport(case.label(), label, notes=notes)
-        report.notes.append("computed through the t -> 1/t symmetry")
+    with term_memo():
+        notes = verify_hypotheses(case)
+        fr = _as_rearrangement(f)
+        report = ScanReport(case.label(), fr.label, notes=notes)
+        if case.kind == "limiting11":
+            # exact t -> 1/t reduction; see the module docstring
+            red = _flip_reduced(case)
+            conj = realize_rearrangement(
+                conjugate_profile(K_from_rearrangement(fr)))
+            table = DecompositionTable(conj, *red.spaces())
+            profile = K_from_rearrangement(conj)
+            report.notes.append("computed through the t -> 1/t symmetry")
+        else:
+            table = DecompositionTable(fr, *case.spaces())
+            profile = K_from_rearrangement(fr)
         for t in t_grid.points():
             t = float(t)
-            s = index_value(case, t, memo)
+            s = index_value(case, t)
             if s is None or not (0.0 < s < _INF):
                 report.skipped += 1
-                continue
-            lhs = s * table.best(1.0 / s)
-            rhs = s * rhs_formula(red, conj_profile, 1.0 / t, memo)
-            _append_row(report, t, lhs, rhs)
-        return report
-
-    table = DecompositionTable(fr, *case.spaces(memo), memo=memo)
-    profile = K_from_rearrangement(fr)
-    report = ScanReport(case.label(), label, notes=notes)
-    for t in t_grid.points():
-        t = float(t)
-        s = index_value(case, t, memo)
-        if s is None or not (0.0 < s < _INF):
-            report.skipped += 1
-            continue
-        lhs = table.best(s)
-        rhs = rhs_formula(case, profile, t, memo)
-        _append_row(report, t, lhs, rhs)
+            elif case.kind == "limiting11":
+                _append_row(report, t, s * table.best(1.0 / s),
+                            s * rhs_formula(red, profile, 1.0 / t))
+            else:
+                _append_row(report, t, table.best(s),
+                            rhs_formula(case, profile, t))
     return report
 
 

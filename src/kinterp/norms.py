@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,26 +61,22 @@ _MAX_EXPAND_Q = 4
 @dataclass(frozen=True)
 class SpaceSpec:
     """A K-interpolation space (theta, q, b); limiting thetas require the
-    matching integrability class of the weight.
-
-    ``memo`` (not stored) is passed to the q-norm at t = 1 of that check.
-    """
+    matching integrability class of the weight."""
 
     theta: float
     q: float
     b: WeightExpr
-    memo: InitVar[Optional[dict]] = None
 
-    def __post_init__(self, memo: Optional[dict]) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError("theta must lie in [0, 1]")
         if not (self.q > 0.0):
             raise ValueError("q must be positive (inf allowed)")
         if self.theta == 0.0 and not math.isfinite(
-                tail_qnorm(self.b, self.q, 1.0, memo)):
+                tail_qnorm(self.b, self.q, 1.0)):
             raise ValueError("theta = 0 requires the tail class of the weight")
         if self.theta == 1.0 and not math.isfinite(
-                head_qnorm(self.b, self.q, 1.0, memo)):
+                head_qnorm(self.b, self.q, 1.0)):
             raise ValueError("theta = 1 requires the head class of the weight")
 
     def label(self) -> str:
@@ -168,13 +164,12 @@ def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
 
 
 def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
-                   b: WeightExpr, lo: float = 0.0, hi: float = _INF,
-                   memo: Optional[dict] = None) -> IntegralResult:
+                   b: WeightExpr, lo: float = 0.0, hi: float = _INF
+                   ) -> IntegralResult:
     """int_lo^hi (u^{-theta} b(u) K(u))^q du/u with K given as a curve.
 
     Returns the q-th power of the quasi-norm (callers take the root), +inf
-    with the divergent end when the integral blows up.  ``memo`` is handed
-    to :func:`integrate_terms` for the canonical terms.
+    with the divergent end when the integral blows up.
     """
     if curve.is_zero() or lo >= hi:
         return IntegralResult(0.0, 0.0)
@@ -204,7 +199,7 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
             terms = _segment_terms(expanded, theta, q, structured.side(side),
                                    side, u0, u1)
             terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
-            res = integrate_terms(terms, memo)
+            res = integrate_terms(terms)
         else:
             v, e = _segment_adaptive(curve, theta, q, b, u0, u1, end)
             res = IntegralResult(v, e if v != _INF else _INF,
@@ -258,15 +253,11 @@ def _weighted_ksup(curve: PiecewiseCurve, theta: float, b, lo: float, hi: float
 
 
 def space_norm(f: KProfile, s: SpaceSpec,
-               lo: float = 0.0, hi: float = _INF,
-               memo: Optional[dict] = None) -> float:
-    """||t^{-theta-1/q} b(t) K(t,f)||_{q,(lo,hi)}; +inf allowed.
-
-    ``memo`` is passed to :func:`weighted_knorm`.
-    """
+               lo: float = 0.0, hi: float = _INF) -> float:
+    """||t^{-theta-1/q} b(t) K(t,f)||_{q,(lo,hi)}; +inf allowed."""
     if s.q == _INF:
         return _weighted_ksup(f.curve, s.theta, s.b, lo, hi)
-    res = weighted_knorm(f.curve, s.theta, s.q, s.b, lo, hi, memo)
+    res = weighted_knorm(f.curve, s.theta, s.q, s.b, lo, hi)
     if res.divergent:
         return _INF
     return res.value ** (1.0 / s.q)
@@ -277,14 +268,13 @@ def space_norm(f: KProfile, s: SpaceSpec,
 # ---------------------------------------------------------------------------
 
 def partial_norms(f: KProfile, t: float, case: str,
-                  q0: float, b0: WeightExpr, q1: float, b1: WeightExpr,
-                  memo: Optional[dict] = None) -> tuple[float, float]:
+                  q0: float, b0: WeightExpr, q1: float, b1: WeightExpr
+                  ) -> tuple[float, float]:
     """(I, J) of the limiting frames.
 
     ``limiting0``: I = ||u^{-1/q0} b0 K||_{q0,(0,t)} and
     J = ||u^{-1/q1} b1 K||_{q1,(t,inf)}; ``limiting1`` carries the extra
-    u^{-1} factor on both pieces.  ``memo`` is passed to
-    :func:`weighted_knorm`.
+    u^{-1} factor on both pieces.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -296,12 +286,12 @@ def partial_norms(f: KProfile, t: float, case: str,
     if q0 == _INF:
         I = _weighted_ksup(f.curve, theta, b0, 0.0, t)
     else:
-        res = weighted_knorm(f.curve, theta, q0, b0, 0.0, t, memo)
+        res = weighted_knorm(f.curve, theta, q0, b0, 0.0, t)
         I = res.value ** (1.0 / q0) if not res.divergent else _INF
     if q1 == _INF:
         J = _weighted_ksup(f.curve, theta, b1, t, _INF)
     else:
-        res = weighted_knorm(f.curve, theta, q1, b1, t, _INF, memo)
+        res = weighted_knorm(f.curve, theta, q1, b1, t, _INF)
         J = res.value ** (1.0 / q1) if not res.divergent else _INF
     return I, J
 
@@ -322,18 +312,14 @@ class IndexPair:
 
 
 def index(t: float, kind: str, q0: float, b0: WeightExpr,
-          q1: float, b1: WeightExpr, eps: float = 0.0,
-          memo: Optional[dict] = None) -> IndexPair:
-    """rho / rho_eps (tail quotients) and eta / eta_eps (head quotients).
-
-    ``memo`` is passed to the weight q-norms.
-    """
+          q1: float, b1: WeightExpr, eps: float = 0.0) -> IndexPair:
+    """rho / rho_eps (tail quotients) and eta / eta_eps (head quotients)."""
     if kind in ("rho", "rho_eps"):
-        num = tail_qnorm(b0, q0, t, memo)
-        den = tail_qnorm(b1, q1, t, memo)
+        num = tail_qnorm(b0, q0, t)
+        den = tail_qnorm(b1, q1, t)
     elif kind in ("eta", "eta_eps"):
-        num = head_qnorm(b0, q0, t, memo)
-        den = head_qnorm(b1, q1, t, memo)
+        num = head_qnorm(b0, q0, t)
+        den = head_qnorm(b1, q1, t)
     else:
         raise ValueError(f"unknown index kind {kind!r}")
     if kind.endswith("_eps"):
@@ -390,13 +376,9 @@ def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
                                    q1: float, b1: WeightExpr,
                                    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
                                    threshold: float = MONOTONE_THRESHOLD,
-                                   grid: GridSpec = STANDARD_GRID,
-                                   memo: Optional[dict] = None
+                                   grid: GridSpec = STANDARD_GRID
                                    ) -> ConditionReport:
-    """Search the eps grid for a quasi-nondecreasing rho_eps (or eta_eps).
-
-    ``memo`` is passed to :func:`index`.
-    """
+    """Search the eps grid for a quasi-nondecreasing rho_eps (or eta_eps)."""
     if kind not in ("rho_eps", "eta_eps"):
         raise ValueError("kind must be rho_eps or eta_eps")
     ts = grid.points()
@@ -406,7 +388,7 @@ def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
     skipped = 0
     keep = np.ones(len(ts), dtype=bool)
     for i, t in enumerate(ts):
-        pair = index(float(t), base_kind, q0, b0, q1, b1, memo=memo)
+        pair = index(float(t), base_kind, q0, b0, q1, b1)
         nums[i], dens[i] = pair.numerator, pair.denominator
         if not pair.defined or pair.numerator == _INF or pair.numerator == 0.0:
             keep[i] = False

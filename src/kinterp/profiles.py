@@ -32,7 +32,6 @@ __all__ = [
     "Rearrangement",
     "QuasiConcavityReport",
     "parse_profile",
-    "profile_eval",
     "check_quasiconcave",
     "K_from_rearrangement",
     "realize_rearrangement",
@@ -131,12 +130,6 @@ class PiecewiseCurve:
             raise ValueError("curves are defined on (0, inf)")
         piece = self.pieces[self.piece_index(t)]
         return math.fsum(_atom_eval(a, t) for a in piece) if piece else 0.0
-
-    def breakpoints(self, lo: float, hi: float) -> list[float]:
-        pts = [b for b in self.breaks if lo < b < hi]
-        if lo < 1.0 < hi and 1.0 not in pts:
-            pts.append(1.0)
-        return sorted(pts)
 
     # -- algebra -----------------------------------------------------------
 
@@ -330,10 +323,6 @@ class KProfile:
         pieces.append((Atom(pts[-1][1], 0.0),))
         return KProfile(PiecewiseCurve(breaks, pieces),
                         "piecewise[" + ",".join(f"({t:g},{k:g})" for t, k in pts) + "]")
-
-
-def profile_eval(k: KProfile, t: float) -> float:
-    return k(t)
 
 
 def check_quasiconcave(k: KProfile, grid: GridSpec = GridSpec(1e-8, 1e8, 8)

@@ -10,15 +10,17 @@ finite sum of canonical terms
 integrated over [x1, x2] inside [0, inf].  Terms without the stretched
 exponential factor integrate in closed form when a == 0 or beta == 0, through
 the upper incomplete gamma function when a < 0 and beta > -1, and by adaptive
-quadrature otherwise.  Plain callables fall back to adaptive quadrature with a
-hard cutoff at the grid bounds and a reported error bound.
+quadrature otherwise.  Plain callables are integrated by their callers, not
+here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -35,8 +37,7 @@ __all__ = [
     "exp_pow_integral",
     "term_value",
     "integrate_terms",
-    "integrate_log",
-    "sup_log",
+    "term_memo",
     "golden_min",
     "golden_max",
 ]
@@ -46,9 +47,10 @@ AT_INFINITY = "at_infinity"
 
 _INF = math.inf
 
-# Adaptive paths are requested at this relative tolerance.
-ADAPTIVE_RTOL = 1e-7
 _QUAD_EPSREL = 1e-11
+
+#: the dict of the innermost open scope; None outside every scope
+_TERM_MEMO: ContextVar[Optional[dict]] = ContextVar("term_memo", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +240,35 @@ def term_value(term: LogTerm) -> tuple[float, float]:
     return val, err
 
 
-def integrate_terms(terms: Sequence[LogTerm],
-                    memo: Optional[dict] = None) -> IntegralResult:
+@contextmanager
+def term_memo() -> Iterator[dict]:
+    """Open the canonical-term cache that :func:`integrate_terms` reads.
+
+    A computation that integrates the same terms many times (one scan, one
+    profile sweep, one constant) runs inside one scope.  Entering makes a
+    fresh dict, or yields the open one when scopes nest; the dict is dropped
+    when the scope that made it exits, also through an exception.
+    """
+    active = _TERM_MEMO.get()
+    memo = {} if active is None else active
+    token = _TERM_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _TERM_MEMO.reset(token)
+
+
+def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
     """Sum canonical terms in the given (fixed) order.
 
-    ``memo``, when given, is filled as terms are integrated; a caller that
-    integrates the same terms many times (one scan or one profile sweep)
-    passes one dict for that whole computation and drops it afterwards.  A
-    term without ``gammas`` is stored under its coefficient-free integral
-    ``(a, beta, x1, x2)`` and scaled by ``coef`` on every use, which is the
-    arithmetic :func:`term_value` does itself; a stretched-exponential term
-    is stored under the whole :class:`LogTerm`, because QUADPACK integrates
-    its coefficient inside the integrand.  Results are bit-identical with
-    and without a memo.
+    Inside a :func:`term_memo` scope each term value is stored and reused.
+    A term without ``gammas`` is stored under its coefficient-free integral ``(a, beta, x1, x2)`` and scaled by ``coef`` on
+    every use, which is the arithmetic :func:`term_value` does itself; a
+    stretched-exponential term is stored under the whole :class:`LogTerm`,
+    because QUADPACK integrates its coefficient inside the integrand.
+    Results are bit-identical inside and outside a scope.
     """
+    memo = _TERM_MEMO.get()
     total = 0.0
     err = 0.0
     for term in terms:
@@ -282,114 +299,6 @@ def _memo_value(term: LogTerm, memo: dict) -> tuple[float, float]:
     if v == _INF:  # +inf for any sign of coef when divergent; not a product
         return term_value(term)
     return term.coef * v, abs(term.coef) * e
-
-
-# ---------------------------------------------------------------------------
-# Adaptive path for plain callables
-# ---------------------------------------------------------------------------
-
-def _decade_blocks(x_lo: float, x_hi: float) -> list[tuple[float, float]]:
-    width = math.log(10.0)
-    edges = [x_lo]
-    k = math.floor(x_lo / width) + 1
-    while k * width < x_hi - 1e-12:
-        if k * width > x_lo + 1e-12:
-            edges.append(k * width)
-        k += 1
-    edges.append(x_hi)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _adaptive_log_integral(g: Callable[[float], float], q: float,
-                           lo: float, hi: float, tol: float,
-                           envelope: Optional[tuple[float, float]] = None,
-                           grid: GridSpec = GridSpec()) -> IntegralResult:
-    """int_lo^hi g(u)^q du/u for a plain callable, cutoff at the grid bounds.
-
-    ``envelope`` optionally gives (power, logexp) such that g(u)^q / u is
-    dominated by u^power (1+|ln u|)^logexp beyond the grid; the remainder then
-    uses the envelope's closed form.  Without it the neglected tails enter the
-    error bound through a geometric extrapolation of the last decades.
-    """
-
-    def f(x: float) -> float:
-        val = g(math.exp(x)) ** q
-        if not math.isfinite(val):
-            raise NonFiniteIntegrandError(f"integrand not finite at u={math.exp(x)!r}")
-        return val
-
-    x_lo = math.log(lo) if lo > 0.0 else -_INF
-    x_hi = math.log(hi) if hi != _INF else _INF
-    cut_lo = max(x_lo, math.log(grid.t_min))
-    cut_hi = min(x_hi, math.log(grid.t_max))
-    if cut_lo >= cut_hi:
-        cut_lo = cut_hi = 0.5 * (max(x_lo, -745.0) + min(x_hi, 709.0))
-
-    blocks = _decade_blocks(cut_lo, cut_hi)
-    vals = []
-    errs = []
-    for a, b in blocks:
-        v, e = _sci_integrate.quad(f, a, b, epsabs=0.0, epsrel=max(tol * 1e-2, 1e-12),
-                                   limit=100)
-        vals.append(v)
-        errs.append(e)
-    total = math.fsum(vals)
-    err = math.fsum(errs)
-
-    if envelope is not None:
-        # caller guarantees g(u)^q is dominated, toward each open end, by
-        # u^{+decay} (1+|ln u|)^logexp as u -> 0 and u^{-decay} (...) as
-        # u -> inf; in x = |ln u| both remainders are e^{-decay x}(1+x)^logexp
-        decay, logexp = envelope
-        for side, x_edge in (("zero", cut_lo), ("inf", cut_hi)):
-            if (side == "zero" and x_lo != -_INF) or (side == "inf" and x_hi != _INF):
-                continue
-            if term_diverges_at_inf(-decay, logexp):
-                return IntegralResult(_INF, _INF,
-                                      AT_ZERO if side == "zero" else AT_INFINITY)
-            bound, _ = exp_pow_integral(-decay, logexp, abs(x_edge), _INF)
-            err += bound
-        return IntegralResult(total, err)
-
-    # Divergence detection / tail bounds at the truncated ends.
-    for side, tail_vals in (("zero", vals[:3][::-1] if x_lo == -_INF else None),
-                            ("inf", vals[-3:] if x_hi == _INF else None)):
-        if not tail_vals or len(tail_vals) < 3:
-            continue
-        inner, mid, outer = tail_vals  # ordered toward the open end
-        scale = max(abs(total), 1e-300)
-        if abs(outer) >= abs(mid) * 0.999 and abs(outer) > 1e-13 * scale:
-            return IntegralResult(_INF, _INF,
-                                  AT_ZERO if side == "zero" else AT_INFINITY)
-        r = abs(outer) / abs(mid) if mid != 0.0 else 0.0
-        if r < 1.0:
-            err += abs(outer) * r / (1.0 - r)
-    return IntegralResult(total, err)
-
-
-def integrate_log(g, q: float, interval: tuple[float, float],
-                  tol: float = ADAPTIVE_RTOL,
-                  envelope: Optional[tuple[float, float]] = None,
-                  grid: GridSpec = GridSpec()) -> IntegralResult:
-    """int_a^b g(u)^q du/u with closed forms for structured integrands.
-
-    Structured integrands expose ``log_terms(lo, hi, q)`` returning canonical
-    :class:`LogTerm` objects; anything else is treated as a plain callable
-    integrated up to the grid cutoffs.  Such callers may declare an
-    ``envelope = (decay, logexp)`` dominating g^q by u^{+-decay}(1+|ln u|)^logexp
-    toward the open ends; its closed-form remainder then enters the error
-    bound (callers without one get a geometric tail estimate instead).
-    """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
-    lo, hi = interval
-    if not (0.0 <= lo < hi):
-        raise ValueError("interval must satisfy 0 <= a < b")
-    if q <= 0.0:
-        raise ValueError("q must be positive")
-    if hasattr(g, "log_terms"):
-        return integrate_terms(g.log_terms(lo, hi, q))
-    return _adaptive_log_integral(g, q, lo, hi, tol, envelope, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -440,46 +349,3 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
                rel_tol: float = 1e-6, max_iter: int = 200) -> tuple[float, float]:
     x, y = golden_min(lambda t: -f(t), a, b, rel_tol, max_iter)
     return x, -y
-
-
-def sup_log(g, interval: tuple[float, float],
-            grid: GridSpec = GridSpec(),
-            refine: bool = True) -> float:
-    """Supremum of g on the interval, evaluated on a log grid with refinement.
-
-    Structured objects may expose ``breakpoints(lo, hi)``; those points are
-    added to the grid so kinks are hit exactly.  Each interior bracket around
-    a grid maximum gets one golden-section refinement pass.
-    """
-    lo, hi = interval
-    if not (0.0 <= lo < hi):
-        raise ValueError("interval must satisfy 0 <= a < b")
-    x_lo = max(math.log(lo) if lo > 0.0 else math.log(grid.t_min) - 2.0,
-               math.log(grid.t_min) - 2.0)
-    x_hi = min(math.log(hi) if hi != _INF else math.log(grid.t_max) + 2.0,
-               math.log(grid.t_max) + 2.0)
-    n = max(int((x_hi - x_lo) * grid.points_per_decade / math.log(10.0)), 8)
-    xs = list(np.linspace(x_lo, x_hi, n + 1))
-    if hasattr(g, "breakpoints"):
-        for b in g.breakpoints(max(lo, math.exp(x_lo)), min(hi, math.exp(x_hi))):
-            if b > 0.0:
-                xs.append(math.log(b))
-    if lo > 0.0:
-        xs.append(math.log(lo))
-    if hi != _INF:
-        xs.append(math.log(hi))
-    xs = sorted(set(x for x in xs if x_lo - 1e-12 <= x <= x_hi + 1e-12))
-
-    def fv(x: float) -> float:
-        return g(math.exp(x))
-
-    vals = [fv(x) for x in xs]
-    best = max(vals)
-    if refine and len(xs) >= 3:
-        i = vals.index(best)
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, len(xs) - 1)]
-        if b > a:
-            _, y = golden_max(fv, a, b)
-            best = max(best, y)
-    return best

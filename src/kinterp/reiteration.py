@@ -43,7 +43,7 @@ from .norms import (
     _weighted_ksup,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
-from .quadrature import GridSpec, STANDARD_GRID
+from .quadrature import GridSpec, STANDARD_GRID, term_memo
 from .weights import (Flip, WeightExpr, head_qnorm, tail_qnorm,
                       weight_kernel_integral)
 
@@ -222,9 +222,6 @@ class CompositeWeight:
         expo = (1.0 - s.theta) if s.side == 0 else s.theta
         return idx ** expo * s.b(idx) * self._b1_block(t)
 
-    def breakpoints(self, lo: float, hi: float) -> list[float]:
-        return [1.0] if lo < 1.0 < hi else []
-
 
 def build_tilde_b(spec: ReiterationSpec) -> CompositeWeight:
     """Composite weight of the lower-limiting reiteration (side 0)."""
@@ -335,12 +332,12 @@ def _index_table(spec: ReiterationSpec, grid: GridSpec) -> IndexTable:
     return xs[1] - xs[0], rows
 
 
-def _inner_rhs(spec: ReiterationSpec, f: KProfile, t: float, idx: float,
-               memo: dict) -> float:
+def _inner_rhs(spec: ReiterationSpec, f: KProfile, t: float, idx: float
+               ) -> float:
     """I + idx J at t: the value of ``rhs_formula(spec.inner_case(), f, t)``
-    without recomputing the index, with the canonical terms memoized."""
+    without recomputing the index."""
     I, J = partial_norms(f, t, f"limiting{spec.side}", spec.q0, spec.b0,
-                         spec.q1, spec.b1, memo)
+                         spec.q1, spec.b1)
     return I + idx * J
 
 
@@ -349,21 +346,21 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
     """Outer quasi-norm of the iterated space via the s = index(t) substitution.
 
     ``table`` comes from :func:`_index_table` and is shared by every profile
-    of a check; the canonical-term memo lives for this one profile's sweep.
+    of a check; the sweep runs in its own :func:`term_memo` scope.
     """
     h, rows = table
-    memo: dict = {}
     vals = []
-    for row in rows:
-        if row is None:
-            vals.append(0.0)
-            continue
-        t, idx, ell = row
-        surrogate = _inner_rhs(spec, f, t, idx, memo)
-        if not (0.0 <= surrogate < _INF):
-            return _INF
-        vals.append((idx ** -spec.theta * spec.b(idx) * surrogate) ** spec.q
-                    * ell)
+    with term_memo():
+        for row in rows:
+            if row is None:
+                vals.append(0.0)
+                continue
+            t, idx, ell = row
+            surrogate = _inner_rhs(spec, f, t, idx)
+            if not (0.0 <= surrogate < _INF):
+                return _INF
+            vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)
+                        ** spec.q * ell)
     total = float(np.sum(vals)) * h - 0.5 * h * (vals[0] + vals[-1])
     return total ** (1.0 / spec.q)
 
@@ -451,10 +448,8 @@ def lk_identification_check(suite: Sequence[Rearrangement], q: float, b: WeightE
     The interpolation side uses K(t,f) = int_0^t f*; since K(t,f) >= t f*(t)
     the ratio is bounded below by 1 up to quadrature error.
     """
-    if not math.isfinite(head_qnorm(b, q, 1.0)):
-        raise ValueError("the identification needs the head class of b")
+    space = SpaceSpec(1.0, q, b)  # raises ValueError without the head class
     lk_spec = LKSpec(_INF, q, b)
-    space = SpaceSpec(1.0, q, b)
     rows: list[tuple[str, float, float, float]] = []
     skipped = 0
     for f in suite:

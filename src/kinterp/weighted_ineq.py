@@ -21,7 +21,7 @@ from scipy import integrate as _sci_integrate
 
 from .norms import weighted_knorm
 from .profiles import KProfile, K_from_rearrangement, random_rearrangement
-from .quadrature import GridSpec, STANDARD_GRID, golden_max
+from .quadrature import GridSpec, STANDARD_GRID, golden_max, term_memo
 from .weights import (
     WeightExpr,
     tail_qnorm,
@@ -169,58 +169,59 @@ def compute_constant(spec: InequalitySpec, which: str,
         raise ValueError(f"{which} requires p <= q")
     if which in ("A2", "A4") and not q < p:
         raise ValueError(f"{which} requires q < p")
-    if which in ("A3", "A4"):
-        spec.require_sv_classes()
+    with term_memo():  # each distinct integral of the call is computed once
+        if which in ("A3", "A4"):
+            spec.require_sv_classes()
 
-    if which == "A1":
-        def ratio(x: float) -> float:
-            num = _bracket(w, q, x)
-            den = _bracket(v, p, x)
-            if num == _INF or den == _INF or den == 0.0:
-                return 0.0
-            return num ** (1.0 / q) / den ** (1.0 / p)
-        value, argmax = _sup_on_grid(ratio, grid)
-        return ConstantReport("A1", value, argmax)
+        if which == "A1":
+            def ratio(x: float) -> float:
+                num = _bracket(w, q, x)
+                den = _bracket(v, p, x)
+                if num == _INF or den == _INF or den == 0.0:
+                    return 0.0
+                return num ** (1.0 / q) / den ** (1.0 / p)
+            value, argmax = _sup_on_grid(ratio, grid)
+            return ConstantReport("A1", value, argmax)
 
-    if which == "A3":
-        def ratio(x: float) -> float:
-            num = tail_qnorm(w, q, x)
-            den = tail_qnorm(v, p, x)
-            if num == _INF or den == 0.0 or den == _INF:
-                return 0.0
-            return num / den
-        value, argmax = _sup_on_grid(ratio, grid)
-        return ConstantReport("A3", value, argmax)
+        if which == "A3":
+            def ratio(x: float) -> float:
+                num = tail_qnorm(w, q, x)
+                den = tail_qnorm(v, p, x)
+                if num == _INF or den == 0.0 or den == _INF:
+                    return 0.0
+                return num / den
+            value, argmax = _sup_on_grid(ratio, grid)
+            return ConstantReport("A3", value, argmax)
 
-    expo = q / (p - q)
+        expo = q / (p - q)
 
-    if which == "A2":
-        def log_f(x: float) -> float:
-            ux = math.exp(x)
-            num = _bracket(w, q, ux)
-            den = _bracket(v, p, ux)
-            if num == _INF:
-                return _INF
-            if num == 0.0 or den == 0.0 or den == _INF:
-                return -_INF
-            return expo * (math.log(num) - math.log(den)) \
-                + q * x + q * math.log(w(ux))
-    else:  # A4
-        def log_f(x: float) -> float:
-            ux = math.exp(x)
-            num = weight_kernel_integral(w, q, 0.0, ux, _INF)
-            den = weight_kernel_integral(v, p, 0.0, ux, _INF)
-            if num == _INF:
-                return _INF
-            if num == 0.0 or den == 0.0 or den == _INF:
-                return -_INF
-            return expo * (math.log(num) - math.log(den)) + q * math.log(w(ux))
+        if which == "A2":
+            def log_f(x: float) -> float:
+                ux = math.exp(x)
+                num = _bracket(w, q, ux)
+                den = _bracket(v, p, ux)
+                if num == _INF:
+                    return _INF
+                if num == 0.0 or den == 0.0 or den == _INF:
+                    return -_INF
+                return expo * (math.log(num) - math.log(den)) \
+                    + q * x + q * math.log(w(ux))
+        else:  # A4
+            def log_f(x: float) -> float:
+                ux = math.exp(x)
+                num = weight_kernel_integral(w, q, 0.0, ux, _INF)
+                den = weight_kernel_integral(v, p, 0.0, ux, _INF)
+                if num == _INF:
+                    return _INF
+                if num == 0.0 or den == 0.0 or den == _INF:
+                    return -_INF
+                return expo * (math.log(num) - math.log(den)) + q * math.log(w(ux))
 
-    log_val = _log_integral(log_f, math.log(grid.t_min), math.log(grid.t_max))
-    if log_val == _INF:
-        return ConstantReport(which, _INF)
-    value = math.exp(log_val * (1.0 / q - 1.0 / p))
-    return ConstantReport(which, value)
+        log_val = _log_integral(log_f, math.log(grid.t_min), math.log(grid.t_max))
+        if log_val == _INF:
+            return ConstantReport(which, _INF)
+        value = math.exp(log_val * (1.0 / q - 1.0 / p))
+        return ConstantReport(which, value)
 
 
 def _min_profile(x: float) -> KProfile:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "WeightSyntaxError",
     "PreconditionError",
     "parse_weight",
-    "eval_weight",
     "tail_qnorm",
     "head_qnorm",
     "classify",
@@ -116,11 +115,8 @@ class WeightExpr:
         return lo if side == "lo" else hi
 
     def log_terms(self, lo: float, hi: float, q: float) -> list["LogTerm"]:
-        """Canonical terms of int_lo^hi b(u)^q du/u (structured-integrand hook)."""
+        """Canonical terms of int_lo^hi b(u)^q du/u."""
         return _weight_terms(self, q, lo, hi)
-
-    def breakpoints(self, lo: float, hi: float) -> list[float]:
-        return [1.0] if lo < 1.0 < hi else []
 
     @cached_property
     def _evaluator(self) -> Callable[[float], float]:
@@ -264,10 +260,6 @@ def _compile_weight(lo: SideForm, hi: SideForm) -> Callable[[float], float]:
             return value_hi(log(t))
         return value_lo(-log(t))
     return value
-
-
-def eval_weight(b: WeightExpr, t: float) -> float:
-    return b(t)
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +429,21 @@ def _form_sup(form: SideForm, x1: float, x2: float) -> float:
     return math.exp(max(vals))
 
 
-def tail_qnorm(b: WeightExpr, q: float, t: float,
-               memo: Optional[dict] = None) -> float:
-    """||u^{-1/q} b(u)||_{q,(t,inf)}; +inf when divergent.
-
-    ``memo`` is handed to :func:`integrate_terms`.
-    """
+def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
+    """||u^{-1/q} b(u)||_{q,(t,inf)}; +inf when divergent."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     if q == _INF:
         return _weight_sup(b, t, _INF)
     if q <= 0.0:
         raise ValueError("q must be positive or inf")
-    res = integrate_terms(_weight_terms(b, q, t, _INF), memo)
+    res = integrate_terms(_weight_terms(b, q, t, _INF))
     return res.value ** (1.0 / q) if res.value != _INF else _INF
 
 
-def head_qnorm(b: WeightExpr, q: float, t: float,
-               memo: Optional[dict] = None) -> float:
+def head_qnorm(b: WeightExpr, q: float, t: float) -> float:
     """||u^{-1/q} b(u)||_{q,(0,t)}; the exact mirror of the tail norm."""
-    return tail_qnorm(Flip(b), q, 1.0 / t, memo)
+    return tail_qnorm(Flip(b), q, 1.0 / t)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +487,6 @@ class TildeWeight:
         if isinstance(t, np.ndarray):
             return np.array([self(float(u)) for u in t])
         return tail_qnorm(self.base, 1.0, float(t))
-
-    def breakpoints(self, lo: float, hi: float) -> list[float]:
-        return [1.0] if lo < 1.0 < hi else []
 
 
 def tilde_construction(b: WeightExpr, grid: GridSpec = STANDARD_GRID) -> TildeWeight:

@@ -40,9 +40,9 @@ def test_limiting_space_check_integrates_one_side(monkeypatch, theta, beta):
     original = weights.integrate_terms
     handed = []
 
-    def recording(terms, memo=None):
+    def recording(terms):
         handed.extend(terms)
-        return original(terms, memo)
+        return original(terms)
 
     monkeypatch.setattr(weights, "integrate_terms", recording)
     b = parse_weight("log(2,-3)")

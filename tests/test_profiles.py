@@ -14,7 +14,6 @@ from kinterp.profiles import (
     check_quasiconcave,
     conjugate_profile,
     parse_profile,
-    profile_eval,
     profile_suite,
     random_rearrangement,
     realize_rearrangement,
@@ -30,10 +29,10 @@ GRID = np.logspace(-6, 6, 49)
 
 def test_profile_eval_examples():
     k = KProfile.min1()
-    assert profile_eval(k, 0.5) == 0.5
-    assert profile_eval(k, 3.0) == 1.0
+    assert k(0.5) == 0.5
+    assert k(3.0) == 1.0
     two_sqrt = KProfile(PiecewiseCurve((), ((Atom(2.0, 0.5),),)))
-    assert profile_eval(two_sqrt, 4.0) == 4.0
+    assert two_sqrt(4.0) == 4.0
 
 
 def test_check_quasiconcave_examples():

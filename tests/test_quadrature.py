@@ -4,6 +4,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kinterp import quadrature
+from kinterp.holmstedt import HolmstedtCase, HypothesisError, equivalence_scan
+from kinterp.profiles import parse_profile
 from kinterp.quadrature import (
     AT_ZERO,
     GridSpec,
@@ -11,11 +14,10 @@ from kinterp.quadrature import (
     LogTerm,
     exp_pow_integral,
     golden_min,
-    integrate_log,
     integrate_terms,
-    sup_log,
+    term_memo,
 )
-from kinterp.weights import parse_weight
+from kinterp.weights import One, _weight_sup, parse_weight
 
 INF = math.inf
 
@@ -30,26 +32,16 @@ def test_gridspec_validation():
     assert pts[0] == pytest.approx(1e-2) and pts[-1] == pytest.approx(1e2)
 
 
-def test_linear_integrand():
-    res = integrate_log(lambda u: u, 1, (0.0, 1.0))
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-
-
 def test_weight_tail_closed_form(w_l02):
-    res = integrate_log(w_l02, 1, (math.e, INF))
+    res = integrate_terms(w_l02.log_terms(math.e, INF, 1))
     assert res.value == pytest.approx(0.5, rel=1e-12)
     assert res.error_bound < 1e-9
 
 
 def test_log_divergence_flagged():
-    res = integrate_log(lambda u: 1.0, 1, (0.0, 1.0))
+    res = integrate_terms(One().log_terms(0.0, 1.0, 1))
     assert res.value == INF
     assert res.divergent_end == AT_ZERO
-
-
-def test_tol_validation():
-    with pytest.raises(ValueError):
-        integrate_log(lambda u: u, 1, (0.0, 1.0), tol=0.5)
 
 
 @pytest.mark.parametrize("a,beta,x1,x2", [
@@ -67,10 +59,8 @@ def test_exp_pow_against_mpmath(a, beta, x1, x2):
 
 
 def test_sup_examples():
-    assert sup_log(lambda u: min(1.0, u), (0.0, INF)) == pytest.approx(1.0)
-    assert sup_log(lambda u: min(1.0, u) / u, (0.0, INF)) == pytest.approx(1.0)
     w = parse_weight("log(0,-2)")
-    assert sup_log(w, (1.0, INF)) == pytest.approx(1.0)
+    assert _weight_sup(w, 1.0, INF) == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,25 +68,15 @@ def test_sup_examples():
 def test_additivity_at_interior_cut(log_cut):
     w = parse_weight("log(0,-2)")
     cut = math.exp(log_cut)
-    whole = integrate_log(w, 2, (0.01, 100.0)).value
-    left = integrate_log(w, 2, (0.01, cut)).value
-    right = integrate_log(w, 2, (cut, 100.0)).value
+    whole = integrate_terms(w.log_terms(0.01, 100.0, 2)).value
+    left = integrate_terms(w.log_terms(0.01, cut, 2)).value
+    right = integrate_terms(w.log_terms(cut, 100.0, 2)).value
     assert left + right == pytest.approx(whole, rel=2e-7)
 
 
-@pytest.mark.parametrize("lam", [0.1, 10.0])
-def test_scaling_invariance(lam):
-    # int g(lam u)^q du/u is invariant under lam for the dilation-invariant measure
-    g = lambda u: math.exp(-abs(math.log(u)) ** 0.5)
-    base = integrate_log(g, 1, (1e-6, 1e6)).value
-    shifted = integrate_log(lambda u: g(lam * u), 1,
-                            (1e-6 / lam, 1e6 / lam)).value
-    assert shifted == pytest.approx(base, rel=1e-6)
-
-
 def test_interval_monotonicity(w_l02):
-    inner = integrate_log(w_l02, 1, (1.0, 10.0)).value
-    outer = integrate_log(w_l02, 1, (0.5, 20.0)).value
+    inner = integrate_terms(w_l02.log_terms(1.0, 10.0, 1)).value
+    outer = integrate_terms(w_l02.log_terms(0.5, 20.0, 1)).value
     assert outer >= inner
 
 
@@ -104,22 +84,6 @@ def test_golden_min_plateau():
     x, y = golden_min(lambda x: (x - 1.3) ** 2 + 5.0, -4.0, 6.0, rel_tol=1e-9)
     assert y == pytest.approx(5.0, rel=1e-6)
     assert x == pytest.approx(1.3, abs=1e-3)
-
-
-def test_envelope_tail_bound():
-    # g(u)^q decays like u^0.5 toward zero and u^-0.5 toward infinity;
-    # the declared envelope turns the cutoff remainder into an error bound
-    g = lambda u: min(u, 1.0 / u) ** 0.5
-    res = integrate_log(g, 1.0, (0.0, INF), envelope=(0.5, 0.0))
-    exact = 4.0  # 2 * int_0^1 u^0.5 du/u
-    assert res.value == pytest.approx(exact, rel=1e-5)
-    assert res.error_bound < 1e-2
-    assert res.value + res.error_bound >= exact
-
-
-def test_envelope_flags_divergence():
-    res = integrate_log(lambda u: 1.0, 1.0, (0.0, 1.0), envelope=(0.0, 0.0))
-    assert res.value == INF and res.divergent_end == AT_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +97,9 @@ def test_finite_segment_overflow_is_not_divergence(beta, end):
     term = LogTerm(1.0, 2.0, beta, 0.0, 400.0, end=end)
     with pytest.raises(IntegralOverflowError):
         integrate_terms([term])
-    memo: dict = {}
-    with pytest.raises(IntegralOverflowError):
-        integrate_terms([term], memo)
+    with term_memo() as memo:
+        with pytest.raises(IntegralOverflowError):
+            integrate_terms([term])
     assert memo == {}
     with pytest.raises(IntegralOverflowError):
         exp_pow_integral(2.0, beta, 0.0, 400.0)
@@ -159,14 +123,77 @@ MEMO_TERMS = [
 
 
 def test_memo_gives_the_unmemoized_values():
-    memo: dict = {}
-    for order in (MEMO_TERMS, MEMO_TERMS[::-1]):
-        for term in order:
-            want = integrate_terms([term])
-            assert integrate_terms([term], memo) == want
-            assert integrate_terms([term], {}) == want
-    assert integrate_terms(MEMO_TERMS[:10], memo) == integrate_terms(MEMO_TERMS[:10])
+    want = {term: integrate_terms([term]) for term in MEMO_TERMS}
+    want_sum = integrate_terms(MEMO_TERMS[:10])
+    with term_memo() as memo:
+        for order in (MEMO_TERMS, MEMO_TERMS[::-1]):
+            for term in order:
+                assert integrate_terms([term]) == want[term]
+        assert integrate_terms(MEMO_TERMS[:10]) == want_sum
+    for term in MEMO_TERMS:
+        with term_memo():
+            assert integrate_terms([term]) == want[term]
     # coefficient-free integrals are shared across coefficients; a
     # stretched-exponential term keeps its own entry per coefficient
     assert (-1.0, 0.5, 0.0, 2.0) in memo
     assert sum(isinstance(k, LogTerm) and k.gammas != () for k in memo) == 3
+
+
+# ---------------------------------------------------------------------------
+# the term_memo scope
+# ---------------------------------------------------------------------------
+
+def _count_term_values(monkeypatch) -> list:
+    calls: list = []
+    term_value = quadrature.term_value
+
+    def counted(term):
+        calls.append(term)
+        return term_value(term)
+
+    monkeypatch.setattr(quadrature, "term_value", counted)
+    return calls
+
+
+def _assert_no_memo_active(calls: list) -> None:
+    # outside every scope nothing is stored: the same term is integrated anew
+    term = MEMO_TERMS[1]
+    calls.clear()
+    integrate_terms([term])
+    integrate_terms([term])
+    assert calls == [term, term]
+
+
+def test_nested_scope_yields_the_outer_memo(monkeypatch):
+    calls = _count_term_values(monkeypatch)
+    with term_memo() as outer:
+        with term_memo() as inner:
+            assert inner is outer
+            integrate_terms([MEMO_TERMS[1]])
+        assert (-1.0, 0.5, 0.0, 2.0) in outer
+        calls.clear()
+        integrate_terms([MEMO_TERMS[1]])  # stored by the nested scope
+        assert calls == []
+    _assert_no_memo_active(calls)
+
+
+def test_no_memo_after_a_scope_exits(monkeypatch):
+    calls = _count_term_values(monkeypatch)
+    with term_memo() as memo:
+        integrate_terms(MEMO_TERMS[:3])
+    assert memo
+    _assert_no_memo_active(calls)
+    with pytest.raises(KeyError):
+        with term_memo():
+            integrate_terms(MEMO_TERMS[:3])
+            raise KeyError("leaves the scope")
+    _assert_no_memo_active(calls)
+
+
+def test_no_memo_after_a_scan_raises(monkeypatch, w_l02, w_l01):
+    calls = _count_term_values(monkeypatch)
+    case = HolmstedtCase("limiting00", 1.0, 2.0, w_l02, w_l01)
+    with pytest.raises(HypothesisError):
+        equivalence_scan(case, parse_profile("min1"))
+    assert calls  # the scan integrated terms before its hypothesis failed
+    _assert_no_memo_active(calls)

@@ -16,7 +16,7 @@ from kinterp.profiles import (
     random_rearrangement,
     realize_rearrangement,
 )
-from kinterp.quadrature import GridSpec
+from kinterp.quadrature import GridSpec, term_memo
 from kinterp.reiteration import (
     CompositeWeight,
     LKSpec,
@@ -201,6 +201,30 @@ def test_lk_identification_requires_head_class(w_l02):
         lk_identification_check([Rearrangement.indicator(1.0)], 1.0, w_l02)
 
 
+@pytest.mark.parametrize("text", ["one", "log(-0.5,-3)"])
+def test_lk_identification_names_the_head_class(text):
+    with pytest.raises(ValueError, match="head class"):
+        lk_identification_check([Rearrangement.indicator(1.0)], 1.0,
+                                parse_weight(text))
+
+
+def test_lk_identification_integrates_the_head_term_once(monkeypatch):
+    # the head q-norm of b at t = 1 is the only weight q-norm of the check
+    from kinterp import weights
+    original = weights.integrate_terms
+    handed = []
+
+    def recording(terms):
+        handed.extend(terms)
+        return original(terms)
+
+    monkeypatch.setattr(weights, "integrate_terms", recording)
+    b = parse_weight("log(-2.714,0)")
+    rep = lk_identification_check([Rearrangement.indicator(1.0)], 1.0, b)
+    assert rep.rows
+    assert handed == Flip(b).log_terms(1.0, INF, 1.0)
+
+
 def test_reiteration_mixed_exponents(w_one, w_lm22, w_l02):
     # different inner exponents route through the eps condition and keep the
     # nontrivial tail factor of the composite weight
@@ -260,10 +284,11 @@ def test_index_table_sweep_equals_rhs_formula(side):
     assert len(rows) == len(CHECK_GRID.points()) and len(live) > 200
     for text in ("min1", PIECEWISE):
         K = parse_profile(text)
-        memo: dict = {}
-        for t, idx, _ in live:
-            assert idx == spec.index_value(t)
-            assert _inner_rhs(spec, K, t, idx, memo) == rhs_formula(case, K, t)
+        want = [rhs_formula(case, K, t) for t, _, _ in live]
+        with term_memo() as memo:
+            for (t, idx, _), rhs in zip(live, want):
+                assert idx == spec.index_value(t)
+                assert _inner_rhs(spec, K, t, idx) == rhs
         assert memo
 
 
@@ -271,7 +296,7 @@ def test_zero_profile_sweep_is_zero():
     spec = _bench_spec(0)
     t, idx, _ = next(r for r in _index_table(spec, CHECK_GRID)[1] if r)
     zero = KProfile.zero()
-    assert _inner_rhs(spec, zero, t, idx, {}) == 0.0 \
+    assert _inner_rhs(spec, zero, t, idx) == 0.0 \
         == rhs_formula(spec.inner_case(), zero, t)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
+from kinterp import quadrature
 from kinterp.config import ExpDecay, parse_function
 from kinterp.norms import weighted_knorm
 from kinterp.profiles import KProfile
@@ -362,3 +363,52 @@ def test_window_t_outside_grid_rejected(spec_12):
                           window_t=1e30)
     with pytest.raises(ValueError):
         window_condition(spec, "head", lambda t: 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one term memo per compute_constant call
+# ---------------------------------------------------------------------------
+
+def _record_quad(monkeypatch) -> list:
+    """What QUADPACK is asked to integrate: a canonical term's bound
+    integrand, or the code and cell contents of a closure over the
+    parameters of one, with the range (the keys of test_holmstedt)."""
+    keys: list = []
+    quad = sci_integrate.quad
+
+    def recorded(f, x1, x2, *args, **kwargs):
+        owner = getattr(f, "__self__", None)
+        if owner is not None:
+            keys.append((owner, x1, x2))
+        else:
+            cells = tuple(c.cell_contents for c in f.__closure__ or ())
+            keys.append((f.__code__, cells, x1, x2))
+        return quad(f, x1, x2, *args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", recorded)
+    return keys
+
+
+@pytest.mark.parametrize("which,v,w", [
+    ("A1", "log(0,-2.121)", "log(0,-2.319)"),
+    ("A1", "log(0,-1.577)", "log(0,-2.091)"),
+    ("A3", "log(0,-1.759)", "log(0,-2.242)"),
+])
+def test_constant_computes_each_integral_once(monkeypatch, which, v, w):
+    # constants scenarios of the closed-form benchmark's first draw; the head
+    # and tail terms shared by many grid points (such as the whole lower
+    # side for x > 1) are integrated once per call
+    spec = InequalitySpec(p=1.0, q=2.0, v=parse_weight(v), w=parse_weight(w))
+    keys = _record_quad(monkeypatch)
+    terms = []
+    term_value = quadrature.term_value
+
+    def recorded(term):
+        terms.append(term)
+        return term_value(term)
+
+    monkeypatch.setattr(quadrature, "term_value", recorded)
+    rep = compute_constant(spec, which)
+    assert 0.0 < rep.value < INF
+    assert terms and len(terms) == len(set(terms))
+    assert len(keys) == len(set(keys))

@@ -18,7 +18,6 @@ from kinterp.weights import (
     Product,
     WeightSyntaxError,
     classify,
-    eval_weight,
     head_qnorm,
     parse_weight,
     sv_quasimonotone_constant,
@@ -77,7 +76,7 @@ def test_round_trip_text():
         w = parse_weight(text)
         again = parse_weight(w.to_text())
         for t in (0.01, 0.5, 1.0, 3.0, 500.0):
-            assert eval_weight(again, t) == eval_weight(w, t)
+            assert again(t) == w(t)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +85,15 @@ def test_round_trip_text():
 
 def test_broken_log_values():
     w = PowerLog(2.0, 3.0)
-    assert eval_weight(w, math.exp(-1.0)) == pytest.approx(4.0, rel=1e-14)
-    assert eval_weight(w, math.e) == pytest.approx(8.0, rel=1e-14)
-    assert eval_weight(Flip(w), math.e) == pytest.approx(4.0, rel=1e-14)
+    assert w(math.exp(-1.0)) == pytest.approx(4.0, rel=1e-14)
+    assert w(math.e) == pytest.approx(8.0, rel=1e-14)
+    assert Flip(w)(math.e) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_explog_value():
     w = ExpLog(0.5)
-    assert eval_weight(w, math.exp(4.0)) == pytest.approx(math.exp(2.0))
-    assert eval_weight(w, math.exp(-4.0)) == pytest.approx(math.exp(2.0))
+    assert w(math.exp(4.0)) == pytest.approx(math.exp(2.0))
+    assert w(math.exp(-4.0)) == pytest.approx(math.exp(2.0))
 
 
 def test_product_power_closure_exact():
@@ -118,7 +117,7 @@ def test_positive_everywhere():
     for text in ("one", "log(3,-4)", "explog(0.9)", "pow(log(0,-2),-2)"):
         w = parse_weight(text)
         for t in (1e-12, 1.0, 1e12):
-            v = eval_weight(w, t)
+            v = w(t)
             assert v > 0.0 and math.isfinite(v)
 
 
@@ -315,10 +314,10 @@ _weights = st.recursive(
 @given(_weights, st.floats(min_value=-15.0, max_value=15.0))
 def test_ast_text_round_trip_and_positivity(b, logt):
     t = math.exp(logt)
-    v = eval_weight(b, t)
+    v = b(t)
     assert v > 0.0 and math.isfinite(v)
     again = parse_weight(b.to_text())
-    assert eval_weight(again, t) == v
+    assert again(t) == v
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,8 +326,7 @@ def test_ast_flip_evaluates_at_reciprocal(b, logt):
     # near t = 1 the reciprocal loses relative precision in |ln t| and the
     # stretched-exponential factor amplifies it by its square-root derivative
     t = math.exp(logt)
-    assert eval_weight(Flip(b), t) == pytest.approx(eval_weight(b, 1.0 / t),
-                                                    rel=1e-8)
+    assert Flip(b)(t) == pytest.approx(b(1.0 / t), rel=1e-8)
 
 
 def test_cached_side_forms_leave_equality_and_values_unchanged():
