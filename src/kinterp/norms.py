@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .quadrature import (
     STANDARD_GRID,
     _quad,
     integrate_terms,
-    term_diverges_at_inf,
+    sup_terms,
 )
-from .weights import Flip, SideForm, WeightExpr, head_qnorm, tail_qnorm
+from .weights import SideForm, WeightExpr, head_qnorm, tail_qnorm
 
 __all__ = [
     "SpaceSpec",
@@ -163,6 +163,28 @@ def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
     return _quad(f, x1, x2)
 
 
+def _segments(curve: PiecewiseCurve, lo: float, hi: float
+              ) -> Iterator[tuple[float, float, str, Sequence[Atom]]]:
+    """(u0, u1, side, atoms) for each nonzero piece of the curve on (lo, hi),
+    cut at 1 and at the curve's breakpoints."""
+    cuts = sorted({lo, hi, 1.0} | set(curve.breaks))
+    cuts = [c for c in cuts if lo <= c <= hi]
+    if cuts[0] != lo:
+        cuts.insert(0, lo)
+    if cuts[-1] != hi:
+        cuts.append(hi)
+    # segment k of cuts is segment k + first of its finite positive points
+    probe_breaks = [c for c in cuts if 0.0 < c < _INF]
+    first = 0 if lo == 0.0 else 1
+    for k, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if u0 == u1:
+            continue
+        mid = _segment_probe(probe_breaks, k + first)
+        atoms = curve.pieces[curve.piece_index(mid)]
+        if atoms:
+            yield u0, u1, "lo" if mid < 1.0 else "hi", atoms
+
+
 def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
                    b: WeightExpr, lo: float = 0.0, hi: float = _INF
                    ) -> IntegralResult:
@@ -173,26 +195,10 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
     """
     if curve.is_zero() or lo >= hi:
         return IntegralResult(0.0, 0.0)
-    cuts = sorted({lo, hi, 1.0} | set(curve.breaks))
-    cuts = [c for c in cuts if lo <= c <= hi]
-    if cuts[0] != lo:
-        cuts.insert(0, lo)
-    if cuts[-1] != hi:
-        cuts.append(hi)
     total = 0.0
     err = 0.0
     structured: Optional[WeightExpr] = b if isinstance(b, WeightExpr) else None
-    # segment k of cuts is segment k + first of its finite positive points
-    probe_breaks = [c for c in cuts if 0.0 < c < _INF]
-    first = 0 if lo == 0.0 else 1
-    for k, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if u0 == u1:
-            continue
-        mid = _segment_probe(probe_breaks, k + first)
-        atoms = curve.pieces[curve.piece_index(mid)]
-        if not atoms:
-            continue
-        side = "lo" if mid < 1.0 else "hi"
+    for u0, u1, side, atoms in _segments(curve, lo, hi):
         end = "zero" if side == "lo" else "inf"
         expanded = _expand_piece(atoms, q) if structured is not None else None
         if expanded is not None:
@@ -212,55 +218,25 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
     return IntegralResult(total, err)
 
 
-def _weighted_ksup(curve: PiecewiseCurve, theta: float, b, lo: float, hi: float
-                   ) -> float:
-    """sup over (lo, hi) of u^{-theta} b(u) K(u)."""
-    if curve.is_zero():
-        return 0.0
-
-    def g(u: float) -> float:
-        return u ** -theta * b(u) * curve(u)
-
-    cuts = sorted({max(lo, 1e-15), min(hi, 1e15), 1.0} | set(curve.breaks))
-    cuts = [c for c in cuts if lo <= c <= hi and 0.0 < c < _INF]
+def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
+                lo: float = 0.0, hi: float = _INF) -> float:
+    """||u^{-theta} b(u) K(u)||_{q,(lo,hi)} with the measure du/u; +inf when
+    divergent.  For q = inf it is the largest exact supremum of the q = 1
+    terms of each segment."""
+    if q != _INF:
+        res = weighted_knorm(curve, theta, q, b, lo, hi)
+        return res.value ** (1.0 / q) if not res.divergent else _INF
     best = 0.0
-    xs: list[float] = []
-    x_lo = math.log(cuts[0]) if lo > 0.0 else math.log(cuts[0]) - 40.0
-    x_hi = math.log(cuts[-1]) if hi != _INF else math.log(cuts[-1]) + 40.0
-    xs.extend(np.linspace(x_lo, x_hi, 513))
-    xs.extend(math.log(c) for c in cuts)
-    vals = [(x, g(math.exp(x))) for x in sorted(set(xs))]
-    best = max(v for _, v in vals)
-    i = max(range(len(vals)), key=lambda j: vals[j][1])
-    a = vals[max(i - 1, 0)][0]
-    c = vals[min(i + 1, len(vals) - 1)][0]
-    if c > a:
-        from .quadrature import golden_max
-        _, y = golden_max(lambda x: g(math.exp(x)), a, c)
-        best = max(best, y)
-    # blow-up detection toward the open ends
-    if lo == 0.0:
-        seq = [g(math.exp(x_lo - 5.0 * k)) for k in range(4)]
-        if all(seq[k + 1] > seq[k] * (1.0 + 1e-9) for k in range(3)):
-            return _INF
-        best = max(best, max(seq))
-    if hi == _INF:
-        seq = [g(math.exp(x_hi + 5.0 * k)) for k in range(4)]
-        if all(seq[k + 1] > seq[k] * (1.0 + 1e-9) for k in range(3)):
-            return _INF
-        best = max(best, max(seq))
+    for u0, u1, side, atoms in _segments(curve, lo, hi):
+        terms = _segment_terms(atoms, theta, 1.0, b.side(side), side, u0, u1)
+        best = max(best, sup_terms(terms))
     return best
 
 
 def space_norm(f: KProfile, s: SpaceSpec,
                lo: float = 0.0, hi: float = _INF) -> float:
     """||t^{-theta-1/q} b(t) K(t,f)||_{q,(lo,hi)}; +inf allowed."""
-    if s.q == _INF:
-        return _weighted_ksup(f.curve, s.theta, s.b, lo, hi)
-    res = weighted_knorm(f.curve, s.theta, s.q, s.b, lo, hi)
-    if res.divergent:
-        return _INF
-    return res.value ** (1.0 / s.q)
+    return _quasi_norm(f.curve, s.theta, s.q, s.b, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +259,8 @@ def partial_norms(f: KProfile, t: float, case: str,
     theta = 0.0 if case == "limiting0" else 1.0
     if f.curve.is_zero():
         return 0.0, 0.0
-    if q0 == _INF:
-        I = _weighted_ksup(f.curve, theta, b0, 0.0, t)
-    else:
-        res = weighted_knorm(f.curve, theta, q0, b0, 0.0, t)
-        I = res.value ** (1.0 / q0) if not res.divergent else _INF
-    if q1 == _INF:
-        J = _weighted_ksup(f.curve, theta, b1, t, _INF)
-    else:
-        res = weighted_knorm(f.curve, theta, q1, b1, t, _INF)
-        J = res.value ** (1.0 / q1) if not res.divergent else _INF
-    return I, J
+    return (_quasi_norm(f.curve, theta, q0, b0, 0.0, t),
+            _quasi_norm(f.curve, theta, q1, b1, t, _INF))
 
 
 # ---------------------------------------------------------------------------

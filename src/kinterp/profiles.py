@@ -17,7 +17,7 @@ Profile literals accepted by :func:`parse_profile`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -387,20 +387,10 @@ class Rearrangement:
             self._validate()
 
     def _validate(self) -> None:
-        pts: list[float] = []
-        for i in range(len(self.curve.breaks) + 1):
-            pts.append(_segment_probe(self.curve.breaks, i))
-        for b in self.curve.breaks:
-            pts.extend((b * (1.0 - 1e-9), b * (1.0 + 1e-9)))
-        pts.extend((1e-9, 1e-4, 1e4, 1e9))
-        prev = None
-        for t in sorted(set(pts)):
-            v = self.curve(t)
-            if v < -1e-12:
-                raise ValueError(f"rearrangement negative at t={t!r}")
-            if prev is not None and v > prev * (1.0 + 1e-9) + 1e-300:
-                raise ValueError(f"rearrangement increases at t={t!r}")
-            prev = v
+        t = _first_rise(self.curve)
+        if t is not None:
+            what = "negative" if self.curve(t) < -1e-12 else "increases"
+            raise ValueError(f"rearrangement {what} at t={t!r}")
 
     def __call__(self, t) -> float:
         return self.curve(t)
@@ -492,7 +482,7 @@ def realize_rearrangement(phi: KProfile) -> Rearrangement:
     if phi.curve.is_zero():
         return Rearrangement.zero()
     deriv = phi.curve.derivative()
-    if _vanishes_at_zero(phi.curve) and _is_nonincreasing(deriv):
+    if _vanishes_at_zero(phi.curve) and _first_rise(deriv) is None:
         return Rearrangement(deriv, phi.curve, f"d[{phi.label}]", validate=False)
     return _hull_realization(phi)
 
@@ -507,22 +497,23 @@ def _vanishes_at_zero(curve: PiecewiseCurve) -> bool:
     return True
 
 
-def _is_nonincreasing(curve: PiecewiseCurve, rel_tol: float = 1e-9) -> bool:
+def _first_rise(curve: PiecewiseCurve) -> Optional[float]:
+    """The first probe t, in increasing order, where the curve is negative
+    or above its value at the previous probe (beyond 1e-9 relative); None
+    when the curve passes as nonnegative and nonincreasing."""
     pts: list[float] = []
     for i in range(len(curve.breaks) + 1):
         pts.append(_segment_probe(curve.breaks, i))
     for b in curve.breaks:
         pts.extend((b * (1.0 - 1e-9), b * (1.0 + 1e-9)))
-    pts.extend(np.logspace(-9, 9, 37))
+    pts.extend(np.logspace(-9, 9, 37).tolist())
     prev = None
     for t in sorted(set(pts)):
         v = curve(t)
-        if v < -1e-12:
-            return False
-        if prev is not None and v > prev * (1.0 + rel_tol) + 1e-300:
-            return False
+        if v < -1e-12 or (prev is not None and v > prev * (1.0 + 1e-9) + 1e-300):
+            return t
         prev = v
-    return True
+    return None
 
 
 def _hull_realization(phi: KProfile) -> Rearrangement:

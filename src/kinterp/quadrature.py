@@ -10,8 +10,9 @@ finite sum of canonical terms
 integrated over [x1, x2] inside [0, inf].  Terms without the stretched
 exponential factor integrate in closed form when a == 0 or beta == 0, through
 the upper incomplete gamma function when a < 0 and beta > -1, and by adaptive
-quadrature otherwise.  Plain callables are integrated by their callers, not
-here.
+quadrature otherwise.  The q = inf quasi-norms are exact suprema of the same
+sums (:func:`sup_terms`).  Plain callables are integrated by their callers,
+not here.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ __all__ = [
     "exp_pow_integral",
     "term_value",
     "integrate_terms",
+    "sup_terms",
     "term_memo",
     "golden_min",
-    "golden_max",
 ]
 
 AT_ZERO = "at_zero"
@@ -111,7 +112,8 @@ class NonFiniteIntegrandError(ValueError):
 
 
 class IntegralOverflowError(ValueError):
-    """A convergent integral over a finite segment exceeds the float range.
+    """A convergent integral over a finite segment, or a finite supremum,
+    exceeds the float range.
 
     This is not a divergence: the integral exists, but e^{a x} overflows
     before the segment ends.
@@ -144,23 +146,24 @@ class LogTerm:
         return self.coef * math.exp(self.a * x + extra) * (1.0 + x) ** self.beta
 
 
-def term_diverges_at_inf(a: float, beta: float,
-                         gammas: Sequence[tuple[float, float]] = ()) -> bool:
-    """Whether int^inf e^{ax}(1+x)^beta exp(sum gamma x^alpha) dx diverges."""
-    if a > 0.0:
-        return True
-    if a < 0.0:
-        return False
-    lead = 0.0
-    lead_alpha = -1.0
+def _growth(a: float, beta: float,
+            gammas: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
+    """Order of growth of e^{ax}(1+x)^beta exp(sum gamma x^alpha) as x -> inf.
+
+    The triples compare lexicographically: a decides first, then the gamma of
+    the largest alpha, then beta; (0, 0, p) is the order of (1+x)^p.
+    """
+    lead_alpha, lead = -1.0, 0.0
     for alpha, gamma in gammas:
         if gamma != 0.0 and alpha > lead_alpha:
             lead_alpha, lead = alpha, gamma
-    if lead > 0.0:
-        return True
-    if lead < 0.0:
-        return False
-    return beta >= -1.0
+    return a, lead, beta
+
+
+def term_diverges_at_inf(a: float, beta: float,
+                         gammas: Sequence[tuple[float, float]] = ()) -> bool:
+    """Whether int^inf e^{ax}(1+x)^beta exp(sum gamma x^alpha) dx diverges."""
+    return _growth(a, beta, gammas) >= (0.0, 0.0, -1.0)
 
 
 def _quad(f: Callable[[float], float], x1: float, x2: float) -> tuple[float, float]:
@@ -305,6 +308,109 @@ def _memo_value(term: LogTerm, memo: dict) -> tuple[float, float]:
 # Suprema
 # ---------------------------------------------------------------------------
 
+_LN2 = math.log(2.0)
+
+
+def sup_terms(terms: Sequence[LogTerm]) -> float:
+    """Supremum over [x1, x2] of a sum of distinct canonical terms sharing one
+    segment and one stretched factor E(x) = exp(sum gamma x^alpha); the
+    q = inf counterpart of :func:`integrate_terms`.
+
+    It is +inf when x2 = inf and the dominant term grows with a positive
+    coefficient.  Otherwise it is the largest value at x1, at x2 (the limit
+    when x2 = inf) and where the derivative turns from positive to negative
+    (:func:`_falling_turns`).  Raises :class:`IntegralOverflowError` when
+    that value exceeds the float range.
+    """
+    terms = [t for t in terms if t.coef != 0.0]
+    if not terms:
+        return 0.0
+    x1, x2, gammas = terms[0].x1, terms[0].x2, terms[0].gammas
+    if any((t.x1, t.x2, t.gammas) != (x1, x2, gammas) for t in terms) \
+            or len({(t.a, t.beta) for t in terms}) < len(terms):
+        raise ValueError("sup_terms needs distinct terms on one segment "
+                         "with one stretched factor")
+    top = max(terms, key=lambda t: _growth(t.a, t.beta, gammas))
+    order = _growth(top.a, top.beta, gammas)
+    if x2 == _INF and order > (0.0, 0.0, 0.0) and top.coef > 0.0:
+        return _INF
+
+    def value(x: float) -> float:  # a signed infinity beyond the float range
+        g = sum(gamma * x ** alpha for alpha, gamma in gammas)
+        logs = [t.a * x + t.beta * math.log1p(x) + g for t in terms]
+        big = max(logs)
+        s = sum(t.coef * math.exp(lg - big) for t, lg in zip(terms, logs))
+        return s * math.exp(big) if big < 709.0 else math.copysign(_INF, s)
+
+    if x2 != _INF:
+        ends = [value(x2)]
+    elif order <= (0.0, 0.0, 0.0):  # the limit: a constant top term, or 0
+        ends = [top.coef if order == (0.0, 0.0, 0.0) else 0.0]
+    else:  # falls to -inf
+        ends = []
+    best = max([value(x1)] + ends + [value(x) for x in _falling_turns(terms)])
+    if best == _INF:
+        raise IntegralOverflowError(
+            f"supremum over [{x1!r}, {x2!r}] exceeds the float range")
+    return best
+
+
+def _falling_turns(terms: list[LogTerm]) -> list[float]:
+    """Where the derivative of the sum of ``terms`` turns from positive to
+    non-positive.
+
+    The derivative is E(x) times a sum of n monomials k e^{ax}(1+x)^p x^s.
+    Its sign is sampled at 16 points per e-fold of x from x1 out to X (from
+    1e-300 when x1 = 0, where the value at 0 stands for the stretch below),
+    and each change is narrowed to adjacent floats.
+    Beyond X >= 1 the monomial of highest order (a, then p + s) outweighs
+    the sum of the others, so the sign cannot change.  X comes in closed
+    form from bounds for x >= 1: (1+x)^p x^s lies between min(1, 2^p) and
+    max(1, 2^p) times x^(p+s), and ln x <= sqrt(x); each other monomial is
+    held below 1/n of the leading one.
+    """
+    x1, x2, gammas = terms[0].x1, terms[0].x2, terms[0].gammas
+    mons = [(t.coef * k, t.a, p, s) for t in terms
+            for k, p, s in ((t.a, t.beta, 0.0), (t.beta, t.beta - 1.0, 0.0),
+                            *((g * al, t.beta, al - 1.0) for al, g in gammas))
+            if k != 0.0]
+    if not mons:
+        return []
+    k0, a0, p0, s0 = max(mons, key=lambda m: (m[1], m[2] + m[3]))
+    base = math.log(abs(k0) / len(mons)) + min(p0, 0.0) * _LN2
+    ln_x = 0.0
+    for k, a, p, s in mons:  # e^(-da x) x^(-de) <= e^ln_r for every x >= X
+        ln_r = base - math.log(abs(k)) - max(p, 0.0) * _LN2
+        da, de = a0 - a, p0 + s0 - p - s
+        if da > 0.0:
+            ln_x = max(ln_x, math.log(max(-2.0 * ln_r / da,
+                                          (2.0 * min(de, 0.0) / da) ** 2, 1.0)))
+        elif de > 0.0:
+            ln_x = max(ln_x, -ln_r / de)
+    lo, hi = max(x1, 1e-300), min(x2, max(x1, math.exp(min(ln_x, 690.0))))
+    if hi <= lo:
+        return []
+
+    def rising(x: np.ndarray) -> np.ndarray:
+        logs = [math.log(abs(k)) + a * x + p * np.log1p(x)
+                + (s * np.log(x) if s else 0.0) for k, a, p, s in mons]
+        big = np.max(logs, axis=0)
+        return sum(math.copysign(1.0, m[0]) * np.exp(lg - big)
+                   for m, lg in zip(mons, logs)) > 0.0
+
+    xs = np.geomspace(lo, hi, max(64, int(16.0 * (math.log(hi) - math.log(lo))) + 2))
+    up = rising(xs)
+    turn = np.flatnonzero(up[:-1] & ~up[1:])
+    a, b, rows = xs[turn], xs[turn + 1], np.arange(len(turn))
+    while True:  # cut each bracket in 32 until no cut falls strictly inside
+        cut = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 33)
+        cut[:, -1] = b
+        i = np.maximum(np.argmin(rising(cut), axis=1), 1)  # the first fall
+        if np.array_equal(cut[rows, i - 1], a) and np.array_equal(cut[rows, i], b):
+            return a.tolist()
+        a, b = cut[rows, i - 1], cut[rows, i]
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -343,9 +449,3 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
         if h < 1e-14 * (abs(a) + abs(b) + 1.0):
             break
     return best_x, best_y
-
-
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               rel_tol: float = 1e-6, max_iter: int = 200) -> tuple[float, float]:
-    x, y = golden_min(lambda t: -f(t), a, b, rel_tol, max_iter)
-    return x, -y

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .norms import (
     quasi_monotone_constant,
     space_norm,
     weighted_knorm,
-    _weighted_ksup,
+    _quasi_norm,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
 from .quadrature import GridSpec, STANDARD_GRID, term_memo
@@ -417,10 +417,7 @@ def lorentz_karamata_norm(f: Rearrangement, spec: LKSpec) -> float:
     theta = 0.0 if spec.p == _INF else -1.0 / spec.p
     if f.curve.is_zero():
         return 0.0
-    if spec.q == _INF:
-        return _weighted_ksup(f.curve, theta, spec.b, 0.0, _INF)
-    res = weighted_knorm(f.curve, theta, spec.q, spec.b)
-    return res.value ** (1.0 / spec.q) if not res.divergent else _INF
+    return _quasi_norm(f.curve, theta, spec.q, spec.b)
 
 
 @dataclass

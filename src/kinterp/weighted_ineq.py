@@ -21,7 +21,7 @@ from scipy import integrate as _sci_integrate
 
 from .norms import weighted_knorm
 from .profiles import KProfile, K_from_rearrangement, random_rearrangement
-from .quadrature import GridSpec, STANDARD_GRID, golden_max, term_memo
+from .quadrature import GridSpec, STANDARD_GRID, golden_min, term_memo
 from .weights import (
     WeightExpr,
     tail_qnorm,
@@ -102,9 +102,9 @@ def _sup_on_grid(ratio: Callable[[float], float], grid: GridSpec
     a = math.log(ts[max(i - 1, 0)])
     b = math.log(ts[min(i + 1, len(ts) - 1)])
     if b > a and math.isfinite(best):
-        x, y = golden_max(lambda lx: ratio(math.exp(lx)), a, b)
-        if y > best:
-            best_x, best = math.exp(x), y
+        x, y = golden_min(lambda lx: -ratio(math.exp(lx)), a, b, 1e-6, 200)
+        if -y > best:
+            best_x, best = math.exp(x), -y
     return best, best_x
 
 

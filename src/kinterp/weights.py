@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import GridSpec, LogTerm, STANDARD_GRID, integrate_terms
+from .quadrature import GridSpec, LogTerm, STANDARD_GRID, integrate_terms, sup_terms
 
 __all__ = [
     "WeightExpr",
@@ -81,9 +81,6 @@ class SideForm:
     def value(self, x: float) -> float:
         extra = sum(g * x ** al for al, g in self.gammas)
         return (1.0 + x) ** self.beta * math.exp(extra)
-
-    def log_value(self, x: float) -> float:
-        return self.beta * math.log1p(x) + sum(g * x ** al for al, g in self.gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -397,44 +394,12 @@ def weight_kernel_integral(b: WeightExpr, q: float, kernel_power: float,
     return integrate_terms(_weight_terms(b, q, lo, hi, kernel_power)).value
 
 
-def _weight_sup(b: WeightExpr, lo: float, hi: float) -> float:
-    """Essential supremum of b on (lo, hi); +inf when b blows up at an open end."""
-    candidates: list[float] = []
-    for term in _weight_terms(b, 1.0, lo, hi):
-        form = b.side("lo" if term.end == "zero" else "hi")
-        if term.x2 == _INF and _form_unbounded(form):
-            return _INF
-        candidates.append(_form_sup(form, term.x1, term.x2))
-    return max(candidates)
-
-
-def _form_unbounded(form: SideForm) -> bool:
-    lead_alpha, lead = -1.0, 0.0
-    for al, g in form.gammas:
-        if g != 0.0 and al > lead_alpha:
-            lead_alpha, lead = al, g
-    if lead > 0.0:
-        return True
-    if lead < 0.0:
-        return False
-    return form.beta > 0.0
-
-
-def _form_sup(form: SideForm, x1: float, x2: float) -> float:
-    # log-derivative beta/(1+x) + sum gamma alpha x^(alpha-1) has at most a few
-    # sign changes; a dense grid plus endpoints is exact for monotone pieces.
-    hi = x2 if x2 != _INF else x1 + 64.0
-    xs = np.linspace(x1, hi, 257)
-    vals = [form.log_value(float(x)) for x in xs]
-    return math.exp(max(vals))
-
-
 def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
     """||u^{-1/q} b(u)||_{q,(t,inf)}; +inf when divergent."""
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if q == _INF:
-        return _weight_sup(b, t, _INF)
+    if q == _INF:  # the supremum of b on (t, inf); +inf when b blows up
+        return max(sup_terms([term]) for term in _weight_terms(b, 1.0, t, _INF))
     if q <= 0.0:
         raise ValueError("q must be positive or inf")
     res = integrate_terms(_weight_terms(b, q, t, _INF))
@@ -501,17 +466,9 @@ def sv_quasimonotone_constant(b: WeightExpr, eps: float,
                               grid: GridSpec = STANDARD_GRID) -> float:
     """Worst quasi-monotonicity constant of t^eps b(t) (toward nondecreasing)
     and t^-eps b(t) (toward nonincreasing) on the grid."""
+    from .norms import quasi_monotone_constant  # norms imports this module
+
     ts = grid.points()
     vals = np.array([b(float(t)) for t in ts])
-    up = vals * ts ** eps
-    down = vals * ts ** (-eps)
-    worst = 1.0
-    run_max = -_INF
-    for v in up:  # nondecreasing: sup_{x<t} g(x)/g(t)
-        run_max = max(run_max, v)
-        worst = max(worst, run_max / v)
-    run_min = _INF
-    for v in down:  # nonincreasing: sup_{x<t} g(t)/g(x)
-        run_min = min(run_min, v)
-        worst = max(worst, v / run_min)
-    return float(worst)
+    return max(quasi_monotone_constant(vals * ts ** eps, ts),
+               quasi_monotone_constant(vals * ts ** (-eps), ts, "nonincreasing"))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from kinterp.weights import One, parse_weight
@@ -39,3 +40,14 @@ def w_lm20():
 @pytest.fixture(scope="session")
 def w_lm22():
     return parse_weight("log(-2,-2)")
+
+
+@pytest.fixture(scope="session")
+def far_sup():
+    """A weight whose supremum on (1, inf) lies near ln t = 1e6, far outside
+    any fixed sampling window, and that supremum from mpmath: the maximum of
+    (1+x)^5 exp(-0.01 sqrt(x)), where 5/(1+x) = 0.005/sqrt(x)."""
+    with mpmath.workdps(30):
+        x = mpmath.findroot(lambda x: 5 / (1 + x) - 0.005 / mpmath.sqrt(x), 1e6)
+        value = float((1 + x) ** 5 * mpmath.exp(-0.01 * mpmath.sqrt(x)))
+    return parse_weight("mul(log(0,5),pow(explog(0.5),-0.01))"), value

@@ -1,0 +1,37 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kinterp"
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module imports and never reads, apart from those it exports
+    through ``__all__`` (or, in a package ``__init__``, re-exports)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    if path.name == "__init__.py":
+        exported |= set(imported)
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in used and name not in exported]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -66,6 +66,14 @@ def test_space_norm_examples(w_l02, w_one):
         math.sqrt(2.0), rel=1e-12)
 
 
+def test_space_norm_q_inf_is_the_exact_supremum(far_sup):
+    # min1 is 1 on (1, inf), so the norm is the supremum of the weight there
+    b, want = far_sup
+    got = space_norm(KProfile.min1(), SpaceSpec(0.0, INF, b))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_space_norm_divergent(w_l02):
     # an unbounded profile against a theta=0 space diverges at infinity
     K = KProfile.power(0.3)

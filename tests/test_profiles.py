@@ -198,8 +198,10 @@ def test_non_integrable_at_zero_rejected():
 
 
 def test_rearrangement_monotonicity_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="increases at t="):
         Rearrangement.staircase((1.0, 2.0), (1.0, 3.0))
+    with pytest.raises(ValueError, match="negative at t="):
+        Rearrangement(PiecewiseCurve((1.0,), ((Atom(-1.0, 0.0),), ())))
 
 
 def test_parse_profile_literals():

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +16,10 @@ from kinterp.quadrature import (
     exp_pow_integral,
     golden_min,
     integrate_terms,
+    sup_terms,
     term_memo,
 )
-from kinterp.weights import One, _weight_sup, parse_weight
+from kinterp.weights import One, parse_weight, tail_qnorm
 
 INF = math.inf
 
@@ -60,7 +62,7 @@ def test_exp_pow_against_mpmath(a, beta, x1, x2):
 
 def test_sup_examples():
     w = parse_weight("log(0,-2)")
-    assert _weight_sup(w, 1.0, INF) == pytest.approx(1.0)
+    assert tail_qnorm(w, INF, 1.0) == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,3 +199,113 @@ def test_no_memo_after_a_scan_raises(monkeypatch, w_l02, w_l01):
         equivalence_scan(case, parse_profile("min1"))
     assert calls  # the scan integrated terms before its hypothesis failed
     _assert_no_memo_active(calls)
+
+
+# ---------------------------------------------------------------------------
+# sup_terms: exact suprema
+# ---------------------------------------------------------------------------
+
+def _draw_sup_terms(rng: np.random.Generator) -> list[LogTerm]:
+    """One term, or e^{ax} + c2 e^{(a+1)x} (the shape of a profile piece
+    with a constant and a linear atom) times (1+x)^beta exp(gamma x^alpha)."""
+    beta = rng.uniform(-4.0, 8.0)
+    gamma = 0.0
+    while abs(gamma) < 1e-3:
+        gamma = rng.uniform(-2.0, 0.5)
+    gammas = ((rng.uniform(0.1, 0.9), gamma),)
+    a = 0.0 if rng.random() < 0.3 else rng.uniform(-1.5, 0.0)
+    x1 = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 1.5)
+    x2 = INF if rng.random() < 0.5 else x1 + 10.0 ** rng.uniform(-2.0, 4.0)
+    terms = [LogTerm(1.0, a, beta, x1, x2, gammas)]
+    if rng.random() < 0.5:
+        # a negative c2 still leaves the sum positive at x1
+        c2 = rng.uniform(0.05, 20.0) if rng.random() < 0.75 else \
+            -rng.uniform(0.05, 0.9) * math.exp(-x1)
+        terms.append(LogTerm(c2, a + 1.0, beta, x1, x2, gammas))
+    return terms
+
+
+def _oracle_sup(terms: list[LogTerm]):
+    """The supremum in 40-digit arithmetic: mpmath.findroot on the
+    derivative from each + to - sign change of a float scan out to 1e30.
+    None when the scan cannot decide it: the sum still rises at 1e30 on an
+    infinite segment, cancels at its maximum, is not positive there, or
+    leaves the float range."""
+    (alpha, gamma), = terms[0].gammas
+    x1, x2 = terms[0].x1, terms[0].x2
+    xs = np.geomspace(x1 if x1 > 0.0 else 1e-200, min(x2, 1e30), 6000)
+    logs = [math.log(abs(t.coef)) + t.a * xs + t.beta * np.log1p(xs) for t in terms]
+    top = np.max(logs, axis=0)
+    slope = sum(math.copysign(1.0, t.coef) * np.exp(lg - top)
+                * (t.a + t.beta / (1.0 + xs) + gamma * alpha * xs ** (alpha - 1.0))
+                for t, lg in zip(terms, logs))
+    if x2 == INF and slope[-1] > 0.0:
+        return None
+    with mpmath.workdps(40):
+        def parts(x):
+            stretch = mpmath.exp(gamma * x ** alpha)
+            return [t.coef * mpmath.exp(t.a * x) * (1 + x) ** t.beta * stretch
+                    for t in terms]
+
+        def dsum(x):
+            return sum(p * (t.a + t.beta / (1 + x) + gamma * alpha * x ** (alpha - 1))
+                       for p, t in zip(parts(x), terms))
+
+        xs_mp = [mpmath.mpf(x1)] + ([] if x2 == INF else [mpmath.mpf(x2)])
+        for i in np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0)):
+            xs_mp.append(mpmath.findroot(dsum, (xs[i], xs[i + 1]),
+                                         solver="anderson", verify=False))
+        best = max(xs_mp, key=lambda x: sum(parts(x)))
+        vals = parts(best)
+        value = sum(vals)
+        if not (0 < value < 1e300) or abs(value) < 1e-3 * sum(abs(v) for v in vals):
+            return None
+        return float(value)
+
+
+def test_sup_terms_matches_the_mpmath_oracle():
+    rng = np.random.default_rng(20261018)
+    compared = []
+    for _ in range(500):
+        terms = _draw_sup_terms(rng)
+        want = _oracle_sup(terms)
+        if want is None:
+            continue
+        got = sup_terms(terms)
+        assert got == pytest.approx(want, rel=1e-12), terms
+        compared.append((len(terms), terms[0].x1 == 0.0, terms[0].x2 == INF,
+                         terms[-1].coef < 0.0))
+    assert len(compared) >= 300
+    # every shape: one or two terms, x1 = 0 or not, x2 finite or not, and
+    # two-term sums with a negative coefficient
+    assert len(set(compared)) == 12
+
+
+@pytest.mark.parametrize("term", [
+    LogTerm(1.0, 0.5, -3.0, 0.0, INF),  # a > 0
+    LogTerm(1.0, 0.0, -3.0, 0.0, INF, ((0.2, -5.0), (0.3, 0.1))),  # lead gamma > 0
+    LogTerm(1.0, 0.0, 0.5, 2.0, INF),  # beta > 0 and no gamma
+])
+def test_sup_terms_growing_term_is_unbounded(term):
+    assert sup_terms([term]) == INF
+
+
+def test_sup_terms_growing_term_with_negative_coefficient_is_bounded():
+    # 2(1+x) - e^{x/2} is largest where e^{x/2} = 4
+    terms = [LogTerm(2.0, 0.0, 1.0, 0.0, INF), LogTerm(-1.0, 0.5, 0.0, 0.0, INF)]
+    x = 2.0 * math.log(4.0)
+    assert sup_terms(terms) == pytest.approx(2.0 * (1.0 + x) - 4.0, rel=1e-14)
+
+
+def test_sup_terms_ends_and_errors():
+    assert sup_terms([]) == 0.0
+    assert sup_terms([LogTerm(3.0, 0.0, 0.0, 1.0, INF)]) == 3.0  # a constant
+    assert sup_terms([LogTerm(3.0, -1.0, 2.0, 1.0, INF)]) == pytest.approx(
+        3.0 * math.exp(-1.0) * 4.0, rel=1e-14)  # e^{-x}(1+x)^2 peaks at x = 1
+    assert sup_terms([LogTerm(1.0, -0.1, 1.0, 0.0, 5.0)]) == pytest.approx(
+        math.exp(-0.5) * 6.0, rel=1e-14)  # still rising at x2
+    with pytest.raises(IntegralOverflowError):
+        sup_terms([LogTerm(1.0, 1.0, 0.0, 0.0, 800.0)])
+    with pytest.raises(ValueError):
+        sup_terms([LogTerm(1.0, 0.0, -1.0, 0.0, 1.0),
+                   LogTerm(1.0, 0.0, -2.0, 0.0, 2.0)])

@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate as sci_integrate
 
 from kinterp import quadrature
-from kinterp.config import ExpDecay, parse_function
+from kinterp.cli import run
+from kinterp.config import ExpDecay, load_config, parse_function
 from kinterp.norms import weighted_knorm
 from kinterp.profiles import KProfile
 from kinterp.weighted_ineq import (
@@ -412,3 +413,14 @@ def test_constant_computes_each_integral_once(monkeypatch, which, v, w):
     assert 0.0 < rep.value < INF
     assert terms and len(terms) == len(set(terms))
     assert len(keys) == len(set(keys))
+
+
+def test_constants_scenario_computes_each_integral_once(monkeypatch, tmp_path):
+    # an A1 scenario of the closed-form benchmark's first draw: the probe
+    # over min(s, x) reuses the integrals of the constant
+    cfg = tmp_path / "a1.cfg"
+    cfg.write_text("[constants a1-0]\np = 1\nq = 2\nv = log(0,-2.121)\n"
+                   "w = log(0,-2.319)\nwhich = A1\nout = a1-0.csv\n")
+    keys = _record_quad(monkeypatch)
+    assert run(load_config(str(cfg)), out_dir=str(tmp_path), quiet=True) == 0
+    assert keys and len(keys) == len(set(keys))

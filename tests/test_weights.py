@@ -132,6 +132,13 @@ def test_tail_qnorm_examples(w_l02, w_one):
                                                       rel=1e-12)
 
 
+def test_sup_far_from_the_segment_start(far_sup):
+    b, want = far_sup
+    assert want == pytest.approx(4.54001567628147e25, rel=1e-14)
+    assert tail_qnorm(b, INF, 1.0) == pytest.approx(want, rel=1e-12)
+    assert head_qnorm(Flip(b), INF, 1.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_head_qnorm_examples(w_lm20, w_one):
     assert head_qnorm(w_lm20, 1, math.exp(-1.0)) == pytest.approx(0.5, rel=1e-12)
     assert head_qnorm(w_one, 1, 1.0) == INF
