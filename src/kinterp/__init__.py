@@ -37,6 +37,7 @@ from .norms import (
     space_norm,
     partial_norms,
     index,
+    index_limit,
     quasi_monotone_constant,
     check_condition_monotone_index,
 )

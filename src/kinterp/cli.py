@@ -330,22 +330,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                    quiet=args.quiet)
 
     kind = args.command
-    params = {}
-    mapping = {
-        "holmstedt": ("case", "profile", "b0", "q0", "b1", "q1", "theta",
-                      "theta0", "theta1", "max_variation"),
-        "negative-demo": ("theta", "q0", "q1", "b0", "b1"),
-        "reiterate": ("side", "theta", "q", "b", "q0", "b0", "q1", "b1",
-                      "profiles"),
-        "lk-check": ("q", "b", "rearrangements", "count"),
-        "sv-check": ("weight", "q"),
-        "constants": ("p", "q", "v", "w", "which"),
-        "hardy-check": ("case", "alpha", "w", "phi", "samples"),
-    }[kind]
-    for key in mapping:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            params[key] = val
+    # every flag of a subcommand but the common output ones is a scenario key
+    params = {key: val for key, val in vars(args).items() if val is not None
+              and key not in ("command", "grid", "out", "out_dir", "seed")}
     try:
         scenario = _scenario_from_args(kind, args, params)
     except ConfigError as exc:

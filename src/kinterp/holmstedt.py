@@ -149,11 +149,13 @@ def rhs_formula(case: HolmstedtCase, f: KProfile, t: float) -> float:
     s = index_value(case, t)
     if s is None:
         raise ValueError(f"index undefined at t={t!r}")
-    if case.kind == "limiting00":
-        I, J = partial_norms(f, t, "limiting0", case.q0, case.b0,
-                             case.q1, case.b1)
-    elif case.kind == "limiting11":
-        I, J = partial_norms(f, t, "limiting1", case.q0, case.b0,
+    return _rhs(case, f, t, s)
+
+
+def _rhs(case: HolmstedtCase, f: KProfile, t: float, s: float) -> float:
+    """I + s J at t for an index value s the caller already has."""
+    if case.kind in ("limiting00", "limiting11"):  # frame limiting0 / 1
+        I, J = partial_norms(f, t, case.kind[:-1], case.q0, case.b0,
                              case.q1, case.b1)
     else:
         X0, X1 = case.spaces()
@@ -251,14 +253,21 @@ def lhs_decomposition(case: HolmstedtCase, f, s: float,
     fr = _as_rearrangement(f)
     if fr.curve.is_zero():
         return 0.0
-    if case.kind == "limiting11":
-        red = _flip_reduced(case)
-        conj = realize_rearrangement(conjugate_profile(K_from_rearrangement(fr)))
-        inner = DecompositionTable(conj, *red.spaces()) if table is None else table
-        return s * inner.best(1.0 / s)
     if table is None:
-        table = DecompositionTable(fr, *case.spaces())
+        table = _decomposition_table(case, fr)
+    if case.kind == "limiting11":
+        return s * table.best(1.0 / s)
     return table.best(s)
+
+
+def _decomposition_table(case: HolmstedtCase, fr: Rearrangement
+                         ) -> DecompositionTable:
+    """The table :func:`lhs_decomposition` reads; for limiting11 that of the
+    reduced pair and the conjugate profile (the exact t -> 1/t reduction)."""
+    if case.kind == "limiting11":
+        conj = realize_rearrangement(conjugate_profile(K_from_rearrangement(fr)))
+        return DecompositionTable(conj, *_flip_reduced(case).spaces())
+    return DecompositionTable(fr, *case.spaces())
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +360,23 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
         notes = verify_hypotheses(case)
         fr = _as_rearrangement(f)
         report = ScanReport(case.label(), fr.label, notes=notes)
+        table = _decomposition_table(case, fr)
+        profile = K_from_rearrangement(table.f)
         if case.kind == "limiting11":
-            # exact t -> 1/t reduction; see the module docstring
             red = _flip_reduced(case)
-            conj = realize_rearrangement(
-                conjugate_profile(K_from_rearrangement(fr)))
-            table = DecompositionTable(conj, *red.spaces())
-            profile = K_from_rearrangement(conj)
             report.notes.append("computed through the t -> 1/t symmetry")
-        else:
-            table = DecompositionTable(fr, *case.spaces())
-            profile = K_from_rearrangement(fr)
         for t in t_grid.points():
             t = float(t)
             s = index_value(case, t)
             if s is None or not (0.0 < s < _INF):
                 report.skipped += 1
-            elif case.kind == "limiting11":
-                _append_row(report, t, s * table.best(1.0 / s),
-                            s * rhs_formula(red, profile, 1.0 / t))
+                continue
+            lhs = lhs_decomposition(case, fr, s, table)
+            if case.kind == "limiting11":
+                rhs = s * rhs_formula(red, profile, 1.0 / t)
             else:
-                _append_row(report, t, table.best(s),
-                            rhs_formula(case, profile, t))
+                rhs = _rhs(case, profile, t, s)
+            _append_row(report, t, lhs, rhs)
     return report
 
 

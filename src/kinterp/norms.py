@@ -26,6 +26,7 @@ from .quadrature import (
     _quad,
     integrate_terms,
     sup_terms,
+    term_diverges_at_inf,
 )
 from .weights import SideForm, WeightExpr, head_qnorm, tail_qnorm
 
@@ -37,6 +38,7 @@ __all__ = [
     "weighted_knorm",
     "partial_norms",
     "index",
+    "index_limit",
     "quasi_monotone_constant",
     "check_condition_monotone_index",
     "DEFAULT_EPS_GRID",
@@ -139,7 +141,7 @@ def _segment_terms(atoms_q: Sequence[Atom], theta: float, q: float,
 
 
 def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
-                      b, u0: float, u1: float, end: str) -> tuple[float, float]:
+                      b, u0: float, u1: float) -> tuple[float, float]:
     """Adaptive fallback for one segment; returns (value, error)."""
 
     def f(x: float) -> float:
@@ -199,7 +201,6 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
     err = 0.0
     structured: Optional[WeightExpr] = b if isinstance(b, WeightExpr) else None
     for u0, u1, side, atoms in _segments(curve, lo, hi):
-        end = "zero" if side == "lo" else "inf"
         expanded = _expand_piece(atoms, q) if structured is not None else None
         if expanded is not None:
             terms = _segment_terms(expanded, theta, q, structured.side(side),
@@ -207,10 +208,10 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
             terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
             res = integrate_terms(terms)
         else:
-            v, e = _segment_adaptive(curve, theta, q, b, u0, u1, end)
+            v, e = _segment_adaptive(curve, theta, q, b, u0, u1)
             res = IntegralResult(v, e if v != _INF else _INF,
                                  None if v != _INF else
-                                 (AT_ZERO if end == "zero" else AT_INFINITY))
+                                 (AT_ZERO if side == "lo" else AT_INFINITY))
         if res.divergent:
             return res
         total += res.value
@@ -297,6 +298,60 @@ def index(t: float, kind: str, q0: float, b0: WeightExpr,
         or den == 0.0 or not math.isfinite(den)
     value = None if bad else num / den
     return IndexPair(value, num, den)
+
+
+def _log_norm_order(b: WeightExpr, q: float, side: str, tail: bool
+                    ) -> dict[float, float]:
+    """The leading terms of ln ||u^{-1/q} b(u)||_q over (t, inf) (``tail``)
+    or (0, t) as x = |ln t| grows on ``side`` of 1: {k: c} for c x^k
+    (0 < k < 1), c ln x (k = 0) and c ln ln x (k = -1).
+
+    With (1+x)^B exp(sum G x^alpha) the side form of b^q, Karamata's theorem
+    (Bingham-Goldie-Teugels 1.5-1.6) gives: a tail int_x^inf converges and
+    behaves like x^(B+1-alpha) exp(sum G x^alpha) when a stretched term leads
+    (alpha the largest with G != 0), otherwise like x^(B+1); a head int_0^x
+    tends to a constant when it converges, else grows like that stretched
+    form, like x^(B+1) when B > -1 and like ln x when B = -1.  The q-th root
+    divides each coefficient by q.
+    """
+    form = b.side(side)
+    scaled = form.scaled(q)
+    if term_diverges_at_inf(0.0, scaled.beta, scaled.gammas) == tail:
+        if tail:
+            raise ValueError(f"the {q:g}-norm of {b.to_text()} diverges")
+        return {}
+    order = {alpha: gamma for alpha, gamma in form.gammas if gamma != 0.0}
+    if order:
+        order[0.0] = form.beta + (1.0 - max(order)) / q
+    elif scaled.beta != -1.0:
+        order[0.0] = form.beta + 1.0 / q
+    else:
+        order[-1.0] = 1.0 / q
+    return order
+
+
+def index_limit(kind: str, q0: float, b0: WeightExpr, q1: float,
+                b1: WeightExpr, end: str) -> int:
+    """-1, 0 or +1 as rho (or eta) tends to 0, to a finite positive limit or
+    to inf as t -> 0+ (``end="zero"``) or t -> inf (``end="inf"``).
+
+    rho at inf is a quotient of tails of the "hi" side forms, at 0+ of heads
+    of the "lo" ones plus constants; eta(t) is rho of the flipped weights at
+    1/t.  The sign of the leading term of ln rho decides
+    (:func:`_log_norm_order`).
+    """
+    if kind not in ("rho", "eta"):
+        raise ValueError(f"unknown index kind {kind!r}")
+    if end not in ("zero", "inf"):
+        raise ValueError("end must be 'zero' or 'inf'")
+    tail = (kind == "rho") == (end == "inf")
+    order0, order1 = (_log_norm_order(b, q, "lo" if end == "zero" else "hi",
+                                      tail) for q, b in ((q0, b0), (q1, b1)))
+    for k in sorted(order0.keys() | order1.keys(), reverse=True):
+        d = order0.get(k, 0.0) - order1.get(k, 0.0)
+        if d != 0.0:
+            return 1 if d > 0.0 else -1
+    return 0
 
 
 def quasi_monotone_constant(g, grid, direction: str = "nondecreasing") -> float:

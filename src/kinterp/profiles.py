@@ -123,8 +123,6 @@ class PiecewiseCurve:
         return i
 
     def __call__(self, t) -> float:
-        if isinstance(t, np.ndarray):
-            return np.array([self(float(u)) for u in t])
         t = float(t)
         if not (t > 0.0):
             raise ValueError("curves are defined on (0, inf)")

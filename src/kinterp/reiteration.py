@@ -30,13 +30,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .holmstedt import HolmstedtCase, HypothesisError
+from .holmstedt import HolmstedtCase, HypothesisError, _rhs
 from .norms import (
     MONOTONE_THRESHOLD,
     SpaceSpec,
     check_condition_monotone_index,
     index,
-    partial_norms,
+    index_limit,
     quasi_monotone_constant,
     space_norm,
     weighted_knorm,
@@ -63,13 +63,8 @@ __all__ = [
 
 _INF = math.inf
 
-#: probes for the required limits of the index (0 at 0+, inf at inf); the
-#: trend probes catch indices decaying slower than any magnitude a float
-#: argument can reach (e.g. 1/sqrt(ln) decay)
-_LIMIT_PROBES = (1e-150, 1e150)
-_TREND_PROBES_LO = (1e-50, 1e-150, 1e-290)
-_TREND_PROBES_HI = (1e50, 1e150, 1e290)
-_LIMIT_LO, _LIMIT_HI = 1e-2, 1e2
+#: what the index tends to, by :func:`kinterp.norms.index_limit`
+_LIMITS = {-1: "0", 0: "a finite positive limit", 1: "inf"}
 
 
 @dataclass(frozen=True)
@@ -123,32 +118,6 @@ class ReiterationSpec:
                                q=self.q, b=self.b, q0=self.q0,
                                b0=Flip(self.b0), q1=self.q1, b1=Flip(self.b1))
 
-    def _trends_to_zero(self) -> bool:
-        """Sub-threshold fallback for indices decaying slower than any
-        magnitude a float argument can reach (1/sqrt(ln) and the like): the
-        log-log slope in L = 1 + |ln t| across the extreme representable
-        probes must be decisively negative and the value already small."""
-        vals = [self.index_value(t) for t in _TREND_PROBES_LO]
-        if any(v is None or not (0.0 < v < _INF) for v in vals):
-            return False
-        v50, v150, v290 = vals
-        if not v290 < v150 < v50 or v290 > 0.75:
-            return False
-        span = math.log(1.0 - math.log(_TREND_PROBES_LO[2])) \
-            - math.log(1.0 - math.log(_TREND_PROBES_LO[0]))
-        return math.log(v50 / v290) / span >= 0.1
-
-    def _trends_to_inf(self) -> bool:
-        vals = [self.index_value(t) for t in _TREND_PROBES_HI]
-        if any(v is None or not (0.0 < v < _INF) for v in vals):
-            return False
-        v50, v150, v290 = vals
-        if not v50 < v150 < v290 or v290 < 1.5:
-            return False
-        span = math.log(1.0 + math.log(_TREND_PROBES_HI[2])) \
-            - math.log(1.0 + math.log(_TREND_PROBES_HI[0]))
-        return math.log(v290 / v50) / span >= 0.1
-
     def verify_hypotheses(self, grid: GridSpec = STANDARD_GRID) -> list[str]:
         notes: list[str] = []
         kind = self.index_kind()
@@ -160,15 +129,14 @@ class ReiterationSpec:
             raise HypothesisError(f"{kind} increasing",
                                   f"quasi-monotone constant {c:.3g}")
         notes.append(f"{kind} quasi-nondecreasing (constant {c:.3g})")
-        lo = self.index_value(_LIMIT_PROBES[0])
-        hi = self.index_value(_LIMIT_PROBES[1])
-        if lo is None or not (lo <= _LIMIT_LO or self._trends_to_zero()):
-            raise HypothesisError(f"{kind} -> 0 toward 0+",
-                                  f"value {lo!r} at probe {_LIMIT_PROBES[0]:g}")
-        if hi is None or not (hi >= _LIMIT_HI or self._trends_to_inf()):
-            raise HypothesisError(f"{kind} -> inf toward inf",
-                                  f"value {hi!r} at probe {_LIMIT_PROBES[1]:g}")
-        notes.append(f"{kind} limit probes {lo:.3g} / {hi:.3g}")
+        for end, want, where in (("zero", -1, "0 toward 0+"),
+                                 ("inf", 1, "inf toward inf")):
+            got = index_limit(kind, self.q0, self.b0, self.q1, self.b1, end)
+            if got != want:
+                raise HypothesisError(f"{kind} -> {where}",
+                                      f"it tends to {_LIMITS[got]}")
+        notes.append(f"{kind} -> 0 toward 0+ and -> inf toward inf "
+                     "(exact limits of the weight algebra)")
         if self.q0 != self.q1:
             rep = check_condition_monotone_index(
                 f"{kind}_eps", self.q0, self.b0, self.q1, self.b1, grid=grid)
@@ -214,8 +182,6 @@ class CompositeWeight:
         return s.b1(t) ** (s.q1 / s.q) * block ** (1.0 / s.q1 - 1.0 / s.q)
 
     def __call__(self, t) -> float:
-        if isinstance(t, np.ndarray):
-            return np.array([self(float(u)) for u in t])
         t = float(t)
         s = self.spec
         idx = self._index(t)
@@ -332,15 +298,6 @@ def _index_table(spec: ReiterationSpec, grid: GridSpec) -> IndexTable:
     return xs[1] - xs[0], rows
 
 
-def _inner_rhs(spec: ReiterationSpec, f: KProfile, t: float, idx: float
-               ) -> float:
-    """I + idx J at t: the value of ``rhs_formula(spec.inner_case(), f, t)``
-    without recomputing the index."""
-    I, J = partial_norms(f, t, f"limiting{spec.side}", spec.q0, spec.b0,
-                         spec.q1, spec.b1)
-    return I + idx * J
-
-
 def _composite_norm(spec: ReiterationSpec, f: KProfile,
                     table: IndexTable) -> float:
     """Outer quasi-norm of the iterated space via the s = index(t) substitution.
@@ -349,6 +306,7 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
     of a check; the sweep runs in its own :func:`term_memo` scope.
     """
     h, rows = table
+    case = spec.inner_case()
     vals = []
     with term_memo():
         for row in rows:
@@ -356,7 +314,7 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
                 vals.append(0.0)
                 continue
             t, idx, ell = row
-            surrogate = _inner_rhs(spec, f, t, idx)
+            surrogate = _rhs(case, f, t, idx)
             if not (0.0 <= surrogate < _INF):
                 return _INF
             vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)

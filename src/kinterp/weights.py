@@ -449,8 +449,6 @@ class TildeWeight:
         self.comparison_constant = max(ratios)
 
     def __call__(self, t) -> float:
-        if isinstance(t, np.ndarray):
-            return np.array([self(float(u)) for u in t])
         return tail_qnorm(self.base, 1.0, float(t))
 
 

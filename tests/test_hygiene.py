@@ -35,3 +35,27 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _unread_parameters(path: pathlib.Path) -> list[str]:
+    """Parameters of module-level functions that their body never reads.
+
+    Methods are exempt: an override keeps the parameters of the interface
+    it implements (``_side``, ``__call__``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}: {p}" for p in params if p not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path) == []

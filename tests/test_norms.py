@@ -1,19 +1,22 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from mpmath import fp
 
 from kinterp.norms import (
     SpaceSpec,
     check_condition_monotone_index,
     index,
+    index_limit,
     partial_norms,
     quasi_monotone_constant,
     space_norm,
 )
 from kinterp.profiles import KProfile, K_from_rearrangement, profile_suite
 from kinterp.quadrature import GridSpec
-from kinterp.weights import Flip, parse_weight, tail_qnorm
+from kinterp.weights import Flip, head_qnorm, parse_weight, tail_qnorm
 
 INF = math.inf
 
@@ -148,6 +151,135 @@ def test_eta_rho_duality(w_l02, w_l03):
         e = index(t, "eta", 1.0, fb0, 1.0, fb1).value
         r = index(1.0 / t, "rho", 1.0, w_l02, 1.0, w_l03).value
         assert e == r
+
+
+@pytest.mark.parametrize("b0, q1, b1, zero, inf", [
+    # rho -> 0 like 1/ln ln(1/t): a converging head over a ln-growing one
+    ("log(-4,-1.2)", 1, "log(-1,-2.7)", -1, 1),
+    # both heads converge: rho(0+) is the quotient of the full-line norms
+    ("log(-2,-2.2)", 1, "mul(log(-0.3,-3.6),pow(explog(0.3),-0.8))", 0, 1),
+    # the benchmark's q1 = 2 shape: rho ~ (ln 1/t)^-1/2 toward 0+
+    ("log(-2.182,-2.182)", 2, "log(0,-3.254)", -1, 1),
+    # equal stretched factors: the powers of |ln t| decide at inf
+    ("mul(log(0,-3),pow(explog(0.5),-1))", 1,
+     "mul(log(2,-2),pow(explog(0.5),-1))", 0, -1),
+])
+def test_index_limit_examples(b0, q1, b1, zero, inf):
+    b0, b1 = parse_weight(b0), parse_weight(b1)
+    assert index_limit("rho", 1.0, b0, q1, b1, "zero") == zero
+    assert index_limit("rho", 1.0, b0, q1, b1, "inf") == inf
+    # eta(t) of the flipped weights is rho(1/t); with the slots swapped it
+    # is 1/rho(1/t)
+    fb0, fb1 = Flip(b0), Flip(b1)
+    assert index_limit("eta", 1.0, fb0, q1, fb1, "inf") == zero
+    assert index_limit("eta", 1.0, fb0, q1, fb1, "zero") == inf
+    assert index_limit("eta", q1, fb1, 1.0, fb0, "inf") == -zero
+    assert index_limit("eta", q1, fb1, 1.0, fb0, "zero") == -inf
+
+
+def test_index_limit_rejects_bad_input(w_one, w_l02):
+    with pytest.raises(ValueError, match="index kind"):
+        index_limit("rho_eps", 1.0, w_l02, 1.0, w_l02, "inf")
+    with pytest.raises(ValueError, match="end"):
+        index_limit("rho", 1.0, w_l02, 1.0, w_l02, "one")
+    with pytest.raises(ValueError, match="diverges"):
+        index_limit("rho", 1.0, w_one, 1.0, w_l02, "inf")
+
+
+def _side_log_norm(b, q, side, x, tail, other_full):
+    """ln of int_x^inf F (``tail``) or of int_0^x F + ``other_full``, for F
+    the side form (1+y)^B exp(sum G y^alpha) of b^q, by tanh-sinh quadrature
+    (mpmath's float context).  The integrand is F(x +- s)/F(x), written with
+    log1p/expm1 so that nothing cancels at x = 1e8."""
+    form = b.side(side).scaled(q)
+    B, gammas = form.beta, form.gammas
+    if not gammas:  # closed forms
+        if tail:
+            return (B + 1.0) * math.log1p(x) - math.log(-(B + 1.0))
+        head = math.log1p(x) if B == -1.0 else math.expm1(
+            (B + 1.0) * math.log1p(x)) / (B + 1.0)
+        return math.log(head + other_full)
+    ln_fx = B * math.log1p(x) + sum(g * x ** a for a, g in gammas)
+    sign = 1.0 if tail or max(gammas)[1] < 0.0 else -1.0
+
+    def ratio(s):  # F(x + sign s) / F(x)
+        d = sign * s
+        return math.exp(B * math.log1p(d / (1.0 + x)) + sum(
+            g * x ** a * math.expm1(a * math.log1p(d / x)) for a, g in gammas))
+
+    h = 1.0 / abs(B / (1.0 + x) + sum(g * a * x ** (a - 1.0) for a, g in gammas))
+    cuts = [s if sign > 0.0 else min(s, x) for s in (0.0, h, 10.0 * h, 100.0 * h)]
+    part = fp.quad(ratio, cuts)
+    if tail:
+        return ln_fx + math.log(part)
+    if sign > 0.0:  # a converging head: the full line less the tail
+        return math.log(_full_integral(form) - part * math.exp(ln_fx) + other_full)
+    return ln_fx + math.log(part + other_full * math.exp(-ln_fx))
+
+
+def _full_integral(form) -> float:
+    return fp.quad(lambda y: form.value(y), [0.0, 1.0, 100.0, 1e4, fp.inf])
+
+
+def _oracle_log_index(kind, q0, b0, q1, b1, end, x):
+    """ln rho (or eta) at |ln t| = x."""
+    side = "lo" if end == "zero" else "hi"
+    other = "hi" if end == "zero" else "lo"
+    tail = (kind == "rho") == (end == "inf")
+    logs = [_side_log_norm(b, q, side, x, tail, 0.0 if tail else
+                           _full_integral(b.side(other).scaled(q))) / q
+            for q, b in ((q0, b0), (q1, b1))]
+    return logs[0] - logs[1]
+
+
+def _random_limit_spec(rng: random.Random):
+    """A random pair of the index's class on a coarse grid of exponents, so
+    that the deciding difference already shows at |ln t| = 1e6.  The second
+    stretched factor often equals the first, fully or in its leading term,
+    which sends the decision to the later comparisons."""
+    betas = (-3, -2, -1.5, -1, -0.5, 0, 0.5, 1)
+
+    def stretch():
+        return {alpha: rng.choice((-1, -0.5, 0.5, 1))
+                for alpha in rng.sample((0.5, 0.7), rng.choice((0, 1, 2)))}
+
+    def weight(factors):
+        text = f"log({rng.choice(betas)},{rng.choice(betas)})"
+        for alpha, gamma in sorted(factors.items()):
+            text = f"mul({text},pow(explog({alpha}),{gamma}))"
+        return parse_weight(text)
+
+    while True:
+        kind = rng.choice(("rho", "eta"))
+        q0, q1 = rng.choice((1, 2)), rng.choice((1, 2))
+        s0 = stretch()
+        s1 = rng.choice((s0, {**s0, 0.5: rng.choice((-1, 1))}, stretch()))
+        b0, b1 = weight(s0), weight(s1)
+        norm = tail_qnorm if kind == "rho" else head_qnorm
+        if all(math.isfinite(norm(b, q, 1.0)) for q, b in ((q0, b0), (q1, b1))):
+            return kind, q0, b0, q1, b1
+
+
+def test_index_limit_matches_the_oracle():
+    """ln of the index at |ln t| = 1e6, 1e7, 1e8 moves in the direction
+    :func:`index_limit` names, and for a finite limit it settles."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(40):
+        spec = _random_limit_spec(rng)
+        for end in ("zero", "inf"):
+            want = index_limit(*spec, end)
+            seen.add(want)
+            l6, l7, l8 = (_oracle_log_index(*spec, end, x)
+                          for x in (1e6, 1e7, 1e8))
+            label = (spec[0], spec[1], spec[2].to_text(), spec[3],
+                     spec[4].to_text(), end, want, (l6, l7, l8))
+            if want == 0:
+                assert abs(l8 - l7) <= abs(l7 - l6) + 1e-9, label
+                assert abs(l8 - l6) < 1e-2, label
+            else:
+                assert want * (l7 - l6) > 0.0 and want * (l8 - l7) > 0.0, label
+    assert seen == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------

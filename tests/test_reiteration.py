@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate as sci_integrate
 
 from kinterp import quadrature, reiteration
-from kinterp.holmstedt import HypothesisError, rhs_formula
+from kinterp.holmstedt import HypothesisError, _rhs, rhs_formula
 from kinterp.profiles import (
     K_from_rearrangement,
     KProfile,
@@ -23,7 +23,6 @@ from kinterp.reiteration import (
     ReiterationSpec,
     _composite_norm,
     _index_table,
-    _inner_rhs,
     build_hat_b,
     build_tilde_b,
     lk_identification_check,
@@ -31,7 +30,7 @@ from kinterp.reiteration import (
     lorentz_karamata_norm,
     reiteration_check,
 )
-from kinterp.weights import Flip, parse_weight
+from kinterp.weights import Flip, parse_weight, weight_kernel_integral
 
 INF = math.inf
 
@@ -256,6 +255,49 @@ def test_formula_mirror_is_not_theorem_valid(spec_main):
         spec_main.flipped().verify_hypotheses()
 
 
+# rho -> 0 toward 0+ like 1/ln ln(1/t): rho(1e-150) is still 0.83
+LOGLOG = ("log(-4,-1.2)", "log(-1,-2.7)")
+# both head integrals converge, so rho(0+) is finite (0.30 at t = 1e-300)
+FINITE_AT_ZERO = ("log(-2,-2.2)", "mul(log(-0.3,-3.6),pow(explog(0.3),-0.8))")
+
+
+def _limit_specs(texts) -> tuple[ReiterationSpec, ReiterationSpec]:
+    """The side-0 spec and its t -> 1/t mirror with the slots swapped."""
+    b0, b1 = map(parse_weight, texts)
+    one = parse_weight("one")
+    return (ReiterationSpec(0, 0.5, 1.0, one, 1.0, b0, 1.0, b1),
+            ReiterationSpec(1, 0.5, 1.0, one, 1.0, Flip(b1), 1.0, Flip(b0)))
+
+
+def test_index_limits_slower_than_any_float_probe():
+    spec, mirror = _limit_specs(LOGLOG)
+    notes = spec.verify_hypotheses()
+    assert notes[1] == ("rho -> 0 toward 0+ and -> inf toward inf "
+                        "(exact limits of the weight algebra)")
+    assert notes[2].startswith("log-derivative band [0.88")
+    # the mirror passes both limits and fails only the next condition
+    with pytest.raises(HypothesisError) as exc:
+        mirror.verify_hypotheses()
+    assert exc.value.condition == "log-derivative equivalence"
+
+
+def test_index_with_a_finite_limit_at_zero_fails():
+    spec, mirror = _limit_specs(FINITE_AT_ZERO)
+    with pytest.raises(HypothesisError) as exc:
+        spec.verify_hypotheses()
+    assert exc.value.condition == "rho -> 0 toward 0+"
+    assert "finite positive limit" in str(exc.value)
+    with pytest.raises(HypothesisError) as exc:
+        mirror.verify_hypotheses()
+    assert exc.value.condition == "eta -> inf toward inf"
+    # the limit is the quotient of the full-line norms
+    full = [weight_kernel_integral(b, 1.0, 0.0, 0.0, INF)
+            for b in (spec.b0, spec.b1)]
+    assert full[0] / full[1] == pytest.approx(0.28646, rel=1e-4)
+    assert spec.index_value(1e-300) == pytest.approx(full[0] / full[1],
+                                                     rel=0.05)
+
+
 # ---------------------------------------------------------------------------
 # shared index table and per-sweep memo
 # ---------------------------------------------------------------------------
@@ -288,7 +330,7 @@ def test_index_table_sweep_equals_rhs_formula(side):
         with term_memo() as memo:
             for (t, idx, _), rhs in zip(live, want):
                 assert idx == spec.index_value(t)
-                assert _inner_rhs(spec, K, t, idx) == rhs
+                assert _rhs(case, K, t, idx) == rhs
         assert memo
 
 
@@ -296,7 +338,7 @@ def test_zero_profile_sweep_is_zero():
     spec = _bench_spec(0)
     t, idx, _ = next(r for r in _index_table(spec, CHECK_GRID)[1] if r)
     zero = KProfile.zero()
-    assert _inner_rhs(spec, zero, t, idx) == 0.0 \
+    assert _rhs(spec.inner_case(), zero, t, idx) == 0.0 \
         == rhs_formula(spec.inner_case(), zero, t)
 
 
