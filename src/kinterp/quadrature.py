@@ -35,6 +35,7 @@ __all__ = [
     "IntegralOverflowError",
     "LogTerm",
     "term_diverges_at_inf",
+    "power_integral",
     "exp_pow_integral",
     "term_value",
     "integrate_terms",
@@ -177,6 +178,18 @@ def _overflow(a: float, beta: float, x1: float, x2: float) -> IntegralOverflowEr
         f"int e^({a!r} x) (1+x)^{beta!r} dx over [{x1!r}, {x2!r}] overflows")
 
 
+def power_integral(beta: float, x1: float, x2: float) -> float:
+    """int_{x1}^{x2} (1+x)^beta dx, [x1,x2] in [0,inf]: the a = 0 case of
+    :func:`exp_pow_integral`; +inf when x2 = inf and beta >= -1."""
+    if x2 == _INF:
+        if beta >= -1.0:
+            return _INF
+        return -((1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
+    if beta == -1.0:
+        return math.log1p(x2) - math.log1p(x1)
+    return ((1.0 + x2) ** (beta + 1.0) - (1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
+
+
 def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float, float]:
     """(value, error) of int_{x1}^{x2} e^{a x} (1+x)^beta dx, [x1,x2] in [0,inf].
 
@@ -187,15 +200,9 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     if x1 == x2:
         return 0.0, 0.0
     if a == 0.0:
-        if x2 == _INF:
-            if beta >= -1.0:
-                raise ValueError("divergent exp_pow_integral")
-            val = -((1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
-            return val, 4e-16 * abs(val)
-        if beta == -1.0:
-            val = math.log1p(x2) - math.log1p(x1)
-        else:
-            val = ((1.0 + x2) ** (beta + 1.0) - (1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
+        if x2 == _INF and beta >= -1.0:
+            raise ValueError("divergent exp_pow_integral")
+        val = power_integral(beta, x1, x2)
         return val, 4e-16 * abs(val)
     if beta == 0.0:
         if x2 == _INF:

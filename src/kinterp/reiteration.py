@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -160,33 +161,47 @@ class ReiterationSpec:
 # ---------------------------------------------------------------------------
 
 class CompositeWeight:
-    """Evaluable reiteration weight; not itself a grammar expression."""
+    """Evaluable reiteration weight; not itself a grammar expression.  Its
+    scalar evaluator is compiled once and not pickled."""
 
     def __init__(self, spec: ReiterationSpec):
         self.spec = spec
 
-    def _index(self, t: float) -> float:
-        val = self.spec.index_value(t)
-        if val is None or not (0.0 < val < _INF):
-            raise ValueError(f"index degenerate at t={t!r}")
-        return val
-
-    def _b1_block(self, t: float) -> float:
+    @cached_property
+    def _compiled(self) -> Callable[[float], float]:
+        """t -> index^expo b(index) b1(t)^(q1/q) block^(1/q1 - 1/q) with the
+        IEEE operations of ``norms.index`` and of ``weight_kernel_integral``
+        of b1 over (t, inf) or (0, t).  On side 0 one b1 tail integral is the
+        block and, to the power 1/q1, the index denominator."""
         s = self.spec
-        if s.side == 0:
-            block = weight_kernel_integral(s.b1, s.q1, 0.0, t, _INF)
-        else:
-            block = weight_kernel_integral(s.b1, s.q1, 0.0, 0.0, t)
-        if block == _INF:
-            raise ValueError("divergent defining integral of the b1 block")
-        return s.b1(t) ** (s.q1 / s.q) * block ** (1.0 / s.q1 - 1.0 / s.q)
+        side0 = s.side == 0
+        kind = "tail" if side0 else "flip"  # eta(t) is a quotient of tails at 1/t
+        num_of, den_of = s.b0._integral(kind, s.q0), s.b1._integral(kind, s.q1)
+        block_of = den_of if side0 else s.b1._integral("head", s.q1)
+        expo = (1.0 - s.theta) if side0 else s.theta
+
+        def value(t: float) -> float:
+            u = t if side0 else 1.0 / t
+            if u <= 0.0:
+                raise ValueError("t must be positive")
+            num, den = num_of(u), den_of(u)
+            num = num ** (1.0 / s.q0) if num != _INF else _INF
+            root = den ** (1.0 / s.q1) if den != _INF else _INF
+            idx = num / root if 0.0 < root < _INF else math.nan
+            if not 0.0 < idx < _INF:
+                raise ValueError(f"index degenerate at t={t!r}")
+            block = den if side0 else block_of(t)
+            if block == _INF:
+                raise ValueError("divergent defining integral of the b1 block")
+            return idx ** expo * s.b(idx) * (
+                s.b1(t) ** (s.q1 / s.q) * block ** (1.0 / s.q1 - 1.0 / s.q))
+        return value
 
     def __call__(self, t) -> float:
-        t = float(t)
-        s = self.spec
-        idx = self._index(t)
-        expo = (1.0 - s.theta) if s.side == 0 else s.theta
-        return idx ** expo * s.b(idx) * self._b1_block(t)
+        return self._compiled(float(t))
+
+    def __getstate__(self) -> dict:
+        return {"spec": self.spec}
 
 
 def build_tilde_b(spec: ReiterationSpec) -> CompositeWeight:

@@ -371,25 +371,30 @@ HARDY_CASES = ("HET1", "HET2", "HET3plus", "HET3")
 
 
 class DivergentIntegralError(ValueError):
-    """QUADPACK reports an opaque integrand's integral as probably divergent."""
+    """QUADPACK reports an opaque integrand's integral as probably divergent,
+    or stops at its subdivision limit."""
 
 
-#: the message scipy's ``quad`` returns for QUADPACK status ier = 5
-_QUADPACK_DIVERGENT = "The integral is probably divergent"
+#: the messages scipy's ``quad`` returns for the QUADPACK statuses that leave
+#: no integral: ier 1 (subdivision limit) and ier 5 (probably divergent)
+_QUADPACK_FAILURES = (
+    ("The maximum number of subdivisions", "ier 1, subdivision limit"),
+    ("The integral is probably divergent", "ier 5, probably divergent"))
 
 
 def _plain_quad(f: Callable[[float], float], lo: float, hi: float) -> float:
     """int_lo^hi f(u) du by QUADPACK; raises :class:`DivergentIntegralError`
-    when QUADPACK reports the integral as probably divergent."""
+    on QUADPACK status ier 1 or 5.  Status ier 2 (roundoff) returns the
+    value."""
     if lo >= hi:
         return 0.0
     val, _, _, *message = _sci_integrate.quad(f, lo, hi, epsabs=1e-13,
                                               epsrel=1e-10, limit=200,
                                               full_output=1)
-    if message and message[0].startswith(_QUADPACK_DIVERGENT):
-        raise DivergentIntegralError(
-            f"QUADPACK reports the integral over ({lo!r}, {hi!r}) as "
-            "probably divergent")
+    for prefix, status in _QUADPACK_FAILURES:
+        if message and message[0].startswith(prefix):
+            raise DivergentIntegralError(
+                f"QUADPACK status {status}, over ({lo!r}, {hi!r})")
     return val
 
 
@@ -419,8 +424,9 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
     Raises ValueError when the case's defining integral diverges.  That probe
     is exact for weight expressions, ``const`` and ``expdecay``; for an opaque
     callable it rests on QUADPACK's status (:func:`_plain_quad` raises
-    :class:`DivergentIntegralError` when QUADPACK reports divergence), so a
-    slowly divergent opaque integrand can still pass it.
+    :class:`DivergentIntegralError` when QUADPACK reports divergence or stops
+    at its subdivision limit), so a slowly divergent opaque integrand can
+    still pass it.
     """
     if case not in HARDY_CASES:
         raise ValueError(f"unknown hardy case {case!r}")

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import GridSpec, LogTerm, STANDARD_GRID, integrate_terms, sup_terms
+from .quadrature import (GridSpec, LogTerm, STANDARD_GRID, integrate_terms,
+                         power_integral, sup_terms)
 
 __all__ = [
     "WeightExpr",
@@ -91,10 +92,10 @@ class WeightExpr:
     """Base class of weight expressions; positive and finite on (0, inf).
 
     Subclasses give their side form through ``_side``; :meth:`side_forms`
-    compiles the (lo, hi) pair once and caches it on the node, and the scalar
-    evaluator built from that pair is cached beside it.  Both caches live
-    outside the dataclass fields, so equality and hashing ignore them; the
-    evaluator (a closure) is also left out of the pickled state.
+    compiles the (lo, hi) pair once and caches it on the node, and the
+    closures built from that pair are cached beside it, in ``_compiled``.
+    Both caches live outside the dataclass fields, so equality and hashing
+    ignore them; the closures are also left out of the pickled state.
     """
 
     def _side(self, side: str) -> SideForm:
@@ -116,11 +117,23 @@ class WeightExpr:
         return _weight_terms(self, q, lo, hi)
 
     @cached_property
-    def _evaluator(self) -> Callable[[float], float]:
-        return _compile_weight(*self.side_forms())
+    def _compiled(self) -> dict:
+        """Compiled closures: "value" (t -> b(t)) and, by (kind, q), those of
+        :meth:`_integral`."""
+        return {"value": _compile_weight(*self.side_forms())}
+
+    def _integral(self, kind: str, q: float) -> Callable[[float], float]:
+        """t -> int_t^inf b(u)^q du/u (``kind`` "tail"), int_0^t ("head"), or
+        the tail of flip(b) ("flip"), compiled on first use."""
+        integral = self._compiled.get((kind, q))
+        if integral is None:
+            integral = _compile_integral(self, kind, q)
+            if q == q:  # a nan key would never be found again
+                self._compiled[kind, q] = integral
+        return integral
 
     def __call__(self, t) -> float:
-        value = self._evaluator
+        value = self._compiled["value"]
         if type(t) is float:
             return value(t)
         if isinstance(t, np.ndarray):
@@ -129,7 +142,7 @@ class WeightExpr:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_evaluator", None)
+        state.pop("_compiled", None)
         return state
 
     def to_text(self) -> str:
@@ -388,9 +401,53 @@ def _weight_terms(b: WeightExpr, q: float, lo: float, hi: float,
     return terms
 
 
+def _compile_integral(b: WeightExpr, kind: str, q: float) -> Callable[[float], float]:
+    """The closure of :meth:`WeightExpr._integral`: at t, the value of
+    ``integrate_terms(_weight_terms(...)).value`` by the same IEEE operations:
+    the :func:`power_integral` of the side of t plus the whole far side,
+    integrated here once (the sum commutes, and no power integral reads the
+    sign of a zero end).  The generic call itself takes a stretched side, a
+    divergent far side, t outside (0, inf) and every non-finite value.
+    """
+    lo, hi = b.side_forms()
+    if kind == "flip":
+        b, lo, hi = Flip(b), hi, lo
+    tail = kind != "head"
+    far, near = (hi, lo) if tail else (lo, hi)
+    far, near = far.scaled(q), near.scaled(q)
+
+    def generic(t: float) -> float:
+        span = (t, _INF) if tail else (0.0, t)
+        return integrate_terms(_weight_terms(b, q, *span)).value
+    whole = _INF if far.gammas else 0.0 + power_integral(far.beta, 0.0, _INF)
+    if not math.isfinite(whole):  # a stretched or a divergent far side
+        return generic
+    b_far, b_near, plain_near = far.beta, near.beta, not near.gammas
+    log, isfinite = math.log, math.isfinite
+
+    def integral(t: float) -> float:
+        if t == 1.0:
+            return whole
+        if not 0.0 < t < _INF:
+            return generic(t)
+        x = abs(log(t))
+        if (t > 1.0) == tail:  # the rest of the far side
+            v = 0.0 + power_integral(b_far, x, _INF)
+        elif plain_near:
+            v = whole + power_integral(b_near, 0.0, x)
+        else:
+            return generic(t)
+        return v if isfinite(v) else generic(t)
+    return integral
+
+
 def weight_kernel_integral(b: WeightExpr, q: float, kernel_power: float,
                            lo: float, hi: float) -> float:
     """int_lo^hi u^kernel_power b(u)^q du/u; +inf when divergent."""
+    if kernel_power == 0.0 and hi == _INF:
+        return b._integral("tail", q)(lo)
+    if kernel_power == 0.0 and lo == 0.0:
+        return b._integral("head", q)(hi)
     return integrate_terms(_weight_terms(b, q, lo, hi, kernel_power)).value
 
 
@@ -402,13 +459,18 @@ def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
         return max(sup_terms([term]) for term in _weight_terms(b, 1.0, t, _INF))
     if q <= 0.0:
         raise ValueError("q must be positive or inf")
-    res = integrate_terms(_weight_terms(b, q, t, _INF))
-    return res.value ** (1.0 / q) if res.value != _INF else _INF
+    value = b._integral("tail", q)(t)
+    return value ** (1.0 / q) if value != _INF else _INF
 
 
 def head_qnorm(b: WeightExpr, q: float, t: float) -> float:
-    """||u^{-1/q} b(u)||_{q,(0,t)}; the exact mirror of the tail norm."""
-    return tail_qnorm(Flip(b), q, 1.0 / t)
+    """||u^{-1/q} b(u)||_{q,(0,t)}; the exact mirror of the tail norm: the
+    tail norm of flip(b) at 1/t, read from b's compiled "flip" integral."""
+    s = 1.0 / t
+    if not (s > 0.0 and 0.0 < q < _INF):  # the supremum, or the error
+        return tail_qnorm(Flip(b), q, s)
+    value = b._integral("flip", q)(s)
+    return value ** (1.0 / q) if value != _INF else _INF
 
 
 # ---------------------------------------------------------------------------

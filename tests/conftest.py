@@ -51,3 +51,19 @@ def far_sup():
         x = mpmath.findroot(lambda x: 5 / (1 + x) - 0.005 / mpmath.sqrt(x), 1e6)
         value = float((1 + x) ** 5 * mpmath.exp(-0.01 * mpmath.sqrt(x)))
     return parse_weight("mul(log(0,5),pow(explog(0.5),-0.01))"), value
+
+
+@pytest.fixture
+def power_pieces(monkeypatch):
+    """(beta, x1, x2) of every power integral the compiled q-norm integrals
+    of the weights compute, in call order."""
+    from kinterp import weights
+    pieces = []
+    power_integral = weights.power_integral
+
+    def recorded(beta, x1, x2):
+        pieces.append((beta, x1, x2))
+        return power_integral(beta, x1, x2)
+
+    monkeypatch.setattr(weights, "power_integral", recorded)
+    return pieces

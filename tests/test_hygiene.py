@@ -1,4 +1,5 @@
-"""Source hygiene checks that need only the standard library."""
+"""Hygiene checks: of the source, with the standard library alone, and of
+the state the weight nodes pickle."""
 
 import ast
 import pathlib
@@ -59,3 +60,20 @@ def _unread_parameters(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+@pytest.mark.parametrize("text", ["one", "log(1,-2)", "explog(0.5)",
+                                  "mul(log(0,-2),explog(0.3))",
+                                  "pow(log(0,-2),2)", "flip(log(-2,0))"])
+def test_weight_pickles_no_compiled_cache(text):
+    # after the scalar evaluator and the q-norm integrals are compiled, the
+    # pickled state is the dataclass fields and the side forms
+    from dataclasses import fields
+
+    from kinterp.weights import head_qnorm, parse_weight, tail_qnorm
+    b = parse_weight(text)
+    b(0.5)
+    tail_qnorm(b, 2.0, 0.5)
+    head_qnorm(b, 2.0, 0.5)
+    assert len(vars(b)["_compiled"]) == 3
+    assert set(b.__getstate__()) == {f.name for f in fields(b)} | {"_side_forms"}

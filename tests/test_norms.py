@@ -36,9 +36,11 @@ def test_limiting_space_requires_class(w_one, w_l02, w_lm20):
 
 
 @pytest.mark.parametrize("theta,beta", [(0.0, -3.0), (1.0, 2.0)])
-def test_limiting_space_check_integrates_one_side(monkeypatch, theta, beta):
+def test_limiting_space_check_integrates_one_side(monkeypatch, power_pieces,
+                                                  theta, beta):
     # log(2,-3): theta = 0 reads the tail (1+x)^-3 only, theta = 1 the head
-    # (1+x)^2 only
+    # (1+x)^2 only.  The compiled q-norm integral computes that side's whole
+    # term once; the divergent head goes on to the generic call.
     from kinterp import weights
     original = weights.integrate_terms
     handed = []
@@ -54,7 +56,8 @@ def test_limiting_space_check_integrates_one_side(monkeypatch, theta, beta):
     else:
         with pytest.raises(ValueError, match="head class"):
             SpaceSpec(theta, 1.0, b)
-    assert [term.beta for term in handed] == [beta]
+    assert power_pieces == [(beta, 0.0, INF)]
+    assert [term.beta for term in handed] == ([] if theta == 0.0 else [beta])
 
 
 # ---------------------------------------------------------------------------

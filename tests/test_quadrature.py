@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kinterp import quadrature
+from kinterp import quadrature, weights
 from kinterp.holmstedt import HolmstedtCase, HypothesisError, equivalence_scan
 from kinterp.profiles import parse_profile
 from kinterp.quadrature import (
@@ -194,10 +194,19 @@ def test_no_memo_after_a_scope_exits(monkeypatch):
 
 def test_no_memo_after_a_scan_raises(monkeypatch, w_l02, w_l01):
     calls = _count_term_values(monkeypatch)
+    in_scope = []  # per compiled power integral: was a memo scope open?
+    power_integral = weights.power_integral
+
+    def recorded(beta, x1, x2):
+        in_scope.append(quadrature._TERM_MEMO.get() is not None)
+        return power_integral(beta, x1, x2)
+
+    monkeypatch.setattr(weights, "power_integral", recorded)
     case = HolmstedtCase("limiting00", 1.0, 2.0, w_l02, w_l01)
     with pytest.raises(HypothesisError):
         equivalence_scan(case, parse_profile("min1"))
-    assert calls  # the scan integrated terms before its hypothesis failed
+    # the scan integrated inside its scope before its hypothesis failed
+    assert any(in_scope)
     _assert_no_memo_active(calls)
 
 

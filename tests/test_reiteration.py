@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from kinterp.profiles import (
     random_rearrangement,
     realize_rearrangement,
 )
-from kinterp.quadrature import GridSpec, term_memo
+from kinterp.norms import weighted_knorm
+from kinterp.quadrature import GridSpec, integrate_terms, term_memo
 from kinterp.reiteration import (
     CompositeWeight,
     LKSpec,
@@ -30,7 +32,8 @@ from kinterp.reiteration import (
     lorentz_karamata_norm,
     reiteration_check,
 )
-from kinterp.weights import Flip, parse_weight, weight_kernel_integral
+from kinterp.weights import (Flip, _weight_terms, parse_weight,
+                             weight_kernel_integral)
 
 INF = math.inf
 
@@ -86,6 +89,100 @@ def test_hat_flip_duality(spec_main):
     hb = build_hat_b(spec_main.flipped())
     for t in (0.05, 1.0, 40.0):
         assert hb(t) == pytest.approx(tb(1.0 / t), rel=1e-12)
+
+
+def _composite_reference(spec: ReiterationSpec, t: float) -> float:
+    """The composite weight as computed before it was compiled: the index
+    of ``norms.index`` and the b1 block of ``weight_kernel_integral``, each
+    integral through ``integrate_terms``."""
+    def integral(w, q, lo, hi):
+        return integrate_terms(_weight_terms(w, q, lo, hi)).value
+
+    def qnorm(w, q, u):
+        if u <= 0.0:
+            raise ValueError("t must be positive")
+        value = integral(w, q, u, INF)
+        return value ** (1.0 / q) if value != INF else INF
+
+    if spec.side == 0:
+        num, den = qnorm(spec.b0, spec.q0, t), qnorm(spec.b1, spec.q1, t)
+    else:
+        num = qnorm(Flip(spec.b0), spec.q0, 1.0 / t)
+        den = qnorm(Flip(spec.b1), spec.q1, 1.0 / t)
+    bad = (num == 0.0 and den == 0.0) or (num == INF and den == INF) \
+        or den == 0.0 or not math.isfinite(den)
+    idx = None if bad else num / den
+    if idx is None or not 0.0 < idx < INF:
+        raise ValueError(f"index degenerate at t={t!r}")
+    if spec.side == 0:
+        block = integral(spec.b1, spec.q1, t, INF)
+    else:
+        block = integral(spec.b1, spec.q1, 0.0, t)
+    if block == INF:
+        raise ValueError("divergent defining integral of the b1 block")
+    expo = (1.0 - spec.theta) if spec.side == 0 else spec.theta
+    return idx ** expo * spec.b(idx) * (spec.b1(t) ** (spec.q1 / spec.q)
+                                        * block ** (1.0 / spec.q1 - 1.0 / spec.q))
+
+
+def _stretched_spec() -> ReiterationSpec:
+    """Side 0 with stretched factors in b0 and b1 (the generic integrals)."""
+    return ReiterationSpec(
+        side=0, theta=0.3, q=1.5, b=parse_weight("log(1,-0.5)"),
+        q0=1.0, b0=parse_weight("mul(log(-2,-1),pow(explog(0.2),-1))"),
+        q1=2.0, b1=parse_weight("mul(log(0,-2.5),pow(explog(0.3),-0.8))"))
+
+
+def _outcome(f, t):
+    """f(t) as the hex of its float, or the type and text of its error."""
+    try:
+        return float(f(t)).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def quadpack_nodes() -> list[float]:
+    """The points QUADPACK asks for in the composite-weight norms of a
+    benchmark-shaped side-0 reiteration check, on two profiles."""
+    spec, nodes = _bench_spec(0), []
+
+    def recorded(t):
+        nodes.append(t)
+        return _composite_reference(spec, t)
+
+    for text in ("min1", PIECEWISE):
+        weighted_knorm(parse_profile(text).curve, 0.0, spec.q, recorded)
+    return nodes
+
+
+@pytest.mark.parametrize("make,stride", [
+    (lambda: _bench_spec(0), 1), (lambda: _bench_spec(1), 1),
+    (_stretched_spec, 12), (lambda: _stretched_spec().flipped(), 12),
+], ids=["bench0", "bench1", "stretched0", "stretched1"])
+def test_composite_weight_equals_its_defining_formula(quadpack_nodes, make,
+                                                      stride):
+    # at QUADPACK's nodes (and their reciprocals, where side 1 asks) and at
+    # the ends of the float range: bit for bit, or the same error; the
+    # stretched specs, whose every integral goes to QUADPACK, on a subset
+    spec = make()
+    composite = CompositeWeight(spec)
+    nodes = quadpack_nodes[::stride]
+    assert len(nodes) > 100
+    for t in nodes + [1.0 / t for t in nodes] + [1e-300, 1.0, 1e300]:
+        assert _outcome(composite, t) == _outcome(
+            lambda u: _composite_reference(spec, u), t)
+    clone = pickle.loads(pickle.dumps(composite))  # the closure is rebuilt
+    assert _outcome(clone, nodes[0]) == _outcome(composite, nodes[0])
+
+
+def test_composite_weight_keeps_the_degenerate_index_error(w_one, w_l02):
+    # the b1 tail integral underflows to 0 far out, so the index is 0/0
+    spec = ReiterationSpec(side=0, theta=0.5, q=1.0, b=w_one, q0=1.0,
+                           b0=w_l02, q1=1.0, b1=parse_weight("log(0,-400)"))
+    with pytest.raises(ValueError, match="index degenerate at t=1e[+]300"):
+        CompositeWeight(spec)(1e300)
+    assert CompositeWeight(spec)(2.0) == _composite_reference(spec, 2.0)
 
 
 def test_side_mismatch(spec_main):
@@ -207,8 +304,11 @@ def test_lk_identification_names_the_head_class(text):
                                 parse_weight(text))
 
 
-def test_lk_identification_integrates_the_head_term_once(monkeypatch):
-    # the head q-norm of b at t = 1 is the only weight q-norm of the check
+def test_lk_identification_integrates_the_head_term_once(monkeypatch,
+                                                         power_pieces):
+    # the head q-norm of b at t = 1 is the only weight q-norm of the check:
+    # its compiled integral computes the one head term once, as a power
+    # integral, and hands integrate_terms nothing
     from kinterp import weights
     original = weights.integrate_terms
     handed = []
@@ -221,7 +321,9 @@ def test_lk_identification_integrates_the_head_term_once(monkeypatch):
     b = parse_weight("log(-2.714,0)")
     rep = lk_identification_check([Rearrangement.indicator(1.0)], 1.0, b)
     assert rep.rows
-    assert handed == Flip(b).log_terms(1.0, INF, 1.0)
+    assert handed == []
+    assert power_pieces == [(term.beta, term.x1, term.x2)
+                            for term in Flip(b).log_terms(1.0, INF, 1.0)]
 
 
 def test_reiteration_mixed_exponents(w_one, w_lm22, w_l02):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from kinterp import quadrature
+from kinterp import quadrature, weights
 from kinterp.cli import run
 from kinterp.config import ExpDecay, load_config, parse_function
 from kinterp.norms import weighted_knorm
@@ -235,6 +235,24 @@ def test_plain_quad_reports_divergence():
         math.exp(-1.0), rel=1e-12)
 
 
+def test_plain_quad_reports_the_subdivision_limit():
+    # QUADPACK stops at its subdivision limit (ier 1) with 145.6 for this
+    # divergent integral; HET2 built a v with v(0.5) = 10606.8 from it
+    with pytest.raises(DivergentIntegralError, match="ier 1"):
+        _plain_quad(lambda t: 1.0 / t, 0.0, 1.0)
+    with pytest.raises(ValueError, match="needs a convergent defining integral"):
+        hardy_build_v("HET2", 2.0, lambda t: 1.0 / t, lambda t: 1.0)
+
+
+def test_plain_quad_keeps_the_value_of_a_roundoff_status(monkeypatch):
+    # ier 2 (roundoff) leaves a usable value, as in acceptance criterion 14
+    message = ("The occurrence of roundoff error is detected, which prevents "
+               "\n  the requested tolerance from being achieved.")
+    monkeypatch.setattr(sci_integrate, "quad",
+                        lambda *args, **kwargs: (1.5, 1e-9, {}, message))
+    assert _plain_quad(lambda t: 1.0, 0.0, 1.0) == 1.5
+
+
 def test_hardy_build_v_rejects_divergent_opaque_input():
     with pytest.raises(ValueError, match="needs a convergent defining integral"):
         hardy_build_v("HET1", 2.0, lambda t: 1.0, lambda t: math.exp(-t))
@@ -390,6 +408,33 @@ def _record_quad(monkeypatch) -> list:
     return keys
 
 
+def _record_compiled_pieces(monkeypatch) -> list:
+    """(weight, kind, q, beta, x1, x2) of every power integral that a
+    compiled q-norm integral computes: its whole far side when it is
+    compiled, and the piece of each evaluation."""
+    keys: list = []
+    owner: list = [None]
+    power_integral = weights.power_integral
+    compile_integral = weights._compile_integral
+
+    def piece(beta, x1, x2):
+        keys.append((*owner[0], beta, x1, x2))
+        return power_integral(beta, x1, x2)
+
+    def compiled(b, kind, q):
+        owner[0] = (b, kind, q)
+        integral = compile_integral(b, kind, q)
+
+        def evaluate(t):
+            owner[0] = (b, kind, q)
+            return integral(t)
+        return evaluate
+
+    monkeypatch.setattr(weights, "power_integral", piece)
+    monkeypatch.setattr(weights, "_compile_integral", compiled)
+    return keys
+
+
 @pytest.mark.parametrize("which,v,w", [
     ("A1", "log(0,-2.121)", "log(0,-2.319)"),
     ("A1", "log(0,-1.577)", "log(0,-2.091)"),
@@ -398,9 +443,12 @@ def _record_quad(monkeypatch) -> list:
 def test_constant_computes_each_integral_once(monkeypatch, which, v, w):
     # constants scenarios of the closed-form benchmark's first draw; the head
     # and tail terms shared by many grid points (such as the whole lower
-    # side for x > 1) are integrated once per call
+    # side for x > 1) are integrated once per call: as canonical terms in
+    # the call's memo scope, or once per compiled q-norm integral, where
+    # A1's plain tails and all of A3 go
     spec = InequalitySpec(p=1.0, q=2.0, v=parse_weight(v), w=parse_weight(w))
     keys = _record_quad(monkeypatch)
+    pieces = _record_compiled_pieces(monkeypatch)
     terms = []
     term_value = quadrature.term_value
 
@@ -411,7 +459,9 @@ def test_constant_computes_each_integral_once(monkeypatch, which, v, w):
     monkeypatch.setattr(quadrature, "term_value", recorded)
     rep = compute_constant(spec, which)
     assert 0.0 < rep.value < INF
-    assert terms and len(terms) == len(set(terms))
+    assert pieces and len(pieces) == len(set(pieces))
+    assert (terms if which == "A1" else not terms)
+    assert len(terms) == len(set(terms))
     assert len(keys) == len(set(keys))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kinterp.quadrature import GridSpec
+from kinterp.quadrature import GridSpec, integrate_terms
 from kinterp.weights import (
     ExpLog,
     Flip,
@@ -17,6 +17,7 @@ from kinterp.weights import (
     PreconditionError,
     Product,
     WeightSyntaxError,
+    _weight_terms,
     classify,
     head_qnorm,
     parse_weight,
@@ -400,10 +401,74 @@ def test_compiled_evaluator_rejects_points_outside_domain(t):
 
 @pytest.mark.parametrize("text,n_gammas", _EVAL_SHAPES)
 def test_evaluated_weight_keeps_equality_repr_and_pickling(text, n_gammas):
+    # after its scalar evaluator and its q-norm integrals are compiled
     fresh, b = parse_weight(text), parse_weight(text)
     b(2.5)
+    norms = [(tail_qnorm(b, q, t), head_qnorm(b, q, t),
+              weight_kernel_integral(b, q, 0.0, 0.0, t))
+             for q in (1.0, 2.0) for t in (0.3, 1.0, 2.5)]
     assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
     for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
         assert clone == b and hash(clone) == hash(b) and repr(clone) == repr(b)
         for t in (1e-6, 0.3, 1.0, 2.5, 1e6):
             assert clone(t) == b(t)
+        assert [(tail_qnorm(clone, q, t), head_qnorm(clone, q, t),
+                 weight_kernel_integral(clone, q, 0.0, 0.0, t))
+                for q in (1.0, 2.0) for t in (0.3, 1.0, 2.5)] == norms
+
+
+# (weight, log-uniform draws of t per q): plain sides, beta q = -1 on a
+# finite piece (log1p: lo at q = 1 and 0.5, hi at q = 1), a divergent hi
+# side (q <= 2), a lo piece that overflows (q = 3, t = 1e-300) and a
+# stretched side, which goes through the generic call
+_INTEGRAL_WEIGHTS = [
+    ("log(-2,-3)", 250),
+    ("log(-1,-2)", 250),
+    ("log(-2,-1)", 250),
+    ("mul(log(1,-2),log(-0.5,-1.5))", 250),
+    ("pow(log(0.5,-1.5),2)", 250),
+    ("flip(log(-3,-1.2))", 250),
+    ("log(0.5,-0.5)", 250),
+    ("log(60,-4)", 250),
+    ("mul(log(0,-2),pow(explog(0.3),-1))", 30),
+]
+
+
+def _outcome(f):
+    """f() as the hex of its float, or the type and text of its error."""
+    try:
+        return float(f()).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text,draws", _INTEGRAL_WEIGHTS)
+def test_compiled_integrals_equal_the_generic_call(text, draws):
+    # tail_qnorm, head_qnorm and the two kernel-power-0 weight_kernel_integral
+    # calls read the compiled integrals; each must be bit for bit the
+    # integrate_terms computation (QUADPACK included) and fail as it does
+    b = parse_weight(text)
+    rng = np.random.default_rng(len(text))
+    ts = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e-300, 1e300]
+    ts += np.exp(rng.uniform(-690.0, 690.0, draws)).tolist()
+
+    def generic(w, q, lo, hi):
+        return integrate_terms(_weight_terms(w, q, lo, hi)).value
+
+    def root(w, q, t):
+        value = generic(w, q, t, INF)
+        return value ** (1.0 / q) if value != INF else INF
+
+    n = 0
+    for q in (0.5, 1.0, 1.7, 2.0, 3.0):
+        for t in ts:
+            assert _outcome(lambda: weight_kernel_integral(b, q, 0.0, t, INF)) \
+                == _outcome(lambda: generic(b, q, t, INF))
+            assert _outcome(lambda: weight_kernel_integral(b, q, 0.0, 0.0, t)) \
+                == _outcome(lambda: generic(b, q, 0.0, t))
+            assert _outcome(lambda: tail_qnorm(b, q, t)) \
+                == _outcome(lambda: root(b, q, t))
+            assert _outcome(lambda: head_qnorm(b, q, t)) \
+                == _outcome(lambda: root(Flip(b), q, 1.0 / t))
+            n += 1
+    assert n == 5 * (draws + 5)
