@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ConfigError, Scenario, load_config, parse_grid
+from .config import (KINDS, ConfigError, Scenario, _validate, load_config,
+                     parse_grid)
 from .holmstedt import (
     HolmstedtCase,
     HypothesisError,
@@ -233,21 +234,16 @@ def run(scenarios: list[Scenario], out_dir: str = ".",
 # argparse front end
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--grid", default=None,
-                    help="tmin,tmax,points_per_decade")
-    sp.add_argument("--out", default=None, help="CSV output path")
-    sp.add_argument("--out-dir", default=".", help="directory for outputs")
-    sp.add_argument("--seed", type=int, default=None)
-
-
-def _scenario_from_args(kind: str, args: argparse.Namespace,
-                        params: dict) -> Scenario:
+def _scenario_from_args(kind: str, args: argparse.Namespace) -> Scenario:
+    keys = KINDS[kind].required + KINDS[kind].optional
+    params = {key: getattr(args, key) for key in keys
+              if getattr(args, key) is not None}
+    try:
+        grid = parse_grid(args.grid) if args.grid else SCAN_GRID
+    except ValueError as exc:
+        raise ConfigError(f"--grid: {exc}", 0) from None
     s = Scenario(kind=kind, name=f"cli-{kind}", params=params, line=0,
-                 out=args.out,
-                 grid=parse_grid(args.grid) if args.grid else SCAN_GRID,
-                 seed=args.seed)
-    from .config import _validate
+                 out=args.out, grid=grid, seed=args.seed)
     _validate(s)
     return s
 
@@ -264,81 +260,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--summary", default="summary.json")
     p_run.add_argument("--quiet", action="store_true")
 
-    p_h = sub.add_parser("holmstedt", help="equivalence scan for one case")
-    p_h.add_argument("--case", required=True)
-    p_h.add_argument("--profile", required=True)
-    p_h.add_argument("--b0", required=True)
-    p_h.add_argument("--q0", required=True)
-    p_h.add_argument("--b1", required=True)
-    p_h.add_argument("--q1", required=True)
-    p_h.add_argument("--theta", default=None)
-    p_h.add_argument("--theta0", default=None)
-    p_h.add_argument("--theta1", default=None)
-    p_h.add_argument("--max-variation", default=None)
-    _add_common(p_h)
-
-    p_n = sub.add_parser("negative-demo", help="equal-theta incompatibility table")
-    for flag in ("--theta", "--q0", "--q1", "--b0", "--b1"):
-        p_n.add_argument(flag, required=True)
-    _add_common(p_n)
-
-    p_r = sub.add_parser("reiterate", help="reiteration identity check")
-    p_r.add_argument("--side", required=True)
-    p_r.add_argument("--theta", required=True)
-    p_r.add_argument("--q", required=True)
-    p_r.add_argument("--b", required=True)
-    p_r.add_argument("--q0", required=True)
-    p_r.add_argument("--b0", required=True)
-    p_r.add_argument("--q1", required=True)
-    p_r.add_argument("--b1", required=True)
-    p_r.add_argument("--profiles", default=None,
-                     help="file with one profile literal per line")
-    _add_common(p_r)
-
-    p_l = sub.add_parser("lk-check", help="limiting Lorentz-Karamata identification")
-    p_l.add_argument("--q", required=True)
-    p_l.add_argument("--b", required=True)
-    p_l.add_argument("--rearrangements", default=None)
-    p_l.add_argument("--count", default=None)
-    _add_common(p_l)
-
-    p_s = sub.add_parser("sv-check", help="classify a weight expression")
-    p_s.add_argument("--weight", required=True)
-    p_s.add_argument("--q", required=True)
-    _add_common(p_s)
-
-    p_c = sub.add_parser("constants", help="best constants of the base inequality")
-    for flag in ("--p", "--q", "--v", "--w", "--which"):
-        p_c.add_argument(flag, required=True)
-    _add_common(p_c)
-
-    p_hy = sub.add_parser("hardy-check", help="constructed-weight Hardy inequality sampling")
-    for flag in ("--case", "--alpha", "--w", "--phi"):
-        p_hy.add_argument(flag, required=True)
-    p_hy.add_argument("--samples", default=None)
-    _add_common(p_hy)
+    # one subcommand per scenario kind, one flag per key of its config block
+    for kind, spec in KINDS.items():
+        sp = sub.add_parser(kind, help=spec.help)
+        for key in spec.required + spec.optional:
+            sp.add_argument("--" + key.replace("_", "-"),
+                            required=key in spec.required)
+        sp.add_argument("--grid", help="tmin,tmax,points_per_decade")
+        sp.add_argument("--out", help="CSV output path")
+        sp.add_argument("--out-dir", default=".", help="directory for outputs")
+        sp.add_argument("--seed", type=int)
+        sp.set_defaults(summary=None, quiet=False)
 
     args = parser.parse_args(argv)
-
-    if args.command == "run":
-        try:
-            scenarios = load_config(args.config)
-        except (ConfigError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        return run(scenarios, out_dir=args.out_dir, summary_path=args.summary,
-                   quiet=args.quiet)
-
-    kind = args.command
-    # every flag of a subcommand but the common output ones is a scenario key
-    params = {key: val for key, val in vars(args).items() if val is not None
-              and key not in ("command", "grid", "out", "out_dir", "seed")}
     try:
-        scenario = _scenario_from_args(kind, args, params)
-    except ConfigError as exc:
+        scenarios = (load_config(args.config) if args.command == "run"
+                     else [_scenario_from_args(args.command, args)])
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run([scenario], out_dir=args.out_dir, summary_path=None)
+    return run(scenarios, out_dir=args.out_dir, summary_path=args.summary,
+               quiet=args.quiet)
 
 
 if __name__ == "__main__":

@@ -13,16 +13,16 @@ and holds ``key = value`` lines.  ``#`` starts a comment.  Example::
     grid = 1e-6,1e6,13
     out = tail-pair.csv
 
-Scenario kinds: sv-check, norm, holmstedt, negative-demo, reiterate,
-lk-check, hardy-check, constants.  All parameters are validated while
-loading, before any computation starts.
+Every block also takes ``out``, ``grid`` and ``seed``; :data:`KINDS` lists
+each scenario kind with the keys it takes, and any other key is an error.
+All parameters are validated while loading, before any computation starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .holmstedt import CASE_KINDS, HolmstedtCase
 from .profiles import KProfile, parse_profile, realize_rearrangement
@@ -32,10 +32,37 @@ from .weighted_ineq import HARDY_CASES, InequalitySpec
 from .weights import WeightExpr, WeightSyntaxError, parse_weight
 
 __all__ = ["Scenario", "ConfigError", "load_config", "parse_grid",
-           "parse_function", "Const", "ExpDecay"]
+           "parse_function", "Const", "ExpDecay", "KINDS"]
 
-SCENARIO_KINDS = ("sv-check", "norm", "holmstedt", "negative-demo",
-                  "reiterate", "lk-check", "hardy-check", "constants")
+
+class Kind(NamedTuple):
+    help: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+#: every scenario kind, with its one-line help and the keys of its block
+KINDS = {
+    "sv-check": Kind("classify a weight expression", ("weight", "q"),
+                     ("expect_sv0q", "expect_sv1q")),
+    "norm": Kind("the quasi-norm of one profile in one space",
+                 ("profile", "theta", "q", "b")),
+    "holmstedt": Kind("equivalence scan for one case",
+                      ("case", "q0", "b0", "q1", "b1", "profile"),
+                      ("theta", "theta0", "theta1", "max_variation")),
+    "negative-demo": Kind("equal-theta incompatibility table",
+                          ("theta", "q0", "q1", "b0", "b1")),
+    "reiterate": Kind("reiteration identity check",
+                      ("side", "theta", "q", "b", "q0", "b0", "q1", "b1"),
+                      ("profiles", "max_variation")),
+    "lk-check": Kind("limiting Lorentz-Karamata identification", ("q", "b"),
+                     ("rearrangements", "count")),
+    "hardy-check": Kind("constructed-weight Hardy inequality sampling",
+                        ("case", "alpha", "w", "phi"), ("samples", "max_ratio")),
+    "constants": Kind("best constants of the base inequality",
+                      ("p", "q", "v", "w", "which"), ("expect", "tol")),
+}
+SCENARIO_KINDS = tuple(KINDS)
 
 
 class ConfigError(ValueError):
@@ -128,18 +155,6 @@ def _parse_scalar(value: str, line: int, key: str) -> float:
         raise ConfigError(f"{key} must be a number", line) from None
 
 
-_REQUIRED = {
-    "sv-check": ("weight", "q"),
-    "norm": ("profile", "theta", "q", "b"),
-    "holmstedt": ("case", "q0", "b0", "q1", "b1", "profile"),
-    "negative-demo": ("theta", "q0", "q1", "b0", "b1"),
-    "reiterate": ("side", "theta", "q", "b", "q0", "b0", "q1", "b1"),
-    "lk-check": ("q", "b"),
-    "hardy-check": ("case", "alpha", "w", "phi"),
-    "constants": ("p", "q", "v", "w", "which"),
-}
-
-
 def _validate(s: Scenario) -> None:
     """Type-check and pre-build every parameter the runner will need."""
     line = s.line
@@ -148,7 +163,12 @@ def _validate(s: Scenario) -> None:
     def anchor(key: str) -> int:
         return s.key_lines.get(key, line)
 
-    for key in _REQUIRED[s.kind]:
+    kind = KINDS[s.kind]
+    for key in p:
+        if key not in kind.required and key not in kind.optional:
+            raise ConfigError(f"{s.kind} scenario has unknown key {key!r}",
+                              anchor(key))
+    for key in kind.required:
         if key not in p:
             raise ConfigError(f"{s.kind} scenario needs key {key!r}", line)
 
@@ -199,7 +219,7 @@ def _validate(s: Scenario) -> None:
         elif s.kind == "lk-check":
             p["_q"] = scalar("q")
             p["_b"] = weight("b")
-            p["_lk"] = LKSpec(math.inf, p["_q"], p["_b"])
+            LKSpec(math.inf, p["_q"], p["_b"])  # validates q and b
             if "rearrangements" in p:
                 p["_suite"] = [realize_rearrangement(prof)
                                for prof in _load_profiles(p["rearrangements"], line)]

@@ -77,7 +77,6 @@ class ConstantReport:
     which: str
     value: float
     argmax: Optional[float] = None
-    profile: list[tuple[float, float]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +90,16 @@ def _bracket(b: WeightExpr, r: float, x: float) -> float:
     if head == _INF or tail == _INF:
         return _INF
     return head + x ** r * tail
+
+
+def _tail_quotient(spec: InequalitySpec, x: float) -> float:
+    """The A3 ratio ||u^{-1/q} w||_{q,(x,inf)} / ||u^{-1/p} v||_{p,(x,inf)};
+    0.0 where the numerator diverges or the denominator is 0 or +inf."""
+    num = tail_qnorm(spec.w, spec.q, x)
+    den = tail_qnorm(spec.v, spec.p, x)
+    if num == _INF or den == 0.0 or den == _INF:
+        return 0.0
+    return num / den
 
 
 def _sup_on_grid(ratio: Callable[[float], float], grid: GridSpec
@@ -184,13 +193,7 @@ def compute_constant(spec: InequalitySpec, which: str,
             return ConstantReport("A1", value, argmax)
 
         if which == "A3":
-            def ratio(x: float) -> float:
-                num = tail_qnorm(w, q, x)
-                den = tail_qnorm(v, p, x)
-                if num == _INF or den == 0.0 or den == _INF:
-                    return 0.0
-                return num / den
-            value, argmax = _sup_on_grid(ratio, grid)
+            value, argmax = _sup_on_grid(lambda x: _tail_quotient(spec, x), grid)
             return ConstantReport("A3", value, argmax)
 
         expo = q / (p - q)
@@ -246,13 +249,7 @@ def best_constant_probe(spec: InequalitySpec, which: str,
         return max(quasiconcave_ratio(spec, _min_profile(float(x)))
                    for x in x_grid)
     if which == "A3":
-        best = 0.0
-        for x in x_grid:
-            num = tail_qnorm(spec.w, spec.q, float(x))
-            den = tail_qnorm(spec.v, spec.p, float(x))
-            if num != _INF and den not in (0.0, _INF):
-                best = max(best, num / den)
-        return best
+        return max([0.0] + [_tail_quotient(spec, float(x)) for x in x_grid])
     raise ValueError("probe supports A1 and A3")
 
 
@@ -295,18 +292,9 @@ def window_condition(spec: InequalitySpec, side: str,
                                           <= grid.t_max):
         raise ValueError("window_t must lie inside the evaluation grid")
 
-    def a3_ratio(x: float) -> float:
-        num = tail_qnorm(w, q, x)
-        den = tail_qnorm(v, p, x)
-        if num == _INF:
-            return _INF
-        if den in (0.0, _INF):
-            return 0.0
-        return num / den
-
     rows: list[tuple[float, float, float]] = []
     if p <= q:
-        vals = [a3_ratio(float(t)) for t in ts]
+        vals = [_tail_quotient(spec, float(t)) for t in ts]
         if side == "head":
             run: list[float] = []
             acc = 0.0
@@ -435,16 +423,14 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
     if case in ("HET3plus", "HET3") and not 0.0 < alpha < 1.0:
         raise ValueError(f"{case} requires 0 < alpha < 1")
 
-    zero_w = w(0.5) == 0.0 and w(2.0) == 0.0 and w(17.0) == 0.0
-    if not zero_w:
-        f, lo, hi = {"HET1": (w, 1.0, _INF), "HET2": (w, 0.0, 1.0),
-                     "HET3plus": (w, 1.0, _INF), "HET3": (phi, 1.0, _INF)}[case]
-        try:
-            probe = _integral(f, lo, hi)
-        except DivergentIntegralError:
-            probe = _INF
-        if not math.isfinite(probe):
-            raise ValueError(f"{case} needs a convergent defining integral")
+    f, lo, hi = {"HET1": (w, 1.0, _INF), "HET2": (w, 0.0, 1.0),
+                 "HET3plus": (w, 1.0, _INF), "HET3": (phi, 1.0, _INF)}[case]
+    try:
+        probe = _integral(f, lo, hi)
+    except DivergentIntegralError:
+        probe = _INF
+    if not math.isfinite(probe):
+        raise ValueError(f"{case} needs a convergent defining integral")
 
     if case == "HET1":
         def v(t: float) -> float:

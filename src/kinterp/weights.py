@@ -14,7 +14,7 @@ closed-form quadrature consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -132,13 +132,8 @@ class WeightExpr:
                 self._compiled[kind, q] = integral
         return integral
 
-    def __call__(self, t) -> float:
-        value = self._compiled["value"]
-        if type(t) is float:
-            return value(t)
-        if isinstance(t, np.ndarray):
-            return np.array([value(float(u)) for u in t])
-        return value(float(t))
+    def __call__(self, t: float) -> float:
+        return self._compiled["value"](t if type(t) is float else float(t))
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -146,7 +141,12 @@ class WeightExpr:
         return state
 
     def to_text(self) -> str:
-        raise NotImplementedError
+        """The grammar text of this node, which parses back to an equal one."""
+        name, kinds = _NAMES[type(self)]
+        args = (getattr(self, f.name) for f in fields(self))
+        text = ",".join(a.to_text() if kind == "w" else _fmt(a)
+                        for kind, a in zip(kinds, args))
+        return f"{name}({text})" if kinds else name
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()!r})"
@@ -157,9 +157,6 @@ class One(WeightExpr):
     def _side(self, side: str) -> SideForm:
         return SideForm()
 
-    def to_text(self) -> str:
-        return "one"
-
 
 @dataclass(frozen=True, repr=False)
 class PowerLog(WeightExpr):
@@ -168,9 +165,6 @@ class PowerLog(WeightExpr):
 
     def _side(self, side: str) -> SideForm:
         return SideForm(self.alpha0 if side == "lo" else self.alpha_inf)
-
-    def to_text(self) -> str:
-        return f"log({_fmt(self.alpha0)},{_fmt(self.alpha_inf)})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -184,9 +178,6 @@ class ExpLog(WeightExpr):
     def _side(self, side: str) -> SideForm:
         return SideForm(0.0, ((self.alpha, 1.0),))
 
-    def to_text(self) -> str:
-        return f"explog({_fmt(self.alpha)})"
-
 
 @dataclass(frozen=True, repr=False)
 class Product(WeightExpr):
@@ -195,9 +186,6 @@ class Product(WeightExpr):
 
     def _side(self, side: str) -> SideForm:
         return self.left.side(side).combined(self.right.side(side))
-
-    def to_text(self) -> str:
-        return f"mul({self.left.to_text()},{self.right.to_text()})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -212,9 +200,6 @@ class Power(WeightExpr):
     def _side(self, side: str) -> SideForm:
         return self.base.side(side).scaled(self.r)
 
-    def to_text(self) -> str:
-        return f"pow({self.base.to_text()},{_fmt(self.r)})"
-
 
 @dataclass(frozen=True, repr=False)
 class Flip(WeightExpr):
@@ -223,8 +208,18 @@ class Flip(WeightExpr):
     def _side(self, side: str) -> SideForm:
         return self.inner.side("hi" if side == "lo" else "lo")
 
-    def to_text(self) -> str:
-        return f"flip({self.inner.to_text()})"
+
+#: the grammar: each constructor's node class and its argument kinds, "w"
+#: for a weight and "n" for a number, in the order of the node's fields
+_CONSTRUCTORS = {
+    "one": (One, ""),
+    "log": (PowerLog, "nn"),
+    "explog": (ExpLog, "n"),
+    "mul": (Product, "ww"),
+    "pow": (Power, "wn"),
+    "flip": (Flip, "w"),
+}
+_NAMES = {cls: (name, kinds) for name, (cls, kinds) in _CONSTRUCTORS.items()}
 
 
 def _fmt(x: float) -> str:
@@ -325,46 +320,19 @@ class _Parser:
 
     def expr(self) -> WeightExpr:
         name = self.ident()
-        if name == "one":
-            return One()
-        if name == "log":
-            self.expect("(")
-            a0 = self.number()
-            self.expect(",")
-            ai = self.number()
+        if name not in _CONSTRUCTORS:
+            raise self.error(f"unknown weight constructor {name!r}")
+        cls, kinds = _CONSTRUCTORS[name]
+        args = []
+        for i, kind in enumerate(kinds):
+            self.expect("," if i else "(")
+            args.append(self.expr() if kind == "w" else self.number())
+        if kinds:
             self.expect(")")
-            return PowerLog(a0, ai)
-        if name == "explog":
-            self.expect("(")
-            a = self.number()
-            self.expect(")")
-            try:
-                return ExpLog(a)
-            except ValueError as exc:
-                raise self.error(str(exc)) from None
-        if name == "mul":
-            self.expect("(")
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return Product(left, right)
-        if name == "pow":
-            self.expect("(")
-            base = self.expr()
-            self.expect(",")
-            r = self.number()
-            self.expect(")")
-            try:
-                return Power(base, r)
-            except ValueError as exc:
-                raise self.error(str(exc)) from None
-        if name == "flip":
-            self.expect("(")
-            inner = self.expr()
-            self.expect(")")
-            return Flip(inner)
-        raise self.error(f"unknown weight constructor {name!r}")
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
 
 def parse_weight(text: str) -> WeightExpr:

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from kinterp import cli
 from kinterp.cli import main
-from kinterp.config import ConfigError, load_config
+from kinterp.config import KINDS, ConfigError, load_config
 
 FULL_CONFIG = textwrap.dedent("""\
     # exercises every scenario kind
@@ -130,6 +132,40 @@ def test_load_config_rejects_infinite_q_reiteration(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_rejects_unknown_key(tmp_path):
+    # a misspelled max_variation used to be dropped, and the scan passed
+    # under the default bound
+    path = tmp_path / "typo.cfg"
+    path.write_text(textwrap.dedent("""\
+        [holmstedt pair]
+        case = limiting00
+        q0 = 1
+        b0 = log(0,-2)
+        q1 = 2
+        b1 = log(0,-2)
+        profile = min1
+        max_varation = 1.0
+        """))
+    with pytest.raises(ConfigError, match="unknown key 'max_varation'") as exc:
+        load_config(str(path))
+    assert exc.value.line == 8
+    assert main(["run", str(path), "--quiet"]) == 2
+
+
+def test_every_kind_has_a_runner():
+    assert set(cli._RUNNERS) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_subcommand_flags_are_the_config_keys(kind, capsys):
+    with pytest.raises(SystemExit):
+        main([kind, "--help"])
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    keys = KINDS[kind].required + KINDS[kind].optional
+    assert flags == {"--" + key.replace("_", "-") for key in keys} \
+        | {"--help", "--grid", "--out", "--out-dir", "--seed"}
+
+
 def test_run_exit_codes(tmp_path, config_file):
     out = tmp_path / "out"
     code = main(["run", config_file, "--out-dir", str(out), "--quiet"])
@@ -222,6 +258,41 @@ def test_subcommand_lk_check(tmp_path):
     code = main(["lk-check", "--q", "1", "--b", "log(-2,0)", "--count", "3",
                  "--seed", "5", "--out", "lk.csv", "--out-dir", str(tmp_path)])
     assert code == 0
+
+
+def test_subcommand_norm(tmp_path):
+    code = main(["norm", "--profile", "min1", "--theta", "0", "--q", "1",
+                 "--b", "log(0,-2)", "--out", "norm.csv",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    header, row = (tmp_path / "norm.csv").read_text().splitlines()
+    assert header == "profile,norm" and float(row.split(",")[1]) > 0.0
+
+
+@pytest.mark.parametrize("expect,code", [("true", 0), ("false", 1)])
+def test_subcommand_sv_check(tmp_path, expect, code):
+    assert main(["sv-check", "--weight", "log(0,-2)", "--q", "1",
+                 "--expect-sv0q", expect, "--out-dir", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("expect,code", [("0.61237", 0), ("0.7", 1)])
+def test_subcommand_constants(tmp_path, expect, code):
+    assert main(["constants", "--p", "1", "--q", "2", "--v", "log(0,-2)",
+                 "--w", "log(0,-2)", "--which", "A3", "--expect", expect,
+                 "--tol", "1e-3", "--out-dir", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("max_ratio,code", [("10", 0), ("1e-9", 1)])
+def test_subcommand_hardy_check(tmp_path, max_ratio, code):
+    assert main(["hardy-check", "--case", "HET1", "--alpha", "2",
+                 "--w", "expdecay(1)", "--phi", "const(1)", "--samples", "4",
+                 "--seed", "11", "--max-ratio", max_ratio,
+                 "--out-dir", str(tmp_path)]) == code
+
+
+def test_subcommand_bad_grid_is_a_config_error(tmp_path):
+    assert main(["norm", "--profile", "min1", "--theta", "0", "--q", "1",
+                 "--b", "one", "--grid", "1,2", "--out-dir", str(tmp_path)]) == 2
 
 
 def test_console_entry_point():

@@ -77,3 +77,21 @@ def test_weight_pickles_no_compiled_cache(text):
     head_qnorm(b, 2.0, 0.5)
     assert len(vars(b)["_compiled"]) == 3
     assert set(b.__getstate__()) == {f.name for f in fields(b)} | {"_side_forms"}
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # the benchmark's tracer rebinds these names by attribute; a deleted or
+    # renamed one would break its traced runs
+    import importlib.util
+    import sys
+
+    import kinterp.cli  # noqa: F401  (loads every module the targets name)
+    path = SRC.parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    for target in spans.TARGETS:
+        (owner, attr, original), *_ = spans.binding_sites(target)
+        assert callable(original), (target.owner, attr)
+    assert spans.snapshot()

@@ -227,6 +227,14 @@ def test_hardy_build_v_rejects_divergent_structured_inputs():
                       parse_function("const(1)"))
 
 
+def test_hardy_build_v_probes_phi_when_w_vanishes():
+    # HET3 is defined through int_1^inf phi, which diverges for phi = 1
+    # whatever w is
+    with pytest.raises(ValueError, match="HET3 needs a convergent defining"):
+        hardy_build_v("HET3", 0.5, parse_function("const(0)"),
+                      parse_function("const(1)"))
+
+
 def test_plain_quad_reports_divergence():
     # QUADPACK's value here is -1.0; its status says "probably divergent"
     with pytest.raises(DivergentIntegralError):

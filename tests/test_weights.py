@@ -375,7 +375,6 @@ def test_compiled_evaluator_equals_side_form_value(text, n_gammas):
     ts = np.exp(np.random.default_rng(7).uniform(-30.0, 30.0, 100_003))
     want = [ref(t) for t in ts.tolist()]
     assert [b(t) for t in ts.tolist()] == want
-    assert b(ts).tolist() == want
     assert b(1.0) == ref(1.0) == 1.0
 
 
@@ -384,10 +383,6 @@ def test_compiled_evaluator_input_types():
     for t in (np.float64(2.5), 3, 7.0, np.int64(5)):
         got = b(t)
         assert type(got) is float and got == b(float(t))
-    ts = np.array([0.25, 1.0, 3.0])
-    got = b(ts)
-    assert isinstance(got, np.ndarray) and got.dtype == np.float64
-    assert got.tolist() == [b(0.25), b(1.0), b(3.0)]
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, -2.0, math.nan, math.inf, -math.inf])
@@ -395,8 +390,6 @@ def test_compiled_evaluator_rejects_points_outside_domain(t):
     b = parse_weight("explog(0.5)")
     with pytest.raises(ValueError, match="defined on"):
         b(t)
-    with pytest.raises(ValueError, match="defined on"):
-        b(np.array([1.0, t]))
 
 
 @pytest.mark.parametrize("text,n_gammas", _EVAL_SHAPES)
