@@ -55,7 +55,7 @@ from .weighted_ineq import (
 from .holmstedt import (
     HolmstedtCase,
     HypothesisError,
-    ScanReport,
+    RatioReport,
     rhs_formula,
     lhs_decomposition,
     equivalence_scan,

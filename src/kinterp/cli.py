@@ -17,8 +17,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import (KINDS, ConfigError, Scenario, _validate, load_config,
-                     parse_grid)
+from .config import (KINDS, ConfigError, Scenario, _parse_int, _validate,
+                     load_config, parse_grid)
 from .holmstedt import (
     HolmstedtCase,
     HypothesisError,
@@ -113,10 +113,10 @@ def _run_holmstedt(s: Scenario):
         return False, {"error": str(exc), "condition": exc.condition}, None
     limit = s.params["_max_variation"]
     passed = rep.variation <= limit and rep.rows != []
-    summary = {"case": rep.case, "rows": len(rep.rows), "skipped": rep.skipped,
+    summary = {"case": rep.label, "rows": len(rep.rows), "skipped": rep.skipped,
                "ratio_min": rep.ratio_min, "ratio_max": rep.ratio_max,
                "variation": rep.variation, "notes": rep.notes}
-    return passed, summary, _csv(["t", "lhs", "rhs", "ratio"], rep.csv_rows())
+    return passed, summary, _csv(["t", "lhs", "rhs", "ratio"], rep.rows)
 
 
 def _run_negative_demo(s: Scenario):
@@ -126,7 +126,7 @@ def _run_negative_demo(s: Scenario):
                "swapped": rep.swapped, "growth_ratio": rep.growth_ratio,
                "monotone_decades": rep.monotone_decades, "note": rep.note}
     return rep.confirmed, summary, \
-        _csv(["t", "head_bound", "upper_bound", "M"], rep.csv_rows())
+        _csv(["t", "head_bound", "upper_bound", "M"], rep.rows)
 
 
 def _run_reiterate(s: Scenario):
@@ -141,7 +141,7 @@ def _run_reiterate(s: Scenario):
     except HypothesisError as exc:
         return False, {"error": str(exc), "condition": exc.condition}, None
     passed = rep.rows != [] and rep.variation <= s.params["_max_variation"]
-    summary = {"spec": rep.spec_label, "variation": rep.variation,
+    summary = {"spec": rep.label, "variation": rep.variation,
                "skipped": rep.skipped, "notes": rep.notes}
     return passed, summary, _csv(["profile", "lhs", "rhs", "ratio"], rep.rows)
 
@@ -242,8 +242,9 @@ def _scenario_from_args(kind: str, args: argparse.Namespace) -> Scenario:
         grid = parse_grid(args.grid) if args.grid else SCAN_GRID
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}", 0) from None
+    seed = None if args.seed is None else _parse_int(args.seed, 0, "seed", 0)
     s = Scenario(kind=kind, name=f"cli-{kind}", params=params, line=0,
-                 out=args.out, grid=grid, seed=args.seed)
+                 out=args.out, grid=grid, seed=seed)
     _validate(s)
     return s
 
@@ -269,7 +270,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sp.add_argument("--grid", help="tmin,tmax,points_per_decade")
         sp.add_argument("--out", help="CSV output path")
         sp.add_argument("--out-dir", default=".", help="directory for outputs")
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed")
         sp.set_defaults(summary=None, quiet=False)
 
     args = parser.parse_args(argv)

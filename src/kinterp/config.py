@@ -155,6 +155,14 @@ def _parse_scalar(value: str, line: int, key: str) -> float:
         raise ConfigError(f"{key} must be a number", line) from None
 
 
+def _parse_int(value: str, line: int, key: str, least: int) -> int:
+    """An integral, finite value of at least ``least``."""
+    v = _parse_scalar(value, line, key)
+    if not (math.isfinite(v) and v == int(v) and v >= least):
+        raise ConfigError(f"{key} must be an integer >= {least}", line)
+    return int(v)
+
+
 def _validate(s: Scenario) -> None:
     """Type-check and pre-build every parameter the runner will need."""
     line = s.line
@@ -184,6 +192,12 @@ def _validate(s: Scenario) -> None:
             return default
         return _parse_scalar(p[key], anchor(key), key)
 
+    def integer(key: str, least: int, default: Optional[int] = None
+                ) -> Optional[int]:
+        if key not in p:
+            return default
+        return _parse_int(p[key], anchor(key), key, least)
+
     try:
         if s.kind == "sv-check":
             p["_weight"] = weight("weight")
@@ -208,9 +222,8 @@ def _validate(s: Scenario) -> None:
                 raise ValueError("negative-demo needs q0 != q1")
             p["_b0"], p["_b1"] = weight("b0"), weight("b1")
         elif s.kind == "reiterate":
-            side = int(scalar("side"))
             p["_spec"] = ReiterationSpec(
-                side=side, theta=scalar("theta"), q=scalar("q"),
+                side=integer("side", 0), theta=scalar("theta"), q=scalar("q"),
                 b=weight("b"), q0=scalar("q0"), b0=weight("b0"),
                 q1=scalar("q1"), b1=weight("b1"))
             p["_max_variation"] = scalar("max_variation", 1e3)
@@ -223,14 +236,14 @@ def _validate(s: Scenario) -> None:
             if "rearrangements" in p:
                 p["_suite"] = [realize_rearrangement(prof)
                                for prof in _load_profiles(p["rearrangements"], line)]
-            p["_count"] = int(scalar("count", 10))
+            p["_count"] = integer("count", 1, 10)
         elif s.kind == "hardy-check":
             if p["case"] not in HARDY_CASES:
                 raise ValueError(f"unknown hardy case {p['case']!r}")
             p["_alpha"] = scalar("alpha")
             p["_w"] = parse_function(p["w"])
             p["_phi"] = parse_function(p["phi"])
-            p["_samples"] = int(scalar("samples", 50))
+            p["_samples"] = integer("samples", 1, 50)
             p["_max_ratio"] = scalar("max_ratio", 10.0)
         elif s.kind == "constants":
             p["_spec"] = InequalitySpec(p=scalar("p"), q=scalar("q"),
@@ -306,7 +319,7 @@ def load_config(path: str) -> list[Scenario]:
             except ValueError as exc:
                 raise ConfigError(str(exc), lineno) from None
         elif key == "seed":
-            current.seed = int(_parse_scalar(value, lineno, "seed"))
+            current.seed = _parse_int(value, lineno, "seed", 0)
         else:
             current.params[key] = value
             current.key_lines[key] = lineno

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ __all__ = [
     "HolmstedtCase",
     "HypothesisError",
     "ScanRow",
-    "ScanReport",
+    "RatioReport",
     "DecompositionTable",
     "index_value",
     "rhs_formula",
@@ -274,24 +274,31 @@ def _decomposition_table(case: HolmstedtCase, fr: Rearrangement
 # Equivalence scans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanRow:
-    t: float
+class ScanRow(NamedTuple):
+    """One row of a :class:`RatioReport`: the grid point ``t`` of a scan (a
+    profile's label in a per-profile check), both sides and lhs / rhs."""
+
+    t: Union[float, str]
     lhs: float
     rhs: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs
+    ratio: float
 
 
 @dataclass
-class ScanReport:
-    case: str
-    profile: str
+class RatioReport:
+    """The rows of one lhs / rhs check, the rows it skipped (a side not in
+    (0, inf)) and the notes of its hypothesis checks."""
+
+    label: str = ""
     rows: list[ScanRow] = field(default_factory=list)
     skipped: int = 0
     notes: list[str] = field(default_factory=list)
+
+    def add(self, t: Union[float, str], lhs: float, rhs: float) -> None:
+        if 0.0 < lhs < _INF and 0.0 < rhs < _INF:
+            self.rows.append(ScanRow(t, lhs, rhs, lhs / rhs))
+        else:
+            self.skipped += 1
 
     @property
     def ratio_min(self) -> float:
@@ -305,8 +312,15 @@ class ScanReport:
     def variation(self) -> float:
         return self.ratio_max / self.ratio_min if self.rows else _INF
 
-    def csv_rows(self) -> list[tuple[float, float, float, float]]:
-        return [(r.t, r.lhs, r.rhs, r.ratio) for r in self.rows]
+
+def _quasi_nondecreasing_note(vals, condition: str, name: str) -> str:
+    """The note for grid values of ``name`` whose quasi-monotonicity constant
+    is at most :data:`MONOTONE_THRESHOLD`; raises :class:`HypothesisError`
+    for ``condition`` otherwise."""
+    c = quasi_monotone_constant(vals)
+    if c > MONOTONE_THRESHOLD:
+        raise HypothesisError(condition, f"quasi-monotone constant {c:.3g}")
+    return f"{name} quasi-nondecreasing (constant {c:.3g})"
 
 
 def verify_hypotheses(case: HolmstedtCase,
@@ -331,23 +345,17 @@ def verify_hypotheses(case: HolmstedtCase,
             vals = [index_value(case, float(t)) for t in grid.points()]
             if any(v is None for v in vals):
                 raise HypothesisError(f"{base} defined on the grid")
-            c = quasi_monotone_constant(np.array(vals), grid.points())
-            if c > MONOTONE_THRESHOLD:
-                raise HypothesisError(f"{base} increasing",
-                                      f"quasi-monotone constant {c:.3g}")
-            notes.append(f"{base} quasi-nondecreasing (constant {c:.3g})")
+            notes.append(_quasi_nondecreasing_note(vals, f"{base} increasing",
+                                                  base))
     elif case.kind == "interior_equal_q":
         ratio = [case.b0(float(t)) / case.b1(float(t)) for t in grid.points()]
-        c = quasi_monotone_constant(np.array(ratio), grid.points())
-        if c > MONOTONE_THRESHOLD:
-            raise HypothesisError("b0/b1 nondecreasing",
-                                  f"quasi-monotone constant {c:.3g}")
-        notes.append(f"b0/b1 quasi-nondecreasing (constant {c:.3g})")
+        notes.append(_quasi_nondecreasing_note(ratio, "b0/b1 nondecreasing",
+                                              "b0/b1"))
     return notes
 
 
 def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
-                     ) -> ScanReport:
+                     ) -> RatioReport:
     """Scan lhs/rhs over the t grid after verifying the case hypotheses.
 
     The scan runs in one :func:`kinterp.quadrature.term_memo` scope, shared
@@ -359,7 +367,7 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
     with term_memo():
         notes = verify_hypotheses(case)
         fr = _as_rearrangement(f)
-        report = ScanReport(case.label(), fr.label, notes=notes)
+        report = RatioReport(case.label(), notes=notes)
         table = _decomposition_table(case, fr)
         profile = K_from_rearrangement(table.f)
         if case.kind == "limiting11":
@@ -376,15 +384,8 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
                 rhs = s * rhs_formula(red, profile, 1.0 / t)
             else:
                 rhs = _rhs(case, profile, t, s)
-            _append_row(report, t, lhs, rhs)
+            report.add(t, lhs, rhs)
     return report
-
-
-def _append_row(report: ScanReport, t: float, lhs: float, rhs: float) -> None:
-    if 0.0 < lhs < _INF and 0.0 < rhs < _INF:
-        report.rows.append(ScanRow(t, lhs, rhs))
-    else:
-        report.skipped += 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +407,23 @@ class NegativeDemoReport:
     def confirmed(self) -> bool:
         return self.verdict == "nonexistence confirmed"
 
-    def csv_rows(self) -> list[tuple[float, float, float, float]]:
-        return self.rows
+
+def _demo_setup(q0: float, q1: float, b0: WeightExpr, b1: WeightExpr
+                ) -> tuple[float, WeightExpr, bool]:
+    """(r, g, swapped) of the demo: the roles of the two spaces swap when
+    q0 > q1, then r = q0 q1 / (q1 - q0) and g = b0 / b1."""
+    if q0 == q1:
+        raise ValueError("the demo needs q0 != q1")
+    swapped = q0 > q1
+    if swapped:
+        q0, q1, b0, b1 = q1, q0, b1, b0
+    return q0 * q1 / (q1 - q0), Product(b0, Power(b1, -1.0)), swapped
 
 
 def incompatibility_M(q0: float, q1: float, b0: WeightExpr, b1: WeightExpr,
                       t: float) -> float:
     """One value of the incompatibility quotient M(t) (role swap included)."""
-    if q0 == q1:
-        raise ValueError("the demo needs q0 != q1")
-    if q0 > q1:
-        q0, q1, b0, b1 = q1, q0, b1, b0
-    r = q0 * q1 / (q1 - q0)
-    g = Product(b0, Power(b1, -1.0))
+    r, g, _ = _demo_setup(q0, q1, b0, b1)
     head = head_qnorm(g, r, t)
     return head / g(t) if head != _INF else _INF
 
@@ -437,14 +442,7 @@ def negative_demo(theta: float, q0: float, q1: float,
     """
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
-    if q0 == q1:
-        raise ValueError("the demo needs q0 != q1")
-    swapped = q0 > q1
-    if swapped:
-        q0, q1 = q1, q0
-        b0, b1 = b1, b0
-    r = q0 * q1 / (q1 - q0)
-    g = Product(b0, Power(b1, -1.0))
+    r, g, swapped = _demo_setup(q0, q1, b0, b1)
     rows = []
     for t in t_grid.points():
         t = float(t)

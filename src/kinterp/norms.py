@@ -354,33 +354,23 @@ def index_limit(kind: str, q0: float, b0: WeightExpr, q1: float,
     return 0
 
 
-def quasi_monotone_constant(g, grid, direction: str = "nondecreasing") -> float:
-    """C = sup over ordered grid pairs x < t of the monotonicity violation.
+def quasi_monotone_constant(vals, direction: str = "nondecreasing") -> float:
+    """C = sup over ordered pairs i < j of vals[i] / vals[j] (toward
+    nondecreasing) or vals[j] / vals[i] (toward nonincreasing): 1 for a
+    monotone sequence, +inf when a value is not positive and finite.
 
-    ``g`` is a callable or an array of already-evaluated positive values.
+    ``vals`` are the values at increasing grid points.
     """
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ValueError("direction must be nondecreasing or nonincreasing")
-    if isinstance(grid, GridSpec):
-        ts = grid.points()
-    else:
-        ts = np.asarray(grid, dtype=float)
-    vals = np.asarray(g, dtype=float) if not callable(g) else \
-        np.array([g(float(t)) for t in ts])
+    vals = np.asarray(vals, dtype=float)
     if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
         return _INF
-    worst = 1.0
     if direction == "nondecreasing":
-        run = -_INF
-        for v in vals:
-            run = max(run, v)
-            worst = max(worst, run / v)
+        ratios = np.maximum.accumulate(vals) / vals
     else:
-        run = _INF
-        for v in vals:
-            run = min(run, v)
-            worst = max(worst, v / run)
-    return float(worst)
+        ratios = vals / np.minimum.accumulate(vals)
+    return float(np.max(ratios, initial=1.0))
 
 
 @dataclass
@@ -420,7 +410,7 @@ def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
     best_c = _INF
     for eps in eps_grid:
         vals = nums[keep] ** (1.0 + eps) / dens[keep]
-        c = quasi_monotone_constant(vals, ts[keep])
+        c = quasi_monotone_constant(vals)
         per_eps.append((eps, c))
         if c < best_c:
             best_c, best_eps = c, eps

@@ -250,6 +250,15 @@ def _segment_probe(breaks: Sequence[float], i: int) -> float:
     return math.sqrt(breaks[i - 1] * breaks[i])
 
 
+def _probe_points(breaks: Sequence[float], rel: float) -> list[float]:
+    """A point inside each segment of the breakpoints, and the points a
+    relative ``rel`` below and above each breakpoint."""
+    pts = [_segment_probe(breaks, i) for i in range(len(breaks) + 1)]
+    for b in breaks:
+        pts.extend((b * (1.0 - rel), b * (1.0 + rel)))
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # K-profiles
 # ---------------------------------------------------------------------------
@@ -329,15 +338,8 @@ def check_quasiconcave(k: KProfile, grid: GridSpec = GridSpec(1e-8, 1e8, 8)
     curve = k.curve
     if curve.is_zero():
         return QuasiConcavityReport(True)
-    try:
-        deriv = curve.derivative()
-    except Exception:  # pragma: no cover - derivative is total on atoms
-        deriv = None
-    samples: list[float] = list(grid.points())
-    for i in range(len(curve.breaks) + 1):
-        samples.append(_segment_probe(curve.breaks, i))
-    samples.extend(b * (1.0 - 1e-9) for b in curve.breaks)
-    samples.extend(b * (1.0 + 1e-9) for b in curve.breaks)
+    deriv = curve.derivative()
+    samples = list(grid.points()) + _probe_points(curve.breaks, 1e-9)
     samples = sorted(set(s for s in samples if s > 0.0))
     tol = 1e-12
     prev_t, prev_v = None, None
@@ -345,13 +347,12 @@ def check_quasiconcave(k: KProfile, grid: GridSpec = GridSpec(1e-8, 1e8, 8)
         v = curve(t)
         if v < -tol:
             return QuasiConcavityReport(False, "negative value", t)
-        if deriv is not None:
-            d = deriv(t)
-            scale = max(abs(v), abs(d) * t, 1e-300)
-            if d * t < -tol * scale:
-                return QuasiConcavityReport(False, "decreasing segment", t)
-            if d * t - v > tol * scale:
-                return QuasiConcavityReport(False, "K(t)/t increasing", t)
+        d = deriv(t)
+        scale = max(abs(v), abs(d) * t, 1e-300)
+        if d * t < -tol * scale:
+            return QuasiConcavityReport(False, "decreasing segment", t)
+        if d * t - v > tol * scale:
+            return QuasiConcavityReport(False, "K(t)/t increasing", t)
         if prev_v is not None:
             scale = max(prev_v, v, 1e-300)
             if v < prev_v * (1.0 - 1e-12):
@@ -405,14 +406,8 @@ class Rearrangement:
 
     def node_values(self) -> list[float]:
         """Distinct positive values of f* at segment probes and break limits."""
-        vals = set()
-        for i in range(len(self.curve.breaks) + 1):
-            vals.add(self.curve(_segment_probe(self.curve.breaks, i)))
-        for b in self.curve.breaks:
-            vals.add(self.curve(b * (1.0 - 1e-12)))
-            vals.add(self.curve(b * (1.0 + 1e-12)))
-        vals.add(self.curve(1e-10))
-        vals.add(self.curve(1e10))
+        vals = {self.curve(t) for t in
+                _probe_points(self.curve.breaks, 1e-12) + [1e-10, 1e10]}
         return sorted(v for v in vals if v > 0.0 and math.isfinite(v))
 
     # constructors ----------------------------------------------------------
@@ -499,12 +494,7 @@ def _first_rise(curve: PiecewiseCurve) -> Optional[float]:
     """The first probe t, in increasing order, where the curve is negative
     or above its value at the previous probe (beyond 1e-9 relative); None
     when the curve passes as nonnegative and nonincreasing."""
-    pts: list[float] = []
-    for i in range(len(curve.breaks) + 1):
-        pts.append(_segment_probe(curve.breaks, i))
-    for b in curve.breaks:
-        pts.extend((b * (1.0 - 1e-9), b * (1.0 + 1e-9)))
-    pts.extend(np.logspace(-9, 9, 37).tolist())
+    pts = _probe_points(curve.breaks, 1e-9) + np.logspace(-9, 9, 37).tolist()
     prev = None
     for t in sorted(set(pts)):
         v = curve(t)

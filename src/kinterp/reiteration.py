@@ -31,16 +31,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .holmstedt import HolmstedtCase, HypothesisError, _rhs
+from .holmstedt import (HolmstedtCase, HypothesisError, RatioReport, ScanRow,
+                        _quasi_nondecreasing_note, _rhs)
 from .norms import (
-    MONOTONE_THRESHOLD,
     SpaceSpec,
     check_condition_monotone_index,
     index,
     index_limit,
-    quasi_monotone_constant,
     space_norm,
-    weighted_knorm,
     _quasi_norm,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
@@ -56,10 +54,8 @@ __all__ = [
     "log_derivative_check",
     "LogDerivativeReport",
     "reiteration_check",
-    "ReiterationReport",
     "lorentz_karamata_norm",
     "lk_identification_check",
-    "LKIdentificationReport",
 ]
 
 _INF = math.inf
@@ -125,11 +121,7 @@ class ReiterationSpec:
         vals = [self.index_value(float(t)) for t in grid.points()]
         if any(v is None or not (0.0 < v < _INF) for v in vals):
             raise HypothesisError(f"{kind} positive and finite on the grid")
-        c = quasi_monotone_constant(np.array(vals), grid.points())
-        if c > MONOTONE_THRESHOLD:
-            raise HypothesisError(f"{kind} increasing",
-                                  f"quasi-monotone constant {c:.3g}")
-        notes.append(f"{kind} quasi-nondecreasing (constant {c:.3g})")
+        notes.append(_quasi_nondecreasing_note(vals, f"{kind} increasing", kind))
         for end, want, where in (("zero", -1, "0 toward 0+"),
                                  ("inf", 1, "inf toward inf")):
             got = index_limit(kind, self.q0, self.b0, self.q1, self.b1, end)
@@ -276,19 +268,6 @@ def log_derivative_check(spec: ReiterationSpec,
 # Reiteration identity check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReiterationReport:
-    spec_label: str
-    rows: list[tuple[str, float, float, float]]  # (profile, lhs, rhs, ratio)
-    skipped: int
-    notes: list[str]
-
-    @property
-    def variation(self) -> float:
-        ratios = [r[3] for r in self.rows]
-        return max(ratios) / min(ratios) if ratios else _INF
-
-
 #: (grid step in ln t, one row per grid point): a row is (t, index,
 #: d ln index / d ln t), or None where the index is degenerate or its
 #: log-derivative is not positive, so the outer integrand is 0 there.
@@ -341,33 +320,27 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
 def reiteration_check(spec: ReiterationSpec,
                       profiles: Sequence[Rearrangement],
                       grid: GridSpec = GridSpec(1e-12, 1e12, 12)
-                      ) -> ReiterationReport:
+                      ) -> RatioReport:
     """Compare the iterated-space norm against the composite-weight norm.
 
     The index table on ``grid`` is built once and shared across profiles.
     A profile whose iterated-space norm is not in (0, inf) counts as skipped
     without evaluating the composite-weight side.
     """
-    notes = spec.verify_hypotheses()
+    report = RatioReport(f"side={spec.side}, theta={spec.theta:g}",
+                         notes=spec.verify_hypotheses())
     table = _index_table(spec, grid)
     composite = CompositeWeight(spec)
     theta_side = 0.0 if spec.side == 0 else 1.0
-    rows: list[tuple[str, float, float, float]] = []
-    skipped = 0
     for f in profiles:
         K = K_from_rearrangement(f)
         lhs = _composite_norm(spec, K, table)
         if not (0.0 < lhs < _INF):
-            skipped += 1
+            report.skipped += 1
             continue
-        res = weighted_knorm(K.curve, theta_side, spec.q, composite)
-        rhs = res.value ** (1.0 / spec.q) if not res.divergent else _INF
-        if 0.0 < rhs < _INF:
-            rows.append((f.label, lhs, rhs, lhs / rhs))
-        else:
-            skipped += 1
-    return ReiterationReport(spec_label=f"side={spec.side}, theta={spec.theta:g}",
-                             rows=rows, skipped=skipped, notes=notes)
+        report.add(f.label, lhs,
+                   _quasi_norm(K.curve, theta_side, spec.q, composite))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -393,40 +366,22 @@ def lorentz_karamata_norm(f: Rearrangement, spec: LKSpec) -> float:
     return _quasi_norm(f.curve, theta, spec.q, spec.b)
 
 
-@dataclass
-class LKIdentificationReport:
-    rows: list[tuple[str, float, float, float]]  # (label, lk, interp, ratio)
-    skipped: int
-
-    @property
-    def ratio_min(self) -> float:
-        return min((r[3] for r in self.rows), default=_INF)
-
-    @property
-    def ratio_max(self) -> float:
-        return max((r[3] for r in self.rows), default=0.0)
-
-    @property
-    def variation(self) -> float:
-        return self.ratio_max / self.ratio_min if self.rows else _INF
-
-
 def lk_identification_check(suite: Sequence[Rearrangement], q: float, b: WeightExpr
-                  ) -> LKIdentificationReport:
+                  ) -> RatioReport:
     """Ratios of the limiting interpolation norm over the L_{inf,q;b} norm.
 
     The interpolation side uses K(t,f) = int_0^t f*; since K(t,f) >= t f*(t)
-    the ratio is bounded below by 1 up to quadrature error.
+    the ratio is bounded below by 1 up to quadrature error.  A row reads
+    (label, lk, interp, interp / lk).
     """
     space = SpaceSpec(1.0, q, b)  # raises ValueError without the head class
     lk_spec = LKSpec(_INF, q, b)
-    rows: list[tuple[str, float, float, float]] = []
-    skipped = 0
+    report = RatioReport()
     for f in suite:
         lk = lorentz_karamata_norm(f, lk_spec)
         interp = space_norm(K_from_rearrangement(f), space)
         if 0.0 < lk < _INF and 0.0 < interp < _INF:
-            rows.append((f.label, lk, interp, interp / lk))
+            report.rows.append(ScanRow(f.label, lk, interp, interp / lk))
         else:
-            skipped += 1
-    return LKIdentificationReport(rows=rows, skipped=skipped)
+            report.skipped += 1
+    return report

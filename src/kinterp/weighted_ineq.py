@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -294,16 +294,10 @@ def window_condition(spec: InequalitySpec, side: str,
 
     rows: list[tuple[float, float, float]] = []
     if p <= q:
-        vals = [_tail_quotient(spec, float(t)) for t in ts]
-        if side == "head":
-            run: list[float] = []
-            acc = 0.0
-            for x in vals:
-                acc = max(acc, x)
-                run.append(acc)
-        else:
-            run = list(np.maximum.accumulate(vals[::-1])[::-1])
-        for t, c in zip(ts, run):
+        vals = np.array([_tail_quotient(spec, float(t)) for t in ts])
+        # the running sup over x < t (head) or x > t (tail)
+        order = slice(None) if side == "head" else slice(None, None, -1)
+        for t, c in zip(ts, np.maximum.accumulate(vals[order])[order].tolist()):
             rows.append((float(t), c, bound(float(t))))
     else:
         expo = q / (p - q)
@@ -535,18 +529,26 @@ def hardy_check(case: str, alpha: float, w: Callable[[float], float],
     if h_family is None:
         rng = np.random.default_rng(seed)
         h_family = [_random_steps(rng, monot) for _ in range(samples)]
+    worst, skipped = _worst_ratio(
+        (_hardy_lhs(case, alpha, w, phi, h),
+         h.weighted_integral(v, 0.0, _INF, power=alpha)) for h in h_family)
+    return HardyReport(case, alpha, worst, len(h_family), skipped)
+
+
+def _worst_ratio(pairs: Iterable[tuple[float, float]]) -> tuple[float, int]:
+    """(largest lhs / rhs over the (lhs, rhs) pairs, number of 0 / 0 pairs
+    skipped); +inf, without reading further pairs, at a nonzero lhs over
+    rhs = 0."""
     worst = 0.0
     skipped = 0
-    for h in h_family:
-        lhs = _hardy_lhs(case, alpha, w, phi, h)
-        rhs = h.weighted_integral(v, 0.0, _INF, power=alpha)
+    for lhs, rhs in pairs:
         if rhs == 0.0:
             if lhs == 0.0:
                 skipped += 1
                 continue
-            return HardyReport(case, alpha, _INF, len(h_family), skipped)
+            return _INF, skipped
         worst = max(worst, lhs / rhs)
-    return HardyReport(case, alpha, worst, len(h_family), skipped)
+    return worst, skipped
 
 
 def _hardy_lhs(case: str, alpha: float, w, phi, h: StepFunction) -> float:
@@ -624,13 +626,11 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
         return _plain_quad(outer, 0.0, _INF)
 
     cond_ratio = 0.0
-    cond_ok = True
     reduction = 0.0
     for x in x_grid:
         lc, rc = lhs_condition(float(x)), rhs_condition(float(x))
         if rc == 0.0:
             if lc > 0.0:
-                cond_ok = False
                 cond_ratio = _INF
             continue
         cond_ratio = max(cond_ratio, lc / rc)
@@ -639,23 +639,14 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
         ri = indicator.weighted_integral(v, 0.0, _INF, power=alpha)
         scale = max(abs(lc), abs(rc), 1e-300)
         reduction = max(reduction, abs(li - lc) / scale, abs(ri - rc) / scale)
-    cond_ok = cond_ok and cond_ratio <= threshold
 
     if h_samples is None:
         rng = np.random.default_rng(seed)
         h_samples = [_random_steps(rng, "nondecreasing") for _ in range(samples)]
-    ineq_ratio = 0.0
-    ineq_ok = True
-    for h in h_samples:
-        lhs = lhs_inequality(h)
-        rhs = h.weighted_integral(v, 0.0, _INF, power=alpha)
-        if rhs == 0.0:
-            if lhs > 0.0:
-                ineq_ok = False
-                ineq_ratio = _INF
-            continue
-        ineq_ratio = max(ineq_ratio, lhs / rhs)
-    ineq_ok = ineq_ok and ineq_ratio <= threshold
-    return HmtReport(condition_holds=cond_ok, inequality_holds=ineq_ok,
+    ineq_ratio, _ = _worst_ratio(
+        (lhs_inequality(h), h.weighted_integral(v, 0.0, _INF, power=alpha))
+        for h in h_samples)
+    return HmtReport(condition_holds=cond_ratio <= threshold,
+                     inequality_holds=ineq_ratio <= threshold,
                      condition_ratio=cond_ratio, inequality_ratio=ineq_ratio,
                      reduction_discrepancy=reduction)

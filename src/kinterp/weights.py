@@ -163,6 +163,10 @@ class PowerLog(WeightExpr):
     alpha0: float
     alpha_inf: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha0) and math.isfinite(self.alpha_inf)):
+            raise ValueError("log exponents must be finite")
+
     def _side(self, side: str) -> SideForm:
         return SideForm(self.alpha0 if side == "lo" else self.alpha_inf)
 
@@ -498,5 +502,5 @@ def sv_quasimonotone_constant(b: WeightExpr, eps: float,
 
     ts = grid.points()
     vals = np.array([b(float(t)) for t in ts])
-    return max(quasi_monotone_constant(vals * ts ** eps, ts),
-               quasi_monotone_constant(vals * ts ** (-eps), ts, "nonincreasing"))
+    return max(quasi_monotone_constant(vals * ts ** eps),
+               quasi_monotone_constant(vals * ts ** (-eps), "nonincreasing"))

@@ -295,6 +295,40 @@ def test_subcommand_bad_grid_is_a_config_error(tmp_path):
                  "--b", "one", "--grid", "1,2", "--out-dir", str(tmp_path)]) == 2
 
 
+_BLOCKS = {
+    "hardy-check": {"case": "HET1", "alpha": "2", "w": "expdecay(1)",
+                    "phi": "const(1)"},
+    "lk-check": {"q": "1", "b": "log(0,-2)"},
+    "reiterate": {"side": "0", "theta": "0.5", "q": "1", "b": "one",
+                  "q0": "1", "b0": "log(-2,-2)", "q1": "1", "b1": "log(0,-3)"},
+}
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("hardy-check", "samples", "inf"),
+    ("hardy-check", "samples", "-3"),  # used to pass with 0 samples
+    ("hardy-check", "samples", "0"),
+    ("hardy-check", "samples", "1.5"),
+    ("hardy-check", "seed", "inf"),
+    ("hardy-check", "seed", "-1"),
+    ("lk-check", "count", "0"),
+    ("lk-check", "count", "nan"),
+    ("reiterate", "side", "0.7"),  # used to run side 0
+    ("reiterate", "side", "inf"),
+])
+def test_bad_integer_is_a_config_error(tmp_path, kind, key, value):
+    params = dict(_BLOCKS[kind], **{key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join([f"[{kind} bad]"]
+                              + [f"{k} = {v}" for k, v in params.items()]))
+    with pytest.raises(ConfigError, match=f"{key} must be an integer") as exc:
+        load_config(str(path))
+    assert exc.value.line == 2 + list(params).index(key)
+    assert main(["run", str(path), "--quiet"]) == 2
+    flags = [f"--{k}={v}" for k, v in params.items()]
+    assert main([kind, *flags, "--out-dir", str(tmp_path)]) == 2
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "kinterp.cli", "--help"],
                           capture_output=True, text=True)

@@ -320,7 +320,7 @@ def _memoless_rows(case, f, grid) -> list[ScanRow]:
         else:
             rhs = rhs_formula(case, K, t)
         if 0.0 < lhs < INF and 0.0 < rhs < INF:
-            rows.append(ScanRow(t, lhs, rhs))
+            rows.append(ScanRow(t, lhs, rhs, lhs / rhs))
     return rows
 
 

@@ -79,9 +79,31 @@ def test_weight_pickles_no_compiled_cache(text):
     assert set(b.__getstate__()) == {f.name for f in fields(b)} | {"_side_forms"}
 
 
-def test_every_traced_name_resolves(monkeypatch):
-    # the benchmark's tracer rebinds these names by attribute; a deleted or
-    # renamed one would break its traced runs
+def _broad_excepts(path: pathlib.Path) -> list[str]:
+    """``file:function`` of each handler that catches Exception or
+    BaseException (a bare ``except`` included)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in
+                                 ("Exception", "BaseException")) for t in types):
+                found.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_broad_excepts_only_at_the_cli_boundaries():
+    # the batch guard keeps one failing scenario from stopping the others;
+    # the atomic write removes its temporary file however it is left
+    found = sorted(h for path in SRC.glob("*.py") for h in _broad_excepts(path))
+    assert found == ["cli.py:_write_atomic", "cli.py:run"]
+
+
+def _bench_spans(monkeypatch):
     import importlib.util
     import sys
 
@@ -91,7 +113,40 @@ def test_every_traced_name_resolves(monkeypatch):
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # the benchmark's tracer rebinds these names by attribute; a deleted or
+    # renamed one would break its traced runs
+    spans = _bench_spans(monkeypatch)
     for target in spans.TARGETS:
         (owner, attr, original), *_ = spans.binding_sites(target)
         assert callable(original), (target.owner, attr)
     assert spans.snapshot()
+
+
+def test_tracer_reads_the_report_fields(monkeypatch):
+    # the benchmark's tracer counts the rows, skipped rows and samples of
+    # these reports
+    from collections import defaultdict
+
+    from kinterp.config import Const, ExpDecay
+    from kinterp.holmstedt import HolmstedtCase, equivalence_scan
+    from kinterp.profiles import KProfile
+    from kinterp.quadrature import GridSpec
+    from kinterp.weighted_ineq import hardy_check
+    from kinterp.weights import parse_weight
+
+    spans = _bench_spans(monkeypatch)
+    counters = defaultdict(int)
+    b = parse_weight("log(0,-2)")
+    scan = equivalence_scan(HolmstedtCase("limiting00", 1.0, 2.0, b, b),
+                            KProfile.min1(), GridSpec(1e-1, 1e1, 8))
+    spans._scan_result((), {}, scan, counters)
+    assert counters["holmstedt.scan.rows"] == len(scan.rows) == 17
+    assert counters["holmstedt.scan.skipped"] == scan.skipped == 0
+    args = ("HET1", 2.0, ExpDecay(1.0), Const(1.0))
+    spans._hardy_result(args, {}, hardy_check(*args, samples=2, seed=11),
+                        counters)
+    assert counters["weighted_ineq.hardy_check.samples[opaque]"] == 2

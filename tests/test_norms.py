@@ -290,18 +290,17 @@ def test_index_limit_matches_the_oracle():
 # ---------------------------------------------------------------------------
 
 def test_quasi_monotone_examples(w_l02):
-    g = GridSpec(1e-2, 1e2, 16)
-    assert quasi_monotone_constant(lambda t: t, g) == 1.0
-    assert quasi_monotone_constant(lambda t: 1.0 / t, g) == pytest.approx(1e4)
-    rho14 = lambda t: index(t, "rho_eps", 1.0, w_l02, 2.0, w_l02, eps=0.25).value
-    assert quasi_monotone_constant(rho14, GridSpec(1.0, 1e8, 16)) \
-        == pytest.approx(1.0)
+    ts = GridSpec(1e-2, 1e2, 16).points()
+    assert quasi_monotone_constant(ts) == 1.0
+    assert quasi_monotone_constant(1.0 / ts) == pytest.approx(1e4)
+    rho14 = [index(float(t), "rho_eps", 1.0, w_l02, 2.0, w_l02, eps=0.25).value
+             for t in GridSpec(1.0, 1e8, 16).points()]
+    assert quasi_monotone_constant(rho14) == pytest.approx(1.0)
 
 
 def test_quasi_monotone_direction(w_l02):
-    g = GridSpec(1e-2, 1e2, 8)
-    assert quasi_monotone_constant(lambda t: t, g, "nonincreasing") \
-        == pytest.approx(1e4)
+    ts = GridSpec(1e-2, 1e2, 8).points()
+    assert quasi_monotone_constant(ts, "nonincreasing") == pytest.approx(1e4)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_explog_range_enforced():
         ExpLog(1.0)
 
 
+def test_powerlog_exponents_must_be_finite():
+    # log(inf,0) would print as a text the parser rejects
+    with pytest.raises(WeightSyntaxError):
+        parse_weight("log(1e999,0)")
+    with pytest.raises(ValueError):
+        PowerLog(math.inf, 0.0)
+    with pytest.raises(ValueError):
+        PowerLog(0.0, -math.inf)
+
+
 def test_round_trip_text():
     texts = ["one", "log(0,-2)", "explog(0.5)",
              "mul(log(2,0),pow(log(0,-2),0.5))", "flip(log(-2,0))"]
