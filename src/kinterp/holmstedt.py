@@ -323,8 +323,20 @@ def _quasi_nondecreasing_note(vals, condition: str, name: str) -> str:
     return f"{name} quasi-nondecreasing (constant {c:.3g})"
 
 
-def verify_hypotheses(case: HolmstedtCase,
-                      grid: GridSpec = STANDARD_GRID) -> list[str]:
+def _eps_condition_note(kind: str, q0: float, b0: WeightExpr, q1: float,
+                        b1: WeightExpr) -> str:
+    """The note of a passing rho_eps or eta_eps condition (``kind``); raises
+    :class:`HypothesisError` when it fails."""
+    rep = check_condition_monotone_index(kind, q0, b0, q1, b1)
+    if not rep.passed:
+        raise HypothesisError(f"{kind} equivalent to a nondecreasing function",
+                              f"best constant {rep.best_constant:.3g} over eps "
+                              f"grid, threshold {rep.threshold:g}")
+    return (f"{kind} passes at eps={rep.best_eps:g} "
+            f"(constant {rep.best_constant:.3g})")
+
+
+def verify_hypotheses(case: HolmstedtCase) -> list[str]:
     """Run the case's precondition checks; raises HypothesisError on failure."""
     notes: list[str] = []
     case.spaces()  # SV-class preconditions raise ValueError on their own
@@ -332,23 +344,17 @@ def verify_hypotheses(case: HolmstedtCase,
         kind = "rho_eps" if case.kind == "limiting00" else "eta_eps"
         base = kind.split("_")[0]
         if case.q0 != case.q1:
-            rep = check_condition_monotone_index(kind, case.q0, case.b0,
-                                                 case.q1, case.b1, grid=grid)
-            if not rep.passed:
-                raise HypothesisError(
-                    f"{kind} equivalent to a nondecreasing function",
-                    f"best constant {rep.best_constant:.3g} over eps grid, "
-                    f"threshold {rep.threshold:g}")
-            notes.append(f"{kind} passes at eps={rep.best_eps:g} "
-                         f"(constant {rep.best_constant:.3g})")
+            notes.append(_eps_condition_note(kind, case.q0, case.b0,
+                                             case.q1, case.b1))
         else:
-            vals = [index_value(case, float(t)) for t in grid.points()]
+            vals = [index_value(case, float(t)) for t in STANDARD_GRID.points()]
             if any(v is None for v in vals):
                 raise HypothesisError(f"{base} defined on the grid")
             notes.append(_quasi_nondecreasing_note(vals, f"{base} increasing",
                                                   base))
     elif case.kind == "interior_equal_q":
-        ratio = [case.b0(float(t)) / case.b1(float(t)) for t in grid.points()]
+        ratio = [case.b0(float(t)) / case.b1(float(t))
+                 for t in STANDARD_GRID.points()]
         notes.append(_quasi_nondecreasing_note(ratio, "b0/b1 nondecreasing",
                                               "b0/b1"))
     return notes

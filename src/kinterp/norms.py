@@ -19,7 +19,6 @@ from .profiles import Atom, KProfile, PiecewiseCurve, _segment_probe
 from .quadrature import (
     AT_INFINITY,
     AT_ZERO,
-    GridSpec,
     IntegralResult,
     LogTerm,
     STANDARD_GRID,
@@ -385,36 +384,27 @@ class ConditionReport:
 
 
 def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
-                                   q1: float, b1: WeightExpr,
-                                   eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-                                   threshold: float = MONOTONE_THRESHOLD,
-                                   grid: GridSpec = STANDARD_GRID
-                                   ) -> ConditionReport:
-    """Search the eps grid for a quasi-nondecreasing rho_eps (or eta_eps)."""
+                                   q1: float, b1: WeightExpr) -> ConditionReport:
+    """Search DEFAULT_EPS_GRID for a quasi-nondecreasing rho_eps (or eta_eps)
+    on STANDARD_GRID, skipping the points where the index is undefined or its
+    numerator is 0 or inf; with no point left it fails with constant inf."""
     if kind not in ("rho_eps", "eta_eps"):
         raise ValueError("kind must be rho_eps or eta_eps")
-    ts = grid.points()
-    base_kind = kind.split("_")[0]
-    nums = np.empty(len(ts))
-    dens = np.empty(len(ts))
-    skipped = 0
-    keep = np.ones(len(ts), dtype=bool)
-    for i, t in enumerate(ts):
-        pair = index(float(t), base_kind, q0, b0, q1, b1)
-        nums[i], dens[i] = pair.numerator, pair.denominator
-        if not pair.defined or pair.numerator == _INF or pair.numerator == 0.0:
-            keep[i] = False
-            skipped += 1
+    pairs = [index(float(t), kind.split("_")[0], q0, b0, q1, b1)
+             for t in STANDARD_GRID.points()]
+    kept = [p for p in pairs if p.defined and p.numerator not in (0.0, _INF)]
+    nums = np.array([p.numerator for p in kept])
+    dens = np.array([p.denominator for p in kept])
     per_eps: list[tuple[float, float]] = []
     best_eps: Optional[float] = None
     best_c = _INF
-    for eps in eps_grid:
-        vals = nums[keep] ** (1.0 + eps) / dens[keep]
+    for eps in DEFAULT_EPS_GRID if kept else ():
+        vals = nums ** (1.0 + eps) / dens
         c = quasi_monotone_constant(vals)
         per_eps.append((eps, c))
         if c < best_c:
             best_c, best_eps = c, eps
-    return ConditionReport(kind=kind, passed=best_c <= threshold,
+    return ConditionReport(kind=kind, passed=best_c <= MONOTONE_THRESHOLD,
                            best_eps=best_eps, best_constant=best_c,
-                           threshold=threshold, per_eps=per_eps,
-                           skipped_points=skipped)
+                           threshold=MONOTONE_THRESHOLD, per_eps=per_eps,
+                           skipped_points=len(pairs) - len(kept))

@@ -43,6 +43,9 @@ __all__ = [
 
 _INF = math.inf
 
+#: where :func:`check_quasiconcave` samples, besides its segment probes
+QUASICONCAVE_GRID = GridSpec(1e-8, 1e8, 8)
+
 
 class CurveClosureError(ValueError):
     """The requested operation leaves the closed piecewise power-log family."""
@@ -332,14 +335,14 @@ class KProfile:
                         "piecewise[" + ",".join(f"({t:g},{k:g})" for t, k in pts) + "]")
 
 
-def check_quasiconcave(k: KProfile, grid: GridSpec = GridSpec(1e-8, 1e8, 8)
-                       ) -> QuasiConcavityReport:
+def check_quasiconcave(k: KProfile) -> QuasiConcavityReport:
     """Verify K nondecreasing and K(t)/t nonincreasing at nodes and samples."""
     curve = k.curve
     if curve.is_zero():
         return QuasiConcavityReport(True)
     deriv = curve.derivative()
-    samples = list(grid.points()) + _probe_points(curve.breaks, 1e-9)
+    samples = (list(QUASICONCAVE_GRID.points())
+               + _probe_points(curve.breaks, 1e-9))
     samples = sorted(set(s for s in samples if s > 0.0))
     tol = 1e-12
     prev_t, prev_v = None, None
@@ -418,21 +421,21 @@ class Rearrangement:
                              validate=False)
 
     @staticmethod
-    def indicator(T: float = 1.0, height: float = 1.0) -> "Rearrangement":
-        curve = PiecewiseCurve((T,), ((Atom(height, 0.0),), ()))
-        integral = PiecewiseCurve((T,), ((Atom(height, 1.0),),
-                                         (Atom(height * T, 0.0),)))
-        return Rearrangement(curve, integral, f"{height}*chi(0,{T})", validate=False)
+    def indicator(T: float = 1.0) -> "Rearrangement":
+        curve = PiecewiseCurve((T,), ((Atom(1.0, 0.0),), ()))
+        integral = PiecewiseCurve((T,), ((Atom(1.0, 1.0),),
+                                         (Atom(float(T), 0.0),)))
+        return Rearrangement(curve, integral, f"1.0*chi(0,{T})", validate=False)
 
     @staticmethod
-    def staircase(breaks: Sequence[float], values: Sequence[float],
-                  tail: float = 0.0) -> "Rearrangement":
-        """Right-open staircase: values[i] on (breaks[i-1], breaks[i]], ``tail``
+    def staircase(breaks: Sequence[float], values: Sequence[float]
+                  ) -> "Rearrangement":
+        """Right-open staircase: values[i] on (breaks[i-1], breaks[i]], 0
         beyond the last break."""
         if len(values) != len(breaks):
             raise ValueError("need one value per break")
         pieces = [((Atom(v, 0.0),) if v != 0.0 else ()) for v in values]
-        pieces.append((Atom(tail, 0.0),) if tail != 0.0 else ())
+        pieces.append(())
         curve = PiecewiseCurve(breaks, pieces)
         return Rearrangement(curve, curve.antiderivative(), "staircase")
 
@@ -655,16 +658,14 @@ def profile_suite() -> list[Rearrangement]:
     ]
 
 
-def random_rearrangement(rng: np.random.Generator, max_steps: int = 5,
-                         t_span: tuple[float, float] = (1e-4, 1e3),
-                         v_span: tuple[float, float] = (1e-3, 1e2),
-                         ) -> Rearrangement:
-    """Random positive staircase rearrangement with compact support."""
-    n = int(rng.integers(1, max_steps + 1))
-    lo, hi = (math.log(t_span[0]), math.log(t_span[1]))
-    breaks = sorted(math.exp(x) for x in rng.uniform(lo, hi, size=n))
-    vlo, vhi = (math.log(v_span[0]), math.log(v_span[1]))
-    values = sorted((math.exp(x) for x in rng.uniform(vlo, vhi, size=n)),
+def random_rearrangement(rng: np.random.Generator) -> Rearrangement:
+    """Random positive staircase rearrangement with compact support: 1 to 5
+    steps, breaks log-uniform in (1e-4, 1e3), values in (1e-3, 1e2)."""
+    n = int(rng.integers(1, 6))
+    breaks = sorted(math.exp(x) for x in
+                    rng.uniform(math.log(1e-4), math.log(1e3), size=n))
+    values = sorted((math.exp(x) for x in
+                     rng.uniform(math.log(1e-3), math.log(1e2), size=n)),
                     reverse=True)
     return Rearrangement.staircase(breaks, values)
 

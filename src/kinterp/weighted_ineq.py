@@ -52,6 +52,12 @@ _INF = math.inf
 #: conditions "hold" when the observed constant stays below this threshold.
 PASS_CONSTANT = 4.0
 
+#: the grid of window_condition, the points of the A2/A4 trapezoid and the
+#: seed of the steps hmt_check draws
+WINDOW_GRID = GridSpec(1e-8, 1e8, 8)
+_TRAPEZOID_POINTS = 2048
+_HMT_SEED = 97531
+
 
 @dataclass(frozen=True)
 class InequalitySpec:
@@ -102,9 +108,8 @@ def _tail_quotient(spec: InequalitySpec, x: float) -> float:
     return num / den
 
 
-def _sup_on_grid(ratio: Callable[[float], float], grid: GridSpec
-                 ) -> tuple[float, float]:
-    ts = grid.points()
+def _sup_on_grid(ratio: Callable[[float], float]) -> tuple[float, float]:
+    ts = STANDARD_GRID.points()
     vals = np.array([ratio(float(t)) for t in ts])
     i = int(np.argmax(vals))
     best_x, best = float(ts[i]), float(vals[i])
@@ -149,12 +154,13 @@ def _edge_tail(ls: np.ndarray, xs: np.ndarray, side: str,
     return f_edge * L0 / (slope - 1.0)
 
 
-def _log_integral(log_f: Callable[[float], float], x_lo: float, x_hi: float,
-                  n: int = 2048) -> float:
-    """log of int exp(log_f(x)) dx by trapezoid, stable for huge exponents;
-    +inf when an open-end tail fails the power-log convergence test, with the
-    convergent power-log remainders added analytically."""
-    xs = np.linspace(x_lo, x_hi, n)
+def _log_integral(log_f: Callable[[float], float]) -> float:
+    """log of int exp(log_f(x)) dx over the range of STANDARD_GRID (x = ln t)
+    by trapezoid, stable for huge exponents; +inf when an open-end tail fails
+    the power-log convergence test, with the convergent power-log remainders
+    added analytically."""
+    xs = np.linspace(math.log(STANDARD_GRID.t_min),
+                     math.log(STANDARD_GRID.t_max), _TRAPEZOID_POINTS)
     ls = np.array([log_f(float(x)) for x in xs])
     m = float(np.max(ls))
     if not math.isfinite(m):
@@ -170,8 +176,7 @@ def _log_integral(log_f: Callable[[float], float], x_lo: float, x_hi: float,
     return m + math.log(total)
 
 
-def compute_constant(spec: InequalitySpec, which: str,
-                     grid: GridSpec = STANDARD_GRID) -> ConstantReport:
+def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
     """A1/A2 for general positive weights, A3/A4 for slowly varying ones."""
     p, q, v, w = spec.p, spec.q, spec.v, spec.w
     if which in ("A1", "A3") and not p <= q:
@@ -189,11 +194,11 @@ def compute_constant(spec: InequalitySpec, which: str,
                 if num == _INF or den == _INF or den == 0.0:
                     return 0.0
                 return num ** (1.0 / q) / den ** (1.0 / p)
-            value, argmax = _sup_on_grid(ratio, grid)
+            value, argmax = _sup_on_grid(ratio)
             return ConstantReport("A1", value, argmax)
 
         if which == "A3":
-            value, argmax = _sup_on_grid(lambda x: _tail_quotient(spec, x), grid)
+            value, argmax = _sup_on_grid(lambda x: _tail_quotient(spec, x))
             return ConstantReport("A3", value, argmax)
 
         expo = q / (p - q)
@@ -220,7 +225,7 @@ def compute_constant(spec: InequalitySpec, which: str,
                     return -_INF
                 return expo * (math.log(num) - math.log(den)) + q * math.log(w(ux))
 
-        log_val = _log_integral(log_f, math.log(grid.t_min), math.log(grid.t_max))
+        log_val = _log_integral(log_f)
         if log_val == _INF:
             return ConstantReport(which, _INF)
         value = math.exp(log_val * (1.0 / q - 1.0 / p))
@@ -273,10 +278,9 @@ class WindowReport:
 
 
 def window_condition(spec: InequalitySpec, side: str,
-                     bound: Callable[[float], float],
-                     grid: GridSpec = GridSpec(1e-8, 1e8, 8),
-                     threshold: float = PASS_CONSTANT) -> WindowReport:
-    """Check the windowed tail-quotient condition against a candidate bound.
+                     bound: Callable[[float], float]) -> WindowReport:
+    """Check the windowed tail-quotient condition against a candidate bound
+    on WINDOW_GRID, up to the factor PASS_CONSTANT.
 
     ``side='head'`` masks the left factor to (0, t) and compares
     sup_{x<t} (resp. the q<p integral form) with bound(t); ``side='tail'``
@@ -287,9 +291,9 @@ def window_condition(spec: InequalitySpec, side: str,
         raise ValueError("side must be 'head' or 'tail'")
     spec.require_sv_classes()
     p, q, v, w = spec.p, spec.q, spec.v, spec.w
-    ts = grid.points()
-    if spec.window_t is not None and not (grid.t_min <= spec.window_t
-                                          <= grid.t_max):
+    ts = WINDOW_GRID.points()
+    if spec.window_t is not None and not (WINDOW_GRID.t_min <= spec.window_t
+                                          <= WINDOW_GRID.t_max):
         raise ValueError("window_t must lie inside the evaluation grid")
 
     rows: list[tuple[float, float, float]] = []
@@ -341,7 +345,7 @@ def window_condition(spec: InequalitySpec, side: str,
             ratio = _INF if c > 0.0 else 0.0
         if ratio > worst:
             worst_t, worst = t, ratio
-    return WindowReport(side=side, passed=worst <= threshold,
+    return WindowReport(side=side, passed=worst <= PASS_CONSTANT,
                         worst_t=worst_t, worst_ratio=worst, rows=rows)
 
 
@@ -529,6 +533,8 @@ def hardy_check(case: str, alpha: float, w: Callable[[float], float],
     if h_family is None:
         rng = np.random.default_rng(seed)
         h_family = [_random_steps(rng, monot) for _ in range(samples)]
+    if len(h_family) == 0:
+        raise ValueError("hardy_check needs at least one h")
     worst, skipped = _worst_ratio(
         (_hardy_lhs(case, alpha, w, phi, h),
          h.weighted_integral(v, 0.0, _INF, power=alpha)) for h in h_family)
@@ -597,8 +603,7 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
               w: Callable[[float], float], v: Callable[[float], float],
               x_grid: Sequence[float],
               h_samples: Optional[Sequence[StepFunction]] = None,
-              samples: int = 12, seed: int = 97531,
-              threshold: float = PASS_CONSTANT) -> HmtReport:
+              samples: int = 12) -> HmtReport:
     """Check the kernel condition and the sampled inequality, 0 < alpha <= 1.
 
     The condition integrates the kernel tail int_x^inf psi(t, u) du against w
@@ -609,6 +614,8 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
+    if len(x_grid) == 0:
+        raise ValueError("hmt_check needs at least one x")
 
     def lhs_condition(x: float) -> float:
         def outer(t: float) -> float:
@@ -641,12 +648,12 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
         reduction = max(reduction, abs(li - lc) / scale, abs(ri - rc) / scale)
 
     if h_samples is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_HMT_SEED)
         h_samples = [_random_steps(rng, "nondecreasing") for _ in range(samples)]
     ineq_ratio, _ = _worst_ratio(
         (lhs_inequality(h), h.weighted_integral(v, 0.0, _INF, power=alpha))
         for h in h_samples)
-    return HmtReport(condition_holds=cond_ratio <= threshold,
-                     inequality_holds=ineq_ratio <= threshold,
+    return HmtReport(condition_holds=cond_ratio <= PASS_CONSTANT,
+                     inequality_holds=ineq_ratio <= PASS_CONSTANT,
                      condition_ratio=cond_ratio, inequality_ratio=ineq_ratio,
                      reduction_discrepancy=reduction)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (GridSpec, LogTerm, STANDARD_GRID, integrate_terms,
+from .quadrature import (LogTerm, STANDARD_GRID, integrate_terms,
                          power_integral, sup_terms)
 
 __all__ = [
@@ -474,33 +474,32 @@ def classify(b: WeightExpr, q: float) -> SVClassReport:
 class TildeWeight:
     """b~(t) = ||u^{-1} b(u)||_{1,(t,inf)} for an integrable tail."""
 
-    def __init__(self, b: WeightExpr, grid: GridSpec = STANDARD_GRID):
+    def __init__(self, b: WeightExpr):
         if not math.isfinite(tail_qnorm(b, 1.0, 1.0)):
             raise PreconditionError(
                 "tilde construction requires a convergent tail integral of u^-1 b(u)")
         self.base = b
-        ratios = [b(t) / self(t) for t in grid.points()]
+        ratios = [b(t) / self(t) for t in STANDARD_GRID.points()]
         self.comparison_constant = max(ratios)
 
     def __call__(self, t) -> float:
         return tail_qnorm(self.base, 1.0, float(t))
 
 
-def tilde_construction(b: WeightExpr, grid: GridSpec = STANDARD_GRID) -> TildeWeight:
-    return TildeWeight(b, grid)
+def tilde_construction(b: WeightExpr) -> TildeWeight:
+    return TildeWeight(b)
 
 
 # ---------------------------------------------------------------------------
 # Operationalized SV membership
 # ---------------------------------------------------------------------------
 
-def sv_quasimonotone_constant(b: WeightExpr, eps: float,
-                              grid: GridSpec = STANDARD_GRID) -> float:
+def sv_quasimonotone_constant(b: WeightExpr, eps: float) -> float:
     """Worst quasi-monotonicity constant of t^eps b(t) (toward nondecreasing)
-    and t^-eps b(t) (toward nonincreasing) on the grid."""
+    and t^-eps b(t) (toward nonincreasing) on :data:`STANDARD_GRID`."""
     from .norms import quasi_monotone_constant  # norms imports this module
 
-    ts = grid.points()
+    ts = STANDARD_GRID.points()
     vals = np.array([b(float(t)) for t in ts])
     return max(quasi_monotone_constant(vals * ts ** eps),
                quasi_monotone_constant(vals * ts ** (-eps), "nonincreasing"))

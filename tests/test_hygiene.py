@@ -150,3 +150,67 @@ def test_tracer_reads_the_report_fields(monkeypatch):
     spans._hardy_result(args, {}, hardy_check(*args, samples=2, seed=11),
                         counters)
     assert counters["weighted_ineq.hardy_check.samples[opaque]"] == 2
+
+
+def _defaulted_parameters(path: pathlib.Path):
+    """(name, position, parameter) of each parameter with a default of each
+    ``def`` in the module, nested ones included.  An ``__init__`` goes by its
+    class name; ``position`` counts the positional arguments a call passes
+    (a method's ``self`` or ``cls`` is not one), None for keyword-only."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list):
+                    methods[node] = cls.name
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = node.name
+        if node in methods and name == "__init__":
+            name = methods[node]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if node in methods else 0
+        first = len(positional) - len(args.defaults)
+        found += [(name, i - skip, a.arg)
+                  for i, a in enumerate(positional) if i >= first]
+        found += [(name, None, a.arg)
+                  for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return found
+
+
+def _calls():
+    """name -> [(positional argument count, keyword names)] of every call in
+    src/, bench/ and tests/, by the called name alone."""
+    calls = {}
+    root = SRC.parent.parent
+    for folder in ("src", "bench", "tests"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no call overrides is a constant spelled as an option
+    calls = _calls()
+    never_set = [
+        f"{path.name}:{name}: {param}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, position, param in _defaulted_parameters(path)
+        if not any(param in keywords
+                   or (position is not None and n_args > position)
+                   for n_args, keywords in calls.get(name, []))]
+    assert never_set == []

@@ -15,7 +15,7 @@ from kinterp.norms import (
     space_norm,
 )
 from kinterp.profiles import KProfile, K_from_rearrangement, profile_suite
-from kinterp.quadrature import GridSpec
+from kinterp.quadrature import GridSpec, STANDARD_GRID
 from kinterp.weights import Flip, head_qnorm, parse_weight, tail_qnorm
 
 INF = math.inf
@@ -318,6 +318,14 @@ def test_condition_decaying_pair_fails(w_l02, w_l01):
     rep = check_condition_monotone_index("rho_eps", 1.0, w_l02, 2.0, w_l01)
     assert not rep.passed
     assert all(c > rep.threshold for _, c in rep.per_eps)
+
+
+def test_condition_without_evidence_fails(w_one, w_l02):
+    # `one` has no finite tail norm, so every grid point is skipped
+    rep = check_condition_monotone_index("rho_eps", 1.0, w_one, 2.0, w_l02)
+    assert rep.skipped_points == len(STANDARD_GRID.points())
+    assert not rep.passed
+    assert rep.best_constant == INF and rep.best_eps is None
 
 
 def test_condition_eta_for_reduced_pairing(w_l02):

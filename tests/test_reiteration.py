@@ -7,7 +7,8 @@ import pytest
 from scipy import integrate as sci_integrate
 
 from kinterp import quadrature, reiteration
-from kinterp.holmstedt import HypothesisError, _rhs, rhs_formula
+from kinterp.holmstedt import (HypothesisError, _rhs, rhs_formula,
+                               verify_hypotheses)
 from kinterp.profiles import (
     K_from_rearrangement,
     KProfile,
@@ -335,6 +336,16 @@ def test_reiteration_mixed_exponents(w_one, w_lm22, w_l02):
     assert any("eps" in n for n in notes)
     rep = reiteration_check(spec, profile_suite())
     assert rep.rows and rep.variation <= 1e3
+
+
+def test_eps_note_matches_the_scan(w_one, w_lm22, w_l02):
+    # the side-0 spec and the limiting00 scan of its inner pair run the same
+    # rho_eps gate and report it in the same words
+    spec = ReiterationSpec(side=0, theta=0.5, q=1.0, b=w_one,
+                           q0=1.0, b0=w_lm22, q1=2.0, b1=w_l02)
+    scan_notes = verify_hypotheses(spec.inner_case())
+    assert scan_notes[0].startswith("rho_eps passes at eps=")
+    assert spec.verify_hypotheses()[-1] == scan_notes[0]
 
 
 def test_reiteration_side1_valid_spec(w_one, w_lm22, w_l03):

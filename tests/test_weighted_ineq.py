@@ -202,6 +202,13 @@ def test_hardy_zero_h_skipped():
     assert rep.max_ratio == 0.0 and rep.skipped == 1
 
 
+def test_hardy_empty_family_raises():
+    # no h, no evidence: a max_ratio of 0.0 would read as a passed check
+    with pytest.raises(ValueError, match="at least one h"):
+        hardy_check("HET1", 2.0, lambda t: math.exp(-t), lambda t: 1.0,
+                    h_family=[])
+
+
 def test_hardy_het3_nondecreasing():
     h = StepFunction([1.0], [0.5], tail=1.0)
     rep = hardy_check("HET3", 0.5, lambda t: math.exp(-t),
@@ -369,6 +376,17 @@ def test_hmt_divergent_v_raises():
     with pytest.raises(DivergentIntegralError):
         hmt_check(1.0, lambda t, u: math.exp(-t - u), lambda t: 1.0,
                   lambda t: 1.0, x_grid=[1.0], samples=2)
+
+
+def test_hmt_empty_x_grid_raises():
+    # without an x the kernel condition has no evidence; without h samples
+    # the condition alone is checked
+    args = (1.0, lambda t, u: math.exp(-t - u), lambda t: 1.0,
+            lambda t: math.exp(-t))
+    with pytest.raises(ValueError, match="at least one x"):
+        hmt_check(*args, x_grid=[], h_samples=[])
+    rep = hmt_check(*args, x_grid=[1.0], h_samples=[])
+    assert rep.condition_holds and rep.inequality_ratio == 0.0
 
 
 def test_hmt_alpha_validation():
