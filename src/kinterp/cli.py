@@ -26,12 +26,12 @@ from .holmstedt import (
     negative_demo,
     realize_rearrangement,
 )
-from .norms import SpaceSpec, space_norm
+from .norms import SpaceSpec, space_norm, sv_quasimonotone_constant
 from .profiles import profile_suite, random_rearrangement
 from .quadrature import SCAN_GRID, term_memo
 from .reiteration import ReiterationSpec, lk_identification_check, reiteration_check
 from .weighted_ineq import InequalitySpec, best_constant_probe, compute_constant, hardy_check
-from .weights import classify, sv_quasimonotone_constant
+from .weights import classify
 
 __all__ = ["main", "run"]
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .holmstedt import CASE_KINDS, HolmstedtCase
+from .norms import SpaceSpec
 from .profiles import KProfile, parse_profile, realize_rearrangement
 from .quadrature import GridSpec, SCAN_GRID
 from .reiteration import LKSpec, ReiterationSpec
@@ -204,7 +205,6 @@ def _validate(s: Scenario) -> None:
             p["_q"] = scalar("q")
         elif s.kind == "norm":
             p["_profile"] = parse_profile(p["profile"])
-            from .norms import SpaceSpec
             p["_space"] = SpaceSpec(scalar("theta"), scalar("q"), weight("b"))
         elif s.kind == "holmstedt":
             if p["case"] not in CASE_KINDS:

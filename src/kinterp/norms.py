@@ -39,6 +39,7 @@ __all__ = [
     "index",
     "index_limit",
     "quasi_monotone_constant",
+    "sv_quasimonotone_constant",
     "check_condition_monotone_index",
     "DEFAULT_EPS_GRID",
     "MONOTONE_THRESHOLD",
@@ -370,6 +371,15 @@ def quasi_monotone_constant(vals, direction: str = "nondecreasing") -> float:
     else:
         ratios = vals / np.minimum.accumulate(vals)
     return float(np.max(ratios, initial=1.0))
+
+
+def sv_quasimonotone_constant(b: WeightExpr, eps: float) -> float:
+    """Worst quasi-monotonicity constant of t^eps b(t) (toward nondecreasing)
+    and t^-eps b(t) (toward nonincreasing) on :data:`STANDARD_GRID`."""
+    ts = STANDARD_GRID.points()
+    vals = np.array([b(float(t)) for t in ts])
+    return max(quasi_monotone_constant(vals * ts ** eps),
+               quasi_monotone_constant(vals * ts ** (-eps), "nonincreasing"))
 
 
 @dataclass

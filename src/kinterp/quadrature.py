@@ -11,8 +11,13 @@ integrated over [x1, x2] inside [0, inf].  Terms without the stretched
 exponential factor integrate in closed form when a == 0 or beta == 0, through
 the upper incomplete gamma function when a < 0 and beta > -1, and by adaptive
 quadrature otherwise.  The q = inf quasi-norms are exact suprema of the same
-sums (:func:`sup_terms`).  Plain callables are integrated by their callers,
-not here.
+sums (:func:`sup_terms`).
+
+:func:`_quad` is the package's one call to QUADPACK: the canonical terms
+above, the adaptive segments of ``norms`` and the opaque callables of
+``weighted_ineq`` all go through it, and it raises
+:class:`DivergentIntegralError` when QUADPACK stops at its subdivision limit
+(ier 1) or reports the integral as probably divergent (ier 5).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ __all__ = [
     "GridSpec",
     "IntegralResult",
     "IntegralOverflowError",
+    "DivergentIntegralError",
     "LogTerm",
     "term_diverges_at_inf",
     "power_integral",
@@ -121,6 +127,11 @@ class IntegralOverflowError(ValueError):
     """
 
 
+class DivergentIntegralError(ValueError):
+    """QUADPACK reports an integral as probably divergent, or stops at its
+    subdivision limit."""
+
+
 # ---------------------------------------------------------------------------
 # Canonical terms
 # ---------------------------------------------------------------------------
@@ -167,9 +178,25 @@ def term_diverges_at_inf(a: float, beta: float,
     return _growth(a, beta, gammas) >= (0.0, 0.0, -1.0)
 
 
-def _quad(f: Callable[[float], float], x1: float, x2: float) -> tuple[float, float]:
-    val, err = _sci_integrate.quad(f, x1, x2, epsabs=0.0, epsrel=_QUAD_EPSREL,
-                                   limit=200)
+#: the messages scipy's ``quad`` returns for the QUADPACK statuses that leave
+#: no integral: ier 1 (subdivision limit) and ier 5 (probably divergent)
+_QUADPACK_FAILURES = (
+    ("The maximum number of subdivisions", "ier 1, subdivision limit"),
+    ("The integral is probably divergent", "ier 5, probably divergent"))
+
+
+def _quad(f: Callable[[float], float], x1: float, x2: float,
+          epsabs: float = 0.0, epsrel: float = _QUAD_EPSREL
+          ) -> tuple[float, float]:
+    """(value, error) of int_x1^x2 f(x) dx by QUADPACK, the only call to it;
+    raises :class:`DivergentIntegralError` on status ier 1 or 5.  Status
+    ier 2 (roundoff) returns the value."""
+    val, err, _, *message = _sci_integrate.quad(
+        f, x1, x2, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
+    for prefix, status in _QUADPACK_FAILURES:
+        if message and message[0].startswith(prefix):
+            raise DivergentIntegralError(
+                f"QUADPACK status {status}, over ({x1!r}, {x2!r})")
     return val, err
 
 

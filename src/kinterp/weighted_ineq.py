@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from .norms import weighted_knorm
-from .profiles import KProfile, K_from_rearrangement, random_rearrangement
-from .quadrature import GridSpec, STANDARD_GRID, golden_min, term_memo
+from .profiles import KProfile
+from .quadrature import (DivergentIntegralError, GridSpec, STANDARD_GRID,
+                         _quad, golden_min, term_memo)
 from .weights import (
     WeightExpr,
     tail_qnorm,
@@ -43,7 +43,6 @@ __all__ = [
     "HardyReport",
     "hmt_check",
     "HmtReport",
-    "random_quasiconcave",
     "PASS_CONSTANT",
 ]
 
@@ -89,23 +88,54 @@ class ConstantReport:
 # The four constants
 # ---------------------------------------------------------------------------
 
+_Kernel = Callable[[WeightExpr, float, float], float]
+
+
 def _bracket(b: WeightExpr, r: float, x: float) -> float:
-    """int_0^x s^r b^r ds/s + x^r int_x^inf b^r ds/s (the plug-in identity)."""
+    """int_0^x s^r b^r ds/s + x^r int_x^inf b^r ds/s (the plug-in identity):
+    the kernel of A1 and A2."""
     head = weight_kernel_integral(b, r, r, 0.0, x)
-    tail = weight_kernel_integral(b, r, 0.0, x, _INF)
+    tail = _tail(b, r, x)
     if head == _INF or tail == _INF:
         return _INF
     return head + x ** r * tail
 
 
-def _tail_quotient(spec: InequalitySpec, x: float) -> float:
-    """The A3 ratio ||u^{-1/q} w||_{q,(x,inf)} / ||u^{-1/p} v||_{p,(x,inf)};
-    0.0 where the numerator diverges or the denominator is 0 or +inf."""
-    num = tail_qnorm(spec.w, spec.q, x)
-    den = tail_qnorm(spec.v, spec.p, x)
-    if num == _INF or den == 0.0 or den == _INF:
+def _tail(b: WeightExpr, r: float, x: float) -> float:
+    """int_x^inf b^r ds/s: the kernel of A3 and A4."""
+    return weight_kernel_integral(b, r, 0.0, x, _INF)
+
+
+def _kernel_ratio(spec: InequalitySpec, kernel: _Kernel, x: float) -> float:
+    """kernel(w, q, x)^(1/q) / kernel(v, p, x)^(1/p), the plug-in ratio of
+    A1 (``_bracket``) and A3 (``_tail``); 0.0 where a kernel value is
+    degenerate (the numerator +inf, the denominator 0 or +inf)."""
+    num = kernel(spec.w, spec.q, x)
+    den = kernel(spec.v, spec.p, x)
+    if num == _INF or den == _INF or den == 0.0:
         return 0.0
-    return num / den
+    return num ** (1.0 / spec.q) / den ** (1.0 / spec.p)
+
+
+def _log_integrand(spec: InequalitySpec, kernel: _Kernel,
+                   x_power: float) -> Callable[[float], float]:
+    """x -> ln of the integrand of A2 (``_bracket``, ``x_power`` = q) or A4
+    (``_tail``, ``x_power`` = 0) at s = e^x:
+    q/(p-q) ln(kernel(w, q, s) / kernel(v, p, s)) + x_power x + q ln w(s)."""
+    p, q, v, w = spec.p, spec.q, spec.v, spec.w
+    expo = q / (p - q)
+
+    def log_f(x: float) -> float:
+        ux = math.exp(x)
+        num = kernel(w, q, ux)
+        den = kernel(v, p, ux)
+        if num == _INF:
+            return _INF
+        if num == 0.0 or den == 0.0 or den == _INF:
+            return -_INF
+        return expo * (math.log(num) - math.log(den)) \
+            + x_power * x + q * math.log(w(ux))
+    return log_f
 
 
 def _sup_on_grid(ratio: Callable[[float], float]) -> tuple[float, float]:
@@ -178,54 +208,21 @@ def _log_integral(log_f: Callable[[float], float]) -> float:
 
 def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
     """A1/A2 for general positive weights, A3/A4 for slowly varying ones."""
-    p, q, v, w = spec.p, spec.q, spec.v, spec.w
+    p, q = spec.p, spec.q
     if which in ("A1", "A3") and not p <= q:
         raise ValueError(f"{which} requires p <= q")
     if which in ("A2", "A4") and not q < p:
         raise ValueError(f"{which} requires q < p")
+    kernel = _bracket if which in ("A1", "A2") else _tail
     with term_memo():  # each distinct integral of the call is computed once
         if which in ("A3", "A4"):
             spec.require_sv_classes()
-
-        if which == "A1":
-            def ratio(x: float) -> float:
-                num = _bracket(w, q, x)
-                den = _bracket(v, p, x)
-                if num == _INF or den == _INF or den == 0.0:
-                    return 0.0
-                return num ** (1.0 / q) / den ** (1.0 / p)
-            value, argmax = _sup_on_grid(ratio)
-            return ConstantReport("A1", value, argmax)
-
-        if which == "A3":
-            value, argmax = _sup_on_grid(lambda x: _tail_quotient(spec, x))
-            return ConstantReport("A3", value, argmax)
-
-        expo = q / (p - q)
-
-        if which == "A2":
-            def log_f(x: float) -> float:
-                ux = math.exp(x)
-                num = _bracket(w, q, ux)
-                den = _bracket(v, p, ux)
-                if num == _INF:
-                    return _INF
-                if num == 0.0 or den == 0.0 or den == _INF:
-                    return -_INF
-                return expo * (math.log(num) - math.log(den)) \
-                    + q * x + q * math.log(w(ux))
-        else:  # A4
-            def log_f(x: float) -> float:
-                ux = math.exp(x)
-                num = weight_kernel_integral(w, q, 0.0, ux, _INF)
-                den = weight_kernel_integral(v, p, 0.0, ux, _INF)
-                if num == _INF:
-                    return _INF
-                if num == 0.0 or den == 0.0 or den == _INF:
-                    return -_INF
-                return expo * (math.log(num) - math.log(den)) + q * math.log(w(ux))
-
-        log_val = _log_integral(log_f)
+        if which in ("A1", "A3"):
+            value, argmax = _sup_on_grid(
+                lambda x: _kernel_ratio(spec, kernel, x))
+            return ConstantReport(which, value, argmax)
+        log_val = _log_integral(
+            _log_integrand(spec, kernel, q if which == "A2" else 0.0))
         if log_val == _INF:
             return ConstantReport(which, _INF)
         value = math.exp(log_val * (1.0 / q - 1.0 / p))
@@ -254,14 +251,9 @@ def best_constant_probe(spec: InequalitySpec, which: str,
         return max(quasiconcave_ratio(spec, _min_profile(float(x)))
                    for x in x_grid)
     if which == "A3":
-        return max([0.0] + [_tail_quotient(spec, float(x)) for x in x_grid])
+        return max([0.0] + [_kernel_ratio(spec, _tail, float(x))
+                            for x in x_grid])
     raise ValueError("probe supports A1 and A3")
-
-
-def random_quasiconcave(rng: np.random.Generator) -> KProfile:
-    """Random quasi-concave function built as a K-profile of a random
-    piecewise-constant rearrangement (quasi-concave by construction)."""
-    return K_from_rearrangement(random_rearrangement(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ def window_condition(spec: InequalitySpec, side: str,
 
     rows: list[tuple[float, float, float]] = []
     if p <= q:
-        vals = np.array([_tail_quotient(spec, float(t)) for t in ts])
+        vals = np.array([_kernel_ratio(spec, _tail, float(t)) for t in ts])
         # the running sup over x < t (head) or x > t (tail)
         order = slice(None) if side == "head" else slice(None, None, -1)
         for t, c in zip(ts, np.maximum.accumulate(vals[order])[order].tolist()):
@@ -308,8 +300,8 @@ def window_condition(spec: InequalitySpec, side: str,
 
         def integrand(x: float) -> float:
             ux = math.exp(x)
-            num = weight_kernel_integral(w, q, 0.0, ux, _INF)
-            den = weight_kernel_integral(v, p, 0.0, ux, _INF)
+            num = _tail(w, q, ux)
+            den = _tail(v, p, ux)
             if num in (0.0, _INF) or den in (0.0, _INF):
                 return 0.0
             return (num / den) ** expo * w(ux) ** q
@@ -356,32 +348,13 @@ def window_condition(spec: InequalitySpec, side: str,
 HARDY_CASES = ("HET1", "HET2", "HET3plus", "HET3")
 
 
-class DivergentIntegralError(ValueError):
-    """QUADPACK reports an opaque integrand's integral as probably divergent,
-    or stops at its subdivision limit."""
-
-
-#: the messages scipy's ``quad`` returns for the QUADPACK statuses that leave
-#: no integral: ier 1 (subdivision limit) and ier 5 (probably divergent)
-_QUADPACK_FAILURES = (
-    ("The maximum number of subdivisions", "ier 1, subdivision limit"),
-    ("The integral is probably divergent", "ier 5, probably divergent"))
-
-
 def _plain_quad(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """int_lo^hi f(u) du by QUADPACK; raises :class:`DivergentIntegralError`
-    on QUADPACK status ier 1 or 5.  Status ier 2 (roundoff) returns the
-    value."""
+    """int_lo^hi f(u) du of an opaque callable by :func:`quadrature._quad`
+    (so :class:`DivergentIntegralError` on QUADPACK status ier 1 or 5); 0.0
+    for an empty range."""
     if lo >= hi:
         return 0.0
-    val, _, _, *message = _sci_integrate.quad(f, lo, hi, epsabs=1e-13,
-                                              epsrel=1e-10, limit=200,
-                                              full_output=1)
-    for prefix, status in _QUADPACK_FAILURES:
-        if message and message[0].startswith(prefix):
-            raise DivergentIntegralError(
-                f"QUADPACK status {status}, over ({lo!r}, {hi!r})")
-    return val
+    return _quad(f, lo, hi, 1e-13, 1e-10)[0]
 
 
 def _integral(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -471,12 +444,6 @@ class StepFunction:
         self.values = [float(v) for v in values]
         self.tail = float(tail)
 
-    def __call__(self, u: float) -> float:
-        for e, v in zip(self.edges, self.values):
-            if u <= e:
-                return v
-        return self.tail
-
     def pieces(self) -> list[tuple[float, float, float]]:
         out = []
         prev = 0.0
@@ -526,7 +493,8 @@ def hardy_check(case: str, alpha: float, w: Callable[[float], float],
                 phi: Callable[[float], float],
                 h_family: Optional[Sequence[StepFunction]] = None,
                 samples: int = 50, seed: int = 13579) -> HardyReport:
-    """Max observed ratio LHS/RHS of the case's inequality over sampled h."""
+    """Max observed ratio LHS/RHS of the case's inequality over sampled h;
+    a ValueError when every h gives 0/0."""
     v = hardy_build_v(case, alpha, w, phi)
     monot = {"HET1": "any", "HET2": "any",
              "HET3plus": "nonincreasing", "HET3": "nondecreasing"}[case]
@@ -544,16 +512,19 @@ def hardy_check(case: str, alpha: float, w: Callable[[float], float],
 def _worst_ratio(pairs: Iterable[tuple[float, float]]) -> tuple[float, int]:
     """(largest lhs / rhs over the (lhs, rhs) pairs, number of 0 / 0 pairs
     skipped); +inf, without reading further pairs, at a nonzero lhs over
-    rhs = 0."""
+    rhs = 0; (0.0, 0) for no pair.  Raises ValueError when every pair is
+    0 / 0: such a sample is no evidence for any bound."""
     worst = 0.0
-    skipped = 0
-    for lhs, rhs in pairs:
+    n = skipped = 0
+    for n, (lhs, rhs) in enumerate(pairs, 1):
         if rhs == 0.0:
             if lhs == 0.0:
                 skipped += 1
                 continue
             return _INF, skipped
         worst = max(worst, lhs / rhs)
+    if n and skipped == n:
+        raise ValueError(f"all {n} sampled ratios are 0/0")
     return worst, skipped
 
 
@@ -610,7 +581,8 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
     and compares with int_x^inf v; plugging the step h = chi_(x,inf) into the
     inequality reproduces the condition exactly, which is what the reported
     reduction discrepancy measures.  A :class:`DivergentIntegralError` from
-    the quadrature of an opaque kernel, w or v propagates.
+    the quadrature of an opaque kernel, w or v propagates; a ValueError is
+    raised when every x (or every h sample) gives 0/0.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -632,20 +604,19 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
             return iv ** alpha * w(t)
         return _plain_quad(outer, 0.0, _INF)
 
-    cond_ratio = 0.0
+    pairs = []
     reduction = 0.0
-    for x in x_grid:
-        lc, rc = lhs_condition(float(x)), rhs_condition(float(x))
+    for x in map(float, x_grid):
+        lc, rc = lhs_condition(x), rhs_condition(x)
+        pairs.append((lc, rc))
         if rc == 0.0:
-            if lc > 0.0:
-                cond_ratio = _INF
             continue
-        cond_ratio = max(cond_ratio, lc / rc)
-        indicator = StepFunction([float(x)], [0.0], tail=1.0)
+        indicator = StepFunction([x], [0.0], tail=1.0)
         li = lhs_inequality(indicator)
         ri = indicator.weighted_integral(v, 0.0, _INF, power=alpha)
         scale = max(abs(lc), abs(rc), 1e-300)
         reduction = max(reduction, abs(li - lc) / scale, abs(ri - rc) / scale)
+    cond_ratio, _ = _worst_ratio(pairs)
 
     if h_samples is None:
         rng = np.random.default_rng(_HMT_SEED)

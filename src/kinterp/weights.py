@@ -18,8 +18,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from .quadrature import (LogTerm, STANDARD_GRID, integrate_terms,
                          power_integral, sup_terms)
 
@@ -40,7 +38,6 @@ __all__ = [
     "head_qnorm",
     "classify",
     "tilde_construction",
-    "sv_quasimonotone_constant",
 ]
 
 _INF = math.inf
@@ -488,18 +485,3 @@ class TildeWeight:
 
 def tilde_construction(b: WeightExpr) -> TildeWeight:
     return TildeWeight(b)
-
-
-# ---------------------------------------------------------------------------
-# Operationalized SV membership
-# ---------------------------------------------------------------------------
-
-def sv_quasimonotone_constant(b: WeightExpr, eps: float) -> float:
-    """Worst quasi-monotonicity constant of t^eps b(t) (toward nondecreasing)
-    and t^-eps b(t) (toward nonincreasing) on :data:`STANDARD_GRID`."""
-    from .norms import quasi_monotone_constant  # norms imports this module
-
-    ts = STANDARD_GRID.points()
-    vals = np.array([b(float(t)) for t in ts])
-    return max(quasi_monotone_constant(vals * ts ** eps),
-               quasi_monotone_constant(vals * ts ** (-eps), "nonincreasing"))

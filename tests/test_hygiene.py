@@ -38,6 +38,39 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The module of each import statement inside ``node``; a relative
+    import as ``kinterp.<module>``."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Import):
+            found += [alias.name for alias in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            found.append("kinterp." + (n.module or "") if n.level
+                         else n.module)
+    return found
+
+
+def test_no_function_imports_a_package_module():
+    # a function-level import of a sibling module hides an import cycle
+    found = [f"{path.name}:{node.name} {module}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for module in _imported_modules(node)
+             if module.split(".")[0] == "kinterp"]
+    assert found == []
+
+
+def test_only_quadrature_imports_scipy():
+    # every QUADPACK call and special function goes through one module
+    found = sorted({path.name for path in SRC.glob("*.py")
+                    for module in _imported_modules(
+                        ast.parse(path.read_text(encoding="utf-8")))
+                    if module.split(".")[0] == "scipy"})
+    assert found == ["quadrature.py"]
+
+
 def _unread_parameters(path: pathlib.Path) -> list[str]:
     """Parameters of module-level functions that their body never reads.
 

@@ -133,6 +133,19 @@ def test_truncation_examples():
     assert f1(4.0) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+def test_truncation_below_a_constant_tail(lam):
+    # f* = 1 never drops below lam: the split takes f1 = lam everywhere
+    # (the t_cross = inf branch), exactly
+    f = realize_rearrangement(KProfile.power(1.0))
+    f0, f1 = truncation_split(f, lam)
+    K, K0, K1 = (K_from_rearrangement(g) for g in (f, f0, f1))
+    for t in (0.01, 0.5, 2.0, 100.0):
+        assert f0(t) + f1(t) == f(t)
+        assert K0(t) + K1(t) == K(t)
+        assert f1(t) == min(f(t), lam)
+
+
 def test_truncation_level_validation():
     with pytest.raises(ValueError):
         truncation_split(Rearrangement.indicator(1.0), 0.0)

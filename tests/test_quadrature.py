@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy import integrate as sci_integrate
+
 from kinterp import quadrature, weights
 from kinterp.holmstedt import HolmstedtCase, HypothesisError, equivalence_scan
-from kinterp.profiles import parse_profile
+from kinterp.norms import _segment_adaptive
+from kinterp.profiles import KProfile, parse_profile
 from kinterp.quadrature import (
     AT_ZERO,
+    DivergentIntegralError,
     GridSpec,
     IntegralOverflowError,
     LogTerm,
@@ -18,6 +22,7 @@ from kinterp.quadrature import (
     integrate_terms,
     sup_terms,
     term_memo,
+    term_value,
 )
 from kinterp.weights import One, parse_weight, tail_qnorm
 
@@ -318,3 +323,32 @@ def test_sup_terms_ends_and_errors():
     with pytest.raises(ValueError):
         sup_terms([LogTerm(1.0, 0.0, -1.0, 0.0, 1.0),
                    LogTerm(1.0, 0.0, -2.0, 0.0, 2.0)])
+
+
+#: the messages scipy's ``quad`` returns with ier 1 and ier 5
+_QUADPACK_MESSAGES = {
+    1: "The maximum number of subdivisions (200) has been achieved.",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
+
+
+@pytest.mark.parametrize("ier", sorted(_QUADPACK_MESSAGES))
+def test_every_quadpack_call_keeps_the_status_policy(monkeypatch, ier):
+    # a canonical term on a finite segment, a stretched term and an adaptive
+    # profile segment all reach QUADPACK; none of them may return the value
+    # of a call that ended at its subdivision limit or called it divergent
+    def failing_quad(f, a, b, *args, full_output=0, **kwargs):
+        if full_output:
+            return 1.0, 1e-9, {}, _QUADPACK_MESSAGES[ier]
+        return 1.0, 1e-9
+
+    monkeypatch.setattr(sci_integrate, "quad", failing_quad)
+    calls = [
+        lambda: exp_pow_integral(-1.0, 0.5, 0.0, 3.0),
+        lambda: term_value(LogTerm(1.0, -1.0, 0.0, 0.0, 5.0, ((0.5, 1.0),))),
+        lambda: _segment_adaptive(KProfile.min1().curve, 0.5, 1.0,
+                                  parse_weight("log(0,-2)"), 0.5, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(DivergentIntegralError, match=f"ier {ier}"):
+            call()

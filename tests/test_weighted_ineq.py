@@ -9,7 +9,7 @@ from kinterp import quadrature, weights
 from kinterp.cli import run
 from kinterp.config import ExpDecay, load_config, parse_function
 from kinterp.norms import weighted_knorm
-from kinterp.profiles import KProfile
+from kinterp.profiles import K_from_rearrangement, KProfile, random_rearrangement
 from kinterp.weighted_ineq import (
     _integral,
     _plain_quad,
@@ -22,7 +22,6 @@ from kinterp.weighted_ineq import (
     hardy_check,
     hmt_check,
     quasiconcave_ratio,
-    random_quasiconcave,
     window_condition,
 )
 from kinterp.weights import WeightExpr, parse_weight
@@ -111,7 +110,7 @@ def test_random_quasiconcave_never_beats_A1(spec_12):
     a1 = compute_constant(spec_12, "A1").value
     rng = np.random.default_rng(20240809)
     for _ in range(25):
-        h = random_quasiconcave(rng)
+        h = K_from_rearrangement(random_rearrangement(rng))
         assert quasiconcave_ratio(spec_12, h) <= a1 * (1.0 + 1e-6)
 
 
@@ -197,9 +196,15 @@ def test_hardy_constant_h():
 
 
 def test_hardy_zero_h_skipped():
-    rep = hardy_check("HET1", 2.0, lambda t: math.exp(-t), lambda t: 1.0,
-                      h_family=[StepFunction([1.0], [0.0])])
-    assert rep.max_ratio == 0.0 and rep.skipped == 1
+    # a zero h beside a nonzero one is skipped, and the ratio is the other
+    # h's; a family of zero h only is no evidence and raises
+    args = ("HET1", 2.0, lambda t: math.exp(-t), lambda t: 1.0)
+    zero = StepFunction([1.0], [0.0])
+    rep = hardy_check(*args, h_family=[zero, StepFunction([], [], tail=1.0)])
+    assert rep.skipped == 1 and rep.samples == 2
+    assert rep.max_ratio == pytest.approx(2.0, rel=1e-8)
+    with pytest.raises(ValueError, match="0/0"):
+        hardy_check(*args, h_family=[zero])
 
 
 def test_hardy_empty_family_raises():
@@ -387,6 +392,14 @@ def test_hmt_empty_x_grid_raises():
         hmt_check(*args, x_grid=[], h_samples=[])
     rep = hmt_check(*args, x_grid=[1.0], h_samples=[])
     assert rep.condition_holds and rep.inequality_ratio == 0.0
+
+
+def test_hmt_all_zero_condition_raises():
+    # psi = 0 and v = 0 make every x a 0/0 ratio: no evidence for the
+    # condition, which used to pass with condition_ratio 0.0
+    with pytest.raises(ValueError, match="0/0"):
+        hmt_check(1.0, lambda t, u: 0.0, lambda t: 1.0, lambda t: 0.0,
+                  x_grid=[1.0], h_samples=[])
 
 
 def test_hmt_alpha_validation():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kinterp.norms import sv_quasimonotone_constant
 from kinterp.quadrature import GridSpec, integrate_terms
 from kinterp.weights import (
     ExpLog,
@@ -21,7 +22,6 @@ from kinterp.weights import (
     classify,
     head_qnorm,
     parse_weight,
-    sv_quasimonotone_constant,
     tail_qnorm,
     tilde_construction,
     weight_kernel_integral,
