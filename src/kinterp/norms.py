@@ -15,19 +15,18 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .profiles import Atom, KProfile, PiecewiseCurve, _segment_probe
+from .profiles import Atom, KProfile, PiecewiseCurve
 from .quadrature import (
     AT_INFINITY,
     AT_ZERO,
     IntegralResult,
-    LogTerm,
     STANDARD_GRID,
     _quad,
     integrate_terms,
     sup_terms,
     term_diverges_at_inf,
 )
-from .weights import SideForm, WeightExpr, head_qnorm, tail_qnorm
+from .weights import WeightExpr, head_qnorm, side_terms, tail_qnorm
 
 __all__ = [
     "SpaceSpec",
@@ -120,26 +119,6 @@ def _expand_piece(atoms: Sequence[Atom], q: float) -> Optional[list[Atom]]:
     return out
 
 
-def _segment_terms(atoms_q: Sequence[Atom], theta: float, q: float,
-                   w_form: SideForm, side: str, u0: float, u1: float
-                   ) -> list[LogTerm]:
-    """Terms of int_{u0}^{u1} u^{-theta q} w^q K^q du/u on one side of 1."""
-    terms: list[LogTerm] = []
-    wq = w_form.scaled(q)
-    for a in atoms_q:
-        p_tot = a.power - theta * q
-        beta = a.logexp + wq.beta
-        if side == "hi":
-            x1 = math.log(u0)
-            x2 = math.log(u1) if u1 != _INF else _INF
-            terms.append(LogTerm(a.coef, p_tot, beta, x1, x2, wq.gammas, end="inf"))
-        else:
-            x1 = -math.log(u1)
-            x2 = -math.log(u0) if u0 > 0.0 else _INF
-            terms.append(LogTerm(a.coef, -p_tot, beta, x1, x2, wq.gammas, end="zero"))
-    return terms
-
-
 def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
                       b, u0: float, u1: float) -> tuple[float, float]:
     """Adaptive fallback for one segment; returns (value, error)."""
@@ -169,22 +148,11 @@ def _segments(curve: PiecewiseCurve, lo: float, hi: float
               ) -> Iterator[tuple[float, float, str, Sequence[Atom]]]:
     """(u0, u1, side, atoms) for each nonzero piece of the curve on (lo, hi),
     cut at 1 and at the curve's breakpoints."""
-    cuts = sorted({lo, hi, 1.0} | set(curve.breaks))
-    cuts = [c for c in cuts if lo <= c <= hi]
-    if cuts[0] != lo:
-        cuts.insert(0, lo)
-    if cuts[-1] != hi:
-        cuts.append(hi)
-    # segment k of cuts is segment k + first of its finite positive points
-    probe_breaks = [c for c in cuts if 0.0 < c < _INF]
-    first = 0 if lo == 0.0 else 1
-    for k, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if u0 == u1:
-            continue
-        mid = _segment_probe(probe_breaks, k + first)
-        atoms = curve.pieces[curve.piece_index(mid)]
+    cuts = sorted(c for c in {lo, hi, 1.0} | set(curve.breaks) if lo <= c <= hi)
+    for u0, u1 in zip(cuts[:-1], cuts[1:]):
+        atoms = curve.pieces[curve.piece_index(u1)]
         if atoms:
-            yield u0, u1, "lo" if mid < 1.0 else "hi", atoms
+            yield u0, u1, "lo" if u1 <= 1.0 else "hi", atoms
 
 
 def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
@@ -203,8 +171,9 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
     for u0, u1, side, atoms in _segments(curve, lo, hi):
         expanded = _expand_piece(atoms, q) if structured is not None else None
         if expanded is not None:
-            terms = _segment_terms(expanded, theta, q, structured.side(side),
-                                   side, u0, u1)
+            terms = side_terms(structured.side(side).scaled(q),
+                               [(a.coef, a.power - theta * q, a.logexp)
+                                for a in expanded], side, u0, u1)
             terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
             res = integrate_terms(terms)
         else:
@@ -229,7 +198,8 @@ def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
         return res.value ** (1.0 / q) if not res.divergent else _INF
     best = 0.0
     for u0, u1, side, atoms in _segments(curve, lo, hi):
-        terms = _segment_terms(atoms, theta, 1.0, b.side(side), side, u0, u1)
+        terms = side_terms(b.side(side), [(a.coef, a.power - theta, a.logexp)
+                                          for a in atoms], side, u0, u1)
         best = max(best, sup_terms(terms))
     return best
 

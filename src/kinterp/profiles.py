@@ -3,7 +3,7 @@
 Both kinds of object are piecewise sums of atoms  c * t^p * L(t)^beta  with
 L(t) = 1 - ln t on (0,1] and 1 + ln t on [1,inf); a breakpoint at t = 1 is
 inserted whenever a log factor is present.  The family is closed under the
-operations the rest of the package needs: scaling, sums, differentiation,
+operations the rest of the package needs: scaling, differentiation,
 truncation at a level, the conjugate transform K(t) -> t K(1/t), and (for the
 combinations that admit one) exact antiderivatives.  Rearrangements remember
 the exact integral curve of their K-functional whenever it is known, so the
@@ -16,9 +16,10 @@ Profile literals accepted by :func:`parse_profile`:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -112,18 +113,18 @@ class PiecewiseCurve:
     def zero() -> "PiecewiseCurve":
         return PiecewiseCurve((), ((),))
 
-    @staticmethod
-    def constant(c: float) -> "PiecewiseCurve":
-        return PiecewiseCurve((), ((Atom(c, 0.0),),))
-
     def is_zero(self) -> bool:
         return all(not p for p in self.pieces)
 
     def piece_index(self, t: float) -> int:
-        i = 0
-        while i < len(self.breaks) and t > self.breaks[i]:
-            i += 1
-        return i
+        """The index of the piece holding t: the count of breaks below t."""
+        return bisect.bisect_left(self.breaks, t)
+
+    def segments(self) -> Iterator[tuple[float, float, tuple[Atom, ...]]]:
+        """(lo, hi, piece) of each piece, from lo = 0 to hi = inf.  A piece
+        with a log atom lies on one side of 1, the lower one when hi <= 1."""
+        edges = (0.0,) + self.breaks + (_INF,)
+        return zip(edges[:-1], edges[1:], self.pieces)
 
     def __call__(self, t) -> float:
         t = float(t)
@@ -140,29 +141,12 @@ class PiecewiseCurve:
         return PiecewiseCurve(self.breaks,
                               [tuple(a.scaled(c) for a in p) for p in self.pieces])
 
-    def _aligned(self, other: "PiecewiseCurve") -> tuple[tuple[float, ...],
-                                                         list, list]:
-        breaks = sorted(set(self.breaks) | set(other.breaks))
-        mine, theirs = [], []
-        for i in range(len(breaks) + 1):
-            t_ref = _segment_probe(breaks, i)
-            mine.append(self.pieces[self.piece_index(t_ref)])
-            theirs.append(other.pieces[other.piece_index(t_ref)])
-        return tuple(breaks), mine, theirs
-
-    def __add__(self, other: "PiecewiseCurve") -> "PiecewiseCurve":
-        breaks, mine, theirs = self._aligned(other)
-        return PiecewiseCurve(breaks, [tuple(a) + tuple(b) for a, b in zip(mine, theirs)])
-
-    def __sub__(self, other: "PiecewiseCurve") -> "PiecewiseCurve":
-        return self + other.scale(-1.0)
-
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PiecewiseCurve":
         new_pieces = []
-        for i, piece in enumerate(self.pieces):
-            on_lo_side = _segment_probe(self.breaks, i) < 1.0
+        for _, hi, piece in self.segments():
+            on_lo_side = hi <= 1.0
             atoms: list[Atom] = []
             for a in piece:
                 atoms.append(Atom(a.coef * a.power, a.power - 1.0, a.logexp))
@@ -213,20 +197,20 @@ class PiecewiseCurve:
                     raise ValueError("curve is not integrable at 0")
                 raise CurveClosureError(
                     "leading piece has no atomic antiderivative vanishing at 0")
+        # c/u integrates to +-c ln u, a log atom whose sign depends on the side
+        curve = self.split_at(1.0) if any(a.power == -1.0 for p in self.pieces
+                                          for a in p) else self
         new_pieces = []
-        for i, piece in enumerate(self.pieces):
-            on_lo = _segment_probe(self.breaks, i) < 1.0
-            F = self._piece_antiderivative(piece, on_lo)
-            if i == 0:
-                new_pieces.append(F)
-            else:
-                b = self.breaks[i - 1]
+        for b, hi, piece in curve.segments():
+            F = self._piece_antiderivative(piece, hi <= 1.0)
+            if new_pieces:
                 left_val = math.fsum(_atom_eval(a, b) for a in new_pieces[-1]) \
                     if new_pieces[-1] else 0.0
                 here_val = math.fsum(_atom_eval(a, b) for a in F) if F else 0.0
                 shift = left_val - here_val
-                new_pieces.append(F + ((Atom(shift, 0.0),) if shift != 0.0 else ()))
-        return PiecewiseCurve(self.breaks, new_pieces)
+                F += (Atom(shift, 0.0),) if shift != 0.0 else ()
+            new_pieces.append(F)
+        return PiecewiseCurve(curve.breaks, new_pieces)
 
     # -- support helpers ----------------------------------------------------
 
@@ -313,6 +297,10 @@ class KProfile:
 
     @staticmethod
     def powerlog(theta: float, a0: float, a_inf: float) -> "KProfile":
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError("powerlog profile exponent must lie in [0, 1]")
+        if not (math.isfinite(a0) and math.isfinite(a_inf)):
+            raise ValueError("powerlog log exponents must be finite")
         curve = PiecewiseCurve((1.0,), ((Atom(1.0, theta, a0),),
                                         (Atom(1.0, theta, a_inf),)))
         return KProfile(curve, f"powerlog({theta},{a0},{a_inf})")
@@ -322,8 +310,8 @@ class KProfile:
         """Piecewise-affine profile through (t_i, k_i); linear left tail through
         the origin, constant right tail."""
         pts = sorted((float(t), float(k)) for t, k in pairs)
-        if not pts or any(t <= 0.0 or k <= 0.0 for t, k in pts):
-            raise ValueError("nodes must be positive")
+        if not pts or not all(0.0 < t < _INF and 0.0 < k < _INF for t, k in pts):
+            raise ValueError("nodes must be positive and finite")
         breaks = [t for t, _ in pts]
         pieces: list[tuple[Atom, ...]] = [(Atom(pts[0][1] / pts[0][0], 1.0),)]
         for (t0, k0), (t1, k1) in zip(pts[:-1], pts[1:]):
@@ -484,8 +472,9 @@ def realize_rearrangement(phi: KProfile) -> Rearrangement:
 
 
 def _vanishes_at_zero(curve: PiecewiseCurve) -> bool:
-    on_lo = _segment_probe(curve.breaks, 0) < 1.0
-    for a in curve.pieces[0]:
+    _, hi, first = next(curve.segments())
+    on_lo = hi <= 1.0
+    for a in first:
         if a.power < 0.0:
             return False
         if a.power == 0.0 and not (on_lo and a.logexp < 0.0):
@@ -591,11 +580,13 @@ def truncation_split(f: Rearrangement, lam: float
         return Rearrangement.zero(), Rearrangement(f.curve, K, f.label,
                                                    validate=False)
     if t_cross == _INF:
-        const = PiecewiseCurve.constant(lam)
-        f0c = f.curve - const
-        return (Rearrangement(f0c, K - const.antiderivative(), "f0",
-                              validate=False),
-                Rearrangement(const, const.antiderivative(), "f1",
+        f0c = PiecewiseCurve(f.curve.breaks, [tuple(p) + (Atom(-lam, 0.0),)
+                                              for p in f.curve.pieces])
+        K0 = PiecewiseCurve(K.breaks, [tuple(p) + (Atom(-lam, 1.0),)
+                                       for p in K.pieces])
+        return (Rearrangement(f0c, K0, "f0", validate=False),
+                Rearrangement(PiecewiseCurve((), ((Atom(lam, 0.0),),)),
+                              PiecewiseCurve((), ((Atom(lam, 1.0),),)), "f1",
                               validate=False))
     base = f.curve.split_at(t_cross)
     Kb = K.split_at(t_cross)

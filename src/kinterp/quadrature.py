@@ -74,8 +74,8 @@ class GridSpec:
     points_per_decade: int = 64
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.t_min < self.t_max):
-            raise ValueError("GridSpec requires 0 < t_min < t_max")
+        if not (0.0 < self.t_min < self.t_max < math.inf):
+            raise ValueError("GridSpec requires 0 < t_min < t_max < inf")
         if self.points_per_decade < 8:
             raise ValueError("GridSpec requires points_per_decade >= 8")
 

@@ -431,7 +431,7 @@ def hardy_build_v(case: str, alpha: float, w: Callable[[float], float],
 
 
 class StepFunction:
-    """Positive step function: values[i] on (edge[i-1], edge[i]], ``tail``
+    """Nonnegative step function: values[i] on (edge[i-1], edge[i]], ``tail``
     beyond the last edge (the support may be unbounded)."""
 
     def __init__(self, edges: Sequence[float], values: Sequence[float],
@@ -443,6 +443,8 @@ class StepFunction:
         self.edges = [float(e) for e in edges]
         self.values = [float(v) for v in values]
         self.tail = float(tail)
+        if not all(0.0 <= v < _INF for v in self.values + [self.tail]):
+            raise ValueError("step values must be finite and nonnegative")
 
     def pieces(self) -> list[tuple[float, float, float]]:
         out = []

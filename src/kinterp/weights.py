@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 from .quadrature import (LogTerm, STANDARD_GRID, integrate_terms,
                          power_integral, sup_terms)
@@ -108,10 +108,6 @@ class WeightExpr:
     def side(self, side: str) -> SideForm:
         lo, hi = self.side_forms()
         return lo if side == "lo" else hi
-
-    def log_terms(self, lo: float, hi: float, q: float) -> list["LogTerm"]:
-        """Canonical terms of int_lo^hi b(u)^q du/u."""
-        return _weight_terms(self, q, lo, hi)
 
     @cached_property
     def _compiled(self) -> dict:
@@ -349,25 +345,32 @@ def parse_weight(text: str) -> WeightExpr:
 # q-norms of bare weights
 # ---------------------------------------------------------------------------
 
+def side_terms(form: SideForm, atoms: Iterable[tuple[float, float, float]],
+               side: str, u0: float, u1: float) -> list[LogTerm]:
+    """Canonical terms of int_{u0}^{u1} sum c u^p (1 + |ln u|)^l w(u) du/u,
+    for the atoms (c, p, l) and a weight power w with side form ``form``, on
+    one side of 1: x = ln u on the "hi" side (end "inf") and x = -ln u on the
+    "lo" side (end "zero"), so u^p = e^{+-p x}."""
+    if side == "hi":
+        x1, x2 = math.log(u0), math.log(u1) if u1 != _INF else _INF
+        sign, end = 1.0, "inf"
+    else:
+        x1, x2 = -math.log(u1), -math.log(u0) if u0 > 0.0 else _INF
+        sign, end = -1.0, "zero"
+    return [LogTerm(c, sign * p, l + form.beta, x1, x2, form.gammas, end=end)
+            for c, p, l in atoms]
+
+
 def _weight_terms(b: WeightExpr, q: float, lo: float, hi: float,
                   kernel_power: float = 0.0) -> list[LogTerm]:
     """Canonical terms of int_lo^hi u^kernel_power b(u)^q du/u."""
+    atom = [(1.0, kernel_power, 0.0)]
     terms: list[LogTerm] = []
     if lo < 1.0:
-        form = b.side("lo").scaled(q)
-        x1 = -math.log(min(hi, 1.0))
-        x2 = -math.log(lo) if lo > 0.0 else _INF
-        if x2 > x1:
-            terms.append(LogTerm(1.0, -kernel_power, form.beta, x1, x2,
-                                 form.gammas, end="zero"))
+        terms += side_terms(b.side("lo").scaled(q), atom, "lo", lo, min(hi, 1.0))
     if hi > 1.0:
-        form = b.side("hi").scaled(q)
-        x1 = math.log(max(lo, 1.0))
-        x2 = math.log(hi) if hi != _INF else _INF
-        if x2 > x1:
-            terms.append(LogTerm(1.0, kernel_power, form.beta, x1, x2,
-                                 form.gammas, end="inf"))
-    return terms
+        terms += side_terms(b.side("hi").scaled(q), atom, "hi", max(lo, 1.0), hi)
+    return [term for term in terms if term.x2 > term.x1]
 
 
 def _compile_integral(b: WeightExpr, kind: str, q: float) -> Callable[[float], float]:

@@ -295,6 +295,46 @@ def test_subcommand_bad_grid_is_a_config_error(tmp_path):
                  "--b", "one", "--grid", "1,2", "--out-dir", str(tmp_path)]) == 2
 
 
+def test_non_finite_grid_is_a_config_error(tmp_path):
+    # an infinite t_max used to pass validation and fail the scenario with
+    # "cannot convert float infinity to integer" (exit 1)
+    path = tmp_path / "grid.cfg"
+    path.write_text(textwrap.dedent("""\
+        [negative-demo nd]
+        theta = 0.5
+        q0 = 1
+        q1 = 2
+        b0 = log(-3,-3)
+        b1 = one
+        grid = 1e-6,inf,8
+        """))
+    with pytest.raises(ConfigError, match="t_max < inf") as exc:
+        load_config(str(path))
+    assert exc.value.line == 7
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert main(["negative-demo", "--theta", "0.5", "--q0", "1", "--q1", "2",
+                 "--b0", "log(-3,-3)", "--b1", "one", "--grid", "1e-6,inf,8",
+                 "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("profile", [
+    "powerlog(nan,0,0)",  # used to fail the scenario (exit 1)
+    "powerlog(1.5,0,0)",
+    "powerlog(0.5,inf,0)",  # used to pass with norm inf
+    "piecewise[(1,nan)]",
+    "piecewise[(1,inf)]",
+])
+def test_bad_profile_literal_is_a_config_error(tmp_path, profile):
+    path = tmp_path / "profile.cfg"
+    path.write_text(f"[norm bad]\nprofile = {profile}\ntheta = 0.5\n"
+                    "q = 1\nb = one\n")
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert main(["norm", "--profile", profile, "--theta", "0.5", "--q", "1",
+                 "--b", "one", "--out-dir", str(tmp_path)]) == 2
+
+
 _BLOCKS = {
     "hardy-check": {"case": "HET1", "alpha": "2", "w": "expdecay(1)",
                     "phi": "const(1)"},

@@ -71,6 +71,24 @@ def test_only_quadrature_imports_scipy():
     assert found == ["quadrature.py"]
 
 
+def test_one_canonical_term_builder():
+    # the LogTerm layout (x = +-ln u, the sign of a, the end label) lives in
+    # quadrature and weights.side_terms; segment probes stay in profiles
+    built, probed = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Call) and "LogTerm" in (
+                        getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                    built.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+                if isinstance(n, ast.ImportFrom) and any(
+                        alias.name == "_segment_probe" for alias in n.names):
+                    probed.add(path.name)
+    assert {b for b in built if not b.startswith("quadrature.py:")} \
+        == {"weights.py:side_terms"}
+    assert probed == set()
+
+
 def _unread_parameters(path: pathlib.Path) -> list[str]:
     """Parameters of module-level functions that their body never reads.
 

@@ -3,10 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import fp
 
 from kinterp.norms import (
     SpaceSpec,
+    _segments,
     check_condition_monotone_index,
     index,
     index_limit,
@@ -14,7 +16,8 @@ from kinterp.norms import (
     quasi_monotone_constant,
     space_norm,
 )
-from kinterp.profiles import KProfile, K_from_rearrangement, profile_suite
+from kinterp.profiles import (Atom, KProfile, K_from_rearrangement,
+                              PiecewiseCurve, _segment_probe, profile_suite)
 from kinterp.quadrature import GridSpec, STANDARD_GRID
 from kinterp.weights import Flip, head_qnorm, parse_weight, tail_qnorm
 
@@ -96,6 +99,66 @@ def test_space_norm_homogeneous(w_l02):
 
 def test_space_norm_zero(w_l02):
     assert space_norm(KProfile.zero(), SpaceSpec(0.0, 1.0, w_l02)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The segment walk
+# ---------------------------------------------------------------------------
+
+def _segments_by_probe(curve, lo, hi):
+    """The reference walk: the piece and the side of each segment are those
+    of a point probed inside it."""
+    cuts = sorted({lo, hi, 1.0} | set(curve.breaks))
+    cuts = [c for c in cuts if lo <= c <= hi]
+    if cuts[0] != lo:
+        cuts.insert(0, lo)
+    if cuts[-1] != hi:
+        cuts.append(hi)
+    probe_breaks = [c for c in cuts if 0.0 < c < INF]
+    first = 0 if lo == 0.0 else 1
+    for k, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if u0 == u1:
+            continue
+        mid = _segment_probe(probe_breaks, k + first)
+        atoms = curve.pieces[_piece_index_by_scan(curve, mid)]
+        if atoms:
+            yield u0, u1, "lo" if mid < 1.0 else "hi", atoms
+
+
+def _piece_index_by_scan(curve, t):
+    """The reference piece index: a linear scan for the breaks below t."""
+    i = 0
+    while i < len(curve.breaks) and t > curve.breaks[i]:
+        i += 1
+    return i
+
+
+_POINTS = (0.01, 0.3, 0.5, 1.0, 2.0, 7.0, 40.0)
+_ATOMS = st.lists(st.builds(Atom, st.sampled_from((1.0, 0.5, -2.0)),
+                            st.sampled_from((-1.0, 0.0, 0.5, 1.0)),
+                            st.sampled_from((0.0, 0.0, -1.0, 2.0))),
+                  max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_POINTS), unique=True, max_size=5),
+       st.data())
+def test_segments_match_the_probe_walk(breaks, data):
+    # the cut set {lo, hi, 1} | breaks holds every segment end, so the piece
+    # is the one below u1 and the side is "lo" exactly when u1 <= 1
+    breaks = sorted(breaks)
+    pieces = data.draw(st.lists(_ATOMS, min_size=len(breaks) + 1,
+                                max_size=len(breaks) + 1))
+    curve = PiecewiseCurve(breaks, pieces)
+    ends = st.one_of(st.sampled_from((0.0, INF) + _POINTS),
+                     st.floats(min_value=1e-3, max_value=1e3))
+    lo, hi = sorted(data.draw(st.lists(ends, min_size=2, max_size=2,
+                                       unique=True)))
+    assert list(_segments(curve, lo, hi)) == list(_segments_by_probe(curve, lo, hi))
+    for t in curve.breaks + tuple(_segment_probe(curve.breaks, i)
+                                  for i in range(len(curve.breaks) + 1)):
+        for s in (math.nextafter(t, 0.0), t, math.nextafter(t, INF)):
+            assert curve.piece_index(s) == _piece_index_by_scan(curve, s)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,31 @@ def test_truncation_below_a_constant_tail(lam):
         assert f1(t) == min(f(t), lam)
 
 
+# f* = 2 on (0, 1/2], 1/u on (1/2, 4], 0 beyond: the 1/u piece straddles 1,
+# where its antiderivative ln u changes sign in L = 1 + |ln u|
+_STRADDLING = PiecewiseCurve((0.5, 4.0), ((Atom(2.0, 0.0),), (Atom(1.0, -1.0),), ()))
+
+
+def _straddling_K(t):
+    return 2.0 * t if t <= 0.5 else 1.0 + math.log(2.0 * min(t, 4.0))
+
+
+def test_antiderivative_of_a_straddling_inverse_power():
+    F = _STRADDLING.antiderivative()
+    for t in (0.25, 0.5, 0.9, 1.0, 2.0, 4.0, 10.0):
+        assert F(t) == pytest.approx(_straddling_K(t), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 1.5, 3.0])
+def test_truncation_of_a_straddling_inverse_power(lam):
+    # without an integral curve the split integrates f* itself
+    f = Rearrangement(_STRADDLING)
+    f0, f1 = truncation_split(f, lam)
+    K0, K1 = K_from_rearrangement(f0), K_from_rearrangement(f1)
+    for t in (0.25, 0.9, 2.0, 4.0, 10.0):
+        assert K0(t) + K1(t) == pytest.approx(_straddling_K(t), rel=1e-14)
+
+
 def test_truncation_level_validation():
     with pytest.raises(ValueError):
         truncation_split(Rearrangement.indicator(1.0), 0.0)

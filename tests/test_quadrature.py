@@ -24,7 +24,7 @@ from kinterp.quadrature import (
     term_memo,
     term_value,
 )
-from kinterp.weights import One, parse_weight, tail_qnorm
+from kinterp.weights import One, _weight_terms, parse_weight, tail_qnorm
 
 INF = math.inf
 
@@ -40,13 +40,13 @@ def test_gridspec_validation():
 
 
 def test_weight_tail_closed_form(w_l02):
-    res = integrate_terms(w_l02.log_terms(math.e, INF, 1))
+    res = integrate_terms(_weight_terms(w_l02, 1, math.e, INF))
     assert res.value == pytest.approx(0.5, rel=1e-12)
     assert res.error_bound < 1e-9
 
 
 def test_log_divergence_flagged():
-    res = integrate_terms(One().log_terms(0.0, 1.0, 1))
+    res = integrate_terms(_weight_terms(One(), 1, 0.0, 1.0))
     assert res.value == INF
     assert res.divergent_end == AT_ZERO
 
@@ -75,15 +75,15 @@ def test_sup_examples():
 def test_additivity_at_interior_cut(log_cut):
     w = parse_weight("log(0,-2)")
     cut = math.exp(log_cut)
-    whole = integrate_terms(w.log_terms(0.01, 100.0, 2)).value
-    left = integrate_terms(w.log_terms(0.01, cut, 2)).value
-    right = integrate_terms(w.log_terms(cut, 100.0, 2)).value
+    whole = integrate_terms(_weight_terms(w, 2, 0.01, 100.0)).value
+    left = integrate_terms(_weight_terms(w, 2, 0.01, cut)).value
+    right = integrate_terms(_weight_terms(w, 2, cut, 100.0)).value
     assert left + right == pytest.approx(whole, rel=2e-7)
 
 
 def test_interval_monotonicity(w_l02):
-    inner = integrate_terms(w_l02.log_terms(1.0, 10.0, 1)).value
-    outer = integrate_terms(w_l02.log_terms(0.5, 20.0, 1)).value
+    inner = integrate_terms(_weight_terms(w_l02, 1, 1.0, 10.0)).value
+    outer = integrate_terms(_weight_terms(w_l02, 1, 0.5, 20.0)).value
     assert outer >= inner
 
 

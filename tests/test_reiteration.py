@@ -324,7 +324,7 @@ def test_lk_identification_integrates_the_head_term_once(monkeypatch,
     assert rep.rows
     assert handed == []
     assert power_pieces == [(term.beta, term.x1, term.x2)
-                            for term in Flip(b).log_terms(1.0, INF, 1.0)]
+                            for term in _weight_terms(Flip(b), 1.0, 1.0, INF)]
 
 
 def test_reiteration_mixed_exponents(w_one, w_lm22, w_l02):

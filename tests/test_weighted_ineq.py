@@ -207,6 +207,17 @@ def test_hardy_zero_h_skipped():
         hardy_check(*args, h_family=[zero])
 
 
+@pytest.mark.parametrize("values,tail", [
+    ([-1.0], 0.0),  # used to raise TypeError on a complex power in hardy_check
+    ([math.nan], 0.0),  # used to give max_ratio 0.0, a pass at any bound
+    ([1.0], math.inf),
+    ([1.0], math.nan),
+], ids=["negative", "nan", "inf-tail", "nan-tail"])
+def test_step_function_values_must_be_finite_and_nonnegative(values, tail):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        StepFunction([1.0], values, tail=tail)
+
+
 def test_hardy_empty_family_raises():
     # no h, no evidence: a max_ratio of 0.0 would read as a passed check
     with pytest.raises(ValueError, match="at least one h"):
