@@ -188,6 +188,13 @@ def _validate(s: Scenario) -> None:
             raise ConfigError(f"bad weight in {key!r}: {exc}", anchor(key),
                               getattr(exc, "pos", None)) from None
 
+    def built(key: str, build: Callable[[str], object]) -> object:
+        """``build(p[key])``, an error anchored at the key's line."""
+        try:
+            return build(p[key])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc), anchor(key)) from None
+
     def scalar(key: str, default: Optional[float] = None) -> Optional[float]:
         if key not in p:
             return default
@@ -204,16 +211,16 @@ def _validate(s: Scenario) -> None:
             p["_weight"] = weight("weight")
             p["_q"] = scalar("q")
         elif s.kind == "norm":
-            p["_profile"] = parse_profile(p["profile"])
+            p["_profile"] = built("profile", parse_profile)
             p["_space"] = SpaceSpec(scalar("theta"), scalar("q"), weight("b"))
         elif s.kind == "holmstedt":
             if p["case"] not in CASE_KINDS:
-                raise ValueError(f"unknown case {p['case']!r}")
+                raise ConfigError(f"unknown case {p['case']!r}", anchor("case"))
             p["_case"] = HolmstedtCase(
                 p["case"], scalar("q0"), scalar("q1"), weight("b0"),
                 weight("b1"), theta=scalar("theta"),
                 theta0=scalar("theta0"), theta1=scalar("theta1"))
-            p["_profile"] = parse_profile(p["profile"])
+            p["_profile"] = built("profile", parse_profile)
             p["_max_variation"] = scalar("max_variation", 1e3)
         elif s.kind == "negative-demo":
             p["_theta"] = scalar("theta")
@@ -228,28 +235,28 @@ def _validate(s: Scenario) -> None:
                 q1=scalar("q1"), b1=weight("b1"))
             p["_max_variation"] = scalar("max_variation", 1e3)
             if "profiles" in p:
-                p["_profiles"] = _load_profiles(p["profiles"], line)
+                p["_profiles"] = _load_profiles(p["profiles"], anchor("profiles"))
         elif s.kind == "lk-check":
             p["_q"] = scalar("q")
             p["_b"] = weight("b")
             LKSpec(math.inf, p["_q"], p["_b"])  # validates q and b
             if "rearrangements" in p:
-                p["_suite"] = [realize_rearrangement(prof)
-                               for prof in _load_profiles(p["rearrangements"], line)]
+                profs = _load_profiles(p["rearrangements"], anchor("rearrangements"))
+                p["_suite"] = [realize_rearrangement(prof) for prof in profs]
             p["_count"] = integer("count", 1, 10)
         elif s.kind == "hardy-check":
             if p["case"] not in HARDY_CASES:
-                raise ValueError(f"unknown hardy case {p['case']!r}")
+                raise ConfigError(f"unknown hardy case {p['case']!r}", anchor("case"))
             p["_alpha"] = scalar("alpha")
-            p["_w"] = parse_function(p["w"])
-            p["_phi"] = parse_function(p["phi"])
+            p["_w"] = built("w", parse_function)
+            p["_phi"] = built("phi", parse_function)
             p["_samples"] = integer("samples", 1, 50)
             p["_max_ratio"] = scalar("max_ratio", 10.0)
         elif s.kind == "constants":
             p["_spec"] = InequalitySpec(p=scalar("p"), q=scalar("q"),
                                         v=weight("v"), w=weight("w"))
             if p["which"] not in ("A1", "A2", "A3", "A4"):
-                raise ValueError("which must be one of A1..A4")
+                raise ConfigError("which must be one of A1..A4", anchor("which"))
             p["_expect"] = scalar("expect")
             p["_tol"] = scalar("tol", 1e-3)
     except ConfigError:

@@ -8,6 +8,7 @@ a small integer (multinomial expansion); other segments integrate adaptively.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,8 +20,10 @@ from .profiles import Atom, KProfile, PiecewiseCurve
 from .quadrature import (
     AT_INFINITY,
     AT_ZERO,
+    IntegralOverflowError,
     IntegralResult,
     STANDARD_GRID,
+    _TERM_MEMO,
     _quad,
     integrate_terms,
     sup_terms,
@@ -148,7 +151,12 @@ def _segments(curve: PiecewiseCurve, lo: float, hi: float
               ) -> Iterator[tuple[float, float, str, Sequence[Atom]]]:
     """(u0, u1, side, atoms) for each nonzero piece of the curve on (lo, hi),
     cut at 1 and at the curve's breakpoints."""
-    cuts = sorted(c for c in {lo, hi, 1.0} | set(curve.breaks) if lo <= c <= hi)
+    if not lo < hi:
+        return
+    br = curve.breaks
+    cuts = [lo, *br[bisect.bisect_right(br, lo):bisect.bisect_left(br, hi)], hi]
+    if lo < 1.0 < hi and 1.0 not in br:
+        bisect.insort(cuts, 1.0)
     for u0, u1 in zip(cuts[:-1], cuts[1:]):
         atoms = curve.pieces[curve.piece_index(u1)]
         if atoms:
@@ -162,25 +170,39 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
 
     Returns the q-th power of the quasi-norm (callers take the root), +inf
     with the divergent end when the integral blows up.
+
+    Inside a :func:`~kinterp.quadrature.term_memo` scope a call with a cut
+    (lo > 0 or hi < inf) and a :class:`WeightExpr` weight reads and fills the
+    scope's *plan* for (curve, theta, q, b), which maps each segment (u0, u1)
+    to its finished result.  As t moves along a grid, I(t) and J(t) then
+    integrate only the segment cut at t and add the cached results of the
+    whole ones in the same order, so every value is bit-identical.  The plan
+    holds the curve itself and goes when the scope does; a full-range call
+    sees each curve once, so it keeps no plan.
     """
-    if curve.is_zero() or lo >= hi:
-        return IntegralResult(0.0, 0.0)
     total = 0.0
     err = 0.0
     structured: Optional[WeightExpr] = b if isinstance(b, WeightExpr) else None
+    memo = _TERM_MEMO.get() if lo > 0.0 or hi < _INF else None
+    plan = None if memo is None or structured is None \
+        else memo.setdefault((curve, theta, q, structured), {})
     for u0, u1, side, atoms in _segments(curve, lo, hi):
-        expanded = _expand_piece(atoms, q) if structured is not None else None
-        if expanded is not None:
-            terms = side_terms(structured.side(side).scaled(q),
-                               [(a.coef, a.power - theta * q, a.logexp)
-                                for a in expanded], side, u0, u1)
-            terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
-            res = integrate_terms(terms)
-        else:
-            v, e = _segment_adaptive(curve, theta, q, b, u0, u1)
-            res = IntegralResult(v, e if v != _INF else _INF,
-                                 None if v != _INF else
-                                 (AT_ZERO if side == "lo" else AT_INFINITY))
+        res = plan.get((u0, u1)) if plan is not None else None
+        if res is None:
+            expanded = None if structured is None else _expand_piece(atoms, q)
+            if expanded is not None:
+                terms = side_terms(structured.side(side).scaled(q),
+                                   [(a.coef, a.power - theta * q, a.logexp)
+                                    for a in expanded], side, u0, u1)
+                terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
+                res = integrate_terms(terms)
+            else:
+                v, e = _segment_adaptive(curve, theta, q, b, u0, u1)
+                res = IntegralResult(v, e if v != _INF else _INF,
+                                     None if v != _INF else
+                                     (AT_ZERO if side == "lo" else AT_INFINITY))
+            if plan is not None:
+                plan[u0, u1] = res
         if res.divergent:
             return res
         total += res.value
@@ -195,7 +217,12 @@ def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
     terms of each segment."""
     if q != _INF:
         res = weighted_knorm(curve, theta, q, b, lo, hi)
-        return res.value ** (1.0 / q) if not res.divergent else _INF
+        try:
+            return res.value ** (1.0 / q) if not res.divergent else _INF
+        except OverflowError:  # the integral fits in a double, its root not
+            raise IntegralOverflowError(
+                f"the quasi-norm ||u^-{theta:g} b K||_{q:g} over ({lo:g}, "
+                f"{hi:g}) exceeds the float range") from None
     best = 0.0
     for u0, u1, side, atoms in _segments(curve, lo, hi):
         terms = side_terms(b.side(side), [(a.coef, a.power - theta, a.logexp)

@@ -282,9 +282,10 @@ def term_memo() -> Iterator[dict]:
     """Open the canonical-term cache that :func:`integrate_terms` reads.
 
     A computation that integrates the same terms many times (one scan, one
-    profile sweep, one constant) runs inside one scope.  Entering makes a
-    fresh dict, or yields the open one when scopes nest; the dict is dropped
-    when the scope that made it exits, also through an exception.
+    profile sweep, one constant) runs inside one scope; the dict also holds
+    the segment plans of :func:`kinterp.norms.weighted_knorm`.  Entering
+    makes a fresh dict, or yields the open one when scopes nest; the dict is
+    dropped when the scope that made it exits, also through an exception.
     """
     active = _TERM_MEMO.get()
     memo = {} if active is None else active

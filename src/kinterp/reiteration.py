@@ -16,8 +16,10 @@ power.
 
 Neither the index nor its log-derivative depends on the profile, so
 :func:`reiteration_check` tabulates them once per spec and shares the table
-across profiles; each profile's sweep over the table memoizes its canonical
-terms, since most segments of I and J do not move with t.  A profile whose
+across profiles.  Each profile's sweep over the table runs in one
+:func:`~kinterp.quadrature.term_memo` scope, where the segment plans of
+:func:`~kinterp.norms.weighted_knorm` integrate each whole segment of I and
+J once: at each t only the segment that holds t is new.  A profile whose
 iterated-space norm is 0 or infinite is skipped before the composite-weight
 norm is computed.
 """

@@ -438,8 +438,8 @@ class StepFunction:
                  tail: float = 0.0):
         if len(edges) != len(values):
             raise ValueError("need one value per edge")
-        if list(edges) != sorted(edges) or (edges and edges[0] <= 0.0):
-            raise ValueError("edges must be positive ascending")
+        if not all(0.0 < e < _INF for e in edges) or list(edges) != sorted(edges):
+            raise ValueError("edges must be finite, positive and ascending")
         self.edges = [float(e) for e in edges]
         self.values = [float(v) for v in values]
         self.tail = float(tail)

@@ -335,6 +335,25 @@ def test_bad_profile_literal_is_a_config_error(tmp_path, profile):
                  "--b", "one", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("block,line", [
+    ("[norm a]\nprofile = powerlog(nan,0,0)\ntheta = 0.5\nq = 1\nb = one\n", 2),
+    ("[holmstedt a]\nq0 = 1\nb0 = one\nq1 = 1\nb1 = one\nprofile = min1\n"
+     "case = limiting22\n", 7),
+    ("[hardy-check a]\ncase = HET1\nalpha = 2\nw = expdecay(x)\n"
+     "phi = const(1)\n", 4),
+    ("[constants a]\np = 2\nq = 2\nv = one\nw = one\nwhich = A9\n"
+     "expect = 1\n", 6),
+    # a constructor of several keys reports the block header
+    ("[norm a]\nprofile = min1\ntheta = 1.5\nq = 1\nb = one\n", 1),
+], ids=["profile", "case", "function", "which", "several-keys"])
+def test_build_error_names_the_line_of_its_key(tmp_path, block, line):
+    path = tmp_path / "build.cfg"
+    path.write_text(block)
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert exc.value.line == line
+
+
 _BLOCKS = {
     "hardy-check": {"case": "HET1", "alpha": "2", "w": "expdecay(1)",
                     "phi": "const(1)"},

@@ -89,6 +89,55 @@ def test_one_canonical_term_builder():
     assert probed == set()
 
 
+_MUTATORS = {"append", "add", "clear", "extend", "insert", "pop", "popitem",
+             "remove", "discard", "setdefault", "update"}
+
+
+def _module_state_writes(path: pathlib.Path) -> list[str]:
+    """``file:function what`` for each function that caches with
+    ``functools.cache``/``lru_cache``, declares a name ``global``, or writes
+    into a module-level name: a subscript store or delete, or a call of a
+    mutating method."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module_names = {t.id for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target])
+                    if isinstance(t, ast.Name)}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        where = f"{path.name}:{fn.name}"
+        for dec in fn.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(dec, "id", getattr(dec, "attr", None)) in (
+                    "cache", "lru_cache"):
+                found.append(f"{where} @cache")
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Global):
+                found.append(f"{where} global")
+                continue
+            if isinstance(n, ast.Subscript) and isinstance(
+                    n.ctx, (ast.Store, ast.Del)):
+                target = n.value
+            elif isinstance(n, ast.Call) and isinstance(
+                    n.func, ast.Attribute) and n.func.attr in _MUTATORS:
+                target = n.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_names:
+                found.append(f"{where} writes {target.id}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    # the one cache of integrals is the term_memo scope, which goes when the
+    # computation that opened it ends; module state would outlive it
+    assert _module_state_writes(path) == []
+
+
 def _unread_parameters(path: pathlib.Path) -> list[str]:
     """Parameters of module-level functions that their body never reads.
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import fp
 
+from kinterp import norms
 from kinterp.norms import (
     SpaceSpec,
     _segments,
@@ -15,10 +16,13 @@ from kinterp.norms import (
     partial_norms,
     quasi_monotone_constant,
     space_norm,
+    weighted_knorm,
 )
 from kinterp.profiles import (Atom, KProfile, K_from_rearrangement,
-                              PiecewiseCurve, _segment_probe, profile_suite)
-from kinterp.quadrature import GridSpec, STANDARD_GRID
+                              PiecewiseCurve, _segment_probe, parse_profile,
+                              profile_suite)
+from kinterp.quadrature import (GridSpec, IntegralOverflowError, STANDARD_GRID,
+                                 term_memo)
 from kinterp.weights import Flip, head_qnorm, parse_weight, tail_qnorm
 
 INF = math.inf
@@ -190,6 +194,135 @@ def test_partial_monotonicity(w_l02, w_l03):
 def test_partial_case_validation(w_l02, w_l03):
     with pytest.raises(ValueError):
         partial_norms(KProfile.min1(), 1.0, "interior", 1.0, w_l02, 1.0, w_l03)
+
+
+def test_a_root_beyond_the_float_range_is_a_named_error():
+    # the q-th power fits in a double, its (1/q)-th root does not
+    b = parse_weight("mul(explog(0.1),mul(log(-3,-0.336),log(-2.343,1)))")
+    with pytest.raises(IntegralOverflowError, match="quasi-norm"):
+        space_norm(KProfile.min1(), SpaceSpec(0.5, 1e-3, b))
+
+
+# ---------------------------------------------------------------------------
+# segment plans
+# ---------------------------------------------------------------------------
+
+#: breaks 0.1, 0.5, 4 and 20; t = 1 cuts the piece (0.5, 4)
+PLAN_PROFILE = "piecewise[(0.1,0.1),(0.5,0.3),(4,1.2),(20,2)]"
+#: inside a piece, at a break, at t = 1, and a second point in a piece
+PLAN_TS = (0.05, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 20.0, 50.0)
+#: (theta, q, weight) of the pieces of I and J: canonical terms, the adaptive
+#: fallback (q = 2.5 on a two-atom piece), and divergences at 0 (head of
+#: log(0,-0.5) under u^-1 K -> 1) and at inf (tail of log(0,-0.5) under K -> 2)
+PLAN_NORMS = ((0.0, 1.0, "log(0,-2)"), (1.0, 2.0, "log(-2,0)"),
+              (0.0, 2.5, "log(0,-3)"), (1.0, 1.0, "log(0,-0.5)"),
+              (0.0, 1.0, "log(0,-0.5)"))
+
+
+def _both_sides(curve, theta, q, b, t):
+    return (weighted_knorm(curve, theta, q, b, 0.0, t),
+            weighted_knorm(curve, theta, q, b, t, INF))
+
+
+def _record_side_terms(monkeypatch) -> list:
+    """(u0, u1) of each segment whose terms ``weighted_knorm`` builds."""
+    handed: list = []
+    side_terms = norms.side_terms
+
+    def recorded(form, atoms, side, u0, u1):
+        handed.append((u0, u1))
+        return side_terms(form, atoms, side, u0, u1)
+
+    monkeypatch.setattr(norms, "side_terms", recorded)
+    return handed
+
+
+@pytest.mark.parametrize("theta,q,text", PLAN_NORMS)
+def test_plans_give_the_memoless_values(theta, q, text):
+    curve = parse_profile(PLAN_PROFILE).curve
+    b = parse_weight(text)
+    want = [_both_sides(curve, theta, q, b, t) for t in PLAN_TS]
+    with term_memo():
+        got = [_both_sides(curve, theta, q, b, t) for t in PLAN_TS]
+        again = [_both_sides(curve, theta, q, b, t) for t in PLAN_TS]
+    assert got == want and again == want
+    diverges = any(r.divergent for pair in want for r in pair)
+    assert diverges == (text == "log(0,-0.5)")
+
+
+def test_plans_give_the_memoless_partial_norms(w_l02, w_lm20):
+    K = parse_profile(PLAN_PROFILE)
+    b_half = parse_weight("log(0,-0.5)")
+    frames = [("limiting0", 1.0, w_l02, 2.0, b_half),
+              ("limiting1", 2.0, w_lm20, 1.0, w_lm20)]
+    want = [partial_norms(K, t, *frame) for frame in frames for t in PLAN_TS]
+    with term_memo():
+        got = [partial_norms(K, t, *frame) for frame in frames for t in PLAN_TS]
+    assert got == want
+    assert all(J == INF for _, J in want[:len(PLAN_TS)])
+
+
+def test_a_plan_belongs_to_its_curve_alone(w_l02):
+    # curves with the same breaks, each dropped after its call: a plan found
+    # through anything but the curve object itself would hand a later curve
+    # the segments of an earlier one
+    def value(c):
+        curve = PiecewiseCurve((1.0,), ((Atom(c, 1.0),), (Atom(c, 0.0),)))
+        return weighted_knorm(curve, 0.0, 1.0, w_l02, 0.5, INF)
+
+    coefs = [1.0 + k / 8.0 for k in range(24)]
+    want = [value(c) for c in coefs]
+    with term_memo():
+        assert [value(c) for c in coefs] == want
+
+
+def test_a_second_t_in_a_piece_builds_one_segment_per_side(monkeypatch,
+                                                           w_l02, w_l03):
+    handed = _record_side_terms(monkeypatch)
+    K = parse_profile(PLAN_PROFILE)
+    with term_memo():
+        partial_norms(K, 2.0, "limiting0", 1.0, w_l02, 2.0, w_l03)
+        assert handed == [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0),
+                          (2.0, 4.0), (4.0, 20.0), (20.0, INF)]
+        handed.clear()
+        partial_norms(K, 3.0, "limiting0", 1.0, w_l02, 2.0, w_l03)
+        assert handed == [(1.0, 3.0), (3.0, 4.0)]
+
+
+def test_a_full_range_call_keeps_no_plan(monkeypatch, w_l02):
+    handed = _record_side_terms(monkeypatch)
+    curve = parse_profile(PLAN_PROFILE).curve
+    with term_memo():
+        weighted_knorm(curve, 0.0, 1.0, w_l02)
+        assert len(handed) == 6
+        handed.clear()
+        weighted_knorm(curve, 0.0, 1.0, w_l02, 0.0, 2.0)
+        assert handed == [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0)]
+
+
+def test_no_plan_outlives_its_scope(monkeypatch, w_l02, w_l03):
+    handed = _record_side_terms(monkeypatch)
+    K = parse_profile(PLAN_PROFILE)
+
+    def sweep() -> int:
+        handed.clear()
+        for t in PLAN_TS:
+            partial_norms(K, t, "limiting0", 1.0, w_l02, 2.0, w_l03)
+        return len(handed)
+
+    memoless = sweep()
+    with term_memo():
+        first = sweep()
+    assert 0 < first < memoless
+    with term_memo():
+        assert sweep() == first
+    with pytest.raises(KeyError):
+        with term_memo():
+            sweep()
+            raise KeyError("leaves the scope")
+    with term_memo():
+        assert sweep() == first
+    assert sweep() == memoless
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,18 @@ def test_step_function_values_must_be_finite_and_nonnegative(values, tail):
         StepFunction([1.0], values, tail=tail)
 
 
+@pytest.mark.parametrize("edges", [
+    [math.nan],  # used to give max_ratio inf with nothing skipped
+    [0.5, math.nan],
+    [math.inf],
+    [0.0],
+    [2.0, 1.0],
+], ids=["nan", "nan-last", "inf", "zero", "descending"])
+def test_step_function_edges_must_be_finite_positive_ascending(edges):
+    with pytest.raises(ValueError, match="finite, positive and ascending"):
+        StepFunction(edges, [1.0] * len(edges))
+
+
 def test_hardy_empty_family_raises():
     # no h, no evidence: a max_ratio of 0.0 would read as a passed check
     with pytest.raises(ValueError, match="at least one h"):
