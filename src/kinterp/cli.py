@@ -28,12 +28,15 @@ from .holmstedt import (
 )
 from .norms import SpaceSpec, space_norm, sv_quasimonotone_constant
 from .profiles import profile_suite, random_rearrangement
-from .quadrature import SCAN_GRID, term_memo
+from .quadrature import GridSpec, SCAN_GRID, term_memo
 from .reiteration import ReiterationSpec, lk_identification_check, reiteration_check
 from .weighted_ineq import InequalitySpec, best_constant_probe, compute_constant, hardy_check
 from .weights import classify
 
 __all__ = ["main", "run"]
+
+#: where a constants scenario probes A1/A3 through best_constant_probe
+PROBE_GRID = GridSpec(1e-6, 1e6, 16)
 
 
 def _fmt(x) -> str:
@@ -83,11 +86,8 @@ def _run_sv_check(s: Scenario):
     q = s.params["_q"]
     rep = classify(b, q)
     consts = {eps: sv_quasimonotone_constant(b, eps) for eps in (1.0, 0.5, 0.1)}
-    passed = True
-    for key, got in (("expect_sv0q", rep.in_SV0q), ("expect_sv1q", rep.in_SV1q)):
-        want = s.params.get(key)
-        if want is not None and (want.strip().lower() == "true") != got:
-            passed = False
+    passed = all(s.params.get(key, got) == got for key, got in
+                 (("_expect_sv0q", rep.in_SV0q), ("_expect_sv1q", rep.in_SV1q)))
     summary = {"in_SV0q": rep.in_SV0q, "in_SV1q": rep.in_SV1q,
                "tail_value_at_1": rep.tail_value_at_1,
                "head_value_at_1": rep.head_value_at_1,
@@ -179,7 +179,7 @@ def _run_constants(s: Scenario):
     with term_memo():  # the probe integrates terms the constant already has
         rep = compute_constant(spec, which)
         if which in ("A1", "A3"):
-            probe = best_constant_probe(spec, which, np.logspace(-6, 6, 193))
+            probe = best_constant_probe(spec, which, PROBE_GRID.points())
     passed = math.isfinite(rep.value)
     expect = s.params["_expect"]
     if expect is not None:

@@ -210,6 +210,12 @@ def _validate(s: Scenario) -> None:
         if s.kind == "sv-check":
             p["_weight"] = weight("weight")
             p["_q"] = scalar("q")
+            for key in [k for k in ("expect_sv0q", "expect_sv1q") if k in p]:
+                want = p[key].strip().lower()
+                if want not in ("true", "false"):
+                    raise ConfigError(f"{key} must be true or false",
+                                      anchor(key))
+                p["_" + key] = want == "true"
         elif s.kind == "norm":
             p["_profile"] = built("profile", parse_profile)
             p["_space"] = SpaceSpec(scalar("theta"), scalar("q"), weight("b"))

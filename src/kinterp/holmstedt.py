@@ -41,8 +41,8 @@ from .profiles import (
     realize_rearrangement,
     truncation_split,
 )
-from .quadrature import (GridSpec, SCAN_GRID, STANDARD_GRID, golden_min,
-                         term_memo)
+from .quadrature import (GridSpec, IntegralOverflowError, SCAN_GRID,
+                         STANDARD_GRID, golden_min, term_memo)
 from .weights import Flip, Power, Product, WeightExpr, head_qnorm
 
 __all__ = [
@@ -426,12 +426,21 @@ def _demo_setup(q0: float, q1: float, b0: WeightExpr, b1: WeightExpr
     return q0 * q1 / (q1 - q0), Product(b0, Power(b1, -1.0)), swapped
 
 
+def _demo_row(r: float, g: WeightExpr, t: float) -> tuple[float, ...]:
+    """(t, head bound, upper bound g(t), M(t)), M = +inf with the head bound.
+    Raises IntegralOverflowError where g(t) > 0 underflows to 0."""
+    head, upper = head_qnorm(g, r, t), g(t)
+    if upper == 0.0 and head != _INF:
+        raise IntegralOverflowError(
+            f"M(t) at t={t!r} exceeds the float range: g(t) underflows to 0")
+    return t, head, upper, head / upper if head != _INF else _INF
+
+
 def incompatibility_M(q0: float, q1: float, b0: WeightExpr, b1: WeightExpr,
                       t: float) -> float:
     """One value of the incompatibility quotient M(t) (role swap included)."""
     r, g, _ = _demo_setup(q0, q1, b0, b1)
-    head = head_qnorm(g, r, t)
-    return head / g(t) if head != _INF else _INF
+    return _demo_row(r, g, t)[3]
 
 
 def negative_demo(theta: float, q0: float, q1: float,
@@ -449,13 +458,7 @@ def negative_demo(theta: float, q0: float, q1: float,
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
     r, g, swapped = _demo_setup(q0, q1, b0, b1)
-    rows = []
-    for t in t_grid.points():
-        t = float(t)
-        head = head_qnorm(g, r, t)
-        upper = g(t)
-        M = head / upper if head != _INF else _INF
-        rows.append((t, head, upper, M))
+    rows = [_demo_row(r, g, float(t)) for t in t_grid.points()]
     ms = [row[3] for row in rows]
     if any(m == _INF for m in ms):
         verdict = "nonexistence confirmed"

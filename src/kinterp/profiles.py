@@ -46,6 +46,8 @@ _INF = math.inf
 
 #: where :func:`check_quasiconcave` samples, besides its segment probes
 QUASICONCAVE_GRID = GridSpec(1e-8, 1e8, 8)
+#: where a rearrangement is checked nonnegative and nonincreasing (with probes)
+REARRANGEMENT_PROBES = np.logspace(-9, 9, 37).tolist()
 
 
 class CurveClosureError(ValueError):
@@ -486,7 +488,7 @@ def _first_rise(curve: PiecewiseCurve) -> Optional[float]:
     """The first probe t, in increasing order, where the curve is negative
     or above its value at the previous probe (beyond 1e-9 relative); None
     when the curve passes as nonnegative and nonincreasing."""
-    pts = _probe_points(curve.breaks, 1e-9) + np.logspace(-9, 9, 37).tolist()
+    pts = _probe_points(curve.breaks, 1e-9) + REARRANGEMENT_PROBES
     prev = None
     for t in sorted(set(pts)):
         v = curve(t)

@@ -119,11 +119,11 @@ class NonFiniteIntegrandError(ValueError):
 
 
 class IntegralOverflowError(ValueError):
-    """A convergent integral over a finite segment, or a finite supremum,
-    exceeds the float range.
+    """A convergent integral, a finite supremum, a weight value or a quotient
+    of them exceeds the float range.
 
-    This is not a divergence: the integral exists, but e^{a x} overflows
-    before the segment ends.
+    This is not a divergence: the quantity exists, but does not fit in a
+    double.
     """
 
 
@@ -252,6 +252,8 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
             val = math.exp(s) * s ** (-(beta + 1.0)) * g
             if math.isfinite(val):
                 return val, 1e-13 * abs(val)
+            # Gamma(beta+1) overflows, as (1+x)^beta would under QUADPACK
+            raise _overflow(a, beta, x1, x2)
         return _quad(lambda x: math.exp(a * x) * (1.0 + x) ** beta, x1, _INF)
     # general finite segment: scale out the endpoint maximum to avoid overflow
     xm = x2 if a > 0.0 else x1
@@ -344,6 +346,8 @@ def _memo_value(term: LogTerm, memo: dict) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 _LN2 = math.log(2.0)
+#: the cuts of a bracket in 32 by which _falling_turns narrows a turn
+_CUT_FRACTIONS = np.linspace(0.0, 1.0, 33)
 
 
 def sup_terms(terms: Sequence[LogTerm]) -> float:
@@ -438,7 +442,7 @@ def _falling_turns(terms: list[LogTerm]) -> list[float]:
     turn = np.flatnonzero(up[:-1] & ~up[1:])
     a, b, rows = xs[turn], xs[turn + 1], np.arange(len(turn))
     while True:  # cut each bracket in 32 until no cut falls strictly inside
-        cut = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 33)
+        cut = a[:, None] + (b - a)[:, None] * _CUT_FRACTIONS
         cut[:, -1] = b
         i = np.maximum(np.argmin(rising(cut), axis=1), 1)  # the first fall
         if np.array_equal(cut[rows, i - 1], a) and np.array_equal(cut[rows, i], b):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .norms import weighted_knorm
 from .profiles import KProfile
-from .quadrature import (DivergentIntegralError, GridSpec, STANDARD_GRID,
-                         _quad, golden_min, term_memo)
+from .quadrature import (DivergentIntegralError, STANDARD_GRID, _quad,
+                         golden_min, term_memo)
 from .weights import (
     WeightExpr,
     tail_qnorm,
@@ -51,9 +51,7 @@ _INF = math.inf
 #: conditions "hold" when the observed constant stays below this threshold.
 PASS_CONSTANT = 4.0
 
-#: the grid of window_condition, the points of the A2/A4 trapezoid and the
-#: seed of the steps hmt_check draws
-WINDOW_GRID = GridSpec(1e-8, 1e8, 8)
+#: the points of the A2/A4 trapezoid and the seed of the steps hmt_check draws
 _TRAPEZOID_POINTS = 2048
 _HMT_SEED = 97531
 
@@ -165,8 +163,6 @@ def _edge_tail(ls: np.ndarray, xs: np.ndarray, side: str,
     """
     h = float(xs[1] - xs[0])
     step = max(int(math.log(10.0) / h), 1)
-    if 2 * step >= len(xs):
-        return 0.0
     if side == "lo":
         i0, i2 = 0, 2 * step
     else:
@@ -176,12 +172,24 @@ def _edge_tail(ls: np.ndarray, xs: np.ndarray, side: str,
         return 0.0
     L0 = 1.0 + abs(float(xs[i0]))
     L2 = 1.0 + abs(float(xs[i2]))
-    if L0 <= L2:
-        return 0.0
     slope = (float(ls[i2]) - float(ls[i0])) / (math.log(L0) - math.log(L2))
     if slope <= 1.02:
         return _INF
     return f_edge * L0 / (slope - 1.0)
+
+
+def _log_samples(log_f: Callable[[float], float]
+                 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(xs, ls, m, weights) of the trapezoid for int exp(log_f(x)) dx over the
+    range of STANDARD_GRID (x = ln t): its points, the samples log_f(xs), their
+    maximum m and the weights exp(ls - m) h (zeros unless m is finite)."""
+    xs = np.linspace(math.log(STANDARD_GRID.t_min),
+                     math.log(STANDARD_GRID.t_max), _TRAPEZOID_POINTS)
+    ls = np.array([log_f(float(x)) for x in xs])
+    m = float(np.max(ls))
+    if not math.isfinite(m):
+        return xs, ls, m, np.zeros_like(ls)
+    return xs, ls, m, np.exp(ls - m) * float(xs[1] - xs[0])
 
 
 def _log_integral(log_f: Callable[[float], float]) -> float:
@@ -189,15 +197,10 @@ def _log_integral(log_f: Callable[[float], float]) -> float:
     by trapezoid, stable for huge exponents; +inf when an open-end tail fails
     the power-log convergence test, with the convergent power-log remainders
     added analytically."""
-    xs = np.linspace(math.log(STANDARD_GRID.t_min),
-                     math.log(STANDARD_GRID.t_max), _TRAPEZOID_POINTS)
-    ls = np.array([log_f(float(x)) for x in xs])
-    m = float(np.max(ls))
+    xs, ls, m, weights = _log_samples(log_f)
     if not math.isfinite(m):
         return _INF if m == _INF else -_INF
-    h = float(xs[1] - xs[0])
-    contrib = np.exp(ls - m) * h
-    total = float(np.sum(contrib)) - 0.5 * float(contrib[0] + contrib[-1])
+    total = float(np.sum(weights)) - 0.5 * float(weights[0] + weights[-1])
     for side in ("lo", "hi"):
         tail = _edge_tail(ls, xs, side, m, total)
         if tail == _INF:
@@ -223,10 +226,7 @@ def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
             return ConstantReport(which, value, argmax)
         log_val = _log_integral(
             _log_integrand(spec, kernel, q if which == "A2" else 0.0))
-        if log_val == _INF:
-            return ConstantReport(which, _INF)
-        value = math.exp(log_val * (1.0 / q - 1.0 / p))
-        return ConstantReport(which, value)
+        return ConstantReport(which, math.exp(log_val * (1.0 / q - 1.0 / p)))
 
 
 def _min_profile(x: float) -> KProfile:
@@ -271,70 +271,50 @@ class WindowReport:
 
 def window_condition(spec: InequalitySpec, side: str,
                      bound: Callable[[float], float]) -> WindowReport:
-    """Check the windowed tail-quotient condition against a candidate bound
-    on WINDOW_GRID, up to the factor PASS_CONSTANT.
-
-    ``side='head'`` masks the left factor to (0, t) and compares
-    sup_{x<t} (resp. the q<p integral form) with bound(t); ``side='tail'``
-    masks to (t, inf) and uses sup_{x>t} (resp. the tail integral form).
-    A ``window_t`` on the spec restricts the verdict to that single window.
+    """Check the windowed condition A3 (p <= q) or A4 (q < p) against a
+    candidate bound, up to the factor PASS_CONSTANT, on the constant's own
+    samples.  ``side='head'`` masks the left factor to (0, t), ``'tail'`` to
+    (t, inf).  For p <= q the row at t is the running sup of A3's ratio over
+    the STANDARD_GRID points x <= t (head) or x >= t (tail); for q < p it is
+    A4's integral over (0, t) or (t, inf) on the A2/A4 trapezoid points plus
+    the remainder beyond the open end, raised to 1/q - 1/p as A4 is.  A
+    ``window_t`` in [1e-8, 1e8] keeps only the row at the nearest sample.
     """
     if side not in ("head", "tail"):
         raise ValueError("side must be 'head' or 'tail'")
     spec.require_sv_classes()
-    p, q, v, w = spec.p, spec.q, spec.v, spec.w
-    ts = WINDOW_GRID.points()
-    if spec.window_t is not None and not (WINDOW_GRID.t_min <= spec.window_t
-                                          <= WINDOW_GRID.t_max):
+    if spec.window_t is not None and not (STANDARD_GRID.t_min <= spec.window_t
+                                          <= STANDARD_GRID.t_max):
         raise ValueError("window_t must lie inside the evaluation grid")
 
-    rows: list[tuple[float, float, float]] = []
-    if p <= q:
+    order = slice(None) if side == "head" else slice(None, None, -1)
+    if spec.p <= spec.q:
+        ts = STANDARD_GRID.points()
         vals = np.array([_kernel_ratio(spec, _tail, float(t)) for t in ts])
-        # the running sup over x < t (head) or x > t (tail)
-        order = slice(None) if side == "head" else slice(None, None, -1)
-        for t, c in zip(ts, np.maximum.accumulate(vals[order])[order].tolist()):
-            rows.append((float(t), c, bound(float(t))))
+        vals = np.maximum.accumulate(vals[order])[order]
     else:
-        expo = q / (p - q)
-
-        def integrand(x: float) -> float:
-            ux = math.exp(x)
-            num = _tail(w, q, ux)
-            den = _tail(v, p, ux)
-            if num in (0.0, _INF) or den in (0.0, _INF):
-                return 0.0
-            return (num / den) ** expo * w(ux) ** q
-
-        xs = np.log(ts)
-        fs = np.array([integrand(float(x)) for x in xs])
-        h = xs[1] - xs[0]
-        cum = np.concatenate([[0.0], np.cumsum((fs[1:] + fs[:-1]) * h / 2.0)])
-        total = float(cum[-1])
-        with np.errstate(divide="ignore"):
-            ls = np.log(np.maximum(fs, 1e-300))
-        if side == "head":
-            # a divergent left tail makes every cumulative value infinite
-            bad = _edge_tail(ls, xs, "lo", float(np.max(ls)), total) == _INF
-            vals = [_INF if bad else float(c) for c in cum]
+        xs, ls, m, weights = _log_samples(_log_integrand(spec, _tail, 0.0))
+        ts = np.exp(xs)
+        if math.isfinite(m):
+            # in e^m units: trapezoid to the open end + remainder past it
+            steps = 0.5 * (weights[1:] + weights[:-1])
+            run = np.concatenate([[0.0], np.cumsum(steps[order])])[order]
+            run += _edge_tail(ls, xs, "lo" if side == "head" else "hi", m,
+                              float(np.max(run)))
+            expo = 1.0 / spec.q - 1.0 / spec.p
+            vals = [math.exp((m + math.log(c)) * expo) if c > 0.0 else 0.0
+                    for c in run]
         else:
-            bad = _edge_tail(ls, xs, "hi", float(np.max(ls)), total) == _INF
-            vals = [_INF if bad else float(c) for c in total - cum]
-        for t, c in zip(ts, vals):
-            rows.append((float(t), c ** (1.0 / q - 1.0 / p)
-                         if c != _INF else _INF, bound(float(t))))
+            vals = [_INF if m == _INF else 0.0] * len(ts)
 
+    rows = [(float(t), float(c), bound(float(t))) for t, c in zip(ts, vals)]
     if spec.window_t is not None:
         i = int(np.argmin(np.abs(np.log(ts) - math.log(spec.window_t))))
         rows = [rows[i]]
     worst_t, worst = None, 0.0
     for t, c, bd in rows:
-        if bd == _INF:
-            ratio = 0.0  # an infinite bound is always met
-        elif bd > 0.0:
-            ratio = c / bd
-        else:
-            ratio = _INF if c > 0.0 else 0.0
+        # an infinite bound is always met, a bound <= 0 only by c = 0
+        ratio = 0.0 if bd == _INF or c == 0.0 else c / bd if bd > 0.0 else _INF
         if ratio > worst:
             worst_t, worst = t, ratio
     return WindowReport(side=side, passed=worst <= PASS_CONSTANT,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .quadrature import (LogTerm, STANDARD_GRID, integrate_terms,
-                         power_integral, sup_terms)
+from .quadrature import (IntegralOverflowError, LogTerm, STANDARD_GRID,
+                         integrate_terms, power_integral, sup_terms)
 
 __all__ = [
     "WeightExpr",
@@ -258,9 +258,13 @@ def _compile_weight(lo: SideForm, hi: SideForm) -> Callable[[float], float]:
     def value(t: float) -> float:
         if not (t > 0.0) or not isfinite(t):
             raise ValueError(f"weights are defined on (0, inf), got t={t!r}")
-        if t >= 1.0:
-            return value_hi(log(t))
-        return value_lo(-log(t))
+        try:
+            if t >= 1.0:
+                return value_hi(log(t))
+            return value_lo(-log(t))
+        except OverflowError:  # a pow or exp of the side form overflows
+            raise IntegralOverflowError(
+                f"the weight value b({t!r}) exceeds the float range") from None
     return value
 
 

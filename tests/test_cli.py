@@ -269,10 +269,27 @@ def test_subcommand_norm(tmp_path):
     assert header == "profile,norm" and float(row.split(",")[1]) > 0.0
 
 
-@pytest.mark.parametrize("expect,code", [("true", 0), ("false", 1)])
+@pytest.mark.parametrize("expect,code", [("true", 0), ("false", 1),
+                                         (" TRUE", 0), ("False", 1)])
 def test_subcommand_sv_check(tmp_path, expect, code):
     assert main(["sv-check", "--weight", "log(0,-2)", "--q", "1",
                  "--expect-sv0q", expect, "--out-dir", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("value", ["yes", "ture", "1", ""])
+@pytest.mark.parametrize("key", ["expect_sv0q", "expect_sv1q"])
+def test_sv_expectation_is_true_or_false(tmp_path, key, value):
+    # any text other than true/false used to read as false: "yes" passed
+    # silently, "ture" failed the scenario without naming the key
+    path = tmp_path / "sv.cfg"
+    path.write_text(f"[sv-check a]\nweight = log(0,-2)\nq = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be true or false") as exc:
+        load_config(str(path))
+    assert exc.value.line == 4
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert main(["sv-check", "--weight", "log(0,-2)", "--q", "1",
+                 f"--{key.replace('_', '-')}={value}",
+                 "--out-dir", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("expect,code", [("0.61237", 0), ("0.7", 1)])

@@ -27,7 +27,7 @@ from kinterp.profiles import (
     profile_suite,
     realize_rearrangement,
 )
-from kinterp.quadrature import GridSpec
+from kinterp.quadrature import GridSpec, IntegralOverflowError
 from kinterp.weights import Flip, One, parse_weight
 
 INF = math.inf
@@ -228,6 +228,14 @@ def test_demo_role_swap(w_one):
     lm33 = parse_weight("log(-3,-3)")
     rep = negative_demo(0.5, 2.0, 1.0, w_one, lm33, GridSpec(1e-6, 1e6, 8))
     assert rep.swapped and rep.confirmed
+
+
+def test_demo_underflowing_g_is_named():
+    # g = b0/b1 = (1 + ln t)^-1003 underflows to 0 past t ~ 3.5 while the
+    # head bound stays positive: M = head / g used to raise ZeroDivisionError
+    with pytest.raises(IntegralOverflowError, match="g\\(t\\) underflows"):
+        negative_demo(0.5, 1.0, 2.0, parse_weight("log(-3,-3)"),
+                      parse_weight("log(1,1000.0)"), GridSpec(1e-6, 1e6, 8))
 
 
 def test_demo_validation(w_one):

@@ -203,6 +203,43 @@ def test_broad_excepts_only_at_the_cli_boundaries():
     assert found == ["cli.py:_write_atomic", "cli.py:run"]
 
 
+_GRID_BUILDERS = {"logspace", "linspace", "geomspace", "GridSpec"}
+
+
+def _is_number(node: ast.AST) -> bool:
+    """A numeric literal, with or without a sign."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _hidden_grids(path: pathlib.Path) -> list[str]:
+    """``file:line`` of each grid built from numeric literals alone anywhere
+    but as the value of a module-level constant (an upper-case name)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        if isinstance(top, (ast.Assign, ast.AnnAssign)) and all(
+                isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+                for t in (top.targets if isinstance(top, ast.Assign)
+                          else [top.target])):
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and n.args and (
+                    getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            ) in _GRID_BUILDERS and all(
+                    map(_is_number, n.args + [k.value for k in n.keywords])):
+                found.append(f"{path.name}:{n.lineno}")
+    return found
+
+
+def test_no_hidden_sampling_grid():
+    # a grid of literals inside a function is a fixed grid with no name, and
+    # so missing from README's "Fixed grids and thresholds" table
+    found = [g for path in sorted(SRC.glob("*.py")) for g in _hidden_grids(path)]
+    assert found == []
+
+
 def _bench_spans(monkeypatch):
     import importlib.util
     import sys

@@ -12,7 +12,9 @@ from kinterp.norms import weighted_knorm
 from kinterp.profiles import K_from_rearrangement, KProfile, random_rearrangement
 from kinterp.weighted_ineq import (
     _integral,
+    _kernel_ratio,
     _plain_quad,
+    _tail,
     DivergentIntegralError,
     InequalitySpec,
     StepFunction,
@@ -123,6 +125,18 @@ def test_extremal_identity(w_l02):
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_constant_beyond_the_float_range_is_named():
+    # A1's bracket of w integrates e^{-2x} (1+x)^2000 over [ln 1e8, inf):
+    # Gamma(2001) overflows, so gammaincc * Gamma gives nan, and the QUADPACK
+    # fallback's integrand used to raise a bare OverflowError
+    spec = InequalitySpec(1.0, 2.0, parse_weight("log(0,-2)"),
+                          parse_weight("mul(one,log(1000.0,2.85))"))
+    with pytest.raises(quadrature.IntegralOverflowError,
+                       match=r"\(1\+x\)\^2000\.0 dx over .* overflows"):
+        compute_constant(spec, "A1")
+
+
 # ---------------------------------------------------------------------------
 # window conditions
 # ---------------------------------------------------------------------------
@@ -154,6 +168,35 @@ def test_window_integral_branch(w_l02):
     bad = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(0,-3)"))
     rep2 = window_condition(bad, "head", lambda t: 100.0)
     assert not rep2.passed
+
+
+def test_window_divergent_head_fails_every_bound(w_l02):
+    # A4 of this pair is +inf: every integral over (0, t) diverges at 0, so
+    # no finite bound, however large, is met
+    spec = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(8,-3)"))
+    assert compute_constant(spec, "A4").value == INF
+    rep = window_condition(spec, "head", lambda t: 1e10)
+    assert all(c == INF for _, c, _ in rep.rows)
+    assert not rep.passed
+
+
+def test_window_integral_rows_run_up_to_a4(w_l02):
+    spec = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(-2,-3)"))
+    a4 = compute_constant(spec, "A4").value
+    head, tail = ([c for _, c, _ in window_condition(spec, side, lambda t: a4).rows]
+                  for side in ("head", "tail"))
+    assert head == sorted(head) and tail == sorted(tail, reverse=True)
+    assert max(head) <= a4 and max(tail) <= a4
+
+
+def test_window_rows_are_the_a3_samples(spec_12):
+    # the p <= q rows are the running sup of the very samples A3 takes
+    samples = [_kernel_ratio(spec_12, _tail, float(t))
+               for t in quadrature.STANDARD_GRID.points()]
+    for side in ("head", "tail"):
+        rep = window_condition(spec_12, side, lambda t: 1.0)
+        assert len(rep.rows) == len(samples)
+        assert max(c for _, c, _ in rep.rows) == max(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinterp.norms import sv_quasimonotone_constant
-from kinterp.quadrature import GridSpec, integrate_terms
+from kinterp.quadrature import GridSpec, IntegralOverflowError, integrate_terms
 from kinterp.weights import (
     ExpLog,
     Flip,
@@ -240,6 +240,14 @@ def test_sv_quasimonotone_moderate_eps(text):
     assert sv_quasimonotone_constant(b, 1.0) <= 6.0
     assert sv_quasimonotone_constant(b, 0.5) <= 70.0
     assert sv_quasimonotone_constant(b, 0.1) <= 1e5
+
+
+def test_weight_value_beyond_the_float_range_is_named():
+    # (1 + ln 1e8)^1000 at t = 1e-8 used to raise a bare OverflowError from
+    # the compiled evaluator, which is what an sv-check of this weight runs
+    b = parse_weight("log(1000,-3)")
+    with pytest.raises(IntegralOverflowError, match=r"weight value b\(1e-08\)"):
+        sv_quasimonotone_constant(b, 0.1)
 
 
 def test_sv_violated_by_power():
