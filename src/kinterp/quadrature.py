@@ -23,9 +23,11 @@ above, the adaptive segments of ``norms`` and the opaque callables of
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -217,12 +219,92 @@ def power_integral(beta: float, x1: float, x2: float) -> float:
     return ((1.0 + x2) ** (beta + 1.0) - (1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
 
 
+#: 1/2 ln(2 pi), and the Stirling coefficients B_2k / (2k (2k-1)), k = 1..8
+_HALF_LN_2PI = Decimal("0.9189385332046727417803297364056176398614")
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+             (-691, 360360), (1, 156), (-3617, 122400))
+
+
+def _decimal_lgamma(s: Decimal) -> Decimal:
+    """ln Gamma(s), s > 0, by Stirling's series after shifting s to >= 20
+    (truncation below 1e-20)."""
+    shift = Decimal(0)
+    while s < 20:
+        shift += s.ln()
+        s += 1
+    series = sum(Decimal(p) / q / s ** (2 * k - 1)
+                 for k, (p, q) in enumerate(_STIRLING, 1))
+    return (s - Decimal("0.5")) * s.ln() - s + _HALF_LN_2PI + series - shift
+
+
+def _gamma_fraction(s: float, z: float) -> Optional[float]:
+    """z e^z z^-s Gamma(s, z), z > s + 1, by the modified Lentz evaluation
+    of Legendre's continued fraction (Numerical Recipes 6.2), every partial
+    numerator and denominator scaled by 1/z so that no step leaves the
+    normal float range; None when it has not converged in 1000 steps."""
+    tiny, inv = 1e-300, 1.0 / z
+    b = (z + 1.0 - s) * inv
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 1001):
+        an = -i * (i - s) * inv * inv
+        b += 2.0 * inv
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    return None
+
+
+def _log_gamma_tail(a: float, beta: float, x1: float) -> float:
+    """int_{x1}^inf e^{a x} (1+x)^beta dx, a < 0 < beta + 1, in logs.
+
+    The integral is e^{a x1} (1+x1)^s C with s = beta + 1, z = -a (1+x1) and
+    C = e^z z^-s Gamma(s, z).  Where the continued fraction converges,
+    z > s + 1, C is that fraction (scipy's Q(s, z) loses up to 1e-12
+    relative in its far tail there, or underflows); elsewhere ln C is
+    z - s ln z + ln Gamma(s) + ln Q(s, z) while Q is a normal float.  The
+    logs are summed in decimal arithmetic with 40 digits beyond the size of
+    s and z, so terms that cancel keep the value's last bits.  Raises
+    :class:`IntegralOverflowError` when the value exceeds the float range
+    or neither route applies.
+    """
+    s, z = beta + 1.0, -a * (1.0 + x1)
+    zc = _gamma_fraction(s, z) if s + 1.0 < z < _INF else None
+    q = float(_sci_special.gammaincc(s, z))
+    size = max(math.log10(s), math.log10(-a) + math.log1p(x1) / math.log(10.0))
+    with localcontext() as ctx:
+        ctx.prec = 43 + max(0, int(size))
+        da, dx, ds = Decimal(a), Decimal(x1), Decimal(beta) + 1
+        dz = -da * (1 + dx)
+        if zc is not None:
+            log_c = Decimal(math.log(zc)) - dz.ln()
+        elif z == _INF:  # C = (1 + O(s / z)) / z
+            log_c = -dz.ln()
+        elif q >= sys.float_info.min:
+            log_c = dz - ds * dz.ln() + _decimal_lgamma(ds) + Decimal(math.log(q))
+        else:
+            raise _overflow(a, beta, x1, _INF)
+        log_val = da * dx + ds * (1 + dx).ln() + log_c
+        val = float(log_val.exp()) if log_val < 710 else _INF
+    if val == _INF:
+        raise _overflow(a, beta, x1, _INF)
+    return val
+
+
 def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float, float]:
     """(value, error) of int_{x1}^{x2} e^{a x} (1+x)^beta dx, [x1,x2] in [0,inf].
 
     Assumes convergence (check :func:`term_diverges_at_inf` first when x2=inf).
     Raises :class:`IntegralOverflowError` on a finite segment where a*x
-    exceeds 700, instead of returning an infinity that reads as divergence.
+    exceeds 700, and on an infinite one whose value exceeds the float range,
+    instead of returning an infinity that reads as divergence.  Where the
+    incomplete-gamma product of an infinite range is not a positive finite
+    float (a factor over- or underflowed), :func:`_log_gamma_tail`
+    evaluates it in logs.
     """
     if x1 == x2:
         return 0.0, 0.0
@@ -249,11 +331,13 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
             # e^{-a} s^{-(beta+1)} Gamma(beta+1, s(1+x1))
             z = s * (1.0 + x1)
             g = _sci_special.gammaincc(beta + 1.0, z) * _sci_special.gamma(beta + 1.0)
-            val = math.exp(s) * s ** (-(beta + 1.0)) * g
-            if math.isfinite(val):
-                return val, 1e-13 * abs(val)
-            # Gamma(beta+1) overflows, as (1+x)^beta would under QUADPACK
-            raise _overflow(a, beta, x1, x2)
+            try:
+                val = math.exp(s) * s ** (-(beta + 1.0)) * g
+            except OverflowError:
+                val = _INF
+            if not 0.0 < val < _INF:  # a factor left the float range
+                val = _log_gamma_tail(a, beta, x1)
+            return val, 1e-13 * abs(val)
         return _quad(lambda x: math.exp(a * x) * (1.0 + x) ** beta, x1, _INF)
     # general finite segment: scale out the endpoint maximum to avoid overflow
     xm = x2 if a > 0.0 else x1

@@ -559,54 +559,42 @@ def hmt_check(alpha: float, psi: Callable[[float, float], float],
               samples: int = 12) -> HmtReport:
     """Check the kernel condition and the sampled inequality, 0 < alpha <= 1.
 
-    The condition integrates the kernel tail int_x^inf psi(t, u) du against w
-    and compares with int_x^inf v; plugging the step h = chi_(x,inf) into the
-    inequality reproduces the condition exactly, which is what the reported
-    reduction discrepancy measures.  A :class:`DivergentIntegralError` from
-    the quadrature of an opaque kernel, w or v propagates; a ValueError is
-    raised when every x (or every h sample) gives 0/0.
+    The condition at x is the inequality at the step h = chi_(x,inf), so
+    each x is integrated once, as the inequality's two sides at that step:
+    int_0^inf (int_x^inf psi(t, u) du)^alpha w(t) dt and int_x^inf v.  The
+    step's zero piece adds exactly (``0.0 + 1.0 ** p * y``), so these are
+    the floats of the nested integral written out directly, and
+    ``reduction_discrepancy`` is 0.0 by construction.  It stays only because
+    the benchmark gate compares every report field; its removal waits for
+    the benchmark change of ROADMAP item 8.  A ValueError is raised for an x
+    that is not finite and positive (before any integral), and when every x
+    (or every h sample) gives 0/0; a :class:`DivergentIntegralError` from
+    the quadrature of an opaque kernel, w or v propagates.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if len(x_grid) == 0:
         raise ValueError("hmt_check needs at least one x")
+    xs = [float(x) for x in x_grid]
+    for x in xs:
+        if not 0.0 < x < _INF:
+            raise ValueError(f"hmt_check x must be finite and positive, got {x}")
 
-    def lhs_condition(x: float) -> float:
-        def outer(t: float) -> float:
-            iv = _plain_quad(lambda u: psi(t, u), x, _INF)
-            return iv ** alpha * w(t)
-        return _plain_quad(outer, 0.0, _INF)
-
-    def rhs_condition(x: float) -> float:
-        return _integral(v, x, _INF)
-
-    def lhs_inequality(h: StepFunction) -> float:
+    def sides(h: StepFunction) -> tuple[float, float]:
         def outer(t: float) -> float:
             iv = h.weighted_integral(lambda u: psi(t, u), 0.0, _INF)
             return iv ** alpha * w(t)
-        return _plain_quad(outer, 0.0, _INF)
+        return (_plain_quad(outer, 0.0, _INF),
+                h.weighted_integral(v, 0.0, _INF, power=alpha))
 
-    pairs = []
-    reduction = 0.0
-    for x in map(float, x_grid):
-        lc, rc = lhs_condition(x), rhs_condition(x)
-        pairs.append((lc, rc))
-        if rc == 0.0:
-            continue
-        indicator = StepFunction([x], [0.0], tail=1.0)
-        li = lhs_inequality(indicator)
-        ri = indicator.weighted_integral(v, 0.0, _INF, power=alpha)
-        scale = max(abs(lc), abs(rc), 1e-300)
-        reduction = max(reduction, abs(li - lc) / scale, abs(ri - rc) / scale)
+    pairs = [sides(StepFunction([x], [0.0], tail=1.0)) for x in xs]
     cond_ratio, _ = _worst_ratio(pairs)
 
     if h_samples is None:
         rng = np.random.default_rng(_HMT_SEED)
         h_samples = [_random_steps(rng, "nondecreasing") for _ in range(samples)]
-    ineq_ratio, _ = _worst_ratio(
-        (lhs_inequality(h), h.weighted_integral(v, 0.0, _INF, power=alpha))
-        for h in h_samples)
+    ineq_ratio, _ = _worst_ratio(sides(h) for h in h_samples)
     return HmtReport(condition_holds=cond_ratio <= PASS_CONSTANT,
                      inequality_holds=ineq_ratio <= PASS_CONSTANT,
                      condition_ratio=cond_ratio, inequality_ratio=ineq_ratio,
-                     reduction_discrepancy=reduction)
+                     reduction_discrepancy=0.0)

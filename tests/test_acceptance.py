@@ -10,6 +10,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from scipy import integrate as sci_integrate
 
 from kinterp.cli import main
 from kinterp.holmstedt import (
@@ -302,9 +303,14 @@ def test_criterion_13_hardy_lemma():
     assert ok
 
 
+def _scipy_quad(f, lo):
+    return sci_integrate.quad(f, lo, math.inf, epsabs=1e-13, epsrel=1e-10,
+                              limit=200, full_output=1)[0]
+
+
 def test_criterion_14_kernel_reduction():
     rng = np.random.default_rng(1414)
-    worst = 0.0
+    worst = worst_direct = 0.0
     for _ in range(20):
         a = float(rng.uniform(0.3, 2.0))
         c = float(rng.uniform(0.3, 2.0))
@@ -319,9 +325,16 @@ def test_criterion_14_kernel_reduction():
         rep = hmt_check(alpha, psi, lambda t: 1.0, lambda t: math.exp(-t),
                         x_grid=[x], h_samples=[])
         worst = max(worst, rep.reduction_discrepancy)
-    ok = worst <= 1e-9
+        # the condition written out directly, by scipy with hmt's tolerances
+        lhs = _scipy_quad(lambda t: _scipy_quad(lambda u: psi(t, u), x)
+                          ** alpha, 0.0)
+        direct = lhs / _scipy_quad(lambda t: math.exp(-t), x)
+        worst_direct = max(worst_direct,
+                           abs(rep.condition_ratio - direct) / direct)
+    ok = worst <= 1e-9 and worst_direct <= 1e-9
     _report(14, "indicator reduction of the kernel inequality", ok,
-            f"worst discrepancy {worst:.2e}")
+            f"worst discrepancy {worst:.2e}, against the direct condition "
+            f"{worst_direct:.2e}")
     assert ok
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -63,6 +64,64 @@ def test_exp_pow_against_mpmath(a, beta, x1, x2):
     want = float(mpmath.quad(lambda x: mpmath.e ** (a * x) * (1 + x) ** beta,
                              [x1, hi]))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def _mp_gamma_tail(a, beta, x1):
+    """int_{x1}^inf e^{a x} (1+x)^beta dx, a < 0 < beta + 1, in 40-digit
+    mpmath: e^{-a} (-a)^{-s} Gamma(s, -a (1+x1)) with s = beta + 1."""
+    with mpmath.workdps(40):
+        a, s, x1 = mpmath.mpf(a), mpmath.mpf(beta) + 1, mpmath.mpf(x1)
+        return mpmath.exp(-a) * (-a) ** -s * mpmath.gammainc(s, -a * (1 + x1))
+
+
+@pytest.mark.parametrize("a,beta,x1,want", [
+    (-2.0, 200.0, 600.0, 2.5086297570797576e34),  # Gamma(201) overflows
+    (-800.0, 0.5, 0.0, 1.2507807626314288e-3),    # e^800 overflows
+    # (-a)^-s underflows to 0.0, and Q(51, 1000) does
+    (-474.94231551776346, 120.09275578751833, 0.019147995492839055,
+     3.0654121542089657e-6),
+    (-0.01, 50.0, 1e5, 5.345488538713765e-183),
+])
+def test_gamma_tail_whose_factors_leave_the_float_range(a, beta, x1, want):
+    got, err = exp_pow_integral(a, beta, x1, INF)
+    assert abs(got - want) <= 1e-13 * want
+    assert abs(got - float(_mp_gamma_tail(a, beta, x1))) <= err
+
+
+def test_gamma_tail_at_the_ends_of_the_float_range():
+    # below the float range the integral still reads 0.0: e^{-x1} at
+    # x1 = 1e308, and z = -a (1+x1) itself beyond the float range
+    assert exp_pow_integral(-1.0, 0.5, 1e308, INF) == (0.0, 0.0)
+    assert exp_pow_integral(-1e308, 0.5, 10.0, INF) == (0.0, 0.0)
+    # s = z + 1 = N + 1 with N = 1e300: the logs are of size 1e302, and the
+    # integral e^N N^-(N+1) Gamma(N+1, N) is sqrt(pi / (2N)) (1 + O(N^-1/2))
+    got, _ = exp_pow_integral(-1e300, 1e300, 0.0, INF)
+    assert got == pytest.approx(math.sqrt(math.pi / 2.0) * 1e-150, rel=1e-13)
+    with pytest.raises(IntegralOverflowError, match=r"\^1000000\.0 dx"):
+        exp_pow_integral(-1.0, 1e6, 0.0, INF)
+
+
+def test_gamma_tail_in_logs_against_mpmath():
+    # draws where a factor of e^{-a} (-a)^{-s} Gamma(s) Q(s, z) over- or
+    # underflows, but the integral fits in a normal double
+    rng = np.random.default_rng(2718)
+    checked = routes = 0
+    while checked < 200:
+        a = -math.exp(rng.uniform(math.log(1e-3), math.log(3e3)))
+        beta = rng.uniform(-1.0, 600.0)
+        x1 = 0.0 if rng.random() < 0.2 else \
+            math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
+        s = beta + 1.0
+        if not (s > 172.0 or -a > 710.0 or abs(s * math.log(-a)) > 710.0):
+            continue
+        want = _mp_gamma_tail(a, beta, x1)
+        if not sys.float_info.min < want < sys.float_info.max:
+            continue
+        got, _ = exp_pow_integral(a, beta, x1, INF)
+        assert abs(got - want) <= 1e-13 * want, (a, beta, x1)
+        checked += 1
+        routes += -a * (1.0 + x1) > s + 1.0
+    assert 0 < routes < checked  # both the fraction and the lgamma route
 
 
 def test_sup_examples():

@@ -474,6 +474,65 @@ def test_hmt_alpha_validation():
                   x_grid=[1.0])
 
 
+@pytest.mark.parametrize("x", [math.nan, INF, -INF, 0.0, -1.0])
+def test_hmt_rejects_a_bad_x_before_any_integral(monkeypatch, x):
+    calls = []
+    quad = sci_integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", counting_quad)
+    with pytest.raises(ValueError, match=r"hmt_check x must be finite and "
+                                         r"positive, got (nan|-?inf|0\.0|-1\.0)"):
+        hmt_check(1.0, lambda t, u: math.exp(-t - u), lambda t: 1.0,
+                  lambda t: math.exp(-t), x_grid=[1.0, x], h_samples=[])
+    assert calls == []
+
+
+def _kernel(a, c, wt, wu):
+    """The criterion-14 kernel e^{-a t - c u} wt(t) wu(u)."""
+    wt, wu = parse_weight(wt), parse_weight(wu)
+    return lambda t, u: math.exp(-a * t - c * u) * wt(t) * wu(u)
+
+
+def test_hmt_integrates_each_condition_once(monkeypatch):
+    # an integral is keyed by the values its integrand closes over and its
+    # range, not by its code: the condition's nested integral and the same
+    # integral rebuilt through the indicator step count as one integral
+    keys: list = []
+    quad = sci_integrate.quad
+
+    def recorded(f, x1, x2, *args, **kwargs):
+        keys.append((tuple(c.cell_contents for c in f.__closure__ or ()),
+                     x1, x2))
+        return quad(f, x1, x2, *args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", recorded)
+    psi = _kernel(1.2, 1.1, "log(0.4,-0.4)", "log(0.7,-0.7)")
+    rep = hmt_check(0.9, psi, lambda t: 1.0, lambda t: math.exp(-t),
+                    x_grid=[1.0], h_samples=[])
+    assert rep.condition_holds and rep.reduction_discrepancy == 0.0
+    assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("alpha,a,c,wt,wu", [
+    # the two hmt_check calls of the hardy benchmark's seed-1 draw
+    (0.916, 1.205, 1.149, "log(0.509,-0.509)", "log(0.845,-0.845)"),
+    (0.875, 1.414, 1.029, "log(0.514,-0.514)", "log(0.672,-0.672)"),
+])
+def test_hmt_condition_is_the_direct_nested_integral(alpha, a, c, wt, wu):
+    # the indicator step adds 0.0 + 1.0 ** p * y, which is exact: the
+    # condition is bit for bit the nested integral written out directly
+    psi = _kernel(a, c, wt, wu)
+    w, v = (lambda t: 1.0), (lambda t: math.exp(-t))
+    rep = hmt_check(alpha, psi, w, v, x_grid=[1.0], h_samples=[])
+    lhs = _plain_quad(lambda t: _plain_quad(lambda u: psi(t, u), 1.0, INF)
+                      ** alpha * w(t), 0.0, INF)
+    assert rep.condition_ratio == lhs / _plain_quad(v, 1.0, INF)
+
+
 def test_window_single_window(spec_12):
     spec = InequalitySpec(p=1.0, q=2.0, v=spec_12.v, w=spec_12.w,
                           window_t=1.0)
