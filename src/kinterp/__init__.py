@@ -35,7 +35,6 @@ from .norms import (
     SpaceSpec,
     IndexPair,
     space_norm,
-    partial_norms,
     index,
     index_limit,
     quasi_monotone_constant,

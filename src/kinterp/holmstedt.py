@@ -29,7 +29,6 @@ from .norms import (
     SpaceSpec,
     check_condition_monotone_index,
     index,
-    partial_norms,
     quasi_monotone_constant,
     space_norm,
 )
@@ -126,12 +125,16 @@ def _flip_reduced(case: HolmstedtCase) -> HolmstedtCase:
                          b0=Flip(case.b1), b1=Flip(case.b0))
 
 
+def _index_kind(case: HolmstedtCase) -> str:
+    """The index of a limiting case: rho for limiting00, eta for limiting11."""
+    return "rho" if case.kind == "limiting00" else "eta"
+
+
 def index_value(case: HolmstedtCase, t: float) -> Optional[float]:
     """The argument s at which the outer K-functional is evaluated."""
-    if case.kind == "limiting00":
-        return index(t, "rho", case.q0, case.b0, case.q1, case.b1).value
-    if case.kind == "limiting11":
-        return index(t, "eta", case.q0, case.b0, case.q1, case.b1).value
+    if case.kind in ("limiting00", "limiting11"):
+        return index(t, _index_kind(case), case.q0, case.b0,
+                     case.q1, case.b1).value
     ratio = case.b0(t) / case.b1(t)
     if case.kind == "interior_equal_q":
         return ratio
@@ -149,19 +152,16 @@ def rhs_formula(case: HolmstedtCase, f: KProfile, t: float) -> float:
     s = index_value(case, t)
     if s is None:
         raise ValueError(f"index undefined at t={t!r}")
-    return _rhs(case, f, t, s)
+    return _rhs(case.spaces(), f, t, s)
 
 
-def _rhs(case: HolmstedtCase, f: KProfile, t: float, s: float) -> float:
-    """I + s J at t for an index value s the caller already has."""
-    if case.kind in ("limiting00", "limiting11"):  # frame limiting0 / 1
-        I, J = partial_norms(f, t, case.kind[:-1], case.q0, case.b0,
-                             case.q1, case.b1)
-    else:
-        X0, X1 = case.spaces()
-        I = space_norm(f, X0, 0.0, t)
-        J = space_norm(f, X1, t, _INF)
-    return I + s * J
+def _rhs(spaces: tuple[SpaceSpec, SpaceSpec], f: KProfile, t: float,
+         s: float) -> float:
+    """I + s J at t, with I = ||f||_{X0} over (0, t) and J = ||f||_{X1}
+    over (t, inf) for the case's ``spaces`` (X0, X1), and an index value s
+    the caller already has."""
+    X0, X1 = spaces
+    return space_norm(f, X0, 0.0, t) + s * space_norm(f, X1, t, _INF)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +323,23 @@ def _quasi_nondecreasing_note(vals, condition: str, name: str) -> str:
     return f"{name} quasi-nondecreasing (constant {c:.3g})"
 
 
-def _eps_condition_note(kind: str, q0: float, b0: WeightExpr, q1: float,
-                        b1: WeightExpr) -> str:
-    """The note of a passing rho_eps or eta_eps condition (``kind``); raises
-    :class:`HypothesisError` when it fails."""
-    rep = check_condition_monotone_index(kind, q0, b0, q1, b1)
+def _index_note(case: HolmstedtCase) -> str:
+    """The note of a limiting case's index (rho or eta) sampled on
+    :data:`STANDARD_GRID`; raises :class:`HypothesisError` unless every
+    sample is positive and finite and the samples are quasi-nondecreasing."""
+    kind = _index_kind(case)
+    vals = [index_value(case, float(t)) for t in STANDARD_GRID.points()]
+    if any(v is None or not (0.0 < v < _INF) for v in vals):
+        raise HypothesisError(f"{kind} positive and finite on the grid")
+    return _quasi_nondecreasing_note(vals, f"{kind} increasing", kind)
+
+
+def _eps_condition_note(case: HolmstedtCase) -> str:
+    """The note of a limiting case's passing rho_eps or eta_eps condition;
+    raises :class:`HypothesisError` when it fails."""
+    kind = f"{_index_kind(case)}_eps"
+    rep = check_condition_monotone_index(kind, case.q0, case.b0,
+                                         case.q1, case.b1)
     if not rep.passed:
         raise HypothesisError(f"{kind} equivalent to a nondecreasing function",
                               f"best constant {rep.best_constant:.3g} over eps "
@@ -341,17 +353,8 @@ def verify_hypotheses(case: HolmstedtCase) -> list[str]:
     notes: list[str] = []
     case.spaces()  # SV-class preconditions raise ValueError on their own
     if case.kind in ("limiting00", "limiting11"):
-        kind = "rho_eps" if case.kind == "limiting00" else "eta_eps"
-        base = kind.split("_")[0]
-        if case.q0 != case.q1:
-            notes.append(_eps_condition_note(kind, case.q0, case.b0,
-                                             case.q1, case.b1))
-        else:
-            vals = [index_value(case, float(t)) for t in STANDARD_GRID.points()]
-            if any(v is None for v in vals):
-                raise HypothesisError(f"{base} defined on the grid")
-            notes.append(_quasi_nondecreasing_note(vals, f"{base} increasing",
-                                                  base))
+        notes.append(_index_note(case) if case.q0 == case.q1
+                     else _eps_condition_note(case))
     elif case.kind == "interior_equal_q":
         ratio = [case.b0(float(t)) / case.b1(float(t))
                  for t in STANDARD_GRID.points()]
@@ -376,6 +379,7 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
         report = RatioReport(case.label(), notes=notes)
         table = _decomposition_table(case, fr)
         profile = K_from_rearrangement(table.f)
+        spaces = case.spaces()
         if case.kind == "limiting11":
             red = _flip_reduced(case)
             report.notes.append("computed through the t -> 1/t symmetry")
@@ -389,7 +393,7 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
             if case.kind == "limiting11":
                 rhs = s * rhs_formula(red, profile, 1.0 / t)
             else:
-                rhs = _rhs(case, profile, t, s)
+                rhs = _rhs(spaces, profile, t, s)
             report.add(t, lhs, rhs)
     return report
 

@@ -1,4 +1,4 @@
-"""Interpolation quasi-norms, the partial quantities I/J, and the index algebra.
+"""Interpolation quasi-norms and the index algebra.
 
 The space quasi-norm is ||t^{-theta-1/q} b(t) K(t,f)||_{q,(0,inf)}.  Products
 of a profile piece (atom sums) with a weight side form stay inside the
@@ -37,7 +37,6 @@ __all__ = [
     "ConditionReport",
     "space_norm",
     "weighted_knorm",
-    "partial_norms",
     "index",
     "index_limit",
     "quasi_monotone_constant",
@@ -238,31 +237,7 @@ def space_norm(f: KProfile, s: SpaceSpec,
 
 
 # ---------------------------------------------------------------------------
-# Partial quantities I, J, I1, J1
-# ---------------------------------------------------------------------------
-
-def partial_norms(f: KProfile, t: float, case: str,
-                  q0: float, b0: WeightExpr, q1: float, b1: WeightExpr
-                  ) -> tuple[float, float]:
-    """(I, J) of the limiting frames.
-
-    ``limiting0``: I = ||u^{-1/q0} b0 K||_{q0,(0,t)} and
-    J = ||u^{-1/q1} b1 K||_{q1,(t,inf)}; ``limiting1`` carries the extra
-    u^{-1} factor on both pieces.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if case not in ("limiting0", "limiting1"):
-        raise ValueError(f"unknown case {case!r}")
-    theta = 0.0 if case == "limiting0" else 1.0
-    if f.curve.is_zero():
-        return 0.0, 0.0
-    return (_quasi_norm(f.curve, theta, q0, b0, 0.0, t),
-            _quasi_norm(f.curve, theta, q1, b1, t, _INF))
-
-
-# ---------------------------------------------------------------------------
-# Indices rho / eta and their epsilon variants
+# Indices rho / eta
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -277,24 +252,14 @@ class IndexPair:
 
 
 def index(t: float, kind: str, q0: float, b0: WeightExpr,
-          q1: float, b1: WeightExpr, eps: float = 0.0) -> IndexPair:
-    """rho / rho_eps (tail quotients) and eta / eta_eps (head quotients)."""
-    if kind in ("rho", "rho_eps"):
-        num = tail_qnorm(b0, q0, t)
-        den = tail_qnorm(b1, q1, t)
-    elif kind in ("eta", "eta_eps"):
-        num = head_qnorm(b0, q0, t)
-        den = head_qnorm(b1, q1, t)
-    else:
+          q1: float, b1: WeightExpr) -> IndexPair:
+    """rho (a quotient of tails) or eta (of heads) at t, undefined (None)
+    unless the denominator lies in (0, inf)."""
+    if kind not in ("rho", "eta"):
         raise ValueError(f"unknown index kind {kind!r}")
-    if kind.endswith("_eps"):
-        if eps <= 0.0:
-            raise ValueError("eps must be positive for the eps variants")
-        num = num ** (1.0 + eps)
-    bad = (num == 0.0 and den == 0.0) or (num == _INF and den == _INF) \
-        or den == 0.0 or not math.isfinite(den)
-    value = None if bad else num / den
-    return IndexPair(value, num, den)
+    qnorm = tail_qnorm if kind == "rho" else head_qnorm
+    num, den = qnorm(b0, q0, t), qnorm(b1, q1, t)
+    return IndexPair(num / den if 0.0 < den < _INF else None, num, den)
 
 
 def _log_norm_order(b: WeightExpr, q: float, side: str, tail: bool

@@ -202,6 +202,10 @@ def _quad(f: Callable[[float], float], x1: float, x2: float,
     return val, err
 
 
+#: ln of the largest finite double
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _overflow(a: float, beta: float, x1: float, x2: float) -> IntegralOverflowError:
     return IntegralOverflowError(
         f"int e^({a!r} x) (1+x)^{beta!r} dx over [{x1!r}, {x2!r}] overflows")
@@ -330,7 +334,8 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
         if beta > -1.0:
             # e^{-a} s^{-(beta+1)} Gamma(beta+1, s(1+x1))
             z = s * (1.0 + x1)
-            g = _sci_special.gammaincc(beta + 1.0, z) * _sci_special.gamma(beta + 1.0)
+            g = float(_sci_special.gammaincc(beta + 1.0, z)) \
+                * float(_sci_special.gamma(beta + 1.0))
             try:
                 val = math.exp(s) * s ** (-(beta + 1.0)) * g
             except OverflowError:
@@ -344,9 +349,35 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     scale = a * xm
     if scale > 700.0:
         raise _overflow(a, beta, x1, x2)
-    val, err = _quad(lambda x: math.exp(a * (x - xm)) * (1.0 + x) ** beta, x1, x2)
+    try:
+        val, err = _quad(lambda x: math.exp(a * (x - xm)) * (1.0 + x) ** beta,
+                         x1, x2)
+    except OverflowError:  # (1+x)^beta leaves the float range
+        return _peak_scaled_segment(a, beta, x1, x2)
     m = math.exp(scale)
     return val * m, err * m
+
+
+def _peak_scaled_segment(a: float, beta: float, x1: float, x2: float
+                         ) -> tuple[float, float]:
+    """(value, error) of int_{x1}^{x2} e^{a x} (1+x)^beta dx, x2 finite,
+    integrating the integrand over its maximum on [x1, x2], all in logs:
+    the larger endpoint value or, for a < 0 < beta, the value at the turning
+    point x = -beta/a - 1.  Raises :class:`IntegralOverflowError` when the
+    value exceeds the float range."""
+    def log_f(x: float) -> float:
+        return a * x + beta * math.log1p(x)
+
+    peaks = [x1, x2]
+    if a < 0.0 < beta and x1 < -beta / a - 1.0 < x2:
+        peaks.append(-beta / a - 1.0)
+    log_m = max(log_f(x) for x in peaks)
+    val, err = _quad(lambda x: math.exp(log_f(x) - log_m), x1, x2)
+    log_val = math.log(val) + log_m
+    if log_val > _LOG_FLOAT_MAX:
+        raise _overflow(a, beta, x1, x2)
+    out = math.exp(log_val)
+    return out, err / val * out
 
 
 def term_value(term: LogTerm) -> tuple[float, float]:

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .holmstedt import (HolmstedtCase, HypothesisError, RatioReport, ScanRow,
-                        _eps_condition_note, _quasi_nondecreasing_note, _rhs)
+                        _eps_condition_note, _index_note, _rhs)
 from .norms import (
     SpaceSpec,
     index,
@@ -43,7 +43,7 @@ from .norms import (
     _quasi_norm,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
-from .quadrature import GridSpec, STANDARD_GRID, term_memo
+from .quadrature import GridSpec, term_memo
 from .weights import (Flip, WeightExpr, head_qnorm, tail_qnorm,
                       weight_kernel_integral)
 
@@ -117,12 +117,9 @@ class ReiterationSpec:
                                b0=Flip(self.b0), q1=self.q1, b1=Flip(self.b1))
 
     def verify_hypotheses(self) -> list[str]:
-        notes: list[str] = []
+        case = self.inner_case()
+        notes = [_index_note(case)]
         kind = self.index_kind()
-        vals = [self.index_value(float(t)) for t in STANDARD_GRID.points()]
-        if any(v is None or not (0.0 < v < _INF) for v in vals):
-            raise HypothesisError(f"{kind} positive and finite on the grid")
-        notes.append(_quasi_nondecreasing_note(vals, f"{kind} increasing", kind))
         for end, want, where in (("zero", -1, "0 toward 0+"),
                                  ("inf", 1, "inf toward inf")):
             got = index_limit(kind, self.q0, self.b0, self.q1, self.b1, end)
@@ -132,8 +129,7 @@ class ReiterationSpec:
         notes.append(f"{kind} -> 0 toward 0+ and -> inf toward inf "
                      "(exact limits of the weight algebra)")
         if self.q0 != self.q1:
-            notes.append(_eps_condition_note(f"{kind}_eps", self.q0, self.b0,
-                                             self.q1, self.b1))
+            notes.append(_eps_condition_note(case))
         else:
             rep = log_derivative_check(self)
             if not rep.passed:
@@ -300,7 +296,7 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
     of a check; the sweep runs in its own :func:`term_memo` scope.
     """
     h, rows = table
-    case = spec.inner_case()
+    spaces = spec.inner_case().spaces()
     vals = []
     with term_memo():
         for row in rows:
@@ -308,7 +304,7 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
                 vals.append(0.0)
                 continue
             t, idx, ell = row
-            surrogate = _rhs(case, f, t, idx)
+            surrogate = _rhs(spaces, f, t, idx)
             if not (0.0 <= surrogate < _INF):
                 return _INF
             vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)

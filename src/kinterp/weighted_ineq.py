@@ -20,8 +20,9 @@ import numpy as np
 
 from .norms import weighted_knorm
 from .profiles import KProfile
-from .quadrature import (DivergentIntegralError, STANDARD_GRID, _quad,
-                         golden_min, term_memo)
+from .quadrature import (DivergentIntegralError, IntegralOverflowError,
+                         STANDARD_GRID, _LOG_FLOAT_MAX, _quad, golden_min,
+                         term_memo)
 from .weights import (
     WeightExpr,
     tail_qnorm,
@@ -112,7 +113,24 @@ def _kernel_ratio(spec: InequalitySpec, kernel: _Kernel, x: float) -> float:
     den = kernel(spec.v, spec.p, x)
     if num == _INF or den == _INF or den == 0.0:
         return 0.0
-    return num ** (1.0 / spec.q) / den ** (1.0 / spec.p)
+    return _root_ratio(spec, num, den, f"the plug-in ratio at x={x!r}")
+
+
+def _root_ratio(spec: InequalitySpec, num: float, den: float,
+                name: str) -> float:
+    """num^(1/q) / den^(1/p) for num >= 0 and den in (0, inf): as floats,
+    and in logs only where a root leaves the float range (an overflow, or
+    the denominator's root underflowing to 0).  Raises
+    :class:`IntegralOverflowError` naming ``name`` when the quotient itself
+    exceeds the float range."""
+    try:
+        return num ** (1.0 / spec.q) / den ** (1.0 / spec.p)
+    except (OverflowError, ZeroDivisionError):
+        log_ratio = (math.log(num) / spec.q if num > 0.0 else -_INF) \
+            - math.log(den) / spec.p
+    if log_ratio > _LOG_FLOAT_MAX:
+        raise IntegralOverflowError(f"{name} exceeds the float range")
+    return math.exp(log_ratio)
 
 
 def _log_integrand(spec: InequalitySpec, kernel: _Kernel,
@@ -240,7 +258,8 @@ def quasiconcave_ratio(spec: InequalitySpec, h: KProfile) -> float:
     den = weighted_knorm(h.curve, 0.0, spec.p, spec.v)
     if num.divergent or den.divergent or den.value == 0.0:
         return 0.0
-    return num.value ** (1.0 / spec.q) / den.value ** (1.0 / spec.p)
+    return _root_ratio(spec, num.value, den.value,
+                       "the ratio ||h w||_q / ||h v||_p")
 
 
 def best_constant_probe(spec: InequalitySpec, which: str,

@@ -201,7 +201,8 @@ def test_criterion_07_necessity_gate():
                 profile = min1
                 """))
         code = main(["run", cfg, "--out-dir", tmp, "--quiet"])
-        summary = json.loads(open(os.path.join(tmp, "summary.json")).read())
+        with open(os.path.join(tmp, "summary.json")) as fh:
+            summary = json.load(fh)
         named = summary["results"][0]["summary"].get("condition", "")
     ok = all_fail and refused and code == 1 and "rho_eps" in named
     _report(7, "necessity gate refuses the decaying pair", ok,

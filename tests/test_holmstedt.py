@@ -9,6 +9,7 @@ from kinterp.holmstedt import (
     HolmstedtCase,
     HypothesisError,
     ScanRow,
+    _rhs,
     equivalence_scan,
     incompatibility_M,
     index_value,
@@ -96,6 +97,32 @@ def test_rhs_limiting11_direct_matches_reduction(w_l02):
         assert direct == pytest.approx(reduced, rel=1e-10)
 
 
+#: one case of each kind, with the weight classes its spaces require
+RHS_CASES = (
+    ("limiting00", dict(q0=1.0, q1=2.0, b0="log(0,-2)", b1="log(0,-3)")),
+    ("limiting11", dict(q0=2.0, q1=1.0, b0="log(-2,0)", b1="log(-3,-2)")),
+    ("interior_equal_q", dict(q0=2.0, q1=2.0, b0="log(0,-1)", b1="one",
+                              theta=0.4)),
+    ("nonlimiting", dict(q0=1.0, q1=3.0, b0="log(1,2)", b1="log(0,-1)",
+                         theta0=0.25, theta1=0.75)),
+)
+
+
+@pytest.mark.parametrize("kind,params", RHS_CASES, ids=[k for k, _ in RHS_CASES])
+def test_one_rhs_for_every_case_kind(kind, params):
+    # I over (0, t) in X0 plus s J over (t, inf) in X1, whatever the kind
+    params = dict(params, b0=parse_weight(params["b0"]),
+                  b1=parse_weight(params["b1"]))
+    case = HolmstedtCase(kind, **params)
+    X0, X1 = case.spaces()
+    K = K_from_rearrangement(profile_suite()[2])
+    for t in (0.03, 1.0, 7.0):
+        s = index_value(case, t)
+        want = space_norm(K, X0, 0.0, t) + s * space_norm(K, X1, t, INF)
+        assert _rhs((X0, X1), K, t, s) == rhs_formula(case, K, t) == want
+        assert 0.0 < want < INF
+
+
 # ---------------------------------------------------------------------------
 # decomposition infimum
 # ---------------------------------------------------------------------------
@@ -161,6 +188,19 @@ def test_scan_gate_refusal(w_l02, w_l01):
     with pytest.raises(HypothesisError) as exc:
         equivalence_scan(case, CHI)
     assert "rho_eps" in exc.value.condition
+
+
+@pytest.mark.parametrize("b0,b1", [("log(0,-400)", "log(0,-2)"),
+                                   ("log(0,-2)", "log(0,-400)")])
+def test_degenerate_rho_fails_one_named_condition(b0, b1):
+    # the tail of log(0,-400) underflows to 0 on part of the grid: as the
+    # numerator rho is 0 there, as the denominator it is undefined; both
+    # are the one condition that reiteration checks as well
+    case = HolmstedtCase("limiting00", 1.0, 1.0, parse_weight(b0),
+                         parse_weight(b1))
+    with pytest.raises(HypothesisError) as exc:
+        verify_hypotheses(case)
+    assert exc.value.condition == "rho positive and finite on the grid"
 
 
 def test_scan_rows_and_band(case_mixed_q):

@@ -9,11 +9,11 @@ from mpmath import fp
 from kinterp import norms
 from kinterp.norms import (
     SpaceSpec,
+    _quasi_norm,
     _segments,
     check_condition_monotone_index,
     index,
     index_limit,
-    partial_norms,
     quasi_monotone_constant,
     space_norm,
     weighted_knorm,
@@ -166,34 +166,34 @@ def test_segments_match_the_probe_walk(breaks, data):
 
 
 # ---------------------------------------------------------------------------
-# partial norms
+# partial norms I over (0, t) and J over (t, inf)
 # ---------------------------------------------------------------------------
 
+def _partials(K, t, X0, X1):
+    """(I, J) at t for the space pair (X0, X1), as the Holmstedt
+    right-hand side reads them."""
+    return space_norm(K, X0, 0.0, t), space_norm(K, X1, t, INF)
+
+
 def test_partial_examples(w_l02, w_l03):
-    K = KProfile.min1()
-    I, J = partial_norms(K, 1.0, "limiting0", 1.0, w_l02, 1.0, w_l03)
+    X0, X1 = SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 1.0, w_l03)
+    I, J = _partials(KProfile.min1(), 1.0, X0, X1)
     assert I == pytest.approx(1.0, rel=1e-12)
     assert J == pytest.approx(0.5, rel=1e-12)
-    I0, J0 = partial_norms(KProfile.zero(), 1.0, "limiting0", 1.0, w_l02,
-                           1.0, w_l03)
-    assert (I0, J0) == (0.0, 0.0)
+    assert _partials(KProfile.zero(), 1.0, X0, X1) == (0.0, 0.0)
 
 
 def test_partial_monotonicity(w_l02, w_l03):
     K = K_from_rearrangement(profile_suite()[1])
+    X0, X1 = SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03)
     ts = GridSpec(1e-4, 1e4, 8).points()
     Is, Js = [], []
     for t in ts:
-        I, J = partial_norms(K, float(t), "limiting0", 1.0, w_l02, 2.0, w_l03)
+        I, J = _partials(K, float(t), X0, X1)
         Is.append(I)
         Js.append(J)
     assert all(a <= b + 1e-12 for a, b in zip(Is, Is[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(Js, Js[1:]))
-
-
-def test_partial_case_validation(w_l02, w_l03):
-    with pytest.raises(ValueError):
-        partial_norms(KProfile.min1(), 1.0, "interior", 1.0, w_l02, 1.0, w_l03)
 
 
 def test_a_root_beyond_the_float_range_is_a_named_error():
@@ -251,13 +251,20 @@ def test_plans_give_the_memoless_values(theta, q, text):
 
 
 def test_plans_give_the_memoless_partial_norms(w_l02, w_lm20):
-    K = parse_profile(PLAN_PROFILE)
+    # (theta, q0, b0, q1, b1) of a theta = 0 and a theta = 1 frame; the
+    # tail of log(0,-0.5) diverges, which no SpaceSpec admits, so the
+    # quasi-norms are read directly
+    curve = parse_profile(PLAN_PROFILE).curve
     b_half = parse_weight("log(0,-0.5)")
-    frames = [("limiting0", 1.0, w_l02, 2.0, b_half),
-              ("limiting1", 2.0, w_lm20, 1.0, w_lm20)]
-    want = [partial_norms(K, t, *frame) for frame in frames for t in PLAN_TS]
+    frames = [(0.0, 1.0, w_l02, 2.0, b_half), (1.0, 2.0, w_lm20, 1.0, w_lm20)]
+
+    def partials(t, theta, q0, b0, q1, b1):
+        return (_quasi_norm(curve, theta, q0, b0, 0.0, t),
+                _quasi_norm(curve, theta, q1, b1, t, INF))
+
+    want = [partials(t, *frame) for frame in frames for t in PLAN_TS]
     with term_memo():
-        got = [partial_norms(K, t, *frame) for frame in frames for t in PLAN_TS]
+        got = [partials(t, *frame) for frame in frames for t in PLAN_TS]
     assert got == want
     assert all(J == INF for _, J in want[:len(PLAN_TS)])
 
@@ -280,12 +287,13 @@ def test_a_second_t_in_a_piece_builds_one_segment_per_side(monkeypatch,
                                                            w_l02, w_l03):
     handed = _record_side_terms(monkeypatch)
     K = parse_profile(PLAN_PROFILE)
+    X0, X1 = SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03)
     with term_memo():
-        partial_norms(K, 2.0, "limiting0", 1.0, w_l02, 2.0, w_l03)
+        _partials(K, 2.0, X0, X1)
         assert handed == [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0),
                           (2.0, 4.0), (4.0, 20.0), (20.0, INF)]
         handed.clear()
-        partial_norms(K, 3.0, "limiting0", 1.0, w_l02, 2.0, w_l03)
+        _partials(K, 3.0, X0, X1)
         assert handed == [(1.0, 3.0), (3.0, 4.0)]
 
 
@@ -303,11 +311,12 @@ def test_a_full_range_call_keeps_no_plan(monkeypatch, w_l02):
 def test_no_plan_outlives_its_scope(monkeypatch, w_l02, w_l03):
     handed = _record_side_terms(monkeypatch)
     K = parse_profile(PLAN_PROFILE)
+    X0, X1 = SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03)
 
     def sweep() -> int:
         handed.clear()
         for t in PLAN_TS:
-            partial_norms(K, t, "limiting0", 1.0, w_l02, 2.0, w_l03)
+            _partials(K, t, X0, X1)
         return len(handed)
 
     memoless = sweep()
@@ -334,8 +343,9 @@ def test_index_examples(w_l02, w_l03):
     mixed = index(1.0, "rho", 1.0, w_l02, 2.0, w_l02)
     assert mixed.value == pytest.approx(math.sqrt(3.0), rel=1e-12)
     for t in (1.0, math.e, 150.0):
-        p = index(t, "rho_eps", 1.0, w_l02, 2.0, w_l02, eps=0.5)
-        assert p.value == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        p = index(t, "rho", 1.0, w_l02, 2.0, w_l02)  # rho_eps at eps = 1/2
+        assert p.numerator ** 1.5 / p.denominator \
+            == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
 def test_index_undefined(w_one, w_l02):
@@ -489,8 +499,9 @@ def test_quasi_monotone_examples(w_l02):
     ts = GridSpec(1e-2, 1e2, 16).points()
     assert quasi_monotone_constant(ts) == 1.0
     assert quasi_monotone_constant(1.0 / ts) == pytest.approx(1e4)
-    rho14 = [index(float(t), "rho_eps", 1.0, w_l02, 2.0, w_l02, eps=0.25).value
+    pairs = [index(float(t), "rho", 1.0, w_l02, 2.0, w_l02)
              for t in GridSpec(1.0, 1e8, 16).points()]
+    rho14 = [p.numerator ** 1.25 / p.denominator for p in pairs]
     assert quasi_monotone_constant(rho14) == pytest.approx(1.0)
 
 
@@ -542,7 +553,7 @@ def test_rho_J_dominates_tail_times_K(w_l02, w_l03):
     for t in GridSpec(1e-4, 1e4, 8).points():
         t = float(t)
         p = index(t, "rho", 1.0, w_l02, 1.0, w_l03)
-        _, J = partial_norms(K, t, "limiting0", 1.0, w_l02, 1.0, w_l03)
+        J = space_norm(K, SpaceSpec(0.0, 1.0, w_l03), t, INF)
         lhs = p.value * J
         rhs = tail_qnorm(w_l02, 1.0, t) * K(t)
         assert lhs >= rhs * (1.0 - 1e-9)
@@ -554,7 +565,7 @@ def test_J_dominates_K_times_weight(w_l02, w_l03):
     for f in profile_suite():
         K = K_from_rearrangement(f)
         for t in (0.01, 1.0, 100.0):
-            _, J = partial_norms(K, t, "limiting0", 1.0, w_l02, 1.0, w_l03)
+            J = space_norm(K, SpaceSpec(0.0, 1.0, w_l03), t, INF)
             assert J >= c * K(t) * w_l03(t) * (1.0 - 1e-9)
 
 

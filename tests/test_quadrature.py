@@ -101,6 +101,21 @@ def test_gamma_tail_at_the_ends_of_the_float_range():
         exp_pow_integral(-1.0, 1e6, 0.0, INF)
 
 
+def test_finite_segment_whose_integrand_leaves_the_float_range():
+    # (1+x)^200 overflows on [600, 700], though e^{-2x} keeps the integral
+    # (mpmath 2.5086297570797576e34) inside the float range; the integrand
+    # raised a bare OverflowError
+    got, err = exp_pow_integral(-2.0, 200.0, 600.0, 700.0)
+    with mpmath.workdps(40):
+        want = mpmath.quad(lambda x: mpmath.e ** (-2 * x) * (1 + x) ** 200,
+                           [600, 650, 700])
+    assert abs(got - want) <= 1e-13 * want
+    assert abs(got - want) <= err
+    # here the value itself is beyond it
+    with pytest.raises(IntegralOverflowError, match=r"\^1801\.0 dx"):
+        exp_pow_integral(1.0, 1801.0, 0.0, 18.4)
+
+
 def test_gamma_tail_in_logs_against_mpmath():
     # draws where a factor of e^{-a} (-a)^{-s} Gamma(s) Q(s, z) over- or
     # underflows, but the integral fits in a normal double

@@ -434,6 +434,7 @@ def _bench_spec(side: int) -> ReiterationSpec:
 def test_index_table_sweep_equals_rhs_formula(side):
     spec = _bench_spec(side)
     case = spec.inner_case()
+    spaces = case.spaces()
     _, rows = _index_table(spec, CHECK_GRID)
     live = [row for row in rows if row is not None]
     assert len(rows) == len(CHECK_GRID.points()) and len(live) > 200
@@ -443,7 +444,7 @@ def test_index_table_sweep_equals_rhs_formula(side):
         with term_memo() as memo:
             for (t, idx, _), rhs in zip(live, want):
                 assert idx == spec.index_value(t)
-                assert _rhs(case, K, t, idx) == rhs
+                assert _rhs(spaces, K, t, idx) == rhs
         assert memo
 
 
@@ -451,7 +452,7 @@ def test_zero_profile_sweep_is_zero():
     spec = _bench_spec(0)
     t, idx, _ = next(r for r in _index_table(spec, CHECK_GRID)[1] if r)
     zero = KProfile.zero()
-    assert _rhs(spec.inner_case(), zero, t, idx) == 0.0 \
+    assert _rhs(spec.inner_case().spaces(), zero, t, idx) == 0.0 \
         == rhs_formula(spec.inner_case(), zero, t)
 
 

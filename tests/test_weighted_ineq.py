@@ -11,9 +11,11 @@ from kinterp.config import ExpDecay, load_config, parse_function
 from kinterp.norms import weighted_knorm
 from kinterp.profiles import K_from_rearrangement, KProfile, random_rearrangement
 from kinterp.weighted_ineq import (
+    _bracket,
     _integral,
     _kernel_ratio,
     _plain_quad,
+    _root_ratio,
     _tail,
     DivergentIntegralError,
     InequalitySpec,
@@ -125,7 +127,6 @@ def test_extremal_identity(w_l02):
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_constant_beyond_the_float_range_is_named():
     # A1's bracket of w integrates e^{-2x} (1+x)^2000 over [ln 1e8, inf):
     # Gamma(2001) overflows, so gammaincc * Gamma gives nan, and the QUADPACK
@@ -135,6 +136,41 @@ def test_constant_beyond_the_float_range_is_named():
     with pytest.raises(quadrature.IntegralOverflowError,
                        match=r"\(1\+x\)\^2000\.0 dx over .* overflows"):
         compute_constant(spec, "A1")
+
+
+def test_a1_ratio_whose_roots_leave_the_float_range(tmp_path):
+    # p = q = 0.001: the kernels, near 1e3, go to the 1000th power, which
+    # raised a bare OverflowError; their quotient fits in a double
+    spec = InequalitySpec(0.001, 0.001, parse_weight("log(0,-2000)"),
+                          parse_weight("log(0,-1500)"))
+    num, den = _bracket(spec.w, spec.q, 10.0), _bracket(spec.v, spec.p, 10.0)
+    with mpmath.workdps(40):
+        want = float(mpmath.mpf(num) ** 1000 / mpmath.mpf(den) ** 1000)
+    assert abs(_kernel_ratio(spec, _bracket, 10.0) - want) <= 1e-12
+    cfg = tmp_path / "a1.cfg"
+    cfg.write_text("[constants a1]\np = 0.001\nq = 0.001\nv = log(0,-2000)\n"
+                   "w = log(0,-1500)\nwhich = A1\nout = a1.csv\n")
+    # exit 0: a finite A1, and the probe below it
+    assert run(load_config(str(cfg)), out_dir=str(tmp_path), quiet=True) == 0
+
+
+def test_a_ratio_beyond_the_float_range_is_named():
+    spec = InequalitySpec(0.001, 0.001, parse_weight("one"), parse_weight("one"))
+    assert _root_ratio(spec, 2.0, 2.0, "r") == 1.0  # linear: 2^1000 fits
+    assert _root_ratio(spec, 1e3, 1e3, "r") == 1.0  # in logs
+    assert _root_ratio(spec, 0.0, 1e-3, "r") == 0.0  # 1e-3000 underflows
+    with pytest.raises(quadrature.IntegralOverflowError, match="the A1 ratio"):
+        _root_ratio(spec, 1e3, 1e2, "the A1 ratio")
+
+
+def test_a2_kernel_beyond_the_float_range_is_named():
+    # the head of w = log(0,900) integrates e^x (1+x)^900, whose integrand
+    # raised a bare OverflowError; over [0, 1.21] its value exceeds a double
+    spec = InequalitySpec(2.0, 1.0, parse_weight("log(0,-2)"),
+                          parse_weight("log(0,900)"))
+    with pytest.raises(quadrature.IntegralOverflowError,
+                       match=r"\(1\+x\)\^900\.0 dx over .* overflows"):
+        compute_constant(spec, "A2")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pickle
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinterp.norms import sv_quasimonotone_constant
 from kinterp.quadrature import GridSpec, IntegralOverflowError, integrate_terms
@@ -346,13 +346,25 @@ def test_ast_text_round_trip_and_positivity(b, logt):
     assert again(t) == v
 
 
+def _mp_at_reciprocal(b, t):
+    """b(1/t) from b's side forms in 40-digit mpmath, at the exact
+    reciprocal of the double t."""
+    with mpmath.workdps(40):
+        u = 1 / mpmath.mpf(t)
+        form = b.side("lo" if u <= 1 else "hi")
+        x = abs(mpmath.log(u))
+        return (1 + x) ** form.beta * mpmath.exp(
+            sum(g * x ** al for al, g in form.gammas))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_weights, st.floats(min_value=-12.0, max_value=12.0))
+@example(b=ExpLog(0.25), logt=-1e-12)
 def test_ast_flip_evaluates_at_reciprocal(b, logt):
-    # near t = 1 the reciprocal loses relative precision in |ln t| and the
-    # stretched-exponential factor amplifies it by its square-root derivative
+    # the oracle is exact: b(1.0 / t) would round 1/t, an error that
+    # |ln t|^(alpha - 1) amplifies near t = 1 (2.8e-8 at the pinned example)
     t = math.exp(logt)
-    assert Flip(b)(t) == pytest.approx(b(1.0 / t), rel=1e-8)
+    assert Flip(b)(t) == pytest.approx(float(_mp_at_reciprocal(b, t)), rel=1e-8)
 
 
 def test_cached_side_forms_leave_equality_and_values_unchanged():
