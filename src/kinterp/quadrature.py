@@ -8,10 +8,12 @@ finite sum of canonical terms
     coef * exp(a*x) * (1+x)**beta * exp(sum_i gamma_i * x**alpha_i),
 
 integrated over [x1, x2] inside [0, inf].  Terms without the stretched
-exponential factor integrate in closed form when a == 0 or beta == 0, through
-the upper incomplete gamma function when a < 0 and beta > -1, and by adaptive
-quadrature otherwise.  The q = inf quasi-norms are exact suprema of the same
-sums (:func:`sup_terms`).
+exponential factor integrate in closed form when a == 0 or beta == 0.  On
+[x1, inf) with a < 0 they reduce to the upper incomplete gamma function
+Gamma(beta + 1, z), z = -a (1+x1): through scipy's Q(s, z) when beta > -1,
+and by Legendre's continued fraction when beta <= -1 and z >= 1.  The rest,
+finite segments and heavy tails with z < 1, go to adaptive quadrature.  The
+q = inf quasi-norms are exact suprema of the same sums (:func:`sup_terms`).
 
 :func:`_quad` is the package's one call to QUADPACK: the canonical terms
 above, the adaptive segments of ``norms`` and the opaque callables of
@@ -242,10 +244,12 @@ def _decimal_lgamma(s: Decimal) -> Decimal:
 
 
 def _gamma_fraction(s: float, z: float) -> Optional[float]:
-    """z e^z z^-s Gamma(s, z), z > s + 1, by the modified Lentz evaluation
-    of Legendre's continued fraction (Numerical Recipes 6.2), every partial
-    numerator and denominator scaled by 1/z so that no step leaves the
-    normal float range; None when it has not converged in 1000 steps."""
+    """z e^z z^-s Gamma(s, z) by the modified Lentz evaluation of Legendre's
+    continued fraction (Numerical Recipes 6.2), every partial numerator and
+    denominator scaled by 1/z so that no step leaves the normal float range;
+    None when it has not converged in 1000 steps.  It converges fast where
+    z > s + 1, and where z >= 1 with s <= 0 (at most about 100 steps for
+    s in [-60, 0]), the two places it is called."""
     tiny, inv = 1e-300, 1.0 / z
     b = (z + 1.0 - s) * inv
     c, d = 1.0 / tiny, 1.0 / b
@@ -305,10 +309,15 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     Assumes convergence (check :func:`term_diverges_at_inf` first when x2=inf).
     Raises :class:`IntegralOverflowError` on a finite segment where a*x
     exceeds 700, and on an infinite one whose value exceeds the float range,
-    instead of returning an infinity that reads as divergence.  Where the
-    incomplete-gamma product of an infinite range is not a positive finite
-    float (a factor over- or underflowed), :func:`_log_gamma_tail`
-    evaluates it in logs.
+    instead of returning an infinity that reads as divergence.
+
+    An infinite range with a < 0 is e^{a x1} (1+x1)^s C with s = beta + 1,
+    z = -a (1+x1) and C = e^z z^-s Gamma(s, z).  For beta > -1 it comes from
+    scipy's Q(s, z), and where that product is not a positive finite float
+    (a factor over- or underflowed) :func:`_log_gamma_tail` evaluates it in
+    logs.  For beta <= -1 and z >= 1, z C is :func:`_gamma_fraction`, good
+    to 1e-13 relative (plus a few ulps of 0 below the normal range); with
+    z < 1 the tail goes to QUADPACK.
     """
     if x1 == x2:
         return 0.0, 0.0
@@ -330,10 +339,9 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     if x2 == _INF:
         if a >= 0.0:
             raise ValueError("divergent exp_pow_integral")
-        s = -a
+        s, z = -a, -a * (1.0 + x1)
         if beta > -1.0:
             # e^{-a} s^{-(beta+1)} Gamma(beta+1, s(1+x1))
-            z = s * (1.0 + x1)
             g = float(_sci_special.gammaincc(beta + 1.0, z)) \
                 * float(_sci_special.gamma(beta + 1.0))
             try:
@@ -343,6 +351,12 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
             if not 0.0 < val < _INF:  # a factor left the float range
                 val = _log_gamma_tail(a, beta, x1)
             return val, 1e-13 * abs(val)
+        zc = _gamma_fraction(beta + 1.0, z) if 1.0 <= z < _INF else None
+        if zc is not None:
+            # every factor is at most 1, so no step overflows, and a product
+            # below the normal range is off by at most an ulp of 0 per step
+            val = math.exp(a * x1) * (1.0 + x1) ** (beta + 1.0) * zc / z
+            return val, 1e-13 * val + 4.0 * math.ulp(0.0)
         return _quad(lambda x: math.exp(a * x) * (1.0 + x) ** beta, x1, _INF)
     # general finite segment: scale out the endpoint maximum to avoid overflow
     xm = x2 if a > 0.0 else x1

@@ -16,12 +16,13 @@ power.
 
 Neither the index nor its log-derivative depends on the profile, so
 :func:`reiteration_check` tabulates them once per spec and shares the table
-across profiles.  Each profile's sweep over the table runs in one
-:func:`~kinterp.quadrature.term_memo` scope, where the segment plans of
-:func:`~kinterp.norms.weighted_knorm` integrate each whole segment of I and
-J once: at each t only the segment that holds t is new.  A profile whose
-iterated-space norm is 0 or infinite is skipped before the composite-weight
-norm is computed.
+across profiles.  The profiles' sweeps over the table run in one
+:func:`~kinterp.quadrature.term_memo` scope per check, where the segment
+plans of :func:`~kinterp.norms.weighted_knorm` integrate each whole segment
+of I and J once (at each t only the segment that holds t is new), and the
+tails of J that recur across the profiles of one spec are integrated once.
+A profile whose iterated-space norm is 0 or infinite is skipped before the
+composite-weight norm is computed.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
     """Outer quasi-norm of the iterated space via the s = index(t) substitution.
 
     ``table`` comes from :func:`_index_table` and is shared by every profile
-    of a check; the sweep runs in its own :func:`term_memo` scope.
+    of a check; the sweep runs in the check's :func:`term_memo` scope, or in
+    its own when called alone.
     """
     h, rows = table
     spaces = spec.inner_case().spaces()
@@ -318,7 +320,7 @@ def reiteration_check(spec: ReiterationSpec,
     """Compare the iterated-space norm against the composite-weight norm.
 
     The index table on REITERATION_GRID is built once and shared across
-    profiles.
+    profiles, and the profiles run in one :func:`term_memo` scope.
     A profile whose iterated-space norm is not in (0, inf) counts as skipped
     without evaluating the composite-weight side.
     """
@@ -327,14 +329,15 @@ def reiteration_check(spec: ReiterationSpec,
     table = _index_table(spec, REITERATION_GRID)
     composite = CompositeWeight(spec)
     theta_side = 0.0 if spec.side == 0 else 1.0
-    for f in profiles:
-        K = K_from_rearrangement(f)
-        lhs = _composite_norm(spec, K, table)
-        if not (0.0 < lhs < _INF):
-            report.skipped += 1
-            continue
-        report.add(f.label, lhs,
-                   _quasi_norm(K.curve, theta_side, spec.q, composite))
+    with term_memo():
+        for f in profiles:
+            K = K_from_rearrangement(f)
+            lhs = _composite_norm(spec, K, table)
+            if not (0.0 < lhs < _INF):
+                report.skipped += 1
+                continue
+            report.add(f.label, lhs,
+                       _quasi_norm(K.curve, theta_side, spec.q, composite))
     return report
 
 

@@ -67,8 +67,8 @@ def test_exp_pow_against_mpmath(a, beta, x1, x2):
 
 
 def _mp_gamma_tail(a, beta, x1):
-    """int_{x1}^inf e^{a x} (1+x)^beta dx, a < 0 < beta + 1, in 40-digit
-    mpmath: e^{-a} (-a)^{-s} Gamma(s, -a (1+x1)) with s = beta + 1."""
+    """int_{x1}^inf e^{a x} (1+x)^beta dx, a < 0, in 40-digit mpmath:
+    e^{-a} (-a)^{-s} Gamma(s, -a (1+x1)) with s = beta + 1."""
     with mpmath.workdps(40):
         a, s, x1 = mpmath.mpf(a), mpmath.mpf(beta) + 1, mpmath.mpf(x1)
         return mpmath.exp(-a) * (-a) ** -s * mpmath.gammainc(s, -a * (1 + x1))
@@ -137,6 +137,72 @@ def test_gamma_tail_in_logs_against_mpmath():
         checked += 1
         routes += -a * (1.0 + x1) > s + 1.0
     assert 0 < routes < checked  # both the fraction and the lgamma route
+
+
+def _count_quad(monkeypatch) -> list:
+    calls: list = []
+    quad = sci_integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(sci_integrate, "quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a,beta,x1", [
+    # the hardy benchmark's seed-1 tail: QUADPACK gave 3.896792487646346e-11
+    # with a bound of 1.3e-22, 2.2e-10 relative from the oracle
+    (-1.0, -2.159, 17.55678951218909),
+    (-3.26367, -8.60542, 213.179),  # 1.98e-323, below the normal range
+    (-1e-3, -1.0, 999.0),           # z = 1, s = 0
+])
+def test_heavy_tail_by_the_continued_fraction(monkeypatch, a, beta, x1):
+    calls = _count_quad(monkeypatch)
+    got, err = exp_pow_integral(a, beta, x1, INF)
+    assert abs(got - _mp_gamma_tail(a, beta, x1)) <= err
+    assert calls == []
+
+
+def test_heavy_tails_against_mpmath(monkeypatch):
+    # a < 0, beta <= -1 and z = -a (1+x1) >= 1: no QUADPACK, and the
+    # reported bound covers the gap to the oracle on every draw
+    calls = _count_quad(monkeypatch)
+    rng = np.random.default_rng(1618)
+    checked = 0
+    while checked < 1000:
+        a = -math.exp(rng.uniform(math.log(1e-3), math.log(700.0)))
+        beta = -1.0 if rng.random() < 0.05 else -rng.uniform(1.0, 12.0)
+        x1 = 0.0 if rng.random() < 0.2 else \
+            math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        if -a * (1.0 + x1) < 1.0:
+            continue
+        got, err = exp_pow_integral(a, beta, x1, INF)
+        want = _mp_gamma_tail(a, beta, x1)
+        assert abs(got - want) <= err, (a, beta, x1)
+        if want >= sys.float_info.min:
+            assert err <= 1e-13 * got + 1e-322
+        checked += 1
+    assert calls == []
+
+
+def test_fraction_converges_on_the_heavy_tail_route():
+    # s = beta + 1 in [-60, 0] and z >= 1: the route never falls back
+    for s in np.linspace(-60.0, 0.0, 61):
+        for z in np.geomspace(1.0, 1e4, 41):
+            assert quadrature._gamma_fraction(float(s), float(z)) is not None
+
+
+@pytest.mark.parametrize("a,beta,x1", [
+    (-0.5, -1.0, 0.0), (-0.1, -1.7, 3.0), (-0.9, -1.99, 0.1)])
+def test_heavy_tail_with_small_z_stays_on_quadpack(monkeypatch, a, beta, x1):
+    assert -a * (1.0 + x1) < 1.0
+    want = quadrature._quad(lambda x: math.exp(a * x) * (1.0 + x) ** beta,
+                            x1, INF)
+    calls = _count_quad(monkeypatch)
+    assert exp_pow_integral(a, beta, x1, INF) == want
+    assert calls == [(x1, INF)]
 
 
 def test_sup_examples():

@@ -6,7 +6,7 @@ import pytest
 
 from scipy import integrate as sci_integrate
 
-from kinterp import quadrature, reiteration
+from kinterp import quadrature
 from kinterp.holmstedt import (HypothesisError, _rhs, rhs_formula,
                                verify_hypotheses)
 from kinterp.profiles import (
@@ -468,39 +468,46 @@ def _count_quad(monkeypatch) -> list:
     return calls
 
 
+def _count_term_values(monkeypatch) -> list:
+    calls: list = []
+    term_value = quadrature.term_value
+
+    def counted(term):
+        calls.append(term)
+        return term_value(term)
+
+    monkeypatch.setattr(quadrature, "term_value", counted)
+    return calls
+
+
 @pytest.mark.parametrize("side", [0, 1])
 def test_sweep_hands_quadpack_each_term_once(monkeypatch, side):
     # segments of I and J that do not move with t (such as [1, inf) in J for
-    # t < 1) give the same canonical term at every grid point of a sweep
+    # t < 1) give the same canonical term at every grid point of a sweep;
+    # the whole check integrates each term once, by QUADPACK or in closed form
     spec = _bench_spec(side)
-    calls = _count_quad(monkeypatch)
-    sweeps: list[dict] = []
-    active: list = [None]  # QUADPACK calls per term of the running sweep
-    term_value = quadrature.term_value
-
-    def traced_term_value(term):
-        before = len(calls)
-        out = term_value(term)
-        if active[0] is not None and len(calls) > before:
-            active[0][term] = active[0].get(term, 0) + 1
-        return out
-
-    def traced_composite_norm(*args, **kwargs):
-        active[0] = {}
-        sweeps.append(active[0])
-        try:
-            return _composite_norm(*args, **kwargs)
-        finally:
-            active[0] = None
-
-    monkeypatch.setattr(quadrature, "term_value", traced_term_value)
-    monkeypatch.setattr(reiteration, "_composite_norm", traced_composite_norm)
+    calls = _count_term_values(monkeypatch)
     suite = [realize_rearrangement(parse_profile(p)) for p in ("min1", PIECEWISE)]
     rep = reiteration_check(spec, suite)
-    assert rep.rows
-    assert len(sweeps) == 2 and all(sweeps)
-    for sweep in sweeps:
-        assert max(sweep.values()) == 1
+    assert rep.rows and calls
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_profiles_of_a_check_share_one_term_memo(monkeypatch, side):
+    # the tails of J recur across the profiles of one spec; one scope per
+    # check integrates each coefficient-free integral once, and its rows are
+    # those of one scope per profile
+    spec = _bench_spec(side)
+    suite = [realize_rearrangement(parse_profile(p)) for p in
+             ("min1", PIECEWISE, "piecewise[(0.5,0.8),(20,3)]")]
+    calls = _count_term_values(monkeypatch)
+    rows = reiteration_check(spec, suite).rows
+    keys = [(t.a, t.beta, t.x1, t.x2) for t in calls if not t.gammas]
+    assert len(rows) == 3 and keys
+    assert len(set(keys)) == len(keys)
+    assert rows == [row for f in suite
+                    for row in reiteration_check(spec, [f]).rows]
 
 
 def test_no_cache_outlives_a_check(monkeypatch):
