@@ -421,13 +421,15 @@ class NegativeDemoReport:
 def _demo_setup(q0: float, q1: float, b0: WeightExpr, b1: WeightExpr
                 ) -> tuple[float, WeightExpr, bool]:
     """(r, g, swapped) of the demo: the roles of the two spaces swap when
-    q0 > q1, then r = q0 q1 / (q1 - q0) and g = b0 / b1."""
+    q0 > q1, then r = q0 q1 / (q1 - q0), its limit q0 when q1 = inf, and
+    g = b0 / b1."""
     if q0 == q1:
         raise ValueError("the demo needs q0 != q1")
     swapped = q0 > q1
     if swapped:
         q0, q1, b0, b1 = q1, q0, b1, b0
-    return q0 * q1 / (q1 - q0), Product(b0, Power(b1, -1.0)), swapped
+    r = q0 if q1 == _INF else q0 * q1 / (q1 - q0)
+    return r, Product(b0, Power(b1, -1.0)), swapped
 
 
 def _demo_row(r: float, g: WeightExpr, t: float) -> tuple[float, ...]:

@@ -12,8 +12,10 @@ exponential factor integrate in closed form when a == 0 or beta == 0.  On
 [x1, inf) with a < 0 they reduce to the upper incomplete gamma function
 Gamma(beta + 1, z), z = -a (1+x1): through scipy's Q(s, z) when beta > -1,
 and by Legendre's continued fraction when beta <= -1 and z >= 1.  The rest,
-finite segments and heavy tails with z < 1, go to adaptive quadrature.  The
-q = inf quasi-norms are exact suprema of the same sums (:func:`sup_terms`).
+finite segments and heavy tails with z < 1, go to adaptive quadrature.  A
+term sampled at many points of one grid is integrated cell by cell between
+them, all cells at once by a Gauss-Kronrod pair (:func:`cell_integrals`).
+The q = inf quasi-norms are exact suprema of the same sums (:func:`sup_terms`).
 
 :func:`_quad` is the package's one call to QUADPACK: the canonical terms
 above, the adaptive segments of ``norms`` and the opaque callables of
@@ -48,6 +50,8 @@ __all__ = [
     "power_integral",
     "exp_pow_integral",
     "term_value",
+    "cell_integrals",
+    "KRONROD_RTOL",
     "integrate_terms",
     "sup_terms",
     "term_memo",
@@ -215,14 +219,20 @@ def _overflow(a: float, beta: float, x1: float, x2: float) -> IntegralOverflowEr
 
 def power_integral(beta: float, x1: float, x2: float) -> float:
     """int_{x1}^{x2} (1+x)^beta dx, [x1,x2] in [0,inf]: the a = 0 case of
-    :func:`exp_pow_integral`; +inf when x2 = inf and beta >= -1."""
-    if x2 == _INF:
-        if beta >= -1.0:
-            return _INF
-        return -((1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
-    if beta == -1.0:
-        return math.log1p(x2) - math.log1p(x1)
-    return ((1.0 + x2) ** (beta + 1.0) - (1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
+    :func:`exp_pow_integral`; +inf when x2 = inf and beta >= -1.  Raises
+    :class:`IntegralOverflowError` when a power leaves the float range."""
+    try:
+        if x2 == _INF:
+            if beta >= -1.0:
+                return _INF
+            return -((1.0 + x1) ** (beta + 1.0)) / (beta + 1.0)
+        if beta == -1.0:
+            return math.log1p(x2) - math.log1p(x1)
+        return ((1.0 + x2) ** (beta + 1.0) - (1.0 + x1) ** (beta + 1.0)) \
+            / (beta + 1.0)
+    except OverflowError:  # named without the sign of a zero x1, which
+        # the compiled q-norm integrals do not keep
+        raise _overflow(0.0, beta, x1 + 0.0, x2) from None
 
 
 #: 1/2 ln(2 pi), and the Stirling coefficients B_2k / (2k (2k-1)), k = 1..8
@@ -406,6 +416,75 @@ def term_value(term: LogTerm) -> tuple[float, float]:
     f = term.integrand
     val, err = _quad(f, term.x1, term.x2)
     return val, err
+
+
+#: the Gauss-Kronrod pair G7/K15 on [-1, 1] from QUADPACK's qk15 table
+#: (Piessens et al.): the nonnegative nodes, descending, their K15 weights,
+#: and the G7 weights of the Gauss nodes among them (_XGK[1::2]).  These are
+#: numpy's leggauss(7) to an ulp; leggauss itself is not called, because
+#: its eigensolver loads LAPACK, about 1 MB in every process
+_XGK = np.array([0.991455371120812639206854697526329,
+                 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926,
+                 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013,
+                 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245,
+                 0.0])
+_WGK = np.array([0.022935322010529224963732008058970,
+                 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518,
+                 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550,
+                 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649,
+                 0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975,
+                0.417959183673469387755102040816327])
+#: all 15 nodes, ascending, with their weights; _K15_X[1::2] are the G7 nodes
+_K15_X = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_K15_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_G7_W = np.concatenate([_WG, _WG[-2::-1]])
+
+#: a cell whose K15 and G7 values differ by more than this, relative to its
+#: K15 value, is integrated by :func:`term_value` instead
+KRONROD_RTOL = 1e-14
+
+
+def cell_integrals(a: float, beta: float,
+                   gammas: tuple[tuple[float, float], ...],
+                   edges: Sequence[float]) -> np.ndarray:
+    """int_{e_i}^{e_{i+1}} e^{a x} (1+x)^beta exp(sum gamma x^alpha) dx over
+    each cell of the ascending finite ``edges`` in [0, inf), by K15 on all
+    cells at once, each cell's e^{a x} scaled by its endpoint maximum as in
+    :func:`exp_pow_integral`.
+
+    A cell goes to :func:`term_value` where its K15 and G7 values disagree
+    beyond :data:`KRONROD_RTOL` (the x^alpha cusp of a stretched term at
+    x = 0, or a cell too wide for the rule), where its value leaves the float
+    range, and where a x > 700 at its scaling end; there the scalar route
+    decides, and raises :class:`IntegralOverflowError` where it would.
+    """
+    lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _K15_X
+    xm = hi if a > 0.0 else lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = a * (x - xm[:, None])
+        for alpha, gamma in gammas:
+            expo += gamma * x ** alpha
+        f = np.exp(expo) * (1.0 + x) ** beta
+        k15 = half * (f * _K15_W).sum(axis=1)
+        g7 = half * (f[:, 1::2] * _G7_W).sum(axis=1)
+        vals = k15 * np.exp(a * xm)
+        fine = (np.abs(k15 - g7) <= KRONROD_RTOL * np.abs(k15)) \
+            & (a * xm <= 700.0) & np.isfinite(vals)
+    for i in np.flatnonzero(~fine):
+        vals[i] = term_value(
+            LogTerm(1.0, a, beta, float(lo[i]), float(hi[i]), gammas))[0]
+    return vals
 
 
 @contextmanager

@@ -25,6 +25,7 @@ from .quadrature import (DivergentIntegralError, IntegralOverflowError,
                          term_memo)
 from .weights import (
     WeightExpr,
+    kernel_head_samples,
     tail_qnorm,
     weight_kernel_integral,
 )
@@ -88,16 +89,16 @@ class ConstantReport:
 # ---------------------------------------------------------------------------
 
 _Kernel = Callable[[WeightExpr, float, float], float]
+_Samples = Callable[[WeightExpr, float, list[float]], list[float]]
 
 
 def _bracket(b: WeightExpr, r: float, x: float) -> float:
     """int_0^x s^r b^r ds/s + x^r int_x^inf b^r ds/s (the plug-in identity):
-    the kernel of A1 and A2."""
-    head = weight_kernel_integral(b, r, r, 0.0, x)
+    the kernel of A1 and A2; +inf, without the head, when the tail is."""
     tail = _tail(b, r, x)
-    if head == _INF or tail == _INF:
+    if tail == _INF:
         return _INF
-    return head + x ** r * tail
+    return weight_kernel_integral(b, r, r, 0.0, x) + x ** r * tail
 
 
 def _tail(b: WeightExpr, r: float, x: float) -> float:
@@ -105,12 +106,45 @@ def _tail(b: WeightExpr, r: float, x: float) -> float:
     return weight_kernel_integral(b, r, 0.0, x, _INF)
 
 
+def _tail_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
+    """``_tail`` at each of the points ts, by b's compiled tail integral."""
+    tail = b._integral("tail", r)
+    return [tail(t) for t in ts]
+
+
+def _bracket_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
+    """``_bracket`` at each of the ascending points ts, in one pass: the
+    tails first, then the heads where the tail is finite, as running sums
+    (:func:`kinterp.weights.kernel_head_samples`)."""
+    tails = _tail_samples(b, r, ts)
+    live = [i for i, tail in enumerate(tails) if tail != _INF]
+    out = [_INF] * len(ts)
+    heads = kernel_head_samples(b, r, r, [ts[i] for i in live])
+    for i, head in zip(live, heads):
+        out[i] = head + ts[i] ** r * tails[i]
+    return out
+
+
 def _kernel_ratio(spec: InequalitySpec, kernel: _Kernel, x: float) -> float:
     """kernel(w, q, x)^(1/q) / kernel(v, p, x)^(1/p), the plug-in ratio of
-    A1 (``_bracket``) and A3 (``_tail``); 0.0 where a kernel value is
-    degenerate (the numerator +inf, the denominator 0 or +inf)."""
-    num = kernel(spec.w, spec.q, x)
-    den = kernel(spec.v, spec.p, x)
+    A1 (``_bracket``) and A3 (``_tail``)."""
+    return _plug_in_ratio(spec, kernel(spec.w, spec.q, x),
+                          kernel(spec.v, spec.p, x), x)
+
+
+def _ratio_samples(spec: InequalitySpec, samples: _Samples,
+                   ts: list[float]) -> list[float]:
+    """``_kernel_ratio`` at each of the ascending points ts, from one pass of
+    ``samples`` (``_bracket_samples`` or ``_tail_samples``) per weight."""
+    nums, dens = samples(spec.w, spec.q, ts), samples(spec.v, spec.p, ts)
+    return [_plug_in_ratio(spec, num, den, x)
+            for num, den, x in zip(nums, dens, ts)]
+
+
+def _plug_in_ratio(spec: InequalitySpec, num: float, den: float,
+                   x: float) -> float:
+    """num^(1/q) / den^(1/p) at x; 0.0 where a kernel value is degenerate
+    (the numerator +inf, the denominator 0 or +inf)."""
     if num == _INF or den == _INF or den == 0.0:
         return 0.0
     return _root_ratio(spec, num, den, f"the plug-in ratio at x={x!r}")
@@ -133,36 +167,47 @@ def _root_ratio(spec: InequalitySpec, num: float, den: float,
     return math.exp(log_ratio)
 
 
-def _log_integrand(spec: InequalitySpec, kernel: _Kernel,
-                   x_power: float) -> Callable[[float], float]:
-    """x -> ln of the integrand of A2 (``_bracket``, ``x_power`` = q) or A4
-    (``_tail``, ``x_power`` = 0) at s = e^x:
-    q/(p-q) ln(kernel(w, q, s) / kernel(v, p, s)) + x_power x + q ln w(s)."""
+def _log_integrand(spec: InequalitySpec, samples: _Samples, x_power: float,
+                   xs: list[float]) -> np.ndarray:
+    """ln of the integrand of A2 (``_bracket_samples``, ``x_power`` = q) or
+    A4 (``_tail_samples``, ``x_power`` = 0) at s = e^x for each of the
+    ascending xs: q/(p-q) ln(kernel(w, q, s) / kernel(v, p, s)) + x_power x
+    + q ln w(s); +inf where the w kernel is +inf (the v kernel is then not
+    sampled), -inf where a kernel is 0 or the v kernel +inf."""
     p, q, v, w = spec.p, spec.q, spec.v, spec.w
     expo = q / (p - q)
-
-    def log_f(x: float) -> float:
-        ux = math.exp(x)
-        num = kernel(w, q, ux)
-        den = kernel(v, p, ux)
+    ts = [math.exp(x) for x in xs]
+    nums = samples(w, q, ts)
+    live = [i for i, num in enumerate(nums) if num != _INF]
+    dens = dict(zip(live, samples(v, p, [ts[i] for i in live])))
+    out = []
+    for i, (x, t, num) in enumerate(zip(xs, ts, nums)):
+        den = dens.get(i, _INF)
         if num == _INF:
-            return _INF
-        if num == 0.0 or den == 0.0 or den == _INF:
-            return -_INF
-        return expo * (math.log(num) - math.log(den)) \
-            + x_power * x + q * math.log(w(ux))
-    return log_f
+            out.append(_INF)
+        elif num == 0.0 or den == 0.0 or den == _INF:
+            out.append(-_INF)
+        else:
+            out.append(expo * (math.log(num) - math.log(den))
+                       + x_power * x + q * math.log(w(t)))
+    return np.array(out)
 
 
-def _sup_on_grid(ratio: Callable[[float], float]) -> tuple[float, float]:
-    ts = STANDARD_GRID.points()
-    vals = np.array([ratio(float(t)) for t in ts])
+def _sup_on_grid(spec: InequalitySpec, kernel: _Kernel,
+                 samples: _Samples) -> tuple[float, float]:
+    """(sup, argmax) of the plug-in ratio: its largest sample on
+    STANDARD_GRID, refined by a golden section over the neighbouring cells
+    with the scalar ``kernel``."""
+    ts = STANDARD_GRID.points().tolist()
+    vals = _ratio_samples(spec, samples, ts)
     i = int(np.argmax(vals))
-    best_x, best = float(ts[i]), float(vals[i])
+    best_x, best = ts[i], vals[i]
     a = math.log(ts[max(i - 1, 0)])
     b = math.log(ts[min(i + 1, len(ts) - 1)])
     if b > a and math.isfinite(best):
-        x, y = golden_min(lambda lx: -ratio(math.exp(lx)), a, b, 1e-6, 200)
+        x, y = golden_min(
+            lambda lx: -_kernel_ratio(spec, kernel, math.exp(lx)), a, b,
+            1e-6, 200)
         if -y > best:
             best_x, best = math.exp(x), -y
     return best, best_x
@@ -196,26 +241,28 @@ def _edge_tail(ls: np.ndarray, xs: np.ndarray, side: str,
     return f_edge * L0 / (slope - 1.0)
 
 
-def _log_samples(log_f: Callable[[float], float]
+def _log_samples(spec: InequalitySpec, samples: _Samples, x_power: float
                  ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """(xs, ls, m, weights) of the trapezoid for int exp(log_f(x)) dx over the
-    range of STANDARD_GRID (x = ln t): its points, the samples log_f(xs), their
-    maximum m and the weights exp(ls - m) h (zeros unless m is finite)."""
+    range of STANDARD_GRID (x = ln t), log_f the :func:`_log_integrand` of
+    A2 or A4: its points, the samples ls = log_f(xs), their maximum m and
+    the weights exp(ls - m) h (zeros unless m is finite)."""
     xs = np.linspace(math.log(STANDARD_GRID.t_min),
                      math.log(STANDARD_GRID.t_max), _TRAPEZOID_POINTS)
-    ls = np.array([log_f(float(x)) for x in xs])
+    ls = _log_integrand(spec, samples, x_power, xs.tolist())
     m = float(np.max(ls))
     if not math.isfinite(m):
         return xs, ls, m, np.zeros_like(ls)
     return xs, ls, m, np.exp(ls - m) * float(xs[1] - xs[0])
 
 
-def _log_integral(log_f: Callable[[float], float]) -> float:
+def _log_integral(spec: InequalitySpec, samples: _Samples,
+                  x_power: float) -> float:
     """log of int exp(log_f(x)) dx over the range of STANDARD_GRID (x = ln t)
-    by trapezoid, stable for huge exponents; +inf when an open-end tail fails
-    the power-log convergence test, with the convergent power-log remainders
-    added analytically."""
-    xs, ls, m, weights = _log_samples(log_f)
+    by trapezoid, log_f as in :func:`_log_samples`, stable for huge
+    exponents; +inf when an open-end tail fails the power-log convergence
+    test, with the convergent power-log remainders added analytically."""
+    xs, ls, m, weights = _log_samples(spec, samples, x_power)
     if not math.isfinite(m):
         return _INF if m == _INF else -_INF
     total = float(np.sum(weights)) - 0.5 * float(weights[0] + weights[-1])
@@ -234,16 +281,15 @@ def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
         raise ValueError(f"{which} requires p <= q")
     if which in ("A2", "A4") and not q < p:
         raise ValueError(f"{which} requires q < p")
-    kernel = _bracket if which in ("A1", "A2") else _tail
+    kernel, samples = ((_bracket, _bracket_samples) if which in ("A1", "A2")
+                       else (_tail, _tail_samples))
     with term_memo():  # each distinct integral of the call is computed once
         if which in ("A3", "A4"):
             spec.require_sv_classes()
         if which in ("A1", "A3"):
-            value, argmax = _sup_on_grid(
-                lambda x: _kernel_ratio(spec, kernel, x))
+            value, argmax = _sup_on_grid(spec, kernel, samples)
             return ConstantReport(which, value, argmax)
-        log_val = _log_integral(
-            _log_integrand(spec, kernel, q if which == "A2" else 0.0))
+        log_val = _log_integral(spec, samples, q if which == "A2" else 0.0)
         return ConstantReport(which, math.exp(log_val * (1.0 / q - 1.0 / p)))
 
 
@@ -309,10 +355,10 @@ def window_condition(spec: InequalitySpec, side: str,
     order = slice(None) if side == "head" else slice(None, None, -1)
     if spec.p <= spec.q:
         ts = STANDARD_GRID.points()
-        vals = np.array([_kernel_ratio(spec, _tail, float(t)) for t in ts])
+        vals = np.array(_ratio_samples(spec, _tail_samples, ts.tolist()))
         vals = np.maximum.accumulate(vals[order])[order]
     else:
-        xs, ls, m, weights = _log_samples(_log_integrand(spec, _tail, 0.0))
+        xs, ls, m, weights = _log_samples(spec, _tail_samples, 0.0)
         ts = np.exp(xs)
         if math.isfinite(m):
             # in e^m units: trapezoid to the open end + remainder past it

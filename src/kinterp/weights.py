@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterable
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 from .quadrature import (IntegralOverflowError, LogTerm, STANDARD_GRID,
-                         integrate_terms, power_integral, sup_terms)
+                         cell_integrals, integrate_terms, power_integral,
+                         sup_terms)
 
 __all__ = [
     "WeightExpr",
@@ -425,6 +427,39 @@ def weight_kernel_integral(b: WeightExpr, q: float, kernel_power: float,
     if kernel_power == 0.0 and lo == 0.0:
         return b._integral("head", q)(hi)
     return integrate_terms(_weight_terms(b, q, lo, hi, kernel_power)).value
+
+
+def kernel_head_samples(b: WeightExpr, q: float, kernel_power: float,
+                        ts: Sequence[float]) -> list[float]:
+    """``weight_kernel_integral(b, q, kernel_power, 0.0, t)`` at each of the
+    ascending points ts in (0, inf), kernel_power > 0, in one pass.
+
+    The head grows with t, so each value is the one before it plus the cell
+    between the two points (:func:`cell_integrals` of the side's canonical
+    term).  The points t < 1 start from the exact integral up to the
+    smallest of them, the points t >= 1 from the exact integral over (0, 1).
+    Raises :class:`IntegralOverflowError` where a value exceeds the float
+    range.
+    """
+    lo = [t for t in ts if t < 1.0]
+    hi = ts[len(lo):]
+    heads: list[float] = []
+    if lo:  # x = -ln u, from the far end inward
+        form = b.side("lo").scaled(q)
+        cells = cell_integrals(-kernel_power, form.beta, form.gammas,
+                               [-math.log(t) for t in reversed(lo)])
+        far = weight_kernel_integral(b, q, kernel_power, 0.0, lo[0])
+        heads += accumulate(cells[::-1].tolist(), initial=far)
+    if hi:  # x = ln u, from 0 outward
+        form = b.side("hi").scaled(q)
+        cells = cell_integrals(kernel_power, form.beta, form.gammas,
+                               [0.0] + [math.log(t) for t in hi])
+        whole = weight_kernel_integral(b, q, kernel_power, 0.0, 1.0)
+        heads += list(accumulate(cells.tolist(), initial=whole))[1:]
+    if not all(math.isfinite(h) for h in heads):
+        raise IntegralOverflowError(
+            f"the head integral of {b.to_text()}^{q!r} exceeds the float range")
+    return heads
 
 
 def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:

@@ -10,6 +10,7 @@ import pytest
 from kinterp import cli
 from kinterp.cli import main
 from kinterp.config import KINDS, ConfigError, load_config
+from kinterp.quadrature import IntegralOverflowError
 
 FULL_CONFIG = textwrap.dedent("""\
     # exercises every scenario kind
@@ -154,6 +155,20 @@ def test_load_config_rejects_unknown_key(tmp_path):
 
 def test_every_kind_has_a_runner():
     assert set(cli._RUNNERS) == set(KINDS)
+
+
+def test_demo_power_overflow_is_named(tmp_path):
+    # the head bound of g^r, r = 30 * 7 / 23, integrates (1+x)^1258.6 on the
+    # lower side; its power raised a bare OverflowError, whose text was the
+    # scenario's whole error summary
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("[negative-demo d]\ntheta = 0.5\nq0 = 30\nq1 = 7\n"
+                   "b0 = log(0.00536,1.663)\n"
+                   "b1 = pow(log(-2.928,-1.963),-71.07)\n")
+    (scenario,) = load_config(str(cfg))
+    with pytest.raises(IntegralOverflowError,
+                       match=r"\(1\+x\)\^1258\.6\d* dx over \[0\.0, .*\] overflows"):
+        cli._RUNNERS[scenario.kind](scenario)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

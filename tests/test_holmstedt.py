@@ -270,6 +270,22 @@ def test_demo_role_swap(w_one):
     assert rep.swapped and rep.confirmed
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+def test_demo_with_an_infinite_q_takes_the_limit_exponent(swapped, w_one):
+    # r = q0 q1 / (q1 - q0) is inf / inf at q1 = inf, which gave a nan
+    # exponent; its limit is q0.  q0 = 0.5, q1 = 1 gives the same r = 1, so
+    # the same rows; and M(t) = (1 - ln t) / 2 for g = (1 - ln t)^-3
+    lm33, grid = parse_weight("log(-3,-3)"), GridSpec(1e-6, 1e6, 8)
+    q0, q1, b0, b1 = (INF, 1.0, w_one, lm33) if swapped \
+        else (1.0, INF, lm33, w_one)
+    rep = negative_demo(0.5, q0, q1, b0, b1, grid)
+    assert rep.r_exponent == 1.0 and rep.swapped == swapped
+    assert rep.confirmed
+    assert rep.rows == negative_demo(0.5, 0.5, 1.0, lm33, w_one, grid).rows
+    assert incompatibility_M(q0, q1, b0, b1, math.exp(-3.0)) \
+        == pytest.approx(2.0, rel=1e-12)
+
+
 def test_demo_underflowing_g_is_named():
     # g = b0/b1 = (1 + ln t)^-1003 underflows to 0 past t ~ 3.5 while the
     # head bound stays positive: M = head / g used to raise ZeroDivisionError

@@ -18,9 +18,11 @@ from kinterp.quadrature import (
     GridSpec,
     IntegralOverflowError,
     LogTerm,
+    cell_integrals,
     exp_pow_integral,
     golden_min,
     integrate_terms,
+    power_integral,
     sup_terms,
     term_memo,
     term_value,
@@ -114,6 +116,14 @@ def test_finite_segment_whose_integrand_leaves_the_float_range():
     # here the value itself is beyond it
     with pytest.raises(IntegralOverflowError, match=r"\^1801\.0 dx"):
         exp_pow_integral(1.0, 1801.0, 0.0, 18.4)
+
+
+def test_power_integral_beyond_the_float_range_is_named():
+    # (1+x)^1259.6 over [0, 0.86], the head bound of a negative-demo weight,
+    # raised a bare OverflowError; the zero end is named without its sign
+    with pytest.raises(IntegralOverflowError, match=r"\(1\+x\)\^1258\.6 dx "
+                       r"over \[0\.0, 0\.86\] overflows"):
+        power_integral(1258.6, -0.0, 0.86)
 
 
 def test_gamma_tail_in_logs_against_mpmath():
@@ -492,3 +502,80 @@ def test_every_quadpack_call_keeps_the_status_policy(monkeypatch, ier):
     for call in calls:
         with pytest.raises(DivergentIntegralError, match=f"ier {ier}"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Kronrod cells
+# ---------------------------------------------------------------------------
+
+def test_kronrod_pair_nodes():
+    # the Gauss half of the pair is leggauss(7), to an ulp; K15 integrates
+    # x^k exactly on [-1, 1] up to k = 3*7 + 1 = 22 and no further
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(quadrature._K15_X[1::2], nodes, rtol=0.0, atol=2.3e-16)
+    assert np.allclose(quadrature._G7_W, weights, rtol=0.0, atol=2.3e-16)
+    assert np.array_equal(quadrature._K15_X, -quadrature._K15_X[::-1])
+    assert np.all(np.diff(quadrature._K15_X) > 0.0)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(quadrature._K15_W @ quadrature._K15_X ** k - exact) <= 4e-16
+    assert abs(quadrature._K15_W @ quadrature._K15_X ** 24 - 2.0 / 25) > 1e-9
+
+
+def test_cells_of_a_polynomial_are_exact():
+    # (1+x)^k with a = 0 is a polynomial of degree k <= 22 on every cell
+    edges = [0.0, 0.3, 0.3, 1.0, 2.5]
+    for k in range(23):
+        got = cell_integrals(0.0, float(k), (), edges)
+        want = [power_integral(float(k), x1, x2)
+                for x1, x2 in zip(edges, edges[1:])]
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a,beta,gammas", [
+    (1.0, -2.9, ()), (-2.0, 0.47, ()), (2.0, 0.0, ()), (0.5, -4.0, ()),
+    (-1.0, 0.0, ((0.3, -1.0),)), (2.0, -3.0, ((0.5, -2.0), (0.25, 0.5))),
+])
+def test_cells_equal_the_scalar_terms(monkeypatch, a, beta, gammas):
+    # every cell agrees with term_value on it; the x^alpha cusp of a
+    # stretched term at x = 0 sends the first cell to term_value itself
+    edges = np.linspace(0.0, 18.0, 1001).tolist()
+    want = [term_value(LogTerm(1.0, a, beta, x1, x2, gammas))[0]
+            for x1, x2 in zip(edges, edges[1:])]
+    fallbacks = []
+    scalar = quadrature.term_value
+
+    def recorded(term):
+        fallbacks.append(term.x1)
+        return scalar(term)
+
+    monkeypatch.setattr(quadrature, "term_value", recorded)
+    got = cell_integrals(a, beta, gammas, edges)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert (0.0 in fallbacks) == bool(gammas)
+    assert len(fallbacks) <= 3
+
+
+def test_wide_cells_go_to_the_scalar_terms(monkeypatch):
+    # e^{40x} over cells of width 1: K15 and G7 disagree far beyond
+    # KRONROD_RTOL, so each cell's value is term_value's
+    edges = [0.0, 1.0, 2.0]
+    want = [exp_pow_integral(40.0, 0.0, x1, x2)[0]
+            for x1, x2 in zip(edges, edges[1:])]
+    fallbacks = []
+    scalar = quadrature.term_value
+
+    def recorded(term):
+        fallbacks.append((term.x1, term.x2))
+        return scalar(term)
+
+    monkeypatch.setattr(quadrature, "term_value", recorded)
+    assert cell_integrals(40.0, 0.0, (), edges).tolist() == want
+    assert fallbacks == [(0.0, 1.0), (1.0, 2.0)]
+
+
+def test_cell_overflow_is_named_as_the_scalar_term():
+    # e^{50x} (1+x)^-100 past x = 14: a x > 700 at the cell's upper end
+    with pytest.raises(IntegralOverflowError, match=r"over \[13\.5, 14\.5\]"):
+        cell_integrals(50.0, -100.0, (), [0.0, 13.5, 14.5])
+    assert np.isfinite(cell_integrals(50.0, -100.0, (), [0.0, 13.5, 13.9])).all()

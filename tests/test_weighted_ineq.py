@@ -12,11 +12,13 @@ from kinterp.norms import weighted_knorm
 from kinterp.profiles import K_from_rearrangement, KProfile, random_rearrangement
 from kinterp.weighted_ineq import (
     _bracket,
+    _bracket_samples,
     _integral,
     _kernel_ratio,
     _plain_quad,
     _root_ratio,
     _tail,
+    _tail_samples,
     DivergentIntegralError,
     InequalitySpec,
     StepFunction,
@@ -164,13 +166,106 @@ def test_a_ratio_beyond_the_float_range_is_named():
 
 
 def test_a2_kernel_beyond_the_float_range_is_named():
-    # the head of w = log(0,900) integrates e^x (1+x)^900, whose integrand
-    # raised a bare OverflowError; over [0, 1.21] its value exceeds a double
-    spec = InequalitySpec(2.0, 1.0, parse_weight("log(0,-2)"),
-                          parse_weight("log(0,900)"))
-    with pytest.raises(quadrature.IntegralOverflowError,
-                       match=r"\(1\+x\)\^900\.0 dx over .* overflows"):
+    # the head of v at p = 50 integrates e^{50x} (1+x)^-100, which exceeds
+    # a double past x = 14 (a x > 700); the scalar kernel, the grid sampler
+    # and the constant all name it
+    v = parse_weight("log(0,-2)")
+    spec = InequalitySpec(50.0, 1.0, v, v)
+    overflow = r"\(1\+x\)\^-100\.0 dx over .* overflows"
+    with pytest.raises(quadrature.IntegralOverflowError, match=overflow):
+        _bracket(v, 50.0, 1e8)
+    with pytest.raises(quadrature.IntegralOverflowError, match=overflow):
+        _bracket_samples(v, 50.0, _TRAPEZOID_TS)
+    with pytest.raises(quadrature.IntegralOverflowError, match=overflow):
         compute_constant(spec, "A2")
+
+
+def test_a2_of_a_w_without_a_finite_tail_is_infinite():
+    # int_x^inf (1+ln s)^900 ds/s diverges, so the A2 kernel of w is +inf at
+    # every x; its head, e^x (1+x)^900 over [0, ln x], exceeds a double and
+    # used to raise before the tail was looked at
+    w = parse_weight("log(0,900)")
+    spec = InequalitySpec(2.0, 1.0, parse_weight("log(0,-2)"), w)
+    assert _bracket(w, 1.0, 10.0) == INF
+    assert _bracket_samples(w, 1.0, _TRAPEZOID_TS) == [INF] * len(_TRAPEZOID_TS)
+    assert compute_constant(spec, "A2").value == INF
+
+
+#: the points of the A2/A4 trapezoid, and STANDARD_GRID's
+_TRAPEZOID_TS = [math.exp(x) for x in np.linspace(
+    math.log(1e-8), math.log(1e8), 2048).tolist()]
+_STANDARD_TS = quadrature.STANDARD_GRID.points().tolist()
+
+
+def _mp_bracket(b: WeightExpr, r: float, t: float):
+    """_bracket(b, r, t) in mpmath, in s = ln u with the side forms of b."""
+    lo, hi = b.side_forms()
+
+    def b_r(s):
+        form, x = (hi, s) if s >= 0 else (lo, -s)
+        extra = sum(g * x ** al for al, g in form.gammas)
+        return ((1 + x) ** form.beta * mpmath.exp(extra)) ** r
+
+    lt = mpmath.log(t)
+    cuts = sorted({lt, mpmath.mpf(0)})
+    head = mpmath.quad(lambda s: mpmath.exp(r * s) * b_r(s),
+                       [-mpmath.inf] + [c for c in cuts if c <= lt])
+    tail = mpmath.quad(b_r, [c for c in cuts if c >= lt] + [mpmath.inf])
+    return head + t ** r * tail
+
+
+@pytest.mark.parametrize("text", [
+    "log(-0.235,-2)", "log(-2.159,-2.9)", "log(0,-0.5)",
+    "flip(log(-2,-1.5))", "mul(log(1,-2),log(-0.5,-1.5))",
+    "pow(log(0.5,-1.5),2)", "pow(explog(0.5),-2)",
+    "mul(log(0,-2),pow(explog(0.3),-1))",
+])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
+    # the running sums of cells against the scalar kernel on the trapezoid
+    # points and on STANDARD_GRID: the same infinities, and 1e-13 apart.
+    # A stretched weight's tails go to QUADPACK at every point, and so does
+    # its scalar head, which is up to 8e-10 off here: there the grids are
+    # thinned to every 16th point, and a few samples are held to mpmath at
+    # 1e-13.  Its cusp at x = 0 sends cells to term_value
+    b = parse_weight(text)
+    stretched = any(form.gammas for form in b.side_forms())
+    fallbacks = []
+    scalar = quadrature.term_value
+
+    def recorded(term):
+        fallbacks.append(term)
+        return scalar(term)
+
+    for ts in (_TRAPEZOID_TS, _STANDARD_TS):
+        ts = ts[::16] if stretched else ts
+        monkeypatch.setattr(quadrature, "term_value", recorded)
+        got = _bracket_samples(b, r, ts)
+        monkeypatch.setattr(quadrature, "term_value", scalar)
+        assert _tail_samples(b, r, ts) == [_tail(b, r, t) for t in ts]
+        want = [_bracket(b, r, t) for t in ts]
+        assert [g == INF for g in got] == [w == INF for w in want]
+        finite = [(t, g, w) for t, g, w in zip(ts, got, want) if w != INF]
+        bound = 1e-9 if stretched else 1e-13
+        assert all(abs(g - w) <= bound * w for _, g, w in finite)
+        if stretched and finite:
+            with mpmath.workdps(30):
+                for t, g, _ in finite[::len(finite) // 3]:
+                    assert abs(g - _mp_bracket(b, r, t)) <= 1e-13 * g
+    if stretched:
+        assert any(term.x1 == 0.0 and term.x2 < INF for term in fallbacks)
+
+
+@pytest.mark.parametrize("v,w", [("log(-0.235,-2)", "log(-2.159,-2.9)"),
+                                 ("log(-0.013,-2)", "log(-1.821,-2.808)")])
+def test_a2_makes_no_quadpack_call(monkeypatch, v, w):
+    # the A2 scenarios of both hardy benchmark draws: the 2 048 trapezoid
+    # points read their heads from running sums of cells, not one QUADPACK
+    # call each
+    spec = InequalitySpec(2.0, 1.0, parse_weight(v), parse_weight(w))
+    keys = _record_quad(monkeypatch)
+    assert 0.0 < compute_constant(spec, "A2").value < INF
+    assert keys == []
 
 
 # ---------------------------------------------------------------------------
