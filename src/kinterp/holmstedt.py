@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .norms import (
     index,
     quasi_monotone_constant,
     space_norm,
+    sweep_partials,
 )
 from .profiles import (
     KProfile,
@@ -159,9 +160,26 @@ def _rhs(spaces: tuple[SpaceSpec, SpaceSpec], f: KProfile, t: float,
          s: float) -> float:
     """I + s J at t, with I = ||f||_{X0} over (0, t) and J = ||f||_{X1}
     over (t, inf) for the case's ``spaces`` (X0, X1), and an index value s
-    the caller already has."""
+    the caller already has: the pointwise path."""
     X0, X1 = spaces
     return space_norm(f, X0, 0.0, t) + s * space_norm(f, X1, t, _INF)
+
+
+def _grid_partials(spaces: tuple[SpaceSpec, SpaceSpec], f: KProfile,
+                   ts: Sequence[float]) -> Callable[[int], tuple[float, float]]:
+    """i -> the partials (I, J) at ts[i] for the ascending points ts, read
+    from one sweep over all of them (:func:`kinterp.norms.sweep_partials`).
+    Where the sweep raises, each pair is evaluated at its point alone by the
+    pointwise path, so that an error surfaces at the row where it did
+    before: the sweep also visits points whose rows come after a row that
+    ends the caller's loop, or are skipped."""
+    try:
+        I, J = sweep_partials(f, *spaces, ts)
+        return lambda i: (I[i], J[i])
+    except (ArithmeticError, ValueError):
+        X0, X1 = spaces
+        return lambda i: (space_norm(f, X0, 0.0, ts[i]),
+                          space_norm(f, X1, ts[i], _INF))
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +386,14 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
     """Scan lhs/rhs over the t grid after verifying the case hypotheses.
 
     The scan runs in one :func:`kinterp.quadrature.term_memo` scope, shared
-    by the hypothesis checks, the index at every row, the decomposition table
-    and the right-hand sides, so each distinct integral of the scan is
-    computed once; the rows are bit-identical to ``lhs_decomposition`` and
-    ``rhs_formula`` called outside a scope.
+    by the hypothesis checks, the index at every row, the decomposition
+    table and the right-hand sides, so each distinct integral of the scan
+    is computed once.  The partials I and J of every row come from one
+    sweep over the grid (:func:`_grid_partials`).  In the limiting11 frame
+    they are those of the reduced case and conjugate profile at u = 1/t,
+    where the reduced index is 1/s, so the right-hand side s (I + J / s)
+    reads s I + J.  The lhs are those of ``lhs_decomposition`` called
+    outside a scope, the rhs those of ``rhs_formula`` to 1e-13 relative.
     """
     with term_memo():
         notes = verify_hypotheses(case)
@@ -379,22 +401,27 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
         report = RatioReport(case.label(), notes=notes)
         table = _decomposition_table(case, fr)
         profile = K_from_rearrangement(table.f)
-        spaces = case.spaces()
-        if case.kind == "limiting11":
-            red = _flip_reduced(case)
+        ts = [float(t) for t in t_grid.points()]
+        n = len(ts)
+        flip = case.kind == "limiting11"
+        if flip:
             report.notes.append("computed through the t -> 1/t symmetry")
-        for t in t_grid.points():
-            t = float(t)
+            partials = _grid_partials(_flip_reduced(case).spaces(), profile,
+                                      [1.0 / t for t in reversed(ts)])
+        else:
+            partials = _grid_partials(case.spaces(), profile, ts)
+        for i, t in enumerate(ts):
             s = index_value(case, t)
             if s is None or not (0.0 < s < _INF):
                 report.skipped += 1
                 continue
             lhs = lhs_decomposition(case, fr, s, table)
-            if case.kind == "limiting11":
-                rhs = s * rhs_formula(red, profile, 1.0 / t)
+            if flip:
+                I, J = partials(n - 1 - i)
+                report.add(t, lhs, s * I + J)
             else:
-                rhs = _rhs(spaces, profile, t, s)
-            report.add(t, lhs, rhs)
+                I, J = partials(i)
+                report.add(t, lhs, I + s * J)
     return report
 
 

@@ -4,6 +4,8 @@ The space quasi-norm is ||t^{-theta-1/q} b(t) K(t,f)||_{q,(0,inf)}.  Products
 of a profile piece (atom sums) with a weight side form stay inside the
 canonical e^{a x}(1+x)^beta family whenever the piece is a single atom or q is
 a small integer (multinomial expansion); other segments integrate adaptively.
+The Holmstedt partials over (0, t) and (t, inf) at every point of a grid come
+from one sweep of the profile's segments (:func:`sweep_partials`).
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .quadrature import (
     AT_ZERO,
     IntegralOverflowError,
     IntegralResult,
+    LogTerm,
     STANDARD_GRID,
-    _TERM_MEMO,
     _quad,
     integrate_terms,
+    running_sums,
     sup_terms,
     term_diverges_at_inf,
 )
@@ -36,6 +39,7 @@ __all__ = [
     "IndexPair",
     "ConditionReport",
     "space_norm",
+    "sweep_partials",
     "weighted_knorm",
     "index",
     "index_limit",
@@ -162,51 +166,78 @@ def _segments(curve: PiecewiseCurve, lo: float, hi: float
             yield u0, u1, "lo" if u1 <= 1.0 else "hi", atoms
 
 
+def _segment_terms(theta: float, q: float, b, side: str,
+                   atoms: Sequence[Atom], u0: float, u1: float
+                   ) -> Optional[list[LogTerm]]:
+    """The canonical terms of int_u0^u1 (u^-theta b K)^q du/u on one segment
+    of the curve, in the order they are summed; None when b is not a
+    :class:`WeightExpr` or the piece does not expand (:func:`_expand_piece`)."""
+    expanded = _expand_piece(atoms, q) if isinstance(b, WeightExpr) else None
+    if expanded is None:
+        return None
+    terms = side_terms(b.side(side).scaled(q),
+                       [(a.coef, a.power - theta * q, a.logexp)
+                        for a in expanded], side, u0, u1)
+    terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
+    return terms
+
+
+def _segment_integral(curve: PiecewiseCurve, theta: float, q: float, b,
+                      side: str, atoms: Sequence[Atom], u0: float, u1: float
+                      ) -> IntegralResult:
+    """int_u0^u1 (u^-theta b K)^q du/u on one segment of the curve: its
+    canonical terms, or the adaptive fallback."""
+    terms = _segment_terms(theta, q, b, side, atoms, u0, u1)
+    if terms is not None:
+        return integrate_terms(terms)
+    v, e = _segment_adaptive(curve, theta, q, b, u0, u1)
+    return IntegralResult(v, e if v != _INF else _INF, None if v != _INF
+                          else (AT_ZERO if side == "lo" else AT_INFINITY))
+
+
+def _segment_sup(theta: float, b: WeightExpr, side: str,
+                 atoms: Sequence[Atom], u0: float, u1: float) -> float:
+    """sup of u^-theta b K over (u0, u1) on one segment of the curve: the
+    exact supremum of its q = 1 terms."""
+    return sup_terms(side_terms(b.side(side), [(a.coef, a.power - theta,
+                                                a.logexp) for a in atoms],
+                                side, u0, u1))
+
+
 def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
                    b: WeightExpr, lo: float = 0.0, hi: float = _INF
                    ) -> IntegralResult:
     """int_lo^hi (u^{-theta} b(u) K(u))^q du/u with K given as a curve.
 
     Returns the q-th power of the quasi-norm (callers take the root), +inf
-    with the divergent end when the integral blows up.
-
-    Inside a :func:`~kinterp.quadrature.term_memo` scope a call with a cut
-    (lo > 0 or hi < inf) and a :class:`WeightExpr` weight reads and fills the
-    scope's *plan* for (curve, theta, q, b), which maps each segment (u0, u1)
-    to its finished result.  As t moves along a grid, I(t) and J(t) then
-    integrate only the segment cut at t and add the cached results of the
-    whole ones in the same order, so every value is bit-identical.  The plan
-    holds the curve itself and goes when the scope does; a full-range call
-    sees each curve once, so it keeps no plan.
+    with the divergent end when the integral blows up.  This is the
+    pointwise path: each call integrates every segment of (lo, hi) itself,
+    through the term memo when a :func:`~kinterp.quadrature.term_memo`
+    scope is open.  The partials of a whole grid of cuts come from
+    :func:`sweep_partials`, which agrees with it to 1e-13.
     """
     total = 0.0
     err = 0.0
-    structured: Optional[WeightExpr] = b if isinstance(b, WeightExpr) else None
-    memo = _TERM_MEMO.get() if lo > 0.0 or hi < _INF else None
-    plan = None if memo is None or structured is None \
-        else memo.setdefault((curve, theta, q, structured), {})
     for u0, u1, side, atoms in _segments(curve, lo, hi):
-        res = plan.get((u0, u1)) if plan is not None else None
-        if res is None:
-            expanded = None if structured is None else _expand_piece(atoms, q)
-            if expanded is not None:
-                terms = side_terms(structured.side(side).scaled(q),
-                                   [(a.coef, a.power - theta * q, a.logexp)
-                                    for a in expanded], side, u0, u1)
-                terms.sort(key=lambda tm: (-abs(tm.a), tm.beta))
-                res = integrate_terms(terms)
-            else:
-                v, e = _segment_adaptive(curve, theta, q, b, u0, u1)
-                res = IntegralResult(v, e if v != _INF else _INF,
-                                     None if v != _INF else
-                                     (AT_ZERO if side == "lo" else AT_INFINITY))
-            if plan is not None:
-                plan[u0, u1] = res
+        res = _segment_integral(curve, theta, q, b, side, atoms, u0, u1)
         if res.divergent:
             return res
         total += res.value
         err += res.error_bound
     return IntegralResult(total, err)
+
+
+def _root(value: float, q: float, theta: float, lo: float, hi: float
+          ) -> float:
+    """The quasi-norm value^(1/q) of a q-th power integral over (lo, hi);
+    raises :class:`IntegralOverflowError` when the root leaves the float
+    range."""
+    try:
+        return value ** (1.0 / q) if value != _INF else _INF
+    except OverflowError:  # the integral fits in a double, its root not
+        raise IntegralOverflowError(
+            f"the quasi-norm ||u^-{theta:g} b K||_{q:g} over ({lo:g}, "
+            f"{hi:g}) exceeds the float range") from None
 
 
 def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
@@ -216,18 +247,112 @@ def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
     terms of each segment."""
     if q != _INF:
         res = weighted_knorm(curve, theta, q, b, lo, hi)
-        try:
-            return res.value ** (1.0 / q) if not res.divergent else _INF
-        except OverflowError:  # the integral fits in a double, its root not
-            raise IntegralOverflowError(
-                f"the quasi-norm ||u^-{theta:g} b K||_{q:g} over ({lo:g}, "
-                f"{hi:g}) exceeds the float range") from None
+        return _root(res.value, q, theta, lo, hi)
     best = 0.0
     for u0, u1, side, atoms in _segments(curve, lo, hi):
-        terms = side_terms(b.side(side), [(a.coef, a.power - theta, a.logexp)
-                                          for a in atoms], side, u0, u1)
-        best = max(best, sup_terms(terms))
+        best = max(best, _segment_sup(theta, b, side, atoms, u0, u1))
     return best
+
+
+def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
+           ts: Sequence[float], tail: bool) -> list[float]:
+    """``_quasi_norm`` over (0, t), or over (t, inf) when ``tail``, at each of
+    the ascending points ts in (0, inf), in one pass over the segments.
+
+    A point adds up its segments as the pointwise path does, in the same
+    order: the whole ones below it (above it when ``tail``), each integrated
+    once, and the part of the segment that holds it, which a point on a
+    break or on t = 1 does not have.  The parts of one segment are an
+    anchor, the part at its first point (last when ``tail``) through
+    :func:`integrate_terms`, plus the :func:`running_sums` of the segment's
+    canonical terms between its points.  With q = inf, or a piece that does
+    not expand, each part is computed on its own.  A divergent segment makes
+    every point that reads it +inf without computing that point's part.
+    """
+    sup = q == _INF
+    segs = list(_segments(curve, 0.0, _INF))
+    terms = [None if sup else _segment_terms(theta, q, b, side, atoms, u0, u1)
+             for u0, u1, side, atoms in segs]
+
+    def value(j: int, lo: float, hi: float) -> float:
+        """The integral (supremum) over (lo, hi) inside segment j."""
+        _, _, side, atoms = segs[j]
+        if sup:
+            return _segment_sup(theta, b, side, atoms, lo, hi)
+        return _segment_integral(curve, theta, q, b, side, atoms, lo, hi).value
+
+    def whole(j: int) -> float:
+        return value(j, *segs[j][:2]) if terms[j] is None \
+            else integrate_terms(terms[j]).value
+
+    def parts(j: int, pts: Sequence[float]) -> list[float]:
+        """The values over (u0, t), or (t, u1) when ``tail``, at the points
+        inside segment j."""
+        u0, u1, side, atoms = segs[j]
+        if terms[j] is None:
+            return [value(j, t, u1) if tail else value(j, u0, t) for t in pts]
+        anchor = integrate_terms(_segment_terms(
+            theta, q, b, side, atoms, *((pts[-1], u1) if tail else (u0, pts[0]))))
+        if anchor.divergent:
+            return [_INF] * len(pts)
+        sign = 1.0 if side == "hi" else -1.0
+        xs = [sign * math.log(t) for t in (pts[::-1] if tail else pts)]
+        sums = running_sums(terms[j], xs, anchor.value)
+        return sums[::-1] if tail else sums
+
+    n = len(ts)
+    # the points strictly inside segment j are ts[i0:i1]
+    spans = [(bisect.bisect_right(ts, u0), bisect.bisect_left(ts, u1))
+             for u0, u1, _, _ in segs]
+    out: list[float] = []
+    if not tail:  # the whole segments below each point, summed from 0 up
+        below = 0.0
+        for j, (i0, i1) in enumerate(spans):
+            out += [below] * (i0 - len(out))
+            if i0 < i1:
+                out += [_INF] * (i1 - i0) if below == _INF else \
+                    [_fold(below, [p], sup) for p in parts(j, ts[i0:i1])]
+            if i1 == n or below == _INF:
+                break
+            below = _fold(below, [whole(j)], sup)
+        out += [below] * (n - len(out))
+    else:  # each point's part, then the whole segments above it in order
+        first = next((j for j, (i0, _) in enumerate(spans) if i0 > 0),
+                     len(segs))  # no point lies below a segment before it
+        wholes = [None] * first + [whole(j) for j in range(first, len(segs))]
+        for j, (i0, i1) in enumerate(spans):
+            if i0 > len(out):
+                out += [_fold(0.0, wholes[j:], sup)] * (i0 - len(out))
+            if i0 < i1:
+                above = wholes[j + 1:]
+                out += [_INF] * (i1 - i0) if not sup and _INF in above else \
+                    [_fold(p, above, sup) for p in parts(j, ts[i0:i1])]
+        out += [0.0] * (n - len(out))
+    if sup:
+        return out
+    return [_root(v, q, theta, *((t, _INF) if tail else (0.0, t)))
+            for v, t in zip(out, ts)]
+
+
+def _fold(value: float, wholes: Sequence[float], sup: bool) -> float:
+    """``value`` combined with each of ``wholes`` in order: their maximum
+    when ``sup``, otherwise their sum, +inf from the first +inf on."""
+    for w in wholes:
+        value = max(value, w) if sup else value + w
+        if value == _INF:
+            return value
+    return value
+
+
+def sweep_partials(f: KProfile, X0: SpaceSpec, X1: SpaceSpec,
+                   ts: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(I, J) at each of the ascending points ts in (0, inf): I(t) =
+    ``space_norm(f, X0, 0.0, t)`` and J(t) = ``space_norm(f, X1, t, inf)``,
+    the partials of the Holmstedt right-hand side I + s J, in one sweep of
+    the profile each (:func:`_sweep`).  They agree with the pointwise path to
+    1e-13 relative, and are +inf where it is."""
+    return (_sweep(f.curve, X0.theta, X0.q, X0.b, ts, tail=False),
+            _sweep(f.curve, X1.theta, X1.q, X1.b, ts, tail=True))
 
 
 def space_norm(f: KProfile, s: SpaceSpec,

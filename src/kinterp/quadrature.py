@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
     "exp_pow_integral",
     "term_value",
     "cell_integrals",
+    "running_sums",
     "KRONROD_RTOL",
     "integrate_terms",
     "sup_terms",
@@ -487,13 +489,31 @@ def cell_integrals(a: float, beta: float,
     return vals
 
 
+def running_sums(terms: Sequence[LogTerm], xs: Sequence[float],
+                 start: float) -> list[float]:
+    """``start`` plus the integral of the sum of ``terms`` from xs[0] to each
+    of the monotone finite points xs in [0, inf), one value per point: a
+    running sum of the cells between consecutive points, each cell the sum
+    over the terms, in their order, of ``coef`` times its
+    :func:`cell_integrals`.  The ranges of the terms are not read, and xs
+    may ascend or descend."""
+    if len(xs) < 2:
+        return [start] * len(xs)
+    backward = xs[0] > xs[-1]
+    edges = xs[::-1] if backward else xs
+    cells = sum((term.coef * cell_integrals(term.a, term.beta, term.gammas,
+                                            edges) for term in terms),
+                np.zeros(len(xs) - 1))
+    return list(accumulate((cells[::-1] if backward else cells).tolist(),
+                           initial=start))
+
+
 @contextmanager
 def term_memo() -> Iterator[dict]:
     """Open the canonical-term cache that :func:`integrate_terms` reads.
 
     A computation that integrates the same terms many times (one scan, one
-    profile sweep, one constant) runs inside one scope; the dict also holds
-    the segment plans of :func:`kinterp.norms.weighted_knorm`.  Entering
+    reiteration check, one constant) runs inside one scope.  Entering
     makes a fresh dict, or yields the open one when scopes nest; the dict is
     dropped when the scope that made it exits, also through an exception.
     """
@@ -507,15 +527,24 @@ def term_memo() -> Iterator[dict]:
 
 
 def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
-    """Sum canonical terms in the given (fixed) order.
+    """Sum canonical terms in the given (fixed) order; +inf, at the end of
+    the first divergent term, when any term on [x1, inf) diverges, which is
+    decided before any term is evaluated (a finite term of the same sum may
+    exceed the float range).
 
     Inside a :func:`term_memo` scope each term value is stored and reused.
-    A term without ``gammas`` is stored under its coefficient-free integral ``(a, beta, x1, x2)`` and scaled by ``coef`` on
-    every use, which is the arithmetic :func:`term_value` does itself; a
-    stretched-exponential term is stored under the whole :class:`LogTerm`,
-    because QUADPACK integrates its coefficient inside the integrand.
-    Results are bit-identical inside and outside a scope.
+    A term without ``gammas`` is stored under its coefficient-free integral
+    ``(a, beta, x1, x2)`` and scaled by ``coef`` on every use, which is the
+    arithmetic :func:`term_value` does itself; a stretched-exponential term
+    is stored under the whole :class:`LogTerm`, because QUADPACK integrates
+    its coefficient inside the integrand.  Results are bit-identical inside
+    and outside a scope.
     """
+    for term in terms:
+        if term.x2 == _INF and term.coef != 0.0 and term.x1 != _INF \
+                and term_diverges_at_inf(term.a, term.beta, term.gammas):
+            return IntegralResult(_INF, _INF,
+                                  AT_ZERO if term.end == "zero" else AT_INFINITY)
     memo = _TERM_MEMO.get()
     total = 0.0
     err = 0.0

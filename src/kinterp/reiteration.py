@@ -16,13 +16,15 @@ power.
 
 Neither the index nor its log-derivative depends on the profile, so
 :func:`reiteration_check` tabulates them once per spec and shares the table
-across profiles.  The profiles' sweeps over the table run in one
-:func:`~kinterp.quadrature.term_memo` scope per check, where the segment
-plans of :func:`~kinterp.norms.weighted_knorm` integrate each whole segment
-of I and J once (at each t only the segment that holds t is new), and the
-tails of J that recur across the profiles of one spec are integrated once.
-A profile whose iterated-space norm is 0 or infinite is skipped before the
-composite-weight norm is computed.
+across profiles.  Each profile's I and J at every point of the table come
+from one sweep of Gauss-Kronrod running sums between the points
+(:func:`~kinterp.norms.sweep_partials`): each whole segment of the profile
+is integrated once, and each segment cut by the grid once more, at its
+anchor.  The profiles of a check run in one
+:func:`~kinterp.quadrature.term_memo` scope, so the tails of J that recur
+across the profiles of one spec are integrated once.  A profile whose
+iterated-space norm is 0 or infinite is skipped before the composite-weight
+norm is computed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .holmstedt import (HolmstedtCase, HypothesisError, RatioReport, ScanRow,
-                        _eps_condition_note, _index_note, _rhs)
+                        _eps_condition_note, _grid_partials, _index_note)
 from .norms import (
     SpaceSpec,
     index,
@@ -294,19 +296,27 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
     """Outer quasi-norm of the iterated space via the s = index(t) substitution.
 
     ``table`` comes from :func:`_index_table` and is shared by every profile
-    of a check; the sweep runs in the check's :func:`term_memo` scope, or in
-    its own when called alone.
+    of a check; the partials I and J of every live row come from one sweep
+    (:func:`~kinterp.holmstedt._grid_partials`), in the check's
+    :func:`term_memo` scope, or in its own when called alone.  The norm is
+    +inf from the first row whose right-hand side is not finite; where the
+    sweep raises, the rows are evaluated one by one, so an error surfaces
+    only at a row reached before any infinite one.
     """
     h, rows = table
-    spaces = spec.inner_case().spaces()
     vals = []
     with term_memo():
+        partials = _grid_partials(spec.inner_case().spaces(), f,
+                                  [row[0] for row in rows if row])
+        live = 0
         for row in rows:
             if row is None:
                 vals.append(0.0)
                 continue
-            t, idx, ell = row
-            surrogate = _rhs(spaces, f, t, idx)
+            _, idx, ell = row
+            I, J = partials(live)
+            live += 1
+            surrogate = I + idx * J
             if not (0.0 <= surrogate < _INF):
                 return _INF
             vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)

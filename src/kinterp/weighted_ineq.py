@@ -26,6 +26,7 @@ from .quadrature import (DivergentIntegralError, IntegralOverflowError,
 from .weights import (
     WeightExpr,
     kernel_head_samples,
+    kernel_tail_samples,
     tail_qnorm,
     weight_kernel_integral,
 )
@@ -107,9 +108,9 @@ def _tail(b: WeightExpr, r: float, x: float) -> float:
 
 
 def _tail_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
-    """``_tail`` at each of the points ts, by b's compiled tail integral."""
-    tail = b._integral("tail", r)
-    return [tail(t) for t in ts]
+    """``_tail`` at each of the ascending points ts, in one pass
+    (:func:`kinterp.weights.kernel_tail_samples`)."""
+    return kernel_tail_samples(b, r, ts)
 
 
 def _bracket_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:

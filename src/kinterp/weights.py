@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .quadrature import (IntegralOverflowError, LogTerm, STANDARD_GRID,
-                         cell_integrals, integrate_terms, power_integral,
+                         integrate_terms, power_integral, running_sums,
                          sup_terms)
 
 __all__ = [
@@ -435,7 +434,7 @@ def kernel_head_samples(b: WeightExpr, q: float, kernel_power: float,
     ascending points ts in (0, inf), kernel_power > 0, in one pass.
 
     The head grows with t, so each value is the one before it plus the cell
-    between the two points (:func:`cell_integrals` of the side's canonical
+    between the two points (:func:`running_sums` of the side's canonical
     term).  The points t < 1 start from the exact integral up to the
     smallest of them, the points t >= 1 from the exact integral over (0, 1).
     Raises :class:`IntegralOverflowError` where a value exceeds the float
@@ -443,23 +442,55 @@ def kernel_head_samples(b: WeightExpr, q: float, kernel_power: float,
     """
     lo = [t for t in ts if t < 1.0]
     hi = ts[len(lo):]
+    atom = [(1.0, kernel_power, 0.0)]
     heads: list[float] = []
     if lo:  # x = -ln u, from the far end inward
-        form = b.side("lo").scaled(q)
-        cells = cell_integrals(-kernel_power, form.beta, form.gammas,
-                               [-math.log(t) for t in reversed(lo)])
+        terms = side_terms(b.side("lo").scaled(q), atom, "lo", lo[0], lo[-1])
         far = weight_kernel_integral(b, q, kernel_power, 0.0, lo[0])
-        heads += accumulate(cells[::-1].tolist(), initial=far)
+        heads += running_sums(terms, [-math.log(t) for t in lo], far)
     if hi:  # x = ln u, from 0 outward
-        form = b.side("hi").scaled(q)
-        cells = cell_integrals(kernel_power, form.beta, form.gammas,
-                               [0.0] + [math.log(t) for t in hi])
+        terms = side_terms(b.side("hi").scaled(q), atom, "hi", 1.0, hi[-1])
         whole = weight_kernel_integral(b, q, kernel_power, 0.0, 1.0)
-        heads += list(accumulate(cells.tolist(), initial=whole))[1:]
+        heads += running_sums(terms, [0.0] + [math.log(t) for t in hi],
+                              whole)[1:]
     if not all(math.isfinite(h) for h in heads):
         raise IntegralOverflowError(
             f"the head integral of {b.to_text()}^{q!r} exceeds the float range")
     return heads
+
+
+def kernel_tail_samples(b: WeightExpr, q: float,
+                        ts: Sequence[float]) -> list[float]:
+    """``weight_kernel_integral(b, q, 0.0, t, inf)`` at each of the ascending
+    points ts in (0, inf).
+
+    Without a stretched side each value is b's compiled tail integral at its
+    point.  With one, the tail shrinks as t grows, so the points are one
+    pass from the far end inward: the exact tail at the largest point, then
+    each value the one after it plus the cell between the two points
+    (:func:`running_sums` of each side's canonical term), across t = 1 to
+    the points below it.  The cells at the x^alpha cusp of x = 0 stay
+    finite segments.  A divergent tail is +inf at every point.
+    """
+    tail = b._integral("tail", q)
+    if not any(form.gammas for form in b.side_forms()):
+        return [tail(t) for t in ts]
+    lo = [t for t in ts if t < 1.0]
+    hi = ts[len(lo):]
+    atom = [(1.0, 0.0, 0.0)]
+    far = tail(hi[-1] if hi else 1.0)
+    if far == _INF:
+        return [_INF] * len(ts)
+    tails: list[float] = []
+    if hi:  # x = ln u, from the largest point to 0, where the tail is at 1
+        terms = side_terms(b.side("hi").scaled(q), atom, "hi", 1.0, hi[-1])
+        *tails, far = running_sums(
+            terms, [math.log(t) for t in reversed(hi)] + [0.0], far)
+    if lo:  # x = -ln u, from 0 outward
+        terms = side_terms(b.side("lo").scaled(q), atom, "lo", lo[0], 1.0)
+        tails += running_sums(
+            terms, [0.0] + [-math.log(t) for t in reversed(lo)], far)[1:]
+    return tails[::-1]
 
 
 def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:

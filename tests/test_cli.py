@@ -157,18 +157,35 @@ def test_every_kind_has_a_runner():
     assert set(cli._RUNNERS) == set(KINDS)
 
 
-def test_demo_power_overflow_is_named(tmp_path):
-    # the head bound of g^r, r = 30 * 7 / 23, integrates (1+x)^1258.6 on the
-    # lower side; its power raised a bare OverflowError, whose text was the
-    # scenario's whole error summary
+def _demo_scenario(tmp_path, b0: str, b1: str):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("[negative-demo d]\ntheta = 0.5\nq0 = 30\nq1 = 7\n"
-                   "b0 = log(0.00536,1.663)\n"
-                   "b1 = pow(log(-2.928,-1.963),-71.07)\n")
+                   f"b0 = {b0}\nb1 = {b1}\n")
     (scenario,) = load_config(str(cfg))
+    return scenario
+
+
+def test_demo_power_overflow_is_named(tmp_path):
+    # the head bound of g^r, r = 30 * 7 / 23, g = log(-2,140) / log(0,0),
+    # converges at 0 and integrates (1+x)^1278.3 over [0, ln t] above 1,
+    # which exceeds the float range from t = 2.1 on; its power raised a
+    # bare OverflowError, whose text was the scenario's whole error summary
+    scenario = _demo_scenario(tmp_path, "log(0,0)", "log(-2,140)")
     with pytest.raises(IntegralOverflowError,
-                       match=r"\(1\+x\)\^1258\.6\d* dx over \[0\.0, .*\] overflows"):
+                       match=r"\(1\+x\)\^1278\.26\d* dx over \[0\.0, .*\] overflows"):
         cli._RUNNERS[scenario.kind](scenario)
+
+
+def test_demo_head_divergent_at_zero_is_infinite(tmp_path):
+    # g = pow(log(-2.928,-1.963),-71.07) / log(0.00536,1.663) gives g^r the
+    # factor (1+x)^1900 toward 0, so every head bound diverges, although
+    # its finite part above 1, (1+x)^1258.6, exceeds the float range
+    scenario = _demo_scenario(tmp_path, "log(0.00536,1.663)",
+                              "pow(log(-2.928,-1.963),-71.07)")
+    ok, summary, csv = cli._RUNNERS[scenario.kind](scenario)
+    assert summary["verdict"] == "nonexistence confirmed"
+    assert all(line.split(",")[1] == "inf"
+               for line in csv.splitlines()[1:])
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
@@ -28,7 +29,7 @@ from kinterp.profiles import (
     profile_suite,
     realize_rearrangement,
 )
-from kinterp.quadrature import GridSpec, IntegralOverflowError
+from kinterp.quadrature import GridSpec, IntegralOverflowError, STANDARD_GRID
 from kinterp.weights import Flip, One, parse_weight
 
 INF = math.inf
@@ -389,17 +390,23 @@ def _memoless_rows(case, f, grid) -> list[ScanRow]:
 
 
 def test_scan_hands_quadpack_each_integral_once(monkeypatch):
+    # the memoless rows integrate the segments of I and J at every row; the
+    # scan sweeps them, each whole segment once and each segment cut by the
+    # grid once more, at its anchor, so it needs fewer integrals, and each
+    # of them reaches QUADPACK once
     keys = _record_quad(monkeypatch)
     assert _memoless_rows(EXPLOG_CASE, MIN1, MEMO_GRID)
     needed = set(keys)
     assert len(keys) > len(needed)
+    scans = []
     for _ in range(2):  # the second scan finds nothing the first one stored
         keys.clear()
         rep = equivalence_scan(EXPLOG_CASE, MIN1, MEMO_GRID)
         assert rep.rows and rep.skipped == 0
         assert len(keys) == len(set(keys))
-        # the memo changes how often an integral reaches QUADPACK, not which
-        assert set(keys) == needed
+        scans.append(set(keys))
+    assert scans[0] == scans[1]
+    assert len(scans[0]) < len(needed)
 
 
 def test_no_memo_outlives_a_scan(monkeypatch):
@@ -415,8 +422,40 @@ def test_no_memo_outlives_a_scan(monkeypatch):
     assert first.rows == second.rows
 
 
+def _mp_quasi_norm(curve, theta, q, b, lo, hi):
+    """||u^-theta b K||_{q,(lo,hi)} with the measure du/u in mpmath, in
+    s = ln u with the side forms of b and the atoms of the curve."""
+    forms = b.side_forms()
+
+    def integrand(s):
+        form, x = (forms[1], s) if s >= 0 else (forms[0], -s)
+        u = mpmath.exp(s)
+        weight = (1 + x) ** form.beta * mpmath.exp(
+            sum(g * x ** al for al, g in form.gammas))
+        piece = curve.pieces[curve.piece_index(float(u))]
+        k = sum(a.coef * u ** a.power * (1 + x) ** a.logexp for a in piece)
+        return (mpmath.exp(-theta * s) * weight * k) ** q
+
+    cuts = sorted({mpmath.log(c) for c in curve.breaks + (1.0,) if lo < c < hi})
+    ends = [mpmath.log(lo) if lo > 0.0 else -mpmath.inf, *cuts,
+            mpmath.log(hi) if hi < INF else mpmath.inf]
+    return mpmath.quad(integrand, ends) ** (mpmath.mpf(1) / q)
+
+
+def _mp_rhs(case, K, t, s):
+    """I + s J of ``case`` at t in 30-digit mpmath, for an index value s."""
+    X0, X1 = case.spaces()
+    with mpmath.workdps(30):
+        return (_mp_quasi_norm(K.curve, X0.theta, X0.q, X0.b, 0.0, t)
+                + s * _mp_quasi_norm(K.curve, X1.theta, X1.q, X1.b, t, INF))
+
+
 @pytest.mark.parametrize("kind", ["limiting00", "limiting11", "nonlimiting"])
 def test_scan_rows_equal_memoless_values(kind):
+    # the rows of the memoless per-row evaluation: the same t and lhs, and
+    # an rhs within 1e-13.  Where QUADPACK integrates the stretched terms of
+    # a cut segment row by row (to its 1e-11 tolerance) the two rhs may lie
+    # further apart; the sweep's is then within 1e-13 of 30-digit mpmath
     b1 = parse_weight("log(0,-2)")
     if kind == "limiting00":
         case, f = EXPLOG_CASE, MIN1
@@ -429,5 +468,96 @@ def test_scan_rows_equal_memoless_values(kind):
                              theta0=0.25, theta1=0.75)
         f = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
     rep = equivalence_scan(case, f, MEMO_GRID)
-    assert len(rep.rows) == len(MEMO_GRID.points())
-    assert rep.rows == _memoless_rows(case, f, MEMO_GRID)
+    want = _memoless_rows(case, f, MEMO_GRID)
+    assert len(rep.rows) == len(MEMO_GRID.points()) == len(want)
+    assert [r[:2] for r in rep.rows] == [w[:2] for w in want]
+    far = [(r, w) for r, w in zip(rep.rows, want)
+           if abs(r.rhs - w.rhs) > 1e-13 * w.rhs]
+    assert all(abs(r.rhs - w.rhs) <= 1e-11 * w.rhs for r, w in far)
+    assert bool(far) == (kind == "nonlimiting")
+    K = K_from_rearrangement(f)
+    for r, w in far[:2]:
+        exact = _mp_rhs(case, K, r.t, index_value(case, r.t))
+        assert abs(r.rhs - exact) <= 1e-13 * exact < abs(w.rhs - exact)
+
+
+#: the profile kinds of the sweep, each with both frames of the scan
+SWEEP_PROFILES = ("min1", "power(0.4)", "powerlog(0.5,0.25,-0.25)",
+                  "piecewise[(0.1,0.1),(0.5,0.3),(4,1.2),(20,2)]", "zero")
+#: 33 points, 1e-1, 1 and 10 among them
+SWEEP_GRID = GridSpec(1e-2, 1e2, 8)
+
+
+@pytest.mark.parametrize("kind", ["limiting00", "limiting11", "nonlimiting"])
+@pytest.mark.parametrize("text", SWEEP_PROFILES)
+def test_scan_sweep_of_every_profile_kind(text, kind, w_l02, w_l03):
+    # the swept rhs of every row against the memoless rhs_formula, 1e-13
+    # apart (a row the memoless path skips, an infinite partial among them,
+    # is skipped too); the breaks 0.1 and 1 and t = 1 are grid points
+    f = realize_rearrangement(KProfile.zero() if text == "zero"
+                              else parse_profile(text))
+    if kind == "limiting00":
+        case = HolmstedtCase(kind, 1.0, 2.0, w_l02, w_l03)
+    elif kind == "limiting11":
+        case = HolmstedtCase(kind, 2.0, 1.0, Flip(w_l03), Flip(w_l02))
+    else:
+        case = HolmstedtCase(kind, 1.0, 2.0, w_l02, w_l03,
+                             theta0=0.25, theta1=0.75)
+    rep = equivalence_scan(case, f, SWEEP_GRID)
+    want = _memoless_rows(case, f, SWEEP_GRID)
+    assert [r[:2] for r in rep.rows] == [w[:2] for w in want]
+    assert all(abs(r.rhs - w.rhs) <= 1e-13 * w.rhs
+               for r, w in zip(rep.rows, want))
+    assert rep.skipped == len(SWEEP_GRID.points()) - len(want)
+    assert bool(rep.rows) == (text in ("min1", SWEEP_PROFILES[3])
+                              or kind == "nonlimiting" and text != "zero")
+
+
+def test_limiting11_rows_read_the_reduced_index_as_one_over_eta(monkeypatch):
+    # rho of the reduced case at 1/t is 1/eta(t) up to an ulp or two, so the
+    # row's rhs s * rhs_formula(red, conj, 1/t) is s I + J, and the scan
+    # evaluates the index once per row (and once per hypothesis sample)
+    b1 = parse_weight("log(0,-2)")
+    case = HolmstedtCase("limiting11", 2.0, 1.0, Flip(b1), Flip(EXPLOG_B0))
+    red = HolmstedtCase("limiting00", 1.0, 2.0, EXPLOG_B0, b1)
+    conj = K_from_rearrangement(realize_rearrangement(conjugate_profile(
+        K_from_rearrangement(MIN1))))
+    ts = [float(t) for t in MEMO_GRID.points()]
+    for t in ts:
+        s = index_value(case, t)
+        assert index_value(red, 1.0 / t) == pytest.approx(1.0 / s, rel=5e-16)
+        X0, X1 = red.spaces()
+        I = space_norm(conj, X0, 0.0, 1.0 / t)
+        J = space_norm(conj, X1, 1.0 / t, INF)
+        assert s * rhs_formula(red, conj, 1.0 / t) \
+            == pytest.approx(s * I + J, rel=1e-15)
+    calls = []
+    from kinterp import holmstedt, norms
+    index = norms.index
+
+    def counted(*args):
+        calls.append(args[0])
+        return index(*args)
+
+    monkeypatch.setattr(norms, "index", counted)
+    monkeypatch.setattr(holmstedt, "index", counted)
+    rep = equivalence_scan(case, MIN1, MEMO_GRID)
+    assert len(rep.rows) == len(ts)
+    assert len(calls) == len(STANDARD_GRID.points()) + len(ts)
+
+
+#: the explog-scan scenario of the benchmark's first draw, and its rows
+#: around t = 1
+EXPLOG_SCAN = HolmstedtCase("limiting00", 1.0, 2.0,
+                            parse_weight("mul(log(0,-2),pow(explog(0.294),-1))"),
+                            parse_weight("log(0,-2)"))
+
+
+def test_explog_scan_rows_near_one_against_mpmath():
+    rep = equivalence_scan(EXPLOG_SCAN, MIN1, MEMO_GRID)
+    near = [r for r in rep.rows if 0.5 < r.t < 2.0]
+    assert len(near) == 5 and near[2].t == 1.0
+    K = K_from_rearrangement(MIN1)
+    for r in near:
+        exact = _mp_rhs(EXPLOG_SCAN, K, r.t, index_value(EXPLOG_SCAN, r.t))
+        assert abs(r.rhs - exact) <= 1e-13 * exact

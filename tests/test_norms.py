@@ -16,13 +16,11 @@ from kinterp.norms import (
     index_limit,
     quasi_monotone_constant,
     space_norm,
-    weighted_knorm,
 )
 from kinterp.profiles import (Atom, KProfile, K_from_rearrangement,
                               PiecewiseCurve, _segment_probe, parse_profile,
                               profile_suite)
-from kinterp.quadrature import (GridSpec, IntegralOverflowError, STANDARD_GRID,
-                                 term_memo)
+from kinterp.quadrature import GridSpec, IntegralOverflowError, STANDARD_GRID
 from kinterp.weights import Flip, head_qnorm, parse_weight, tail_qnorm
 
 INF = math.inf
@@ -204,28 +202,74 @@ def test_a_root_beyond_the_float_range_is_a_named_error():
 
 
 # ---------------------------------------------------------------------------
-# segment plans
+# the sweep of the partials over a grid
 # ---------------------------------------------------------------------------
 
 #: breaks 0.1, 0.5, 4 and 20; t = 1 cuts the piece (0.5, 4)
-PLAN_PROFILE = "piecewise[(0.1,0.1),(0.5,0.3),(4,1.2),(20,2)]"
-#: inside a piece, at a break, at t = 1, and a second point in a piece
-PLAN_TS = (0.05, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 20.0, 50.0)
+SWEEP_PROFILE = "piecewise[(0.1,0.1),(0.5,0.3),(4,1.2),(20,2)]"
+#: the points of a scan grid, plus points on every break, on t = 1, and a
+#: piece holding one point only
+SWEEP_TS = sorted({float(t) for t in GridSpec(1e-3, 1e3, 8).points()}
+                  | {0.1, 0.15, 0.5, 1.0, 4.0, 20.0})
 #: (theta, q, weight) of the pieces of I and J: canonical terms, the adaptive
 #: fallback (q = 2.5 on a two-atom piece), and divergences at 0 (head of
 #: log(0,-0.5) under u^-1 K -> 1) and at inf (tail of log(0,-0.5) under K -> 2)
-PLAN_NORMS = ((0.0, 1.0, "log(0,-2)"), (1.0, 2.0, "log(-2,0)"),
-              (0.0, 2.5, "log(0,-3)"), (1.0, 1.0, "log(0,-0.5)"),
-              (0.0, 1.0, "log(0,-0.5)"))
+SWEEP_NORMS = ((0.0, 1.0, "log(0,-2)"), (1.0, 2.0, "log(-2,0)"),
+               (0.0, 2.5, "log(0,-3)"), (1.0, 1.0, "log(0,-0.5)"),
+               (0.0, 1.0, "log(0,-0.5)"))
 
 
-def _both_sides(curve, theta, q, b, t):
-    return (weighted_knorm(curve, theta, q, b, 0.0, t),
-            weighted_knorm(curve, theta, q, b, t, INF))
+def _pointwise(curve, theta, q, b, ts):
+    """(I, J) of ``_quasi_norm`` at each point, one call per point and side."""
+    return ([_quasi_norm(curve, theta, q, b, 0.0, t) for t in ts],
+            [_quasi_norm(curve, theta, q, b, t, INF) for t in ts])
+
+
+def _swept(curve, theta, q, b, ts):
+    return (norms._sweep(curve, theta, q, b, ts, tail=False),
+            norms._sweep(curve, theta, q, b, ts, tail=True))
+
+
+def _agree(got, want, rel=1e-13) -> bool:
+    """The same infinities, and the finite values within ``rel``."""
+    return len(got) == len(want) and all(
+        g == w if INF in (g, w) else abs(g - w) <= rel * abs(w)
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("theta,q,text", SWEEP_NORMS)
+def test_sweep_gives_the_pointwise_values(theta, q, text):
+    curve = parse_profile(SWEEP_PROFILE).curve
+    b = parse_weight(text)
+    want = _pointwise(curve, theta, q, b, SWEEP_TS)
+    got = _swept(curve, theta, q, b, SWEEP_TS)
+    assert all(_agree(g, w) for g, w in zip(got, want))
+    # a point on a break or on t = 1 sums the whole segments as the
+    # pointwise path does, in its order
+    edges = [i for i, t in enumerate(SWEEP_TS) if t in (0.1, 0.5, 1.0, 4.0, 20.0)]
+    assert len(edges) == 5
+    assert all(g[i] == w[i] for g, w in zip(got, want) for i in edges)
+    diverges = any(INF in side for side in want)
+    assert diverges == (text == "log(0,-0.5)")
+
+
+def test_sweep_gives_the_pointwise_partial_norms(w_l02, w_lm20):
+    # (theta, q0, b0, q1, b1) of a theta = 0 and a theta = 1 frame; the
+    # tail of log(0,-0.5) diverges, which no SpaceSpec admits, so the
+    # quasi-norms are read directly
+    curve = parse_profile(SWEEP_PROFILE).curve
+    b_half = parse_weight("log(0,-0.5)")
+    for theta, q0, b0, q1, b1 in [(0.0, 1.0, w_l02, 2.0, b_half),
+                                  (1.0, 2.0, w_lm20, 1.0, w_lm20)]:
+        I = norms._sweep(curve, theta, q0, b0, SWEEP_TS, tail=False)
+        J = norms._sweep(curve, theta, q1, b1, SWEEP_TS, tail=True)
+        assert _agree(I, _pointwise(curve, theta, q0, b0, SWEEP_TS)[0])
+        assert _agree(J, _pointwise(curve, theta, q1, b1, SWEEP_TS)[1])
+        assert (b1 is b_half) == (J == [INF] * len(SWEEP_TS))
 
 
 def _record_side_terms(monkeypatch) -> list:
-    """(u0, u1) of each segment whose terms ``weighted_knorm`` builds."""
+    """(u0, u1) of each segment whose terms ``norms`` builds."""
     handed: list = []
     side_terms = norms.side_terms
 
@@ -237,101 +281,87 @@ def _record_side_terms(monkeypatch) -> list:
     return handed
 
 
-@pytest.mark.parametrize("theta,q,text", PLAN_NORMS)
-def test_plans_give_the_memoless_values(theta, q, text):
-    curve = parse_profile(PLAN_PROFILE).curve
-    b = parse_weight(text)
-    want = [_both_sides(curve, theta, q, b, t) for t in PLAN_TS]
-    with term_memo():
-        got = [_both_sides(curve, theta, q, b, t) for t in PLAN_TS]
-        again = [_both_sides(curve, theta, q, b, t) for t in PLAN_TS]
-    assert got == want and again == want
-    diverges = any(r.divergent for pair in want for r in pair)
-    assert diverges == (text == "log(0,-0.5)")
-
-
-def test_plans_give_the_memoless_partial_norms(w_l02, w_lm20):
-    # (theta, q0, b0, q1, b1) of a theta = 0 and a theta = 1 frame; the
-    # tail of log(0,-0.5) diverges, which no SpaceSpec admits, so the
-    # quasi-norms are read directly
-    curve = parse_profile(PLAN_PROFILE).curve
-    b_half = parse_weight("log(0,-0.5)")
-    frames = [(0.0, 1.0, w_l02, 2.0, b_half), (1.0, 2.0, w_lm20, 1.0, w_lm20)]
-
-    def partials(t, theta, q0, b0, q1, b1):
-        return (_quasi_norm(curve, theta, q0, b0, 0.0, t),
-                _quasi_norm(curve, theta, q1, b1, t, INF))
-
-    want = [partials(t, *frame) for frame in frames for t in PLAN_TS]
-    with term_memo():
-        got = [partials(t, *frame) for frame in frames for t in PLAN_TS]
-    assert got == want
-    assert all(J == INF for _, J in want[:len(PLAN_TS)])
-
-
-def test_a_plan_belongs_to_its_curve_alone(w_l02):
-    # curves with the same breaks, each dropped after its call: a plan found
-    # through anything but the curve object itself would hand a later curve
-    # the segments of an earlier one
-    def value(c):
-        curve = PiecewiseCurve((1.0,), ((Atom(c, 1.0),), (Atom(c, 0.0),)))
-        return weighted_knorm(curve, 0.0, 1.0, w_l02, 0.5, INF)
-
-    coefs = [1.0 + k / 8.0 for k in range(24)]
-    want = [value(c) for c in coefs]
-    with term_memo():
-        assert [value(c) for c in coefs] == want
-
-
 def test_a_second_t_in_a_piece_builds_one_segment_per_side(monkeypatch,
                                                            w_l02, w_l03):
+    # t = 2 and t = 3 both lie in the piece (1, 4): each side of the sweep
+    # builds the terms of every segment once and one anchor in that piece,
+    # (1, 2) for I and (3, 4) for J, not one cut segment per point
     handed = _record_side_terms(monkeypatch)
-    K = parse_profile(PLAN_PROFILE)
+    K = parse_profile(SWEEP_PROFILE)
     X0, X1 = SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03)
-    with term_memo():
-        _partials(K, 2.0, X0, X1)
-        assert handed == [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0),
-                          (2.0, 4.0), (4.0, 20.0), (20.0, INF)]
-        handed.clear()
-        _partials(K, 3.0, X0, X1)
-        assert handed == [(1.0, 3.0), (3.0, 4.0)]
+    norms.sweep_partials(K, X0, X1, [2.0, 3.0])
+    segments = [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 4.0), (4.0, 20.0),
+                (20.0, INF)]
+    assert handed == segments + [(1.0, 2.0)] + segments + [(3.0, 4.0)]
 
 
-def test_a_full_range_call_keeps_no_plan(monkeypatch, w_l02):
-    handed = _record_side_terms(monkeypatch)
-    curve = parse_profile(PLAN_PROFILE).curve
-    with term_memo():
-        weighted_knorm(curve, 0.0, 1.0, w_l02)
-        assert len(handed) == 6
-        handed.clear()
-        weighted_knorm(curve, 0.0, 1.0, w_l02, 0.0, 2.0)
-        assert handed == [(0.0, 0.1), (0.1, 0.5), (0.5, 1.0), (1.0, 2.0)]
+@pytest.mark.parametrize("text", ["min1", "power(0.4)", "powerlog(0.5,0.25,-0.25)",
+                                  SWEEP_PROFILE, "zero"])
+def test_sweep_partials_of_every_profile_kind(text, w_l02):
+    # an interior frame, where every profile's partials are finite, and a
+    # q = inf frame, whose parts are suprema
+    K = KProfile.zero() if text == "zero" else parse_profile(text)
+    for X0, X1 in [(SpaceSpec(0.25, 1.0, w_l02), SpaceSpec(0.75, 2.0, w_l02)),
+                   (SpaceSpec(0.25, INF, w_l02), SpaceSpec(0.75, INF, w_l02))]:
+        I, J = norms.sweep_partials(K, X0, X1, SWEEP_TS)
+        assert _agree(I, [space_norm(K, X0, 0.0, t) for t in SWEEP_TS])
+        assert _agree(J, [space_norm(K, X1, t, INF) for t in SWEEP_TS])
+        assert (text == "zero") == (I + J == [0.0] * (2 * len(SWEEP_TS)))
 
 
-def test_no_plan_outlives_its_scope(monkeypatch, w_l02, w_l03):
-    handed = _record_side_terms(monkeypatch)
-    K = parse_profile(PLAN_PROFILE)
-    X0, X1 = SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03)
+def test_a_divergent_segment_computes_no_part(monkeypatch):
+    # every head of the theta = 1 frame diverges at 0 and every tail of the
+    # theta = 0 frame at inf: those points are +inf without an anchor or a
+    # running sum, while the finite side still takes both
+    curve = parse_profile(SWEEP_PROFILE).curve
+    b = parse_weight("log(0,-0.5)")
+    sums = []
+    running_sums = norms.running_sums
 
-    def sweep() -> int:
-        handed.clear()
-        for t in PLAN_TS:
-            _partials(K, t, X0, X1)
-        return len(handed)
+    def recorded(terms, xs, start):
+        sums.append(len(xs))
+        return running_sums(terms, xs, start)
 
-    memoless = sweep()
-    with term_memo():
-        first = sweep()
-    assert 0 < first < memoless
-    with term_memo():
-        assert sweep() == first
-    with pytest.raises(KeyError):
-        with term_memo():
-            sweep()
-            raise KeyError("leaves the scope")
-    with term_memo():
-        assert sweep() == first
-    assert sweep() == memoless
+    monkeypatch.setattr(norms, "running_sums", recorded)
+    assert norms._sweep(curve, 1.0, 1.0, b, SWEEP_TS, tail=False) \
+        == [INF] * len(SWEEP_TS)
+    assert norms._sweep(curve, 0.0, 1.0, b, SWEEP_TS, tail=True) \
+        == [INF] * len(SWEEP_TS)
+    assert sums == []
+    norms._sweep(curve, 1.0, 1.0, b, SWEEP_TS, tail=True)
+    # one running sum per piece that holds a point inside: (0, 0.1),
+    # (0.1, 0.5), (0.5, 1), (1, 4), (4, 20) and (20, inf)
+    assert len(sums) == 6 and sum(sums) == len(SWEEP_TS) - 5
+
+
+@pytest.mark.parametrize("q", [2.5, INF])
+def test_unexpanded_parts_are_computed_once_per_point(monkeypatch, q, w_l03):
+    # q = inf and a two-atom piece under q = 2.5 have no canonical terms:
+    # each whole segment is computed once, and at each point only the part
+    # of the segment that holds it
+    curve = parse_profile(SWEEP_PROFILE).curve
+    name = "_segment_sup" if q == INF else "_segment_integral"
+    ranges = []
+    segment = getattr(norms, name)
+
+    def recorded(*args):
+        ranges.append(args[-2:])
+        return segment(*args)
+
+    monkeypatch.setattr(norms, name, recorded)
+    for tail in (False, True):
+        ranges.clear()
+        norms._sweep(curve, 0.0, q, w_l03, SWEEP_TS, tail)
+        assert len(ranges) == len(set(ranges))
+        edges = {0.0, 0.1, 0.5, 1.0, 4.0, 20.0, INF}
+        wholes = [r for r in ranges if set(r) <= edges]
+        cuts = [r for r in ranges if not set(r) <= edges]
+        assert all(len(set(r) - edges) == 1 and set(r) - edges <= set(SWEEP_TS)
+                   for r in cuts)
+        # the two-atom pieces are (0.1, 0.5), (0.5, 1), (1, 4) and (4, 20)
+        inside = sum(1 for t in SWEEP_TS if 0.1 < t < 20.0 and t not in edges)
+        assert len(cuts) == (inside if q != INF else len(SWEEP_TS) - 5)
+        assert len(wholes) <= 6
 
 
 # ---------------------------------------------------------------------------

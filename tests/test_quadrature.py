@@ -23,6 +23,7 @@ from kinterp.quadrature import (
     golden_min,
     integrate_terms,
     power_integral,
+    running_sums,
     sup_terms,
     term_memo,
     term_value,
@@ -579,3 +580,47 @@ def test_cell_overflow_is_named_as_the_scalar_term():
     with pytest.raises(IntegralOverflowError, match=r"over \[13\.5, 14\.5\]"):
         cell_integrals(50.0, -100.0, (), [0.0, 13.5, 14.5])
     assert np.isfinite(cell_integrals(50.0, -100.0, (), [0.0, 13.5, 13.9])).all()
+
+
+def test_running_sums_in_either_direction():
+    # two terms on one grid: the running sums from either end are the
+    # anchor plus the cells summed term by term, and both directions give
+    # the integral over the whole grid
+    terms = [LogTerm(2.0, -1.0, -2.0, 0.0, 5.0), LogTerm(-0.5, 0.0, -3.0, 0.0, 5.0)]
+    xs = np.linspace(0.5, 5.0, 40).tolist()
+
+    def exact(x1, x2):
+        return sum(t.coef * term_value(LogTerm(1.0, t.a, t.beta, x1, x2))[0]
+                   for t in terms)
+
+    up = running_sums(terms, xs, 1.5)
+    down = running_sums(terms, xs[::-1], -0.25)
+    assert len(up) == len(down) == len(xs) and up[0] == 1.5 and down[0] == -0.25
+    for i, x in enumerate(xs):
+        assert up[i] == pytest.approx(1.5 + exact(xs[0], x), rel=1e-14)
+        assert down[-1 - i] == pytest.approx(-0.25 + exact(x, xs[-1]), rel=1e-13)
+    assert running_sums(terms, [2.0], 3.0) == [3.0]
+
+
+def test_a_divergent_term_decides_before_any_term_is_evaluated(monkeypatch):
+    # (1+x)^2000 over [0, 18.4] exceeds the float range, but the sum's
+    # second term diverges at inf: the sum is +inf, from that term's end,
+    # without evaluating the first
+    calls = []
+    scalar = quadrature.term_value
+
+    def recorded(term):
+        calls.append(term)
+        return scalar(term)
+
+    monkeypatch.setattr(quadrature, "term_value", recorded)
+    big = LogTerm(1.0, 0.0, 2000.0, 0.0, 18.420680743952367, end="zero")
+    with pytest.raises(IntegralOverflowError):
+        integrate_terms([big])
+    calls.clear()
+    res = integrate_terms([big, LogTerm(1.0, 0.0, 5.7, 0.0, math.inf)])
+    assert res.value == math.inf and res.divergent_end == "at_infinity"
+    assert calls == []
+    weight = parse_weight("mul(one,log(1000.0,2.85))")
+    assert weights.weight_kernel_integral(weight, 2.0, 0.0, 0.5, math.inf) \
+        == math.inf == tail_qnorm(weight, 2.0, 0.5)

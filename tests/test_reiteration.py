@@ -6,7 +6,7 @@ import pytest
 
 from scipy import integrate as sci_integrate
 
-from kinterp import quadrature
+from kinterp import holmstedt, quadrature
 from kinterp.holmstedt import (HypothesisError, _rhs, rhs_formula,
                                verify_hypotheses)
 from kinterp.profiles import (
@@ -456,6 +456,71 @@ def test_zero_profile_sweep_is_zero():
         == rhs_formula(spec.inner_case(), zero, t)
 
 
+def _per_row_norm(spec: ReiterationSpec, f: KProfile, table) -> float:
+    """``_composite_norm`` with the rhs of each row from the pointwise path,
+    row by row: +inf at the first row that is not finite."""
+    h, rows = table
+    spaces = spec.inner_case().spaces()
+    vals = []
+    for row in rows:
+        if row is None:
+            vals.append(0.0)
+            continue
+        t, idx, ell = row
+        surrogate = _rhs(spaces, f, t, idx)
+        if not (0.0 <= surrogate < INF):
+            return INF
+        vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)
+                    ** spec.q * ell)
+    total = float(np.sum(vals)) * h - 0.5 * h * (vals[0] + vals[-1])
+    return total ** (1.0 / spec.q)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_composite_norm_equals_the_per_row_loop(side):
+    spec = _bench_spec(side)
+    table = _index_table(spec, CHECK_GRID)
+    for text in ("min1", PIECEWISE, "powerlog(0.5,0.25,-0.25)", "power(0.4)",
+                 "zero"):
+        K = KProfile.zero() if text == "zero" else parse_profile(text)
+        got, want = _composite_norm(spec, K, table), _per_row_norm(spec, K, table)
+        if want in (0.0, INF):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_composite_norm_raises_only_where_the_rows_raise(monkeypatch):
+    # where the sweep raises, the rows are evaluated one by one: the norm is
+    # then +inf at a row that is not finite before the row that raises, and
+    # the error surfaces when that row comes first
+    spec = _bench_spec(0)
+    table = _index_table(spec, CHECK_GRID)
+    K = parse_profile(PIECEWISE)
+    want = _per_row_norm(spec, K, table)
+    live = [row[0] for row in table[1] if row is not None]
+
+    def broken(*args):
+        raise quadrature.IntegralOverflowError("the sweep")
+
+    monkeypatch.setattr(holmstedt, "sweep_partials", broken)
+    assert _composite_norm(spec, K, table) == want
+    space_norm = holmstedt.space_norm
+
+    def rows(infinite: float, raising: float) -> None:
+        def row_norm(f, X, lo, hi):  # I at the row's t, then J
+            if raising in (lo, hi):
+                raise quadrature.IntegralOverflowError("a row")
+            return INF if infinite in (lo, hi) else space_norm(f, X, lo, hi)
+        monkeypatch.setattr(holmstedt, "space_norm", row_norm)
+
+    rows(live[3], live[5])
+    assert _composite_norm(spec, K, table) == INF
+    rows(live[5], live[3])
+    with pytest.raises(quadrature.IntegralOverflowError, match="a row"):
+        _composite_norm(spec, K, table)
+
+
 def _count_quad(monkeypatch) -> list:
     calls: list = []
     quad = sci_integrate.quad
@@ -482,22 +547,26 @@ def _count_term_values(monkeypatch) -> list:
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_sweep_hands_quadpack_each_term_once(monkeypatch, side):
-    # segments of I and J that do not move with t (such as [1, inf) in J for
-    # t < 1) give the same canonical term at every grid point of a sweep;
-    # the whole check integrates each term once, by QUADPACK or in closed form
+    # the sweep of I and J integrates each whole segment once and each
+    # segment that holds grid points once more, at its anchor, and the cells
+    # between the points by Gauss-Kronrod: fewer canonical terms than the
+    # trapezoid has rows, where the pointwise path cuts a segment at every
+    # row.  The whole check integrates each term once, by QUADPACK or in
+    # closed form
     spec = _bench_spec(side)
+    rows = [row for row in _index_table(spec, CHECK_GRID)[1] if row]
     calls = _count_term_values(monkeypatch)
     suite = [realize_rearrangement(parse_profile(p)) for p in ("min1", PIECEWISE)]
     rep = reiteration_check(spec, suite)
     assert rep.rows and calls
-    assert len(set(calls)) == len(calls)
+    assert len(set(calls)) == len(calls) < len(rows)
 
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_profiles_of_a_check_share_one_term_memo(monkeypatch, side):
-    # the tails of J recur across the profiles of one spec; one scope per
-    # check integrates each coefficient-free integral once, and its rows are
-    # those of one scope per profile
+    # the whole tails of J recur across the profiles of one spec; one scope
+    # per check integrates each coefficient-free integral once, and its rows
+    # are those of one scope per profile
     spec = _bench_spec(side)
     suite = [realize_rearrangement(parse_profile(p)) for p in
              ("min1", PIECEWISE, "piecewise[(0.5,0.8),(20,3)]")]

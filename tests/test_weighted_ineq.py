@@ -30,7 +30,7 @@ from kinterp.weighted_ineq import (
     quasiconcave_ratio,
     window_condition,
 )
-from kinterp.weights import WeightExpr, parse_weight
+from kinterp.weights import WeightExpr, parse_weight, weight_kernel_integral
 
 INF = math.inf
 
@@ -130,14 +130,20 @@ def test_extremal_identity(w_l02):
 
 
 def test_constant_beyond_the_float_range_is_named():
-    # A1's bracket of w integrates e^{-2x} (1+x)^2000 over [ln 1e8, inf):
-    # Gamma(2001) overflows, so gammaincc * Gamma gives nan, and the QUADPACK
-    # fallback's integrand used to raise a bare OverflowError
-    spec = InequalitySpec(1.0, 2.0, parse_weight("log(0,-2)"),
-                          parse_weight("mul(one,log(1000.0,2.85))"))
+    # w = log(1000,-2) has a convergent tail, whose lower side integrates
+    # (1+x)^2000 over [0, ln 1e8], near e^5930; its power raised a bare
+    # OverflowError.  With log(1000,2.85) the upper side of every tail
+    # diverges, so A1's w kernel is +inf at every point (a degenerate ratio,
+    # 0), whichever term of the sum comes first
+    v = parse_weight("log(0,-2)")
+    spec = InequalitySpec(1.0, 2.0, v, parse_weight("mul(one,log(1000.0,-2))"))
     with pytest.raises(quadrature.IntegralOverflowError,
                        match=r"\(1\+x\)\^2000\.0 dx over .* overflows"):
         compute_constant(spec, "A1")
+    divergent = parse_weight("mul(one,log(1000.0,2.85))")
+    assert weight_kernel_integral(divergent, 2.0, 0.0, 0.5, INF) == INF
+    assert compute_constant(InequalitySpec(1.0, 2.0, v, divergent), "A1").value \
+        == 0.0
 
 
 def test_a1_ratio_whose_roots_leave_the_float_range(tmp_path):
@@ -197,8 +203,9 @@ _TRAPEZOID_TS = [math.exp(x) for x in np.linspace(
 _STANDARD_TS = quadrature.STANDARD_GRID.points().tolist()
 
 
-def _mp_bracket(b: WeightExpr, r: float, t: float):
-    """_bracket(b, r, t) in mpmath, in s = ln u with the side forms of b."""
+def _mp_kernels(b: WeightExpr, r: float, t: float):
+    """(head, tail) of _bracket(b, r, t) in mpmath, in s = ln u with the side
+    forms of b: int_0^t u^r b^r du/u and int_t^inf b^r du/u."""
     lo, hi = b.side_forms()
 
     def b_r(s):
@@ -211,6 +218,12 @@ def _mp_bracket(b: WeightExpr, r: float, t: float):
     head = mpmath.quad(lambda s: mpmath.exp(r * s) * b_r(s),
                        [-mpmath.inf] + [c for c in cuts if c <= lt])
     tail = mpmath.quad(b_r, [c for c in cuts if c >= lt] + [mpmath.inf])
+    return head, tail
+
+
+def _mp_bracket(b: WeightExpr, r: float, t: float):
+    """_bracket(b, r, t) in mpmath."""
+    head, tail = _mp_kernels(b, r, t)
     return head + t ** r * tail
 
 
@@ -224,10 +237,11 @@ def _mp_bracket(b: WeightExpr, r: float, t: float):
 def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
     # the running sums of cells against the scalar kernel on the trapezoid
     # points and on STANDARD_GRID: the same infinities, and 1e-13 apart.
-    # A stretched weight's tails go to QUADPACK at every point, and so does
-    # its scalar head, which is up to 8e-10 off here: there the grids are
-    # thinned to every 16th point, and a few samples are held to mpmath at
-    # 1e-13.  Its cusp at x = 0 sends cells to term_value
+    # A stretched weight's scalar head and tail go to QUADPACK at every
+    # point, up to 8e-10 off here, while its samples take both from running
+    # sums: there the grids are thinned to every 16th point, the tails too
+    # are held to the scalar at 1e-9, and a few samples of the bracket are
+    # held to mpmath at 1e-13.  Its cusp at x = 0 sends cells to term_value
     b = parse_weight(text)
     stretched = any(form.gammas for form in b.side_forms())
     fallbacks = []
@@ -242,7 +256,12 @@ def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
         monkeypatch.setattr(quadrature, "term_value", recorded)
         got = _bracket_samples(b, r, ts)
         monkeypatch.setattr(quadrature, "term_value", scalar)
-        assert _tail_samples(b, r, ts) == [_tail(b, r, t) for t in ts]
+        tails = _tail_samples(b, r, ts)
+        if stretched:
+            assert all(abs(g - w) <= 1e-9 * w for g, w in
+                       zip(tails, [_tail(b, r, t) for t in ts]))
+        else:
+            assert tails == [_tail(b, r, t) for t in ts]
         want = [_bracket(b, r, t) for t in ts]
         assert [g == INF for g in got] == [w == INF for w in want]
         finite = [(t, g, w) for t, g, w in zip(ts, got, want) if w != INF]
@@ -254,6 +273,39 @@ def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
                     assert abs(g - _mp_bracket(b, r, t)) <= 1e-13 * g
     if stretched:
         assert any(term.x1 == 0.0 and term.x2 < INF for term in fallbacks)
+
+
+@pytest.mark.parametrize("text", ["mul(log(0,-4),pow(explog(0.4),-1))",
+                                  "pow(explog(0.5),-2)",
+                                  "mul(log(0,-2),pow(explog(0.3),-1))"])
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_stretched_tails_are_running_sums(monkeypatch, text, r):
+    # a stretched weight's tails on the 2 048 trapezoid points: the exact
+    # tail at the largest point of each side of 1 and the cells below it,
+    # a handful of canonical terms (one QUADPACK call per point before),
+    # within 1e-13 of 30-digit mpmath
+    b = parse_weight(text)
+    calls = []
+    scalar = quadrature.term_value
+
+    def recorded(term):
+        calls.append(term)
+        return scalar(term)
+
+    monkeypatch.setattr(quadrature, "term_value", recorded)
+    tails = _tail_samples(b, r, _TRAPEZOID_TS)
+    assert len(calls) <= 8
+    with mpmath.workdps(30):
+        for i in range(0, len(_TRAPEZOID_TS), 127):
+            exact = _mp_kernels(b, r, _TRAPEZOID_TS[i])[1]
+            assert abs(tails[i] - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("ts", [[1e-3, 0.5, 2.0, 1e3], [1e-3, 0.5]])
+def test_divergent_stretched_tails_are_infinite(ts):
+    b = parse_weight("mul(log(0,-2),explog(0.3))")
+    assert _tail_samples(b, 1.0, ts) == [INF] * len(ts) \
+        == [_tail(b, 1.0, t) for t in ts]
 
 
 @pytest.mark.parametrize("v,w", [("log(-0.235,-2)", "log(-2.159,-2.9)"),
