@@ -18,7 +18,6 @@ from .weights import (
     tail_qnorm,
     head_qnorm,
     classify,
-    tilde_construction,
 )
 from .profiles import (
     KProfile,
@@ -46,7 +45,6 @@ from .weighted_ineq import (
     DivergentIntegralError,
     compute_constant,
     best_constant_probe,
-    window_condition,
     hardy_build_v,
     hardy_check,
     hmt_check,

@@ -51,7 +51,6 @@ __all__ = [
     "ScanRow",
     "RatioReport",
     "DecompositionTable",
-    "index_value",
     "rhs_formula",
     "lhs_decomposition",
     "equivalence_scan",

@@ -49,9 +49,6 @@ __all__ = [
     "LogTerm",
     "term_diverges_at_inf",
     "power_integral",
-    "exp_pow_integral",
-    "term_value",
-    "cell_integrals",
     "running_sums",
     "KRONROD_RTOL",
     "integrate_terms",

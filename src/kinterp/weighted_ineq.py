@@ -13,7 +13,7 @@ probe uses).  A2/A4 are the integral-form constants of the q < p regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,10 +37,7 @@ __all__ = [
     "DivergentIntegralError",
     "StepFunction",
     "compute_constant",
-    "quasiconcave_ratio",
     "best_constant_probe",
-    "window_condition",
-    "WindowReport",
     "hardy_build_v",
     "hardy_check",
     "HardyReport",
@@ -65,7 +62,6 @@ class InequalitySpec:
     q: float
     v: WeightExpr
     w: WeightExpr
-    window_t: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p < _INF and 0.0 < self.q < _INF):
@@ -107,17 +103,11 @@ def _tail(b: WeightExpr, r: float, x: float) -> float:
     return weight_kernel_integral(b, r, 0.0, x, _INF)
 
 
-def _tail_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
-    """``_tail`` at each of the ascending points ts, in one pass
-    (:func:`kinterp.weights.kernel_tail_samples`)."""
-    return kernel_tail_samples(b, r, ts)
-
-
 def _bracket_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
     """``_bracket`` at each of the ascending points ts, in one pass: the
     tails first, then the heads where the tail is finite, as running sums
     (:func:`kinterp.weights.kernel_head_samples`)."""
-    tails = _tail_samples(b, r, ts)
+    tails = kernel_tail_samples(b, r, ts)
     live = [i for i, tail in enumerate(tails) if tail != _INF]
     out = [_INF] * len(ts)
     heads = kernel_head_samples(b, r, r, [ts[i] for i in live])
@@ -136,7 +126,8 @@ def _kernel_ratio(spec: InequalitySpec, kernel: _Kernel, x: float) -> float:
 def _ratio_samples(spec: InequalitySpec, samples: _Samples,
                    ts: list[float]) -> list[float]:
     """``_kernel_ratio`` at each of the ascending points ts, from one pass of
-    ``samples`` (``_bracket_samples`` or ``_tail_samples``) per weight."""
+    ``samples`` (``_bracket_samples`` or ``kernel_tail_samples``) per
+    weight."""
     nums, dens = samples(spec.w, spec.q, ts), samples(spec.v, spec.p, ts)
     return [_plug_in_ratio(spec, num, den, x)
             for num, den, x in zip(nums, dens, ts)]
@@ -171,7 +162,7 @@ def _root_ratio(spec: InequalitySpec, num: float, den: float,
 def _log_integrand(spec: InequalitySpec, samples: _Samples, x_power: float,
                    xs: list[float]) -> np.ndarray:
     """ln of the integrand of A2 (``_bracket_samples``, ``x_power`` = q) or
-    A4 (``_tail_samples``, ``x_power`` = 0) at s = e^x for each of the
+    A4 (``kernel_tail_samples``, ``x_power`` = 0) at s = e^x for each of the
     ascending xs: q/(p-q) ln(kernel(w, q, s) / kernel(v, p, s)) + x_power x
     + q ln w(s); +inf where the w kernel is +inf (the v kernel is then not
     sampled), -inf where a kernel is 0 or the v kernel +inf."""
@@ -242,30 +233,20 @@ def _edge_tail(ls: np.ndarray, xs: np.ndarray, side: str,
     return f_edge * L0 / (slope - 1.0)
 
 
-def _log_samples(spec: InequalitySpec, samples: _Samples, x_power: float
-                 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(xs, ls, m, weights) of the trapezoid for int exp(log_f(x)) dx over the
-    range of STANDARD_GRID (x = ln t), log_f the :func:`_log_integrand` of
-    A2 or A4: its points, the samples ls = log_f(xs), their maximum m and
-    the weights exp(ls - m) h (zeros unless m is finite)."""
+def _log_integral(spec: InequalitySpec, samples: _Samples,
+                  x_power: float) -> float:
+    """log of int exp(log_f(x)) dx over the range of STANDARD_GRID (x = ln t)
+    by trapezoid on _TRAPEZOID_POINTS points, log_f the :func:`_log_integrand`
+    of A2 or A4, stable for huge exponents; +inf when an open-end tail fails
+    the power-log convergence test, with the convergent power-log remainders
+    added analytically."""
     xs = np.linspace(math.log(STANDARD_GRID.t_min),
                      math.log(STANDARD_GRID.t_max), _TRAPEZOID_POINTS)
     ls = _log_integrand(spec, samples, x_power, xs.tolist())
     m = float(np.max(ls))
     if not math.isfinite(m):
-        return xs, ls, m, np.zeros_like(ls)
-    return xs, ls, m, np.exp(ls - m) * float(xs[1] - xs[0])
-
-
-def _log_integral(spec: InequalitySpec, samples: _Samples,
-                  x_power: float) -> float:
-    """log of int exp(log_f(x)) dx over the range of STANDARD_GRID (x = ln t)
-    by trapezoid, log_f as in :func:`_log_samples`, stable for huge
-    exponents; +inf when an open-end tail fails the power-log convergence
-    test, with the convergent power-log remainders added analytically."""
-    xs, ls, m, weights = _log_samples(spec, samples, x_power)
-    if not math.isfinite(m):
         return _INF if m == _INF else -_INF
+    weights = np.exp(ls - m) * float(xs[1] - xs[0])
     total = float(np.sum(weights)) - 0.5 * float(weights[0] + weights[-1])
     for side in ("lo", "hi"):
         tail = _edge_tail(ls, xs, side, m, total)
@@ -283,7 +264,7 @@ def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
     if which in ("A2", "A4") and not q < p:
         raise ValueError(f"{which} requires q < p")
     kernel, samples = ((_bracket, _bracket_samples) if which in ("A1", "A2")
-                       else (_tail, _tail_samples))
+                       else (_tail, kernel_tail_samples))
     with term_memo():  # each distinct integral of the call is computed once
         if which in ("A3", "A4"):
             spec.require_sv_classes()
@@ -320,71 +301,6 @@ def best_constant_probe(spec: InequalitySpec, which: str,
         return max([0.0] + [_kernel_ratio(spec, _tail, float(x))
                             for x in x_grid])
     raise ValueError("probe supports A1 and A3")
-
-
-# ---------------------------------------------------------------------------
-# Window conditions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WindowReport:
-    side: str
-    passed: bool
-    worst_t: Optional[float]
-    worst_ratio: float
-    rows: list[tuple[float, float, float]] = field(default_factory=list)
-
-
-def window_condition(spec: InequalitySpec, side: str,
-                     bound: Callable[[float], float]) -> WindowReport:
-    """Check the windowed condition A3 (p <= q) or A4 (q < p) against a
-    candidate bound, up to the factor PASS_CONSTANT, on the constant's own
-    samples.  ``side='head'`` masks the left factor to (0, t), ``'tail'`` to
-    (t, inf).  For p <= q the row at t is the running sup of A3's ratio over
-    the STANDARD_GRID points x <= t (head) or x >= t (tail); for q < p it is
-    A4's integral over (0, t) or (t, inf) on the A2/A4 trapezoid points plus
-    the remainder beyond the open end, raised to 1/q - 1/p as A4 is.  A
-    ``window_t`` in [1e-8, 1e8] keeps only the row at the nearest sample.
-    """
-    if side not in ("head", "tail"):
-        raise ValueError("side must be 'head' or 'tail'")
-    spec.require_sv_classes()
-    if spec.window_t is not None and not (STANDARD_GRID.t_min <= spec.window_t
-                                          <= STANDARD_GRID.t_max):
-        raise ValueError("window_t must lie inside the evaluation grid")
-
-    order = slice(None) if side == "head" else slice(None, None, -1)
-    if spec.p <= spec.q:
-        ts = STANDARD_GRID.points()
-        vals = np.array(_ratio_samples(spec, _tail_samples, ts.tolist()))
-        vals = np.maximum.accumulate(vals[order])[order]
-    else:
-        xs, ls, m, weights = _log_samples(spec, _tail_samples, 0.0)
-        ts = np.exp(xs)
-        if math.isfinite(m):
-            # in e^m units: trapezoid to the open end + remainder past it
-            steps = 0.5 * (weights[1:] + weights[:-1])
-            run = np.concatenate([[0.0], np.cumsum(steps[order])])[order]
-            run += _edge_tail(ls, xs, "lo" if side == "head" else "hi", m,
-                              float(np.max(run)))
-            expo = 1.0 / spec.q - 1.0 / spec.p
-            vals = [math.exp((m + math.log(c)) * expo) if c > 0.0 else 0.0
-                    for c in run]
-        else:
-            vals = [_INF if m == _INF else 0.0] * len(ts)
-
-    rows = [(float(t), float(c), bound(float(t))) for t, c in zip(ts, vals)]
-    if spec.window_t is not None:
-        i = int(np.argmin(np.abs(np.log(ts) - math.log(spec.window_t))))
-        rows = [rows[i]]
-    worst_t, worst = None, 0.0
-    for t, c, bd in rows:
-        # an infinite bound is always met, a bound <= 0 only by c = 0
-        ratio = 0.0 if bd == _INF or c == 0.0 else c / bd if bd > 0.0 else _INF
-        if ratio > worst:
-            worst_t, worst = t, ratio
-    return WindowReport(side=side, passed=worst <= PASS_CONSTANT,
-                        worst_t=worst_t, worst_ratio=worst, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .quadrature import (IntegralOverflowError, LogTerm, STANDARD_GRID,
-                         integrate_terms, power_integral, running_sums,
-                         sup_terms)
+from .quadrature import (IntegralOverflowError, LogTerm, integrate_terms,
+                         power_integral, running_sums, sup_terms)
 
 __all__ = [
     "WeightExpr",
@@ -33,12 +32,10 @@ __all__ = [
     "SideForm",
     "SVClassReport",
     "WeightSyntaxError",
-    "PreconditionError",
     "parse_weight",
     "tail_qnorm",
     "head_qnorm",
     "classify",
-    "tilde_construction",
 ]
 
 _INF = math.inf
@@ -50,10 +47,6 @@ class WeightSyntaxError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-
-
-class PreconditionError(ValueError):
-    """A documented precondition of an operation was violated."""
 
 
 # ---------------------------------------------------------------------------
@@ -536,25 +529,3 @@ def classify(b: WeightExpr, q: float) -> SVClassReport:
                          in_SV1q=math.isfinite(head),
                          tail_value_at_1=tail, head_value_at_1=head)
 
-
-# ---------------------------------------------------------------------------
-# The tilde construction
-# ---------------------------------------------------------------------------
-
-class TildeWeight:
-    """b~(t) = ||u^{-1} b(u)||_{1,(t,inf)} for an integrable tail."""
-
-    def __init__(self, b: WeightExpr):
-        if not math.isfinite(tail_qnorm(b, 1.0, 1.0)):
-            raise PreconditionError(
-                "tilde construction requires a convergent tail integral of u^-1 b(u)")
-        self.base = b
-        ratios = [b(t) / self(t) for t in STANDARD_GRID.points()]
-        self.comparison_constant = max(ratios)
-
-    def __call__(self, t) -> float:
-        return tail_qnorm(self.base, 1.0, float(t))
-
-
-def tilde_construction(b: WeightExpr) -> TildeWeight:
-    return TildeWeight(b)

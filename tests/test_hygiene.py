@@ -9,6 +9,15 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kinterp"
 
 
+def _exports(tree: ast.Module) -> set[str]:
+    """The names of the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(path: pathlib.Path) -> list[str]:
     """Names a module imports and never reads, apart from those it exports
     through ``__all__`` (or, in a package ``__init__``, re-exports)."""
@@ -22,11 +31,7 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
+    exported = _exports(tree)
     if path.name == "__init__.py":
         exported |= set(imported)
     return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
@@ -36,6 +41,53 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _references(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) of each name imported from a kinterp module (a relative
+    import as ``kinterp.<module>``) and of each ``<module>.<name>``."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            module = ("kinterp." + n.module if n.module else "kinterp") \
+                if n.level else n.module
+            found |= {(module, alias.name) for alias in n.names}
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            found.add((f"kinterp.{n.value.id}", n.attr))
+    return found
+
+
+#: exported functions that no other module and no acceptance criterion names
+_REACH_ALLOWLIST = {
+    "cli.run": "the CLI entry point: main calls it, and so does the benchmark",
+    "config.parse_function": "the function grammar, as parse_weight is the "
+                             "weight grammar",
+    "holmstedt.lhs_decomposition": "the scan's lhs at one point, the pair of "
+                                   "rhs_formula",
+    "profiles.check_quasiconcave": "the check realize_rearrangement runs on "
+                                   "every profile",
+    "reiteration.build_hat_b": "the side-1 mirror of build_tilde_b",
+}
+
+
+def test_every_export_is_reached():
+    # a function in __all__ is named by another module or an acceptance
+    # criterion; one that only its own tests call is not public API
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    acceptance = SRC.parent.parent / "tests" / "test_acceptance.py"
+    criteria = _references(ast.parse(acceptance.read_text(encoding="utf-8")))
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    unreached = []
+    for stem, tree in trees.items():
+        seen = criteria.union(*(r for name, r in refs.items() if name != stem))
+        exported = _exports(tree)
+        unreached += [
+            f"{stem}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported
+            and not {(f"kinterp.{stem}", node.name),
+                     ("kinterp", node.name)} & seen]
+    assert sorted(unreached) == sorted(_REACH_ALLOWLIST)
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

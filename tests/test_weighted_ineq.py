@@ -16,9 +16,9 @@ from kinterp.weighted_ineq import (
     _integral,
     _kernel_ratio,
     _plain_quad,
+    _ratio_samples,
     _root_ratio,
     _tail,
-    _tail_samples,
     DivergentIntegralError,
     InequalitySpec,
     StepFunction,
@@ -28,9 +28,9 @@ from kinterp.weighted_ineq import (
     hardy_check,
     hmt_check,
     quasiconcave_ratio,
-    window_condition,
 )
-from kinterp.weights import WeightExpr, parse_weight, weight_kernel_integral
+from kinterp.weights import (WeightExpr, kernel_tail_samples, parse_weight,
+                             weight_kernel_integral)
 
 INF = math.inf
 
@@ -256,7 +256,7 @@ def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
         monkeypatch.setattr(quadrature, "term_value", recorded)
         got = _bracket_samples(b, r, ts)
         monkeypatch.setattr(quadrature, "term_value", scalar)
-        tails = _tail_samples(b, r, ts)
+        tails = kernel_tail_samples(b, r, ts)
         if stretched:
             assert all(abs(g - w) <= 1e-9 * w for g, w in
                        zip(tails, [_tail(b, r, t) for t in ts]))
@@ -293,7 +293,7 @@ def test_stretched_tails_are_running_sums(monkeypatch, text, r):
         return scalar(term)
 
     monkeypatch.setattr(quadrature, "term_value", recorded)
-    tails = _tail_samples(b, r, _TRAPEZOID_TS)
+    tails = kernel_tail_samples(b, r, _TRAPEZOID_TS)
     assert len(calls) <= 8
     with mpmath.workdps(30):
         for i in range(0, len(_TRAPEZOID_TS), 127):
@@ -304,7 +304,7 @@ def test_stretched_tails_are_running_sums(monkeypatch, text, r):
 @pytest.mark.parametrize("ts", [[1e-3, 0.5, 2.0, 1e3], [1e-3, 0.5]])
 def test_divergent_stretched_tails_are_infinite(ts):
     b = parse_weight("mul(log(0,-2),explog(0.3))")
-    assert _tail_samples(b, 1.0, ts) == [INF] * len(ts) \
+    assert kernel_tail_samples(b, 1.0, ts) == [INF] * len(ts) \
         == [_tail(b, 1.0, t) for t in ts]
 
 
@@ -320,66 +320,18 @@ def test_a2_makes_no_quadpack_call(monkeypatch, v, w):
     assert keys == []
 
 
-# ---------------------------------------------------------------------------
-# window conditions
-# ---------------------------------------------------------------------------
-
-def test_window_trivial_pass(spec_eq):
-    rep = window_condition(spec_eq, "head", lambda t: 1.0)
-    assert rep.passed
-    assert rep.worst_ratio == pytest.approx(1.0, rel=1e-9)
-
-
-def test_window_constant_bound(spec_12):
-    rep = window_condition(spec_12, "head", lambda t: A3_EXACT)
-    assert rep.passed
-
-
-def test_window_vanishing_bound_fails(spec_12):
-    rep = window_condition(spec_12, "tail",
-                           lambda t: 1.0 / (1.0 + abs(math.log(t))) ** 2)
-    assert not rep.passed
-
-
-def test_window_integral_branch(w_l02):
-    spec = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(-2,-3)"))
-    a4 = compute_constant(spec, "A4").value
-    rep = window_condition(spec, "head", lambda t: a4)
-    assert rep.passed
-    assert all(math.isfinite(c) for _, c, _ in rep.rows)
-    # the divergent pair fails every finite bound on the head side
-    bad = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(0,-3)"))
-    rep2 = window_condition(bad, "head", lambda t: 100.0)
-    assert not rep2.passed
-
-
 def test_window_divergent_head_fails_every_bound(w_l02):
-    # A4 of this pair is +inf: every integral over (0, t) diverges at 0, so
-    # no finite bound, however large, is met
+    # A4 of this pair is +inf: a left factor that blows up toward 0 makes
+    # every integral over (0, t) diverge, so no finite bound is met
     spec = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(8,-3)"))
     assert compute_constant(spec, "A4").value == INF
-    rep = window_condition(spec, "head", lambda t: 1e10)
-    assert all(c == INF for _, c, _ in rep.rows)
-    assert not rep.passed
-
-
-def test_window_integral_rows_run_up_to_a4(w_l02):
-    spec = InequalitySpec(p=2.0, q=1.0, v=w_l02, w=parse_weight("log(-2,-3)"))
-    a4 = compute_constant(spec, "A4").value
-    head, tail = ([c for _, c, _ in window_condition(spec, side, lambda t: a4).rows]
-                  for side in ("head", "tail"))
-    assert head == sorted(head) and tail == sorted(tail, reverse=True)
-    assert max(head) <= a4 and max(tail) <= a4
 
 
 def test_window_rows_are_the_a3_samples(spec_12):
-    # the p <= q rows are the running sup of the very samples A3 takes
-    samples = [_kernel_ratio(spec_12, _tail, float(t))
-               for t in quadrature.STANDARD_GRID.points()]
-    for side in ("head", "tail"):
-        rep = window_condition(spec_12, side, lambda t: 1.0)
-        assert len(rep.rows) == len(samples)
-        assert max(c for _, c, _ in rep.rows) == max(samples)
+    # the one-pass ratio samples A3 takes on STANDARD_GRID are the scalar
+    # plug-in ratio at every point
+    assert _ratio_samples(spec_12, kernel_tail_samples, _STANDARD_TS) \
+        == [_kernel_ratio(spec_12, _tail, t) for t in _STANDARD_TS]
 
 
 # ---------------------------------------------------------------------------
@@ -714,21 +666,6 @@ def test_hmt_condition_is_the_direct_nested_integral(alpha, a, c, wt, wu):
     lhs = _plain_quad(lambda t: _plain_quad(lambda u: psi(t, u), 1.0, INF)
                       ** alpha * w(t), 0.0, INF)
     assert rep.condition_ratio == lhs / _plain_quad(v, 1.0, INF)
-
-
-def test_window_single_window(spec_12):
-    spec = InequalitySpec(p=1.0, q=2.0, v=spec_12.v, w=spec_12.w,
-                          window_t=1.0)
-    rep = window_condition(spec, "head", lambda t: A3_EXACT)
-    assert len(rep.rows) == 1
-    assert rep.passed
-
-
-def test_window_t_outside_grid_rejected(spec_12):
-    spec = InequalitySpec(p=1.0, q=2.0, v=spec_12.v, w=spec_12.w,
-                          window_t=1e30)
-    with pytest.raises(ValueError):
-        window_condition(spec, "head", lambda t: 1.0)
 
 
 # ---------------------------------------------------------------------------

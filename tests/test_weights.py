@@ -15,7 +15,6 @@ from kinterp.weights import (
     One,
     Power,
     PowerLog,
-    PreconditionError,
     Product,
     WeightSyntaxError,
     _weight_terms,
@@ -23,7 +22,6 @@ from kinterp.weights import (
     head_qnorm,
     parse_weight,
     tail_qnorm,
-    tilde_construction,
     weight_kernel_integral,
 )
 
@@ -190,7 +188,7 @@ def test_kernel_integral_against_mpmath(w_l02):
 
 
 # ---------------------------------------------------------------------------
-# Classification and the tilde construction
+# Classification
 # ---------------------------------------------------------------------------
 
 def test_classify_examples(w_l02, w_one, w_lm20):
@@ -204,25 +202,6 @@ def test_classify_flip_symmetry(w_l02):
     rep_flip = classify(Flip(w_l02), 1.5)
     assert rep.in_SV1q == rep_flip.in_SV0q
     assert rep.in_SV0q == rep_flip.in_SV1q
-
-
-def test_tilde_closed_form(w_l02):
-    tb = tilde_construction(w_l02)
-    assert tb(math.e) == pytest.approx(0.5, rel=1e-12)
-    for t in (1.0, 2.0, 10.0, 1e5):
-        assert tb(t) == pytest.approx(1.0 / (1.0 + math.log(t)), rel=1e-12)
-    assert tb.comparison_constant <= 10.0
-
-
-def test_tilde_precondition(w_one):
-    with pytest.raises(PreconditionError):
-        tilde_construction(w_one)
-
-
-def test_tilde_dominates(w_l02):
-    tb = tilde_construction(w_l02)
-    for t in GridSpec(1e-8, 1e8, 8).points():
-        assert w_l02(float(t)) <= tb.comparison_constant * tb(float(t)) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
