@@ -136,7 +136,11 @@ def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
         ku = curve(u)
         if ku <= 0.0:
             return 0.0
-        return (u ** -theta * b(u) * ku) ** q
+        try:
+            return (u ** -theta * b(u) * ku) ** q
+        except OverflowError:
+            raise IntegralOverflowError(f"(u^-{theta!r} b K)^{q!r} at u = {u!r}"
+                                        " exceeds the float range") from None
 
     x1 = math.log(u0) if u0 > 0.0 else -_INF
     x2 = math.log(u1) if u1 != _INF else _INF

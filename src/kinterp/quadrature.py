@@ -122,7 +122,7 @@ class IntegralResult:
 
 
 class NonFiniteIntegrandError(ValueError):
-    """The integrand evaluated to NaN or a signed infinity."""
+    """A term value, or its coefficient times it, is NaN or a signed infinity."""
 
 
 class IntegralOverflowError(ValueError):
@@ -207,8 +207,8 @@ def _quad(f: Callable[[float], float], x1: float, x2: float,
     return val, err
 
 
-#: ln of the largest finite double
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+#: ln of the largest finite double, and the float epsilon
+_LOG_FLOAT_MAX, _EPS = math.log(sys.float_info.max), sys.float_info.epsilon
 
 
 def _overflow(a: float, beta: float, x1: float, x2: float) -> IntegralOverflowError:
@@ -216,10 +216,28 @@ def _overflow(a: float, beta: float, x1: float, x2: float) -> IntegralOverflowEr
         f"int e^({a!r} x) (1+x)^{beta!r} dx over [{x1!r}, {x2!r}] overflows")
 
 
+def _times_exp(val: float, log_scale: float,
+               overflow: Callable[[], IntegralOverflowError]) -> float:
+    """val e^log_scale for val computed at the scale e^-log_scale, the one
+    overflow rule: raises ``overflow()`` (-inf for val < 0) where the product,
+    not a factor, exceeds the float range: ln |val| + log_scale > ln(max)."""
+    if log_scale <= _LOG_FLOAT_MAX:
+        out = val * math.exp(log_scale)
+    else:  # a scale beyond the float range: the product by its log
+        log_val = math.log(abs(val)) + log_scale if val else -_INF
+        out = (math.copysign(_INF, val) if log_val > _LOG_FLOAT_MAX
+               else val * math.exp(0.5 * log_scale) * math.exp(0.5 * log_scale)
+               if log_scale <= 2.0 * _LOG_FLOAT_MAX
+               else math.copysign(math.exp(log_val), val))  # |val| < 1e-308
+    if out < _INF:  # finite, or -inf below the float range
+        return out
+    raise overflow()
+
+
 def power_integral(beta: float, x1: float, x2: float) -> float:
     """int_{x1}^{x2} (1+x)^beta dx, [x1,x2] in [0,inf]: the a = 0 case of
     :func:`exp_pow_integral`; +inf when x2 = inf and beta >= -1.  Raises
-    :class:`IntegralOverflowError` when a power leaves the float range."""
+    :class:`IntegralOverflowError` when the value exceeds the float range."""
     try:
         if x2 == _INF:
             if beta >= -1.0:
@@ -229,9 +247,10 @@ def power_integral(beta: float, x1: float, x2: float) -> float:
             return math.log1p(x2) - math.log1p(x1)
         return ((1.0 + x2) ** (beta + 1.0) - (1.0 + x1) ** (beta + 1.0)) \
             / (beta + 1.0)
-    except OverflowError:  # named without the sign of a zero x1, which
-        # the compiled q-norm integrals do not keep
-        raise _overflow(0.0, beta, x1 + 0.0, x2) from None
+    except OverflowError:  # (1+x2)^s times the rest, s = beta + 1 > 0 (named
+        s, l2 = beta + 1.0, math.log1p(x2)  # without the sign of a zero x1)
+        return _times_exp(-math.expm1(s * (math.log1p(x1) - l2)) / s, s * l2,
+                          lambda: _overflow(0.0, beta, x1 + 0.0, x2))
 
 
 #: 1/2 ln(2 pi), and the Stirling coefficients B_2k / (2k (2k-1)), k = 1..8
@@ -306,60 +325,53 @@ def _log_gamma_tail(a: float, beta: float, x1: float) -> float:
         else:
             raise _overflow(a, beta, x1, _INF)
         log_val = da * dx + ds * (1 + dx).ln() + log_c
-        val = float(log_val.exp()) if log_val < 710 else _INF
-    if val == _INF:
-        raise _overflow(a, beta, x1, _INF)
-    return val
+        k = log_val.to_integral_value()
+        scaled = float((log_val - k).exp())
+    return _times_exp(scaled, float(k), lambda: _overflow(a, beta, x1, _INF))
 
 
 def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float, float]:
     """(value, error) of int_{x1}^{x2} e^{a x} (1+x)^beta dx, [x1,x2] in [0,inf].
 
     Assumes convergence (check :func:`term_diverges_at_inf` first when x2=inf).
-    Raises :class:`IntegralOverflowError` on a finite segment where a*x
-    exceeds 700, and on an infinite one whose value exceeds the float range,
-    instead of returning an infinity that reads as divergence.
+    Raises :class:`IntegralOverflowError` where the value exceeds the float
+    range (:func:`_times_exp`), not an infinity that reads as divergence.  A
+    finite segment integrates exp(a (x-xm) + beta log1p((x-xm)/(1+xm))), the
+    integrand over its value at its peak xm (a turning point if a < 0 < beta).
 
     An infinite range with a < 0 is e^{a x1} (1+x1)^s C with s = beta + 1,
     z = -a (1+x1) and C = e^z z^-s Gamma(s, z).  For beta > -1 it comes from
-    scipy's Q(s, z), and where that product is not a positive finite float
-    (a factor over- or underflowed) :func:`_log_gamma_tail` evaluates it in
-    logs.  For beta <= -1 and z >= 1, z C is :func:`_gamma_fraction`, good
-    to 1e-13 relative (plus a few ulps of 0 below the normal range); with
-    z < 1 the tail goes to QUADPACK.
+    scipy's Q(s, z) (1e-13 relative, 1e-12 in its far tail z > s + 1), or
+    from :func:`_log_gamma_tail` where a factor is not a normal float.  For
+    beta <= -1 and z >= 1, z C is :func:`_gamma_fraction` (1e-13 relative,
+    plus a few ulps of 0); with z < 1 the tail goes to QUADPACK.
     """
     if x1 == x2:
         return 0.0, 0.0
+    if x2 == _INF and (a > 0.0 or a == 0.0 and beta >= -1.0):
+        raise ValueError("divergent exp_pow_integral")
     if a == 0.0:
-        if x2 == _INF and beta >= -1.0:
-            raise ValueError("divergent exp_pow_integral")
         val = power_integral(beta, x1, x2)
         return val, 4e-16 * abs(val)
-    if beta == 0.0:
-        if x2 == _INF:
-            if a >= 0.0:
-                raise ValueError("divergent exp_pow_integral")
-            val = -math.exp(a * x1) / a
-            return val, 4e-16 * abs(val)
-        if a * max(x1, x2) > 700.0:
-            raise _overflow(a, beta, x1, x2)
-        val = (math.exp(a * x2) - math.exp(a * x1)) / a
-        return val, 4e-16 * abs(val)
+    if beta == 0.0:  # e^{a xm} times the rest, xm the larger end
+        xm = x2 if a > 0.0 else x1
+        rest = -math.expm1(-abs(a) * (x2 - x1))  # 1 when x2 = inf
+        val = _times_exp(rest / abs(a), a * xm, lambda: _overflow(a, beta, x1, x2))
+        return val, (4e-16 + _EPS * abs(a * xm)) * val
     if x2 == _INF:
-        if a >= 0.0:
-            raise ValueError("divergent exp_pow_integral")
         s, z = -a, -a * (1.0 + x1)
         if beta > -1.0:
             # e^{-a} s^{-(beta+1)} Gamma(beta+1, s(1+x1))
-            g = float(_sci_special.gammaincc(beta + 1.0, z)) \
-                * float(_sci_special.gamma(beta + 1.0))
+            q = float(_sci_special.gammaincc(beta + 1.0, z))
             try:
-                val = math.exp(s) * s ** (-(beta + 1.0)) * g
+                p = s ** (-(beta + 1.0))
+                val = math.exp(s) * p * (q * float(_sci_special.gamma(beta + 1.0)))
             except OverflowError:
-                val = _INF
-            if not 0.0 < val < _INF:  # a factor left the float range
+                p = val = _INF
+            if not 0.0 < val < _INF or min(p, q) < sys.float_info.min:  # a factor
+                # left the float range, or lost digits below its normal range
                 val = _log_gamma_tail(a, beta, x1)
-            return val, 1e-13 * abs(val)
+            return val, (1e-12 if z > beta + 2.0 else 1e-13) * abs(val)
         zc = _gamma_fraction(beta + 1.0, z) if 1.0 <= z < _INF else None
         if zc is not None:
             # every factor is at most 1, so no step overflows, and a product
@@ -367,40 +379,13 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
             val = math.exp(a * x1) * (1.0 + x1) ** (beta + 1.0) * zc / z
             return val, 1e-13 * val + 4.0 * math.ulp(0.0)
         return _quad(lambda x: math.exp(a * x) * (1.0 + x) ** beta, x1, _INF)
-    # general finite segment: scale out the endpoint maximum to avoid overflow
-    xm = x2 if a > 0.0 else x1
-    scale = a * xm
-    if scale > 700.0:
-        raise _overflow(a, beta, x1, x2)
-    try:
-        val, err = _quad(lambda x: math.exp(a * (x - xm)) * (1.0 + x) ** beta,
-                         x1, x2)
-    except OverflowError:  # (1+x)^beta leaves the float range
-        return _peak_scaled_segment(a, beta, x1, x2)
-    m = math.exp(scale)
-    return val * m, err * m
-
-
-def _peak_scaled_segment(a: float, beta: float, x1: float, x2: float
-                         ) -> tuple[float, float]:
-    """(value, error) of int_{x1}^{x2} e^{a x} (1+x)^beta dx, x2 finite,
-    integrating the integrand over its maximum on [x1, x2], all in logs:
-    the larger endpoint value or, for a < 0 < beta, the value at the turning
-    point x = -beta/a - 1.  Raises :class:`IntegralOverflowError` when the
-    value exceeds the float range."""
-    def log_f(x: float) -> float:
-        return a * x + beta * math.log1p(x)
-
-    peaks = [x1, x2]
-    if a < 0.0 < beta and x1 < -beta / a - 1.0 < x2:
-        peaks.append(-beta / a - 1.0)
-    log_m = max(log_f(x) for x in peaks)
-    val, err = _quad(lambda x: math.exp(log_f(x) - log_m), x1, x2)
-    log_val = math.log(val) + log_m
-    if log_val > _LOG_FLOAT_MAX:
-        raise _overflow(a, beta, x1, x2)
-    out = math.exp(log_val)
-    return out, err / val * out
+    xm = min(max(-beta / a - 1.0, x1), x2) if a < 0.0 < beta else x2 if (
+        a * (x2 - x1) + beta * (math.log1p(x2) - math.log1p(x1)) > 0.0) else x1
+    inv, lm, exp, log1p = 1.0 / (1.0 + xm), math.log1p(xm), math.exp, math.log1p
+    val, err = _quad(lambda x: exp(a * (d := x - xm) + beta * log1p(d * inv)), x1, x2)
+    out = _times_exp(val, a * xm + beta * lm, lambda: _overflow(a, beta, x1, x2))
+    # QUADPACK's bound plus the rounding of the scale's exponent
+    return out, (err / val + _EPS * (abs(a * xm) + abs(beta * lm))) * out
 
 
 def term_value(term: LogTerm) -> tuple[float, float]:
@@ -409,12 +394,27 @@ def term_value(term: LogTerm) -> tuple[float, float]:
         return 0.0, 0.0
     if term.x2 == _INF and term_diverges_at_inf(term.a, term.beta, term.gammas):
         return _INF, _INF
-    if not term.gammas:
-        val, err = exp_pow_integral(term.a, term.beta, term.x1, term.x2)
+    a, beta, x1, x2, gammas = term.a, term.beta, term.x1, term.x2, term.gammas
+    if not gammas:
+        val, err = exp_pow_integral(a, beta, x1, x2)
         return term.coef * val, abs(term.coef) * err
-    f = term.integrand
-    val, err = _quad(f, term.x1, term.x2)
-    return val, err
+    try:
+        return _quad(term.integrand, x1, x2)
+    except OverflowError:  # the integrand leaves the float range: integrate
+        # e^(log_f - L), L its largest value, over the cuts where it turns
+        cuts = [x1, *_falling_turns([LogTerm(1.0, a, beta, x1, x2, gammas)]), x2]
+
+    def log_f(x: float) -> float:
+        return a * x + beta * math.log1p(x) + sum(g * x ** al for al, g in gammas)
+
+    # the exponent is capped at 0: a turn is placed to 1e-16 |a x| only, so
+    # where the cap acts, |a x| puts e^L itself far beyond the float range
+    log_m = max(log_f(x) for x in cuts if x < _INF)
+    val, err = map(sum, zip(*(_quad(lambda x: math.exp(min(log_f(x) - log_m, 0.0)),
+                                    lo, hi) for lo, hi in zip(cuts, cuts[1:]))))
+    out = _times_exp(abs(term.coef) * val, log_m,
+                     lambda: IntegralOverflowError(f"the integral of {term} overflows"))
+    return math.copysign(out, term.coef), err / val * out
 
 
 #: the Gauss-Kronrod pair G7/K15 on [-1, 1] from QUADPACK's qk15 table
@@ -457,29 +457,29 @@ def cell_integrals(a: float, beta: float,
                    edges: Sequence[float]) -> np.ndarray:
     """int_{e_i}^{e_{i+1}} e^{a x} (1+x)^beta exp(sum gamma x^alpha) dx over
     each cell of the ascending finite ``edges`` in [0, inf), by K15 on all
-    cells at once, each cell's e^{a x} scaled by its endpoint maximum as in
-    :func:`exp_pow_integral`.
+    cells at once, each cell's e^{a x} (1+x)^beta scaled by its peak on the
+    cell as in :func:`exp_pow_integral`.
 
     A cell goes to :func:`term_value` where its K15 and G7 values disagree
     beyond :data:`KRONROD_RTOL` (the x^alpha cusp of a stretched term at
-    x = 0, or a cell too wide for the rule), where its value leaves the float
-    range, and where a x > 700 at its scaling end; there the scalar route
-    decides, and raises :class:`IntegralOverflowError` where it would.
+    x = 0, or a cell too wide for the rule) and where its value or its scale
+    leaves the float range; there the scalar route decides, and raises
+    :class:`IntegralOverflowError` where it would.
     """
     lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
     half = 0.5 * (hi - lo)
     x = (0.5 * (hi + lo))[:, None] + half[:, None] * _K15_X
-    xm = hi if a > 0.0 else lo
+    xm = np.clip(-beta / a - 1.0, lo, hi) if a < 0.0 < beta else np.where(
+        a * lo + beta * np.log1p(lo) < a * hi + beta * np.log1p(hi), hi, lo)
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = a * (x - xm[:, None])
+        expo = a * (dx := x - xm[:, None]) + beta * np.log1p(dx / (1.0 + xm[:, None]))
         for alpha, gamma in gammas:
             expo += gamma * x ** alpha
-        f = np.exp(expo) * (1.0 + x) ** beta
+        f = np.exp(expo)
         k15 = half * (f * _K15_W).sum(axis=1)
         g7 = half * (f[:, 1::2] * _G7_W).sum(axis=1)
-        vals = k15 * np.exp(a * xm)
-        fine = (np.abs(k15 - g7) <= KRONROD_RTOL * np.abs(k15)) \
-            & (a * xm <= 700.0) & np.isfinite(vals)
+        vals = k15 * np.exp(a * xm + beta * np.log1p(xm))
+        fine = (np.abs(k15 - g7) <= KRONROD_RTOL * np.abs(k15)) & np.isfinite(vals)
     for i in np.flatnonzero(~fine):
         vals[i] = term_value(
             LogTerm(1.0, a, beta, float(lo[i]), float(hi[i]), gammas))[0]
@@ -547,10 +547,7 @@ def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
     err = 0.0
     for term in terms:
         v, e = term_value(term) if memo is None else _memo_value(term, memo)
-        if v == _INF:
-            return IntegralResult(_INF, _INF,
-                                  AT_ZERO if term.end == "zero" else AT_INFINITY)
-        if not math.isfinite(v):
+        if not math.isfinite(v):  # not a divergence, which is decided above
             raise NonFiniteIntegrandError(
                 f"non-finite term value for a={term.a} beta={term.beta}")
         total += v
@@ -569,10 +566,7 @@ def _memo_value(term: LogTerm, memo: dict) -> tuple[float, float]:
     ve = memo.get(key)
     if ve is None:
         ve = memo[key] = term_value(LogTerm(1.0, *key))
-    v, e = ve
-    if v == _INF:  # +inf for any sign of coef when divergent; not a product
-        return term_value(term)
-    return term.coef * v, abs(term.coef) * e
+    return term.coef * ve[0], abs(term.coef) * ve[1]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +587,7 @@ def sup_terms(terms: Sequence[LogTerm]) -> float:
     coefficient.  Otherwise it is the largest value at x1, at x2 (the limit
     when x2 = inf) and where the derivative turns from positive to negative
     (:func:`_falling_turns`).  Raises :class:`IntegralOverflowError` when
-    that value exceeds the float range.
+    one of those values exceeds the float range.
     """
     terms = [t for t in terms if t.coef != 0.0]
     if not terms:
@@ -608,12 +602,13 @@ def sup_terms(terms: Sequence[LogTerm]) -> float:
     if x2 == _INF and order > (0.0, 0.0, 0.0) and top.coef > 0.0:
         return _INF
 
-    def value(x: float) -> float:  # a signed infinity beyond the float range
+    def value(x: float) -> float:  # -inf below the float range
         g = sum(gamma * x ** alpha for alpha, gamma in gammas)
         logs = [t.a * x + t.beta * math.log1p(x) + g for t in terms]
         big = max(logs)
         s = sum(t.coef * math.exp(lg - big) for t, lg in zip(terms, logs))
-        return s * math.exp(big) if big < 709.0 else math.copysign(_INF, s)
+        return _times_exp(s, big, lambda: IntegralOverflowError(
+            f"supremum over [{x1!r}, {x2!r}] exceeds the float range"))
 
     if x2 != _INF:
         ends = [value(x2)]
@@ -621,11 +616,7 @@ def sup_terms(terms: Sequence[LogTerm]) -> float:
         ends = [top.coef if order == (0.0, 0.0, 0.0) else 0.0]
     else:  # falls to -inf
         ends = []
-    best = max([value(x1)] + ends + [value(x) for x in _falling_turns(terms)])
-    if best == _INF:
-        raise IntegralOverflowError(
-            f"supremum over [{x1!r}, {x2!r}] exceeds the float range")
-    return best
+    return max([value(x1)] + ends + [value(x) for x in _falling_turns(terms)])
 
 
 def _falling_turns(terms: list[LogTerm]) -> list[float]:

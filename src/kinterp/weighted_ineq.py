@@ -21,7 +21,7 @@ import numpy as np
 from .norms import weighted_knorm
 from .profiles import KProfile
 from .quadrature import (DivergentIntegralError, IntegralOverflowError,
-                         STANDARD_GRID, _LOG_FLOAT_MAX, _quad, golden_min,
+                         STANDARD_GRID, _quad, _times_exp, golden_min,
                          term_memo)
 from .weights import (
     WeightExpr,
@@ -95,7 +95,7 @@ def _bracket(b: WeightExpr, r: float, x: float) -> float:
     tail = _tail(b, r, x)
     if tail == _INF:
         return _INF
-    return weight_kernel_integral(b, r, r, 0.0, x) + x ** r * tail
+    return weight_kernel_integral(b, r, r, 0.0, x) + _times_power(x, r, tail)
 
 
 def _tail(b: WeightExpr, r: float, x: float) -> float:
@@ -112,8 +112,14 @@ def _bracket_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
     out = [_INF] * len(ts)
     heads = kernel_head_samples(b, r, r, [ts[i] for i in live])
     for i, head in zip(live, heads):
-        out[i] = head + ts[i] ** r * tails[i]
+        out[i] = head + _times_power(ts[i], r, tails[i])
     return out
+
+
+def _times_power(x: float, r: float, tail: float) -> float:
+    """x^r tail, as tail e^(r ln x): x^r may exceed a double where it does not."""
+    return _times_exp(tail, r * math.log(x), lambda: IntegralOverflowError(
+        f"x^{r!r} times the tail at x = {x!r} exceeds the float range"))
 
 
 def _kernel_ratio(spec: InequalitySpec, kernel: _Kernel, x: float) -> float:
@@ -154,9 +160,8 @@ def _root_ratio(spec: InequalitySpec, num: float, den: float,
     except (OverflowError, ZeroDivisionError):
         log_ratio = (math.log(num) / spec.q if num > 0.0 else -_INF) \
             - math.log(den) / spec.p
-    if log_ratio > _LOG_FLOAT_MAX:
-        raise IntegralOverflowError(f"{name} exceeds the float range")
-    return math.exp(log_ratio)
+    return _times_exp(1.0, log_ratio, lambda: IntegralOverflowError(
+        f"{name} exceeds the float range"))
 
 
 def _log_integrand(spec: InequalitySpec, samples: _Samples, x_power: float,

@@ -292,6 +292,17 @@ def test_no_hidden_sampling_grid():
     assert found == []
 
 
+def test_one_overflow_rule_in_quadrature():
+    # a canonical term overflows where the log of its value exceeds
+    # ln(float max), compared in quadrature._times_exp; a literal near 709.78
+    # is a guard on a single factor instead, which names values that fit
+    tree = ast.parse((SRC / "quadrature.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+             and 700 <= node.value <= 710]
+    assert found == []
+
+
 def _bench_spans(monkeypatch):
     import importlib.util
     import sys

@@ -201,6 +201,19 @@ def test_a_root_beyond_the_float_range_is_a_named_error():
         space_norm(KProfile.min1(), SpaceSpec(0.5, 1e-3, b))
 
 
+@pytest.mark.parametrize("q,weight,match", [
+    # a stretched canonical term whose integrand peaks near e^1200: QUADPACK
+    # met a bare OverflowError in LogTerm.integrand
+    (0.3, "explog(0.945)", r"the integral of LogTerm\(.*\) overflows"),
+    # the adaptive segment's (u^-theta b K)^q, near e^3740 at its peak
+    (30.0, "log(3.048,37.45)", r"\(u\^-0\.5 b K\)\^30\.0 at u = .* exceeds"),
+])
+def test_an_integrand_beyond_the_float_range_is_a_named_error(q, weight, match):
+    profile = parse_profile("piecewise[(0.5,0.7),(3,2)]")
+    with pytest.raises(IntegralOverflowError, match=match):
+        space_norm(profile, SpaceSpec(0.5, q, parse_weight(weight)))
+
+
 # ---------------------------------------------------------------------------
 # the sweep of the partials over a grid
 # ---------------------------------------------------------------------------

@@ -119,6 +119,144 @@ def test_finite_segment_whose_integrand_leaves_the_float_range():
         exp_pow_integral(1.0, 1801.0, 0.0, 18.4)
 
 
+@pytest.mark.parametrize("got,exact", [
+    # a value that fits in a double where a fixed guard on one factor named
+    # an overflow: a x > 700 (segment, exponential, cell), a power past the
+    # float range, and a supremum's exponent over 709
+    (lambda: exp_pow_integral(1.0, -50.0, 0.0, 701.0)[0],
+     lambda: mpmath.quad(lambda x: mpmath.e ** x * (1 + x) ** -50,
+                         [0, 600, 690, 700, 701])),
+    (lambda: exp_pow_integral(1000.0, 0.0, 0.0, 0.7098)[0],
+     lambda: mpmath.expm1(1000 * mpmath.mpf(0.7098)) / 1000),
+    (lambda: power_integral(999.0, 0.0, 1.0339912586467506),
+     lambda: ((1 + mpmath.mpf(1.0339912586467506)) ** 1000 - 1) / 1000),
+    (lambda: cell_integrals(50.0, -100.0, (), [0.0, 13.5, 14.5])[1],
+     lambda: mpmath.quad(lambda x: mpmath.e ** (50 * x) * (1 + x) ** -100,
+                         [13.5, 14, 14.5])),
+    (lambda: sup_terms([LogTerm(0.5, 1.0, 0.0, 0.0, 709.5)]),
+     lambda: mpmath.e ** mpmath.mpf(709.5) / 2),
+], ids=["segment", "exponential", "power", "cell", "supremum"])
+def test_values_near_the_float_max_are_not_overflows(got, exact):
+    with mpmath.workdps(40):
+        want = exact()
+    assert want < sys.float_info.max
+    assert abs(got() - want) <= 1e-13 * want
+
+
+def test_stretched_term_whose_integrand_leaves_the_float_range():
+    # exp(712 x^2) over [0, 1], about e^712 / 1424: its integrand passes the
+    # float range near x = 1, its value does not; with a small coefficient
+    # the integrand overflows at its exponential before the product fits
+    for coef in (1.0, -1e-10):
+        term = LogTerm(coef, 0.0, 0.0, 0.0, 1.0, ((2.0, 712.0),))
+        got, err = term_value(term)
+        with mpmath.workdps(40):
+            want = coef * mpmath.quad(lambda x: mpmath.exp(712 * x ** 2),
+                                      [0, 0.9, 0.99, 1])
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(got - want) <= err
+    # beyond it, over a finite and an infinite range
+    for term in (LogTerm(1.0, 0.0, 0.0, 0.0, 1.0, ((2.0, 720.0),)),
+                 LogTerm(1.0, -0.5, 2.0, 0.0, INF, ((0.9, 12.0),))):
+        with pytest.raises(IntegralOverflowError, match="overflows"):
+            term_value(term)
+
+
+def test_gamma_tail_bound_covers_mpmath():
+    # a < 0, beta > -1 on [x1, inf): the Q Gamma product, and the log route
+    # where a factor is not a normal float, are within their bound of
+    # 40-digit mpmath on every draw (scipy's Q is off by up to 1e-12 in its
+    # far tail, z > s + 1, and a subnormal s^-(beta+1) lost up to 2.7 %);
+    # beyond the float range the error is named
+    rng = np.random.default_rng(3141)
+    draws = [(-17.517785554231185, 104.16642276087862, 51.935551700081625)]
+    while len(draws) < 400:
+        draws.append((-math.exp(rng.uniform(math.log(0.01), math.log(700.0))),
+                      rng.uniform(-1.0, 170.0),
+                      math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))))
+    far = 0
+    for a, beta, x1 in draws:
+        want = _mp_gamma_tail(a, beta, x1)
+        if want > sys.float_info.max:
+            with pytest.raises(IntegralOverflowError):
+                exp_pow_integral(a, beta, x1, INF)
+            continue
+        got, err = exp_pow_integral(a, beta, x1, INF)
+        assert abs(got - float(want)) <= err, (a, beta, x1)
+        far += -a * (1.0 + x1) > beta + 2.0
+    assert far >= 100
+
+
+def _mp_segment(a, beta, x1, x2):
+    """int_{x1}^{x2} e^{a x} (1+x)^beta dx in 60-digit mpmath, beta not an
+    integer: with t = 1 + x, e^-a (-a)^-s Gamma(s, -a t) between the ends
+    for a < 0, and for a > 0 the antiderivative v^s/s e^v 1F1(1; s+1; -v) of
+    e^v v^(s-1) at v = a t, s = beta + 1."""
+    with mpmath.workdps(60):
+        a, s, t1, t2 = (mpmath.mpf(a), mpmath.mpf(beta) + 1,
+                        1 + mpmath.mpf(x1), 1 + mpmath.mpf(x2))
+        if a < 0:
+            return mpmath.exp(-a) * (-a) ** -s * mpmath.gammainc(s, -a * t1, -a * t2)
+
+        def anti(v):
+            return mpmath.exp(v) * v ** s / s * mpmath.hyp1f1(1, s + 1, -v)
+        return mpmath.exp(-a) * a ** -s * (anti(a * t2) - anti(a * t1))
+
+
+def _log_peak(a, beta, x1, x2):
+    """The largest a x + beta ln(1+x) on [x1, x2]."""
+    xs = [x1, x2] + ([-beta / a - 1.0] if x1 < -beta / a - 1.0 < x2 else [])
+    return max(a * x + beta * math.log1p(x) for x in xs)
+
+
+def test_segments_and_cells_against_mpmath():
+    # finite segments and single cells, a in +-(0.01, 60), beta in +-(0, 300)
+    # and ends in [0, 40]; in most draws beta puts the peak of the integrand,
+    # times the width, near the float max.  A value that fits is within
+    # 2e-13 of mpmath (1e-12 outside [1e-200, 1e200]; the rounding of the
+    # scale's exponent a xm + beta ln(1+xm) reaches 1.2e-13 in rare draws),
+    # and the scalar route's bound covers the gap; one that does not fit
+    # raises the named error on both routes
+    rng = np.random.default_rng(1729)
+    near = over = 0
+    for i in range(400):
+        a = math.copysign(math.exp(rng.uniform(math.log(0.01), math.log(60.0))),
+                          rng.uniform(-1.0, 1.0))
+        beta = math.copysign(math.exp(rng.uniform(math.log(1e-3), math.log(300.0))),
+                             rng.uniform(-1.0, 1.0))
+        w = math.exp(rng.uniform(math.log(1e-3), math.log(0.05))) if i % 2 \
+            else rng.uniform(0.01, 40.0)
+        x1 = rng.uniform(0.0, 40.0 - w)
+        x2 = x1 + w
+        if rng.random() < 0.7:  # bisect beta onto the target
+            target = math.log(sys.float_info.max) + rng.uniform(-4.0, 4.0)
+            lo, hi = -300.0, 300.0
+
+            def miss(b):
+                return _log_peak(a, b, x1, x2) + math.log(min(w, 1.0)) - target
+            if miss(lo) < 0.0 < miss(hi):
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if miss(mid) > 0.0 else (mid, hi)
+                beta = lo
+        want = _mp_segment(a, beta, x1, x2)
+        near += abs(float(mpmath.log(want)) - math.log(sys.float_info.max)) < 5.0
+        if want > sys.float_info.max:
+            over += 1
+            for integral in (lambda: exp_pow_integral(a, beta, x1, x2),
+                             lambda: cell_integrals(a, beta, (), [x1, x2])):
+                with pytest.raises(IntegralOverflowError):
+                    integral()
+            continue
+        want = float(want)
+        tol = 2e-13 if 1e-200 <= want <= 1e200 else 1e-12
+        got, err = exp_pow_integral(a, beta, x1, x2)
+        cell = cell_integrals(a, beta, (), [x1, x2])[0]
+        assert abs(got - want) <= min(tol * want, err), (a, beta, x1, x2)
+        assert abs(cell - want) <= tol * want, (a, beta, x1, x2)
+    assert near >= 150 and over >= 50
+
+
 def test_power_integral_beyond_the_float_range_is_named():
     # (1+x)^1259.6 over [0, 0.86], the head bound of a negative-demo weight,
     # raised a bare OverflowError; the zero end is named without its sign
@@ -576,10 +714,20 @@ def test_wide_cells_go_to_the_scalar_terms(monkeypatch):
 
 
 def test_cell_overflow_is_named_as_the_scalar_term():
-    # e^{50x} (1+x)^-100 past x = 14: a x > 700 at the cell's upper end
-    with pytest.raises(IntegralOverflowError, match=r"over \[13\.5, 14\.5\]"):
-        cell_integrals(50.0, -100.0, (), [0.0, 13.5, 14.5])
-    assert np.isfinite(cell_integrals(50.0, -100.0, (), [0.0, 13.5, 13.9])).all()
+    # e^{50x} (1+x)^-10 over [14, 15] is about e^722, beyond the float range:
+    # the cell names it as the scalar term does
+    for integral in (lambda: cell_integrals(50.0, -10.0, (), [0.0, 14.0, 15.0]),
+                     lambda: exp_pow_integral(50.0, -10.0, 14.0, 15.0)):
+        with pytest.raises(IntegralOverflowError,
+                           match=r"\(1\+x\)\^-10\.0 dx over \[14\.0, 15\.0\]"):
+            integral()
+    # e^{50x} (1+x)^-100 over [13.5, 14.5] has a x up to 725 but fits in a
+    # double, 1.554e194: it is a value, not an overflow
+    with mpmath.workdps(40):
+        want = mpmath.quad(lambda x: mpmath.e ** (50 * x) * (1 + x) ** -100,
+                           [13.5, 14, 14.5])
+    got = cell_integrals(50.0, -100.0, (), [0.0, 13.5, 14.5])[1]
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_running_sums_in_either_direction():
@@ -600,6 +748,16 @@ def test_running_sums_in_either_direction():
         assert up[i] == pytest.approx(1.5 + exact(xs[0], x), rel=1e-14)
         assert down[-1 - i] == pytest.approx(-0.25 + exact(x, xs[-1]), rel=1e-13)
     assert running_sums(terms, [2.0], 3.0) == [3.0]
+
+
+def test_a_coefficient_past_the_float_range_is_not_a_divergence():
+    # 1e10 times int_0^700 e^x dx, about 1e314, on a finite segment: the
+    # product overflows; the sum named it a divergence at infinity
+    term = LogTerm(1e10, 1.0, 0.0, 0.0, 700.0)
+    with pytest.raises(quadrature.NonFiniteIntegrandError):
+        integrate_terms([term])
+    with term_memo(), pytest.raises(quadrature.NonFiniteIntegrandError):
+        integrate_terms([term])
 
 
 def test_a_divergent_term_decides_before_any_term_is_evaluated(monkeypatch):

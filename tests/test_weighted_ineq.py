@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -172,18 +173,37 @@ def test_a_ratio_beyond_the_float_range_is_named():
 
 
 def test_a2_kernel_beyond_the_float_range_is_named():
-    # the head of v at p = 50 integrates e^{50x} (1+x)^-100, which exceeds
-    # a double past x = 14 (a x > 700); the scalar kernel, the grid sampler
-    # and the constant all name it
+    # the head of v at p = 60 integrates e^{60x} (1+x)^-120 up to x = ln 1e8,
+    # about e^745, beyond a double; the scalar kernel, the grid sampler and
+    # the constant all name it
     v = parse_weight("log(0,-2)")
-    spec = InequalitySpec(50.0, 1.0, v, v)
-    overflow = r"\(1\+x\)\^-100\.0 dx over .* overflows"
+    with mpmath.workdps(40):
+        assert _mp_kernels(v, 60.0, 1e8)[0] > sys.float_info.max
+    spec = InequalitySpec(60.0, 1.0, v, v)
+    overflow = r"\(1\+x\)\^-120\.0 dx over .* overflows"
     with pytest.raises(quadrature.IntegralOverflowError, match=overflow):
-        _bracket(v, 50.0, 1e8)
+        _bracket(v, 60.0, 1e8)
     with pytest.raises(quadrature.IntegralOverflowError, match=overflow):
-        _bracket_samples(v, 50.0, _TRAPEZOID_TS)
+        _bracket_samples(v, 60.0, _TRAPEZOID_TS)
     with pytest.raises(quadrature.IntegralOverflowError, match=overflow):
         compute_constant(spec, "A2")
+
+
+def test_a2_kernel_near_the_float_max_is_a_value():
+    # at p = 50 the kernel of v at t = 1e8 is 3.2579e270 (the head 3.3e269
+    # plus x^r = 1e400 times the tail 2.9e-130): every kernel fits in a
+    # double, so the scalar kernel and the grid sampler give its value, and
+    # the constant is a value too, +inf, as the A2 integrand of w = v tends
+    # to a constant at the infinite end
+    v = parse_weight("log(0,-2)")
+    with mpmath.workdps(40):
+        head = _mp_kernels(v, 50.0, 1e8)[0]
+        # int_x^inf (1+x)^-100 dx in closed form; mpmath.quad is 2.5e-5 off
+        tail = (1 + mpmath.log(1e8)) ** -99 / 99
+        want = float(head + mpmath.mpf(1e8) ** 50 * tail)
+    assert abs(_bracket(v, 50.0, 1e8) - want) <= 1e-13 * want
+    assert abs(_bracket_samples(v, 50.0, [1.0, 1e8])[1] - want) <= 1e-13 * want
+    assert compute_constant(InequalitySpec(50.0, 1.0, v, v), "A2").value == INF
 
 
 def test_a2_of_a_w_without_a_finite_tail_is_infinite():
