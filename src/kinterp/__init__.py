@@ -62,7 +62,6 @@ from .reiteration import (
     ReiterationSpec,
     LKSpec,
     build_tilde_b,
-    build_hat_b,
     log_derivative_check,
     reiteration_check,
     lorentz_karamata_norm,

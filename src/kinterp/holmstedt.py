@@ -30,6 +30,7 @@ from .norms import (
     check_condition_monotone_index,
     index,
     quasi_monotone_constant,
+    segments_norm,
     space_norm,
     sweep_partials,
 )
@@ -37,9 +38,9 @@ from .profiles import (
     KProfile,
     K_from_rearrangement,
     Rearrangement,
+    TruncationLevels,
     conjugate_profile,
     realize_rearrangement,
-    truncation_split,
 )
 from .quadrature import (GridSpec, IntegralOverflowError, SCAN_GRID,
                          STANDARD_GRID, golden_min, term_memo)
@@ -190,13 +191,21 @@ PLATEAU_RTOL = 1e-4
 
 
 class DecompositionTable:
-    """Cached piece norms N0(lam), N1(lam) for one profile and one space pair.
+    """The piece norms N0(lam) = ||f0(lam)||_{X0} and N1(lam) =
+    ||f1(lam)||_{X1} of the truncation family of one profile on one space
+    pair, at every level of a fixed set, and the infimum over lam of
+    N0 + s N1 for a given s (:meth:`best`).
 
-    The objective N0(lam) + s*N1(lam) is then a vector operation per scan row,
-    and the golden-section refinement memoizes any extra levels it probes.
-    The levels share segments whose terms differ only in ``coef``, so inside
-    a scan (see :func:`equivalence_scan`) each such integral is computed
-    once.
+    The levels are f*'s node values and :data:`LAMBDA_GRID_POINTS`
+    log-spaced ones between the smallest and the largest; both norms are
+    computed at each when the table is built.  :meth:`best` takes the
+    minimum over them in a Python loop, then runs a golden section between
+    the neighbours of the argmin to :data:`PLATEAU_RTOL`, and the norms of
+    each level it probes are memoized.  Each level's K0 and K1 are read from
+    K's own segments cut at the crossing point (:class:`TruncationLevels`),
+    with no curve built; the levels share segments whose terms differ only
+    in ``coef``, so inside a scan (see :func:`equivalence_scan`) each such
+    integral is computed once.
     """
 
     def __init__(self, f: Rearrangement, X0: SpaceSpec, X1: SpaceSpec):
@@ -206,6 +215,7 @@ class DecompositionTable:
         K = K_from_rearrangement(f)
         self.norm_full_0 = space_norm(K, X0)
         self.norm_full_1 = space_norm(K, X1)
+        self._truncations = TruncationLevels(f)
         self._memo: dict[float, tuple[float, float]] = {}
         levels = f.node_values()
         if levels:
@@ -222,9 +232,9 @@ class DecompositionTable:
         got = self._memo.get(lam)
         if got is not None:
             return got
-        f0, f1 = truncation_split(self.f, lam)
-        n0 = space_norm(K_from_rearrangement(f0), self.X0)
-        n1 = space_norm(K_from_rearrangement(f1), self.X1)
+        segs0, segs1 = self._truncations.split(lam)
+        n0 = segments_norm(segs0, self.X0.theta, self.X0.q, self.X0.b)
+        n1 = segments_norm(segs1, self.X1.theta, self.X1.q, self.X1.b)
         self._memo[lam] = (n0, n1)
         return n0, n1
 

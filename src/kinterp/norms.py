@@ -14,11 +14,11 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .profiles import Atom, KProfile, PiecewiseCurve
+from .profiles import Atom, KProfile, PiecewiseCurve, Segment, _atom_eval
 from .quadrature import (
     AT_INFINITY,
     AT_ZERO,
@@ -39,6 +39,7 @@ __all__ = [
     "IndexPair",
     "ConditionReport",
     "space_norm",
+    "segments_norm",
     "sweep_partials",
     "weighted_knorm",
     "index",
@@ -125,15 +126,16 @@ def _expand_piece(atoms: Sequence[Atom], q: float) -> Optional[list[Atom]]:
     return out
 
 
-def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
+def _segment_adaptive(K: Callable[[float], float], theta: float, q: float,
                       b, u0: float, u1: float) -> tuple[float, float]:
-    """Adaptive fallback for one segment; returns (value, error)."""
+    """Adaptive fallback for one segment on which the profile is ``K``;
+    returns (value, error)."""
 
     def f(x: float) -> float:
         if abs(x) > 690.0:
             return 0.0
         u = math.exp(x)
-        ku = curve(u)
+        ku = K(u)
         if ku <= 0.0:
             return 0.0
         try:
@@ -154,20 +156,10 @@ def _segment_adaptive(curve: PiecewiseCurve, theta: float, q: float,
     return _quad(f, x1, x2)
 
 
-def _segments(curve: PiecewiseCurve, lo: float, hi: float
-              ) -> Iterator[tuple[float, float, str, Sequence[Atom]]]:
+def _segments(curve: PiecewiseCurve, lo: float, hi: float) -> Iterator[Segment]:
     """(u0, u1, side, atoms) for each nonzero piece of the curve on (lo, hi),
     cut at 1 and at the curve's breakpoints."""
-    if not lo < hi:
-        return
-    br = curve.breaks
-    cuts = [lo, *br[bisect.bisect_right(br, lo):bisect.bisect_left(br, hi)], hi]
-    if lo < 1.0 < hi and 1.0 not in br:
-        bisect.insort(cuts, 1.0)
-    for u0, u1 in zip(cuts[:-1], cuts[1:]):
-        atoms = curve.pieces[curve.piece_index(u1)]
-        if atoms:
-            yield u0, u1, "lo" if u1 <= 1.0 else "hi", atoms
+    return (seg for seg in curve.sided_segments(lo, hi) if seg[3])
 
 
 def _segment_terms(theta: float, q: float, b, side: str,
@@ -186,15 +178,18 @@ def _segment_terms(theta: float, q: float, b, side: str,
     return terms
 
 
-def _segment_integral(curve: PiecewiseCurve, theta: float, q: float, b,
-                      side: str, atoms: Sequence[Atom], u0: float, u1: float
+def _segment_integral(theta: float, q: float, b, side: str,
+                      atoms: Sequence[Atom], u0: float, u1: float
                       ) -> IntegralResult:
-    """int_u0^u1 (u^-theta b K)^q du/u on one segment of the curve: its
-    canonical terms, or the adaptive fallback."""
+    """int_u0^u1 (u^-theta b K)^q du/u on one segment on which K is the sum
+    of ``atoms``: its canonical terms, or the adaptive fallback, which
+    evaluates the atoms as the curve does inside the segment."""
     terms = _segment_terms(theta, q, b, side, atoms, u0, u1)
     if terms is not None:
         return integrate_terms(terms)
-    v, e = _segment_adaptive(curve, theta, q, b, u0, u1)
+    v, e = _segment_adaptive(
+        lambda u: math.fsum(_atom_eval(a, u) for a in atoms),
+        theta, q, b, u0, u1)
     return IntegralResult(v, e if v != _INF else _INF, None if v != _INF
                           else (AT_ZERO if side == "lo" else AT_INFINITY))
 
@@ -208,27 +203,31 @@ def _segment_sup(theta: float, b: WeightExpr, side: str,
                                 side, u0, u1))
 
 
-def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
-                   b: WeightExpr, lo: float = 0.0, hi: float = _INF
-                   ) -> IntegralResult:
-    """int_lo^hi (u^{-theta} b(u) K(u))^q du/u with K given as a curve.
-
-    Returns the q-th power of the quasi-norm (callers take the root), +inf
-    with the divergent end when the integral blows up.  This is the
-    pointwise path: each call integrates every segment of (lo, hi) itself,
-    through the term memo when a :func:`~kinterp.quadrature.term_memo`
-    scope is open.  The partials of a whole grid of cuts come from
-    :func:`sweep_partials`, which agrees with it to 1e-13.
-    """
+def _segments_integral(segs: Iterable[Segment], theta: float, q: float, b
+                       ) -> IntegralResult:
+    """The sum of :func:`_segment_integral` over the segments, in order;
+    the first divergent one's result when one diverges."""
     total = 0.0
     err = 0.0
-    for u0, u1, side, atoms in _segments(curve, lo, hi):
-        res = _segment_integral(curve, theta, q, b, side, atoms, u0, u1)
+    for u0, u1, side, atoms in segs:
+        res = _segment_integral(theta, q, b, side, atoms, u0, u1)
         if res.divergent:
             return res
         total += res.value
         err += res.error_bound
     return IntegralResult(total, err)
+
+
+def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
+                   b: WeightExpr) -> IntegralResult:
+    """int_0^inf (u^{-theta} b(u) K(u))^q du/u with K given as a curve.
+
+    Returns the q-th power of the quasi-norm (callers take the root), +inf
+    with the divergent end when the integral blows up.  Each segment goes
+    through the term memo when a :func:`~kinterp.quadrature.term_memo`
+    scope is open.
+    """
+    return _segments_integral(_segments(curve, 0.0, _INF), theta, q, b)
 
 
 def _root(value: float, q: float, theta: float, lo: float, hi: float
@@ -244,18 +243,29 @@ def _root(value: float, q: float, theta: float, lo: float, hi: float
             f"{hi:g}) exceeds the float range") from None
 
 
-def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
-                lo: float = 0.0, hi: float = _INF) -> float:
-    """||u^{-theta} b(u) K(u)||_{q,(lo,hi)} with the measure du/u; +inf when
+def segments_norm(segs: Iterable[Segment], theta: float, q: float,
+                  b: WeightExpr, lo: float = 0.0, hi: float = _INF) -> float:
+    """||u^{-theta} b(u) K(u)||_{q,(lo,hi)} with the measure du/u, for K
+    given by its nonzero segments on (lo, hi), each on one side of 1
+    (:meth:`~kinterp.profiles.PiecewiseCurve.sided_segments`); +inf when
     divergent.  For q = inf it is the largest exact supremum of the q = 1
-    terms of each segment."""
+    terms of each segment.  This is the pointwise path: each call
+    integrates every segment itself, through the term memo when a scope is
+    open; the partials of a whole grid of cuts come from
+    :func:`sweep_partials`, which agrees with it to 1e-13."""
     if q != _INF:
-        res = weighted_knorm(curve, theta, q, b, lo, hi)
+        res = _segments_integral(segs, theta, q, b)
         return _root(res.value, q, theta, lo, hi)
     best = 0.0
-    for u0, u1, side, atoms in _segments(curve, lo, hi):
+    for u0, u1, side, atoms in segs:
         best = max(best, _segment_sup(theta, b, side, atoms, u0, u1))
     return best
+
+
+def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
+                lo: float = 0.0, hi: float = _INF) -> float:
+    """:func:`segments_norm` of the curve's segments on (lo, hi)."""
+    return segments_norm(_segments(curve, lo, hi), theta, q, b, lo, hi)
 
 
 def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
@@ -283,7 +293,7 @@ def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
         _, _, side, atoms = segs[j]
         if sup:
             return _segment_sup(theta, b, side, atoms, lo, hi)
-        return _segment_integral(curve, theta, q, b, side, atoms, lo, hi).value
+        return _segment_integral(theta, q, b, side, atoms, lo, hi).value
 
     def whole(j: int) -> float:
         return value(j, *segs[j][:2]) if terms[j] is None \

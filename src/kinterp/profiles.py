@@ -37,6 +37,7 @@ __all__ = [
     "K_from_rearrangement",
     "realize_rearrangement",
     "truncation_split",
+    "TruncationLevels",
     "conjugate_profile",
     "profile_suite",
     "random_rearrangement",
@@ -86,6 +87,11 @@ def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(merged)
 
 
+#: (u0, u1, side, atoms): a piece of a curve on (u0, u1), on the side of 1
+#: ("lo" or "hi") that a weight's side form belongs to
+Segment = tuple[float, float, str, tuple[Atom, ...]]
+
+
 class PiecewiseCurve:
     """Finite atom sums between breakpoints 0 < b_1 < ... < b_m < inf."""
 
@@ -127,6 +133,22 @@ class PiecewiseCurve:
         with a log atom lies on one side of 1, the lower one when hi <= 1."""
         edges = (0.0,) + self.breaks + (_INF,)
         return zip(edges[:-1], edges[1:], self.pieces)
+
+    def sided_segments(self, lo: float = 0.0, hi: float = _INF
+                       ) -> Iterator[Segment]:
+        """(u0, u1, side, piece) of each piece on (lo, hi), empty ones
+        included, cut at the breaks and at 1: the side is "lo" when u1 <= 1
+        and "hi" otherwise."""
+        if not lo < hi:
+            return
+        br = self.breaks
+        cuts = [lo, *br[bisect.bisect_right(br, lo):bisect.bisect_left(br, hi)],
+                hi]
+        if lo < 1.0 < hi and 1.0 not in br:
+            bisect.insort(cuts, 1.0)
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            yield (u0, u1, "lo" if u1 <= 1.0 else "hi",
+                   self.pieces[self.piece_index(u1)])
 
     def __call__(self, t) -> float:
         t = float(t)
@@ -530,17 +552,31 @@ def _hull_realization(phi: KProfile) -> Rearrangement:
 # Truncation
 # ---------------------------------------------------------------------------
 
-def _crossing_point(f: Rearrangement, lam: float) -> float:
-    """Largest t with f*(t) >= lam (0 when f* < lam everywhere, inf when
-    f* >= lam everywhere)."""
-    curve = f.curve
-    probes = [1e-12] + list(curve.breaks) + [max(list(curve.breaks) or [1.0]) * 1e12]
-    prev_t = probes[0]
-    if curve(prev_t) < lam:
-        return 0.0
-    for t in probes[1:]:
+def _crossing_probes(curve: PiecewiseCurve
+                     ) -> tuple[float, list[tuple[float, float, float]]]:
+    """f*'s values at the probes of :func:`_crossing_point`, which do not
+    depend on the level: (f*(1e-12), [(t, f*(t (1 - 1e-15)), f*(t (1 +
+    1e-15))) for t = each break, then the largest break (or 1) times
+    1e12]); the last probe has no right value and repeats its left one."""
+    probes = list(curve.breaks) + [max(list(curve.breaks) or [1.0]) * 1e12]
+    rows = []
+    for t in probes:
         v = curve(t * (1.0 - 1e-15))
-        v_right = curve(t * (1.0 + 1e-15)) if t < probes[-1] else v
+        rows.append((t, v, curve(t * (1.0 + 1e-15)) if t < probes[-1] else v))
+    return curve(1e-12), rows
+
+
+def _crossing_point(f: Rearrangement, lam: float,
+                    probes: Optional[tuple[float, list]] = None) -> float:
+    """Largest t with f*(t) >= lam (0 when f* < lam everywhere, inf when
+    f* >= lam everywhere); ``probes`` are f*'s :func:`_crossing_probes`,
+    computed here when not given."""
+    curve = f.curve
+    first, rows = _crossing_probes(curve) if probes is None else probes
+    prev_t = 1e-12
+    if first < lam:
+        return 0.0
+    for t, v, v_right in rows:
         if v >= lam and v_right < lam:
             return t
         if v < lam:
@@ -568,6 +604,19 @@ def _crossing_point(f: Rearrangement, lam: float) -> float:
     return math.exp(0.5 * (x_lo + x_hi))
 
 
+def _truncated_atoms(piece: Sequence[Atom], below: bool, lam: float,
+                     shift: float) -> tuple[tuple[Atom, ...], tuple[Atom, ...]]:
+    """The atoms of K0 and K1 on a piece of K = K0 + K1 that lies below (or
+    above) the crossing point m of level lam, with shift = lam m - K(m):
+    K1 = lam t below m and K + shift above it, so K1(t) = lam min(t, m) +
+    (K(t) - K(m))_+.  ``piece`` is merged, as every piece of a curve is."""
+    if below:
+        return _merge_atoms((*piece, Atom(-lam, 1.0))), (Atom(lam, 1.0),)
+    if shift == 0.0:
+        return (), tuple(piece)
+    return (Atom(-shift, 0.0),), _merge_atoms((*piece, Atom(shift, 0.0)))
+
+
 def truncation_split(f: Rearrangement, lam: float
                      ) -> tuple[Rearrangement, Rearrangement]:
     """(f0, f1) with f1 = min(f*, lam) and f0 = (f* - lam)_+ , exactly additive."""
@@ -576,15 +625,14 @@ def truncation_split(f: Rearrangement, lam: float
     if f.curve.is_zero():
         return Rearrangement.zero(), Rearrangement.zero()
     t_cross = _crossing_point(f, lam)
-    K = f.integral_curve if f.integral_curve is not None \
-        else f.curve.antiderivative()
+    K = K_from_rearrangement(f).curve
     if t_cross == 0.0:
         return Rearrangement.zero(), Rearrangement(f.curve, K, f.label,
                                                    validate=False)
     if t_cross == _INF:
         f0c = PiecewiseCurve(f.curve.breaks, [tuple(p) + (Atom(-lam, 0.0),)
                                               for p in f.curve.pieces])
-        K0 = PiecewiseCurve(K.breaks, [tuple(p) + (Atom(-lam, 1.0),)
+        K0 = PiecewiseCurve(K.breaks, [_truncated_atoms(p, True, lam, 0.0)[0]
                                        for p in K.pieces])
         return (Rearrangement(f0c, K0, "f0", validate=False),
                 Rearrangement(PiecewiseCurve((), ((Atom(lam, 0.0),),)),
@@ -602,15 +650,64 @@ def truncation_split(f: Rearrangement, lam: float
     f0c = PiecewiseCurve(base.breaks, f0_pieces)
 
     shift = lam * t_cross - Kb(t_cross)
-    K1_pieces = [(Atom(lam, 1.0),)] * (idx_k + 1) \
-        + [tuple(p) + ((Atom(shift, 0.0),) if shift != 0.0 else ())
-           for p in Kb.pieces[idx_k + 1:]]
-    K1 = PiecewiseCurve(Kb.breaks, K1_pieces)
-    K0_pieces = [tuple(p) + (Atom(-lam, 1.0),) for p in Kb.pieces[:idx_k + 1]] \
-        + [((Atom(-shift, 0.0),) if shift != 0.0 else ())] * (len(Kb.pieces) - idx_k - 1)
-    K0 = PiecewiseCurve(Kb.breaks, K0_pieces)
-    return (Rearrangement(f0c, K0, "f0", validate=False),
-            Rearrangement(f1c, K1, "f1", validate=False))
+    K0_pieces, K1_pieces = zip(*(_truncated_atoms(p, i <= idx_k, lam, shift)
+                                 for i, p in enumerate(Kb.pieces)))
+    return (Rearrangement(f0c, PiecewiseCurve(Kb.breaks, K0_pieces), "f0",
+                          validate=False),
+            Rearrangement(f1c, PiecewiseCurve(Kb.breaks, K1_pieces), "f1",
+                          validate=False))
+
+
+class TruncationLevels:
+    """The truncation family f* = (f* - lam)_+ + min(f*, lam) of one
+    rearrangement, read level by level from K's own segments.
+
+    Built once: K, its segments cut at its breaks and at 1 (the cuts of
+    :meth:`PiecewiseCurve.sided_segments`), and f*'s values at the probes
+    of the crossing search.  Each level then costs its crossing point m and
+    one atom merge per segment (:func:`_truncated_atoms`); it builds no
+    curve and no rearrangement.  The segments are those of the K0 and K1 of
+    :func:`truncation_split`, atom for atom.
+    """
+
+    __slots__ = ("f", "K", "_probes", "_segments")
+
+    def __init__(self, f: Rearrangement):
+        self.f = f
+        self.K = K_from_rearrangement(f).curve
+        self._probes = _crossing_probes(f.curve)
+        self._segments = list(self.K.sided_segments(0.0, _INF))
+
+    def split(self, lam: float) -> tuple[list[Segment], list[Segment]]:
+        """The nonzero segments (u0, u1, side, atoms) of K0 and K1 at level
+        lam > 0; K0 has none where f0 = (f* - lam)_+ vanishes."""
+        if lam <= 0.0:
+            raise ValueError("truncation level must be positive")
+        curve = self.f.curve
+        if curve.is_zero():
+            return [], []
+        m = _crossing_point(self.f, lam, self._probes)
+        if m == 0.0:
+            return [], [s for s in self._segments if s[3]]
+        # f0 = f* - lam up to m vanishes where each piece there is lam itself
+        upto = len(curve.pieces) if m == _INF else curve.piece_index(m) + 1
+        f0_zero = all(p == (Atom(lam, 0.0),) for p in curve.pieces[:upto])
+        shift = 0.0 if m == _INF else lam * m - self.K(m)
+        segs0: list[Segment] = []
+        segs1: list[Segment] = []
+        for u0, u1, side, piece in self._segments:
+            parts = ((u0, u1, u1 <= m),) if u1 <= m or u0 >= m \
+                else ((u0, m, True), (m, u1, False))
+            for lo, hi, below in parts:
+                a0, a1 = _truncated_atoms(piece, below, lam, shift)
+                if a0 and not f0_zero:
+                    segs0.append((lo, hi, side, a0))
+                if a1:
+                    segs1.append((lo, hi, side, a1))
+        if m == _INF:  # truncation_split's f1 = lam is one piece, cut at 1
+            segs1 = [(0.0, 1.0, "lo", (Atom(lam, 1.0),)),
+                     (1.0, _INF, "hi", (Atom(lam, 1.0),))]
+        return segs0, segs1
 
 
 # ---------------------------------------------------------------------------

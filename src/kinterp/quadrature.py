@@ -30,7 +30,7 @@ import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
@@ -122,7 +122,8 @@ class IntegralResult:
 
 
 class NonFiniteIntegrandError(ValueError):
-    """A term value, or its coefficient times it, is NaN or a signed infinity."""
+    """A term value is NaN, or a signed infinity that is not its coefficient
+    times a finite integral (that one is an :class:`IntegralOverflowError`)."""
 
 
 class IntegralOverflowError(ValueError):
@@ -253,6 +254,35 @@ def power_integral(beta: float, x1: float, x2: float) -> float:
                           lambda: _overflow(0.0, beta, x1 + 0.0, x2))
 
 
+def _power_integral_error(beta: float, x1: float, x2: float, val: float
+                          ) -> float:
+    """A bound on the rounding error of ``val = power_integral(beta, x1,
+    x2)``, computed apart so that the function itself costs nothing more.
+
+    Each power (1+x)^s, s = beta + 1, carries the rounding of 1 + x times
+    |s| plus its own, and their difference cancels: the bound is (|s| + 2)
+    eps (A + B) / |s| + eps |val| with A = (1+x2)^s (0 when x2 = inf) and
+    B = (1+x1)^s.  The log1p form for beta = -1 carries eps ln(1+x) per
+    end.  Where A leaves the float range the value is e^(s l2) times
+    -expm1(s (l1 - l2)) / s, l = ln(1+x): (A + B) / s is |val| (1 + r) /
+    (1 - r), r = e^(s (l1 - l2)), and the exponents add eps s (l1 + l2) to
+    the cancelled ratio and eps s l2 to the scale.
+    """
+    if beta == -1.0:
+        return _EPS * (math.log1p(x1) + math.log1p(x2) + abs(val))
+    s = beta + 1.0
+    try:
+        powers = (1.0 + x1) ** s + (1.0 + x2) ** s
+    except OverflowError:  # s > 0 and x2 > x1
+        l1, l2 = math.log1p(x1), math.log1p(x2)
+        if not (val and l1 < l2):
+            return _INF
+        cancel = (1.0 + math.exp(s * (l1 - l2))) / -math.expm1(s * (l1 - l2))
+        return _EPS * abs(val) * ((s + 2.0 + s * (l1 + l2)) * cancel
+                                  + s * l2 + 1.0)
+    return (abs(s) + 2.0) * _EPS * powers / abs(s) + _EPS * abs(val)
+
+
 #: 1/2 ln(2 pi), and the Stirling coefficients B_2k / (2k (2k-1)), k = 1..8
 _HALF_LN_2PI = Decimal("0.9189385332046727417803297364056176398614")
 _STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
@@ -352,7 +382,7 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
         raise ValueError("divergent exp_pow_integral")
     if a == 0.0:
         val = power_integral(beta, x1, x2)
-        return val, 4e-16 * abs(val)
+        return val, _power_integral_error(beta, x1, x2, val)
     if beta == 0.0:  # e^{a xm} times the rest, xm the larger end
         xm = x2 if a > 0.0 else x1
         rest = -math.expm1(-abs(a) * (x2 - x1))  # 1 when x2 = inf
@@ -548,6 +578,10 @@ def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
     for term in terms:
         v, e = term_value(term) if memo is None else _memo_value(term, memo)
         if not math.isfinite(v):  # not a divergence, which is decided above
+            if v == v and math.isfinite(term_value(replace(term, coef=1.0))[0]):
+                raise IntegralOverflowError(
+                    f"the coefficient times the integral of {term} exceeds "
+                    "the float range")
             raise NonFiniteIntegrandError(
                 f"non-finite term value for a={term.a} beta={term.beta}")
         total += v

@@ -54,7 +54,6 @@ __all__ = [
     "ReiterationSpec",
     "LKSpec",
     "build_tilde_b",
-    "build_hat_b",
     "log_derivative_check",
     "LogDerivativeReport",
     "reiteration_check",
@@ -195,13 +194,6 @@ def build_tilde_b(spec: ReiterationSpec) -> CompositeWeight:
     """Composite weight of the lower-limiting reiteration (side 0)."""
     if spec.side != 0:
         raise ValueError("build_tilde_b needs a side-0 spec")
-    return CompositeWeight(spec)
-
-
-def build_hat_b(spec: ReiterationSpec) -> CompositeWeight:
-    """Composite weight of the upper-limiting reiteration (side 1)."""
-    if spec.side != 1:
-        raise ValueError("build_hat_b needs a side-1 spec")
     return CompositeWeight(spec)
 
 

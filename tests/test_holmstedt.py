@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from kinterp.holmstedt import (
     HolmstedtCase,
     HypothesisError,
     ScanRow,
+    _decomposition_table,
     _rhs,
     equivalence_scan,
     incompatibility_M,
@@ -20,14 +22,19 @@ from kinterp.holmstedt import (
     verify_hypotheses,
 )
 from kinterp.norms import SpaceSpec, space_norm
+from kinterp import profiles
 from kinterp.profiles import (
+    Atom,
     KProfile,
     K_from_rearrangement,
+    PiecewiseCurve,
     Rearrangement,
+    _crossing_point,
     conjugate_profile,
     parse_profile,
     profile_suite,
     realize_rearrangement,
+    truncation_split,
 )
 from kinterp.quadrature import GridSpec, IntegralOverflowError, STANDARD_GRID
 from kinterp.weights import Flip, One, parse_weight
@@ -561,3 +568,93 @@ def test_explog_scan_rows_near_one_against_mpmath():
     for r in near:
         exact = _mp_rhs(EXPLOG_SCAN, K, r.t, index_value(EXPLOG_SCAN, r.t))
         assert abs(r.rhs - exact) <= 1e-13 * exact
+
+
+# ---------------------------------------------------------------------------
+# truncation levels read from K's segments
+# ---------------------------------------------------------------------------
+
+def _split_norms(f, X0, X1, lam):
+    """(N0, N1) at level lam through the curves of ``truncation_split``."""
+    f0, f1 = truncation_split(f, lam)
+    return (space_norm(K_from_rearrangement(f0), X0),
+            space_norm(K_from_rearrangement(f1), X1))
+
+
+def _crossing_kind(f, lam):
+    """Where the crossing point m of level lam falls."""
+    m = _crossing_point(f, lam)
+    if m in (0.0, INF):
+        return "m = 0" if m == 0.0 else "m = inf"
+    if m in f.curve.breaks:
+        return "m on a break"
+    piece = f.curve.pieces[f.curve.piece_index(m)]
+    return "m in a log piece" if any(a.logexp for a in piece) \
+        else "m in a power piece"
+
+
+def test_table_levels_equal_the_split_norms_bit_for_bit(w_one, w_l02, w_l03):
+    stairs = Rearrangement.staircase((0.01, 1.0, 50.0), (4.0, 1.0, 0.25))
+    powerlog = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
+    flat = realize_rearrangement(KProfile.power(1.0))  # f* = 1 everywhere
+    X00 = (SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03))
+    # q = inf on one side, and q = 1.5, whose two-atom pieces integrate
+    # adaptively
+    mixed = (SpaceSpec(0.25, INF, w_one), SpaceSpec(0.75, 1.5, w_l02))
+    case11 = HolmstedtCase("limiting11", 2.0, 1.0, Flip(w_l02), Flip(w_l03))
+    conj = _decomposition_table(case11, MIN1)
+    panel = [
+        (DecompositionTable(stairs, *X00), [5.0]),
+        (DecompositionTable(stairs, *mixed), [5.0]),
+        (DecompositionTable(Rearrangement.power(0.5, support=1.0), *X00), []),
+        (DecompositionTable(powerlog, *X00), []),
+        (DecompositionTable(powerlog, *mixed), []),
+        (DecompositionTable(flat, SpaceSpec(0.25, 1.0, w_one),
+                            SpaceSpec(0.75, 2.0, w_one)), [0.5]),
+        (conj, []),
+    ]
+    kinds = set()
+    for table, extra in panel:
+        for lam in table.levels + extra:
+            assert table.piece_norms(lam) \
+                == _split_norms(table.f, table.X0, table.X1, lam)
+            kinds.add(_crossing_kind(table.f, lam))
+            if any(p == (Atom(lam, 0.0),) for p in table.f.curve.pieces):
+                kinds.add("lam a step value")
+    assert kinds == {"m = 0", "m = inf", "m on a break", "m in a power piece",
+                     "m in a log piece", "lam a step value"}
+
+
+def test_table_levels_build_no_curve(monkeypatch, w_l02, w_l03):
+    # a level the table has not seen builds no curve and no rearrangement
+    table = DecompositionTable(
+        realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)")),
+        SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03))
+    lams = [0.5 * (a + b) for a, b in zip(table.levels, table.levels[1:])]
+    want = [_split_norms(table.f, table.X0, table.X1, lam) for lam in lams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a curve was built")
+
+    monkeypatch.setattr(PiecewiseCurve, "__init__", refuse)
+    monkeypatch.setattr(Rearrangement, "__init__", refuse)
+    assert [table.piece_norms(lam) for lam in lams] == want
+
+
+def test_scan_calls_no_truncation_split(monkeypatch):
+    # every binding of truncation_split raises, and the scan's rows stay
+    f = realize_rearrangement(parse_profile("piecewise[(0.1,0.2),(2,1.5)]"))
+    cases = [EXPLOG_CASE,
+             HolmstedtCase("limiting11", 2.0, 1.0, Flip(parse_weight("log(0,-2)")),
+                           Flip(parse_weight("log(0,-3)")))]
+    want = [equivalence_scan(case, f, MEMO_GRID).rows for case in cases]
+    original = profiles.truncation_split
+
+    def refuse(*args):
+        raise AssertionError("truncation_split called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kinterp" \
+                and getattr(module, "truncation_split", None) is original:
+            monkeypatch.setattr(module, "truncation_split", refuse)
+    assert [equivalence_scan(case, f, MEMO_GRID).rows for case in cases] == want

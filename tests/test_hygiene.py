@@ -66,7 +66,10 @@ _REACH_ALLOWLIST = {
                                    "rhs_formula",
     "profiles.check_quasiconcave": "the check realize_rearrangement runs on "
                                    "every profile",
-    "reiteration.build_hat_b": "the side-1 mirror of build_tilde_b",
+    "profiles.truncation_split": "the truncation family as rearrangements, "
+                                 "which the benchmark's trace binds; the "
+                                 "decomposition table reads its segments "
+                                 "through TruncationLevels",
 }
 
 

@@ -69,6 +69,52 @@ def test_exp_pow_against_mpmath(a, beta, x1, x2):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def _mp_power_integral(beta, x1, x2):
+    """int_{x1}^{x2} (1+x)^beta dx in 50-digit mpmath, by its antiderivative."""
+    with mpmath.workdps(50):
+        s, t1 = mpmath.mpf(beta) + 1, 1 + mpmath.mpf(x1)
+        if x2 == INF:
+            return -t1 ** s / s
+        t2 = 1 + mpmath.mpf(x2)
+        return mpmath.log(t2 / t1) if s == 0 else (t2 ** s - t1 ** s) / s
+
+
+def test_power_integral_error_bound_covers_the_cancellation():
+    # a = 0 segments with beta in (-300, 300), x1 in [0, 5] and widths of
+    # 30 {1, 1e-3, 1e-6} U: (1+x2)^s - (1+x1)^s cancels on narrow ones, so
+    # a flat 4e-16 |value| fails about half of them, as it does at
+    # beta = -11.4869..., where the error is 6.2e-9 relative.  Plus the
+    # log1p form (beta = -1), the one-power form (x2 = inf) and the route
+    # by logs where (1+x2)^s leaves the float range
+    rng = np.random.default_rng(20261020)
+    draws = [(-11.486939902361655, 3.7478607178004246, 3.7478607795158205)]
+    for i in range(2000):
+        beta, x1 = rng.uniform(-300.0, 300.0), rng.uniform(0.0, 5.0)
+        draws.append((beta, x1, x1 + 30.0 * (1.0, 1e-3, 1e-6)[i % 3]
+                      * rng.uniform()))
+    for i in range(200):
+        x1, x2 = rng.uniform(0.0, 5.0), rng.uniform(5.0, 35.0)
+        draws += [(-1.0, x1, x1 + 30.0 * (1.0, 1e-3, 1e-6)[i % 3]
+                   * rng.uniform()),
+                  (rng.uniform(-300.0, -1.0), x1, INF),
+                  ((709.79 + 4.0 * rng.uniform()) / math.log1p(x2) - 1.0,
+                   rng.uniform(0.0, x2) if i % 2 else x2 * (1.0 - 1e-6
+                                                           * rng.uniform()),
+                   x2)]
+    overflows = 0
+    for beta, x1, x2 in draws:
+        beta, x1, x2 = float(beta), float(x1), float(x2)
+        want = _mp_power_integral(beta, x1, x2)
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(IntegralOverflowError):
+                exp_pow_integral(0.0, beta, x1, x2)
+            overflows += 1
+            continue
+        got, err = exp_pow_integral(0.0, beta, x1, x2)
+        assert abs(got - want) <= err, (beta, x1, x2)
+    assert overflows < len(draws) // 4
+
+
 def _mp_gamma_tail(a, beta, x1):
     """int_{x1}^inf e^{a x} (1+x)^beta dx, a < 0, in 40-digit mpmath:
     e^{-a} (-a)^{-s} Gamma(s, -a (1+x1)) with s = beta + 1."""
@@ -750,13 +796,20 @@ def test_running_sums_in_either_direction():
     assert running_sums(terms, [2.0], 3.0) == [3.0]
 
 
-def test_a_coefficient_past_the_float_range_is_not_a_divergence():
+def test_a_coefficient_past_the_float_range_is_not_a_divergence(monkeypatch):
     # 1e10 times int_0^700 e^x dx, about 1e314, on a finite segment: the
-    # product overflows; the sum named it a divergence at infinity
+    # integral fits in a double, the product does not, so the sum names an
+    # overflow of that term, inside a memo scope and outside one
     term = LogTerm(1e10, 1.0, 0.0, 0.0, 700.0)
-    with pytest.raises(quadrature.NonFiniteIntegrandError):
+    with pytest.raises(IntegralOverflowError, match="coefficient times"):
         integrate_terms([term])
-    with term_memo(), pytest.raises(quadrature.NonFiniteIntegrandError):
+    with term_memo(), pytest.raises(IntegralOverflowError,
+                                    match="coefficient times"):
+        integrate_terms([term])
+    # a NaN term value is no overflow
+    monkeypatch.setattr(quadrature, "term_value",
+                        lambda term: (math.nan, 0.0))
+    with pytest.raises(quadrature.NonFiniteIntegrandError):
         integrate_terms([term])
 
 

@@ -26,7 +26,6 @@ from kinterp.reiteration import (
     ReiterationSpec,
     _composite_norm,
     _index_table,
-    build_hat_b,
     build_tilde_b,
     lk_identification_check,
     log_derivative_check,
@@ -87,7 +86,7 @@ def test_tilde_b_q_equal_q1_drops_tail_factor(spec_main, w_one, w_lm22, w_l03):
 
 def test_hat_flip_duality(spec_main):
     tb = build_tilde_b(spec_main)
-    hb = build_hat_b(spec_main.flipped())
+    hb = CompositeWeight(spec_main.flipped())
     for t in (0.05, 1.0, 40.0):
         assert hb(t) == pytest.approx(tb(1.0 / t), rel=1e-12)
 
@@ -187,8 +186,6 @@ def test_composite_weight_keeps_the_degenerate_index_error(w_one, w_l02):
 
 
 def test_side_mismatch(spec_main):
-    with pytest.raises(ValueError):
-        build_hat_b(spec_main)
     with pytest.raises(ValueError):
         build_tilde_b(spec_main.flipped())
 
@@ -353,8 +350,8 @@ def test_reiteration_side1_valid_spec(w_one, w_lm22, w_l03):
     spec1 = ReiterationSpec(side=1, theta=0.5, q=1.0, b=w_one,
                             q0=1.0, b0=Flip(w_l03), q1=1.0, b1=Flip(w_lm22))
     spec1.verify_hypotheses()
-    assert build_hat_b(spec1)(1.0) == pytest.approx(1.0 / math.sqrt(2.0),
-                                                    rel=1e-12)
+    assert CompositeWeight(spec1)(1.0) == pytest.approx(1.0 / math.sqrt(2.0),
+                                                        rel=1e-12)
     rep = reiteration_check(spec1, profile_suite())
     # unbounded representatives fall outside the upper-limiting spaces
     assert rep.rows and rep.variation <= 1e3
