@@ -61,7 +61,6 @@ from .holmstedt import (
 from .reiteration import (
     ReiterationSpec,
     LKSpec,
-    build_tilde_b,
     log_derivative_check,
     reiteration_check,
     lorentz_karamata_norm,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -147,39 +147,16 @@ def index_value(case: HolmstedtCase, t: float) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 def rhs_formula(case: HolmstedtCase, f: KProfile, t: float) -> float:
-    """The Holmstedt right-hand side I + s J of the given case at t."""
+    """The Holmstedt right-hand side I + s J of the given case at t, with
+    I = ||f||_{X0} over (0, t) and J = ||f||_{X1} over (t, inf) read from
+    :func:`~kinterp.norms.sweep_partials` at the one point t."""
     if f.curve.is_zero():
         return 0.0
     s = index_value(case, t)
     if s is None:
         raise ValueError(f"index undefined at t={t!r}")
-    return _rhs(case.spaces(), f, t, s)
-
-
-def _rhs(spaces: tuple[SpaceSpec, SpaceSpec], f: KProfile, t: float,
-         s: float) -> float:
-    """I + s J at t, with I = ||f||_{X0} over (0, t) and J = ||f||_{X1}
-    over (t, inf) for the case's ``spaces`` (X0, X1), and an index value s
-    the caller already has: the pointwise path."""
-    X0, X1 = spaces
-    return space_norm(f, X0, 0.0, t) + s * space_norm(f, X1, t, _INF)
-
-
-def _grid_partials(spaces: tuple[SpaceSpec, SpaceSpec], f: KProfile,
-                   ts: Sequence[float]) -> Callable[[int], tuple[float, float]]:
-    """i -> the partials (I, J) at ts[i] for the ascending points ts, read
-    from one sweep over all of them (:func:`kinterp.norms.sweep_partials`).
-    Where the sweep raises, each pair is evaluated at its point alone by the
-    pointwise path, so that an error surfaces at the row where it did
-    before: the sweep also visits points whose rows come after a row that
-    ends the caller's loop, or are skipped."""
-    try:
-        I, J = sweep_partials(f, *spaces, ts)
-        return lambda i: (I[i], J[i])
-    except (ArithmeticError, ValueError):
-        X0, X1 = spaces
-        return lambda i: (space_norm(f, X0, 0.0, ts[i]),
-                          space_norm(f, X1, ts[i], _INF))
+    (I,), (J,) = sweep_partials(f, *case.spaces(), [t])
+    return I + s * J
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +375,13 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
     by the hypothesis checks, the index at every row, the decomposition
     table and the right-hand sides, so each distinct integral of the scan
     is computed once.  The partials I and J of every row come from one
-    sweep over the grid (:func:`_grid_partials`).  In the limiting11 frame
-    they are those of the reduced case and conjugate profile at u = 1/t,
-    where the reduced index is 1/s, so the right-hand side s (I + J / s)
-    reads s I + J.  The lhs are those of ``lhs_decomposition`` called
-    outside a scope, the rhs those of ``rhs_formula`` to 1e-13 relative.
+    sweep over the grid (:func:`~kinterp.norms.sweep_partials`), which
+    also visits the rows that are skipped, so an error it raises ends the
+    scan.  In the limiting11 frame they are those of the reduced case and
+    conjugate profile at u = 1/t, where the reduced index is 1/s, so the
+    right-hand side s (I + J / s) reads s I + J.  The lhs are those of
+    ``lhs_decomposition`` called outside a scope, the rhs those of
+    ``rhs_formula``, the sweep at one point, to 1e-13 relative.
     """
     with term_memo():
         notes = verify_hypotheses(case)
@@ -411,26 +390,22 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
         table = _decomposition_table(case, fr)
         profile = K_from_rearrangement(table.f)
         ts = [float(t) for t in t_grid.points()]
-        n = len(ts)
         flip = case.kind == "limiting11"
         if flip:
             report.notes.append("computed through the t -> 1/t symmetry")
-            partials = _grid_partials(_flip_reduced(case).spaces(), profile,
-                                      [1.0 / t for t in reversed(ts)])
+            I, J = sweep_partials(profile, *_flip_reduced(case).spaces(),
+                                  [1.0 / t for t in reversed(ts)])
+            I.reverse()
+            J.reverse()
         else:
-            partials = _grid_partials(case.spaces(), profile, ts)
+            I, J = sweep_partials(profile, *case.spaces(), ts)
         for i, t in enumerate(ts):
             s = index_value(case, t)
             if s is None or not (0.0 < s < _INF):
                 report.skipped += 1
                 continue
             lhs = lhs_decomposition(case, fr, s, table)
-            if flip:
-                I, J = partials(n - 1 - i)
-                report.add(t, lhs, s * I + J)
-            else:
-                I, J = partials(i)
-                report.add(t, lhs, I + s * J)
+            report.add(t, lhs, s * I[i] + J[i] if flip else I[i] + s * J[i])
     return report
 
 

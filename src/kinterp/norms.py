@@ -4,8 +4,9 @@ The space quasi-norm is ||t^{-theta-1/q} b(t) K(t,f)||_{q,(0,inf)}.  Products
 of a profile piece (atom sums) with a weight side form stay inside the
 canonical e^{a x}(1+x)^beta family whenever the piece is a single atom or q is
 a small integer (multinomial expansion); other segments integrate adaptively.
-The Holmstedt partials over (0, t) and (t, inf) at every point of a grid come
-from one sweep of the profile's segments (:func:`sweep_partials`).
+The Holmstedt partials over (0, t) and (t, inf), at one point or at every
+point of a grid, come from one sweep of the profile's segments
+(:func:`sweep_partials`); every other norm here is over all of (0, inf).
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ def _segment_adaptive(K: Callable[[float], float], theta: float, q: float,
     return _quad(f, x1, x2)
 
 
-def _segments(curve: PiecewiseCurve, lo: float, hi: float) -> Iterator[Segment]:
-    """(u0, u1, side, atoms) for each nonzero piece of the curve on (lo, hi),
+def _segments(curve: PiecewiseCurve) -> Iterator[Segment]:
+    """(u0, u1, side, atoms) for each nonzero piece of the curve on (0, inf),
     cut at 1 and at the curve's breakpoints."""
-    return (seg for seg in curve.sided_segments(lo, hi) if seg[3])
+    return (seg for seg in curve.sided_segments() if seg[3])
 
 
 def _segment_terms(theta: float, q: float, b, side: str,
@@ -227,7 +228,7 @@ def weighted_knorm(curve: PiecewiseCurve, theta: float, q: float,
     through the term memo when a :func:`~kinterp.quadrature.term_memo`
     scope is open.
     """
-    return _segments_integral(_segments(curve, 0.0, _INF), theta, q, b)
+    return _segments_integral(_segments(curve), theta, q, b)
 
 
 def _root(value: float, q: float, theta: float, lo: float, hi: float
@@ -244,39 +245,39 @@ def _root(value: float, q: float, theta: float, lo: float, hi: float
 
 
 def segments_norm(segs: Iterable[Segment], theta: float, q: float,
-                  b: WeightExpr, lo: float = 0.0, hi: float = _INF) -> float:
-    """||u^{-theta} b(u) K(u)||_{q,(lo,hi)} with the measure du/u, for K
-    given by its nonzero segments on (lo, hi), each on one side of 1
+                  b: WeightExpr) -> float:
+    """||u^{-theta} b(u) K(u)||_{q,(0,inf)} with the measure du/u, for K
+    given by its nonzero segments, each on one side of 1
     (:meth:`~kinterp.profiles.PiecewiseCurve.sided_segments`); +inf when
     divergent.  For q = inf it is the largest exact supremum of the q = 1
-    terms of each segment.  This is the pointwise path: each call
-    integrates every segment itself, through the term memo when a scope is
-    open; the partials of a whole grid of cuts come from
-    :func:`sweep_partials`, which agrees with it to 1e-13."""
+    terms of each segment.  Each segment is integrated whole, through the
+    term memo when a scope is open; partials over (0, t) and (t, inf) come
+    from :func:`sweep_partials` alone."""
     if q != _INF:
         res = _segments_integral(segs, theta, q, b)
-        return _root(res.value, q, theta, lo, hi)
+        return _root(res.value, q, theta, 0.0, _INF)
     best = 0.0
     for u0, u1, side, atoms in segs:
         best = max(best, _segment_sup(theta, b, side, atoms, u0, u1))
     return best
 
 
-def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
-                lo: float = 0.0, hi: float = _INF) -> float:
-    """:func:`segments_norm` of the curve's segments on (lo, hi)."""
-    return segments_norm(_segments(curve, lo, hi), theta, q, b, lo, hi)
+def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr
+                ) -> float:
+    """:func:`segments_norm` of the curve's segments."""
+    return segments_norm(_segments(curve), theta, q, b)
 
 
 def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
            ts: Sequence[float], tail: bool) -> list[float]:
-    """``_quasi_norm`` over (0, t), or over (t, inf) when ``tail``, at each of
-    the ascending points ts in (0, inf), in one pass over the segments.
+    """||u^{-theta} b(u) K(u)||_q over (0, t), or over (t, inf) when ``tail``,
+    at each of the ascending points ts in (0, inf), in one pass over the
+    segments.
 
-    A point adds up its segments as the pointwise path does, in the same
-    order: the whole ones below it (above it when ``tail``), each integrated
-    once, and the part of the segment that holds it, which a point on a
-    break or on t = 1 does not have.  The parts of one segment are an
+    A point adds up its segments in order from 0 up: the whole ones below
+    it (above it when ``tail``), each integrated once, and the part of the
+    segment that holds it, which a point on a break or on t = 1 does not
+    have.  The parts of one segment are an
     anchor, the part at its first point (last when ``tail``) through
     :func:`integrate_terms`, plus the :func:`running_sums` of the segment's
     canonical terms between its points.  With q = inf, or a piece that does
@@ -284,7 +285,7 @@ def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
     every point that reads it +inf without computing that point's part.
     """
     sup = q == _INF
-    segs = list(_segments(curve, 0.0, _INF))
+    segs = list(_segments(curve))
     terms = [None if sup else _segment_terms(theta, q, b, side, atoms, u0, u1)
              for u0, u1, side, atoms in segs]
 
@@ -361,18 +362,18 @@ def _fold(value: float, wholes: Sequence[float], sup: bool) -> float:
 def sweep_partials(f: KProfile, X0: SpaceSpec, X1: SpaceSpec,
                    ts: Sequence[float]) -> tuple[list[float], list[float]]:
     """(I, J) at each of the ascending points ts in (0, inf): I(t) =
-    ``space_norm(f, X0, 0.0, t)`` and J(t) = ``space_norm(f, X1, t, inf)``,
-    the partials of the Holmstedt right-hand side I + s J, in one sweep of
-    the profile each (:func:`_sweep`).  They agree with the pointwise path to
-    1e-13 relative, and are +inf where it is."""
+    ||f||_{X0} over (0, t) and J(t) = ||f||_{X1} over (t, inf), the
+    partials of the Holmstedt right-hand side I + s J, in one sweep of the
+    profile each (:func:`_sweep`); +inf where divergent.  This is the only
+    code that computes a partial: :func:`~kinterp.holmstedt.rhs_formula`
+    is the sweep at one point."""
     return (_sweep(f.curve, X0.theta, X0.q, X0.b, ts, tail=False),
             _sweep(f.curve, X1.theta, X1.q, X1.b, ts, tail=True))
 
 
-def space_norm(f: KProfile, s: SpaceSpec,
-               lo: float = 0.0, hi: float = _INF) -> float:
-    """||t^{-theta-1/q} b(t) K(t,f)||_{q,(lo,hi)}; +inf allowed."""
-    return _quasi_norm(f.curve, s.theta, s.q, s.b, lo, hi)
+def space_norm(f: KProfile, s: SpaceSpec) -> float:
+    """||t^{-theta-1/q} b(t) K(t,f)||_{q,(0,inf)}; +inf allowed."""
+    return _quasi_norm(f.curve, s.theta, s.q, s.b)
 
 
 # ---------------------------------------------------------------------------

@@ -134,17 +134,12 @@ class PiecewiseCurve:
         edges = (0.0,) + self.breaks + (_INF,)
         return zip(edges[:-1], edges[1:], self.pieces)
 
-    def sided_segments(self, lo: float = 0.0, hi: float = _INF
-                       ) -> Iterator[Segment]:
-        """(u0, u1, side, piece) of each piece on (lo, hi), empty ones
+    def sided_segments(self) -> Iterator[Segment]:
+        """(u0, u1, side, piece) of each piece on (0, inf), empty ones
         included, cut at the breaks and at 1: the side is "lo" when u1 <= 1
         and "hi" otherwise."""
-        if not lo < hi:
-            return
-        br = self.breaks
-        cuts = [lo, *br[bisect.bisect_right(br, lo):bisect.bisect_left(br, hi)],
-                hi]
-        if lo < 1.0 < hi and 1.0 not in br:
+        cuts = [0.0, *self.breaks, _INF]
+        if 1.0 not in self.breaks:
             bisect.insort(cuts, 1.0)
         for u0, u1 in zip(cuts[:-1], cuts[1:]):
             yield (u0, u1, "lo" if u1 <= 1.0 else "hi",
@@ -676,7 +671,7 @@ class TruncationLevels:
         self.f = f
         self.K = K_from_rearrangement(f).curve
         self._probes = _crossing_probes(f.curve)
-        self._segments = list(self.K.sided_segments(0.0, _INF))
+        self._segments = list(self.K.sided_segments())
 
     def split(self, lam: float) -> tuple[list[Segment], list[Segment]]:
         """The nonzero segments (u0, u1, side, atoms) of K0 and K1 at level

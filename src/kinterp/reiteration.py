@@ -6,7 +6,8 @@ weight of the reiterated space is
     b~(t) = rho(t)^(1-theta) b(rho(t)) b1(t)^(q1/q)
             (int_t^inf b1(u)^q1 du/u)^(1/q1 - 1/q),
 
-with the head-quotient analogue b^ in the opposite limiting frame.  The outer
+with the head-quotient analogue b^ in the opposite limiting frame;
+:class:`CompositeWeight` evaluates either, by the spec's side.  The outer
 quasi-norm of the reiterated space is evaluated through the substitution
 s = rho(t): the Holmstedt right-hand side I + rho J stands in for the inner
 K-functional, and the measure picks up the factor rho'(t)/rho(t), obtained by
@@ -20,9 +21,9 @@ across profiles.  Each profile's I and J at every point of the table come
 from one sweep of Gauss-Kronrod running sums between the points
 (:func:`~kinterp.norms.sweep_partials`): each whole segment of the profile
 is integrated once, and each segment cut by the grid once more, at its
-anchor.  The profiles of a check run in one
-:func:`~kinterp.quadrature.term_memo` scope, so the tails of J that recur
-across the profiles of one spec are integrated once.  A profile whose
+anchor; an error the sweep raises reaches the caller.  The profiles of a
+check run in one :func:`~kinterp.quadrature.term_memo` scope, so the tails
+of J that recur across the profiles of one spec are integrated once.  A profile whose
 iterated-space norm is 0 or infinite is skipped before the composite-weight
 norm is computed.
 """
@@ -37,12 +38,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .holmstedt import (HolmstedtCase, HypothesisError, RatioReport, ScanRow,
-                        _eps_condition_note, _grid_partials, _index_note)
+                        _eps_condition_note, _index_note)
 from .norms import (
     SpaceSpec,
     index,
     index_limit,
     space_norm,
+    sweep_partials,
     _quasi_norm,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
@@ -53,7 +55,6 @@ from .weights import (Flip, WeightExpr, head_qnorm, tail_qnorm,
 __all__ = [
     "ReiterationSpec",
     "LKSpec",
-    "build_tilde_b",
     "log_derivative_check",
     "LogDerivativeReport",
     "reiteration_check",
@@ -190,13 +191,6 @@ class CompositeWeight:
         return {"spec": self.spec}
 
 
-def build_tilde_b(spec: ReiterationSpec) -> CompositeWeight:
-    """Composite weight of the lower-limiting reiteration (side 0)."""
-    if spec.side != 0:
-        raise ValueError("build_tilde_b needs a side-0 spec")
-    return CompositeWeight(spec)
-
-
 # ---------------------------------------------------------------------------
 # Log-derivative condition (equal exponents branch)
 # ---------------------------------------------------------------------------
@@ -289,25 +283,23 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
 
     ``table`` comes from :func:`_index_table` and is shared by every profile
     of a check; the partials I and J of every live row come from one sweep
-    (:func:`~kinterp.holmstedt._grid_partials`), in the check's
+    (:func:`~kinterp.norms.sweep_partials`), in the check's
     :func:`term_memo` scope, or in its own when called alone.  The norm is
-    +inf from the first row whose right-hand side is not finite; where the
-    sweep raises, the rows are evaluated one by one, so an error surfaces
-    only at a row reached before any infinite one.
+    +inf from the first row whose right-hand side is not finite.  The sweep
+    visits every live row first, so an error it raises reaches the caller
+    even from a row after an infinite one.
     """
     h, rows = table
     vals = []
     with term_memo():
-        partials = _grid_partials(spec.inner_case().spaces(), f,
-                                  [row[0] for row in rows if row])
-        live = 0
+        partials = zip(*sweep_partials(f, *spec.inner_case().spaces(),
+                                       [row[0] for row in rows if row]))
         for row in rows:
             if row is None:
                 vals.append(0.0)
                 continue
             _, idx, ell = row
-            I, J = partials(live)
-            live += 1
+            I, J = next(partials)
             surrogate = I + idx * J
             if not (0.0 <= surrogate < _INF):
                 return _INF

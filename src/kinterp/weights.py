@@ -501,6 +501,8 @@ def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
 def head_qnorm(b: WeightExpr, q: float, t: float) -> float:
     """||u^{-1/q} b(u)||_{q,(0,t)}; the exact mirror of the tail norm: the
     tail norm of flip(b) at 1/t, read from b's compiled "flip" integral."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
     s = 1.0 / t
     if not (s > 0.0 and 0.0 < q < _INF):  # the supremum, or the error
         return tail_qnorm(Flip(b), q, s)

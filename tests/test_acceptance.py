@@ -40,9 +40,9 @@ from kinterp.profiles import (
 )
 from kinterp.quadrature import GridSpec
 from kinterp.reiteration import (
+    CompositeWeight,
     LKSpec,
     ReiterationSpec,
-    build_tilde_b,
     lk_identification_check,
     log_derivative_check,
     lorentz_karamata_norm,
@@ -262,7 +262,7 @@ def test_criterion_10_equal_spaces_exactness():
 def test_criterion_11_reiteration():
     spec = ReiterationSpec(side=0, theta=0.5, q=1.0, b=ONE,
                            q0=1.0, b0=LM22, q1=1.0, b1=L03)
-    tb = build_tilde_b(spec)
+    tb = CompositeWeight(spec)
     anchor = abs(tb(1.0) - math.sqrt(2.0))
     deriv = log_derivative_check(spec)
     rep = reiteration_check(spec, profile_suite())

@@ -12,7 +12,6 @@ from kinterp.holmstedt import (
     HypothesisError,
     ScanRow,
     _decomposition_table,
-    _rhs,
     equivalence_scan,
     incompatibility_M,
     index_value,
@@ -21,7 +20,7 @@ from kinterp.holmstedt import (
     rhs_formula,
     verify_hypotheses,
 )
-from kinterp.norms import SpaceSpec, space_norm
+from kinterp.norms import SpaceSpec, space_norm, sweep_partials
 from kinterp import profiles
 from kinterp.profiles import (
     Atom,
@@ -105,6 +104,15 @@ def test_rhs_limiting11_direct_matches_reduction(w_l02):
         assert direct == pytest.approx(reduced, rel=1e-10)
 
 
+def test_limiting11_at_t_zero_is_a_value_error(w_l02):
+    # eta at t = 0 is a head norm at 0, not a division by zero
+    case = HolmstedtCase("limiting11", q0=2.0, q1=1.0,
+                         b0=Flip(w_l02), b1=Flip(w_l02))
+    for call in (index_value, lambda c, t: rhs_formula(c, KProfile.min1(), t)):
+        with pytest.raises(ValueError, match="t must be positive"):
+            call(case, 0.0)
+
+
 #: one case of each kind, with the weight classes its spaces require
 RHS_CASES = (
     ("limiting00", dict(q0=1.0, q1=2.0, b0="log(0,-2)", b1="log(0,-3)")),
@@ -126,8 +134,9 @@ def test_one_rhs_for_every_case_kind(kind, params):
     K = K_from_rearrangement(profile_suite()[2])
     for t in (0.03, 1.0, 7.0):
         s = index_value(case, t)
-        want = space_norm(K, X0, 0.0, t) + s * space_norm(K, X1, t, INF)
-        assert _rhs((X0, X1), K, t, s) == rhs_formula(case, K, t) == want
+        (I,), (J,) = sweep_partials(K, X0, X1, [t])
+        want = I + s * J
+        assert rhs_formula(case, K, t) == want
         assert 0.0 < want < INF
 
 
@@ -534,8 +543,7 @@ def test_limiting11_rows_read_the_reduced_index_as_one_over_eta(monkeypatch):
         s = index_value(case, t)
         assert index_value(red, 1.0 / t) == pytest.approx(1.0 / s, rel=5e-16)
         X0, X1 = red.spaces()
-        I = space_norm(conj, X0, 0.0, 1.0 / t)
-        J = space_norm(conj, X1, 1.0 / t, INF)
+        (I,), (J,) = sweep_partials(conj, X0, X1, [1.0 / t])
         assert s * rhs_formula(red, conj, 1.0 / t) \
             == pytest.approx(s * I + J, rel=1e-15)
     calls = []

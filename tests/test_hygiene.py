@@ -234,9 +234,14 @@ def test_weight_pickles_no_compiled_cache(text):
     assert set(b.__getstate__()) == {f.name for f in fields(b)} | {"_side_forms"}
 
 
+#: exceptions whose handlers catch whole families of errors: ArithmeticError
+#: is the base of OverflowError, ZeroDivisionError and FloatingPointError
+_BROAD = ("Exception", "BaseException", "ArithmeticError")
+
+
 def _broad_excepts(path: pathlib.Path) -> list[str]:
-    """``file:function`` of each handler that catches Exception or
-    BaseException (a bare ``except`` included)."""
+    """``file:function`` of each handler that names one of :data:`_BROAD`
+    (a bare ``except`` included)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
     for top in tree.body:
@@ -245,8 +250,8 @@ def _broad_excepts(path: pathlib.Path) -> list[str]:
                 continue
             types = node.type.elts if isinstance(node.type, ast.Tuple) \
                 else [node.type]
-            if any(t is None or (isinstance(t, ast.Name) and t.id in
-                                 ("Exception", "BaseException")) for t in types):
+            if any(t is None or (isinstance(t, ast.Name) and t.id in _BROAD)
+                   for t in types):
                 found.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
     return found
 

@@ -9,7 +9,6 @@ from mpmath import fp
 from kinterp import norms
 from kinterp.norms import (
     SpaceSpec,
-    _quasi_norm,
     _segments,
     check_condition_monotone_index,
     index,
@@ -107,21 +106,13 @@ def test_space_norm_zero(w_l02):
 # The segment walk
 # ---------------------------------------------------------------------------
 
-def _segments_by_probe(curve, lo, hi):
-    """The reference walk: the piece and the side of each segment are those
-    of a point probed inside it."""
-    cuts = sorted({lo, hi, 1.0} | set(curve.breaks))
-    cuts = [c for c in cuts if lo <= c <= hi]
-    if cuts[0] != lo:
-        cuts.insert(0, lo)
-    if cuts[-1] != hi:
-        cuts.append(hi)
-    probe_breaks = [c for c in cuts if 0.0 < c < INF]
-    first = 0 if lo == 0.0 else 1
+def _segments_by_probe(curve):
+    """The reference walk over (0, inf): the piece and the side of each
+    segment are those of a point probed inside it."""
+    probe_breaks = sorted({1.0} | set(curve.breaks))
+    cuts = [0.0, *probe_breaks, INF]
     for k, (u0, u1) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if u0 == u1:
-            continue
-        mid = _segment_probe(probe_breaks, k + first)
+        mid = _segment_probe(probe_breaks, k)
         atoms = curve.pieces[_piece_index_by_scan(curve, mid)]
         if atoms:
             yield u0, u1, "lo" if mid < 1.0 else "hi", atoms
@@ -146,17 +137,13 @@ _ATOMS = st.lists(st.builds(Atom, st.sampled_from((1.0, 0.5, -2.0)),
 @given(st.lists(st.sampled_from(_POINTS), unique=True, max_size=5),
        st.data())
 def test_segments_match_the_probe_walk(breaks, data):
-    # the cut set {lo, hi, 1} | breaks holds every segment end, so the piece
+    # the cut set {0, inf, 1} | breaks holds every segment end, so the piece
     # is the one below u1 and the side is "lo" exactly when u1 <= 1
     breaks = sorted(breaks)
     pieces = data.draw(st.lists(_ATOMS, min_size=len(breaks) + 1,
                                 max_size=len(breaks) + 1))
     curve = PiecewiseCurve(breaks, pieces)
-    ends = st.one_of(st.sampled_from((0.0, INF) + _POINTS),
-                     st.floats(min_value=1e-3, max_value=1e3))
-    lo, hi = sorted(data.draw(st.lists(ends, min_size=2, max_size=2,
-                                       unique=True)))
-    assert list(_segments(curve, lo, hi)) == list(_segments_by_probe(curve, lo, hi))
+    assert list(_segments(curve)) == list(_segments_by_probe(curve))
     for t in curve.breaks + tuple(_segment_probe(curve.breaks, i)
                                   for i in range(len(curve.breaks) + 1)):
         for s in (math.nextafter(t, 0.0), t, math.nextafter(t, INF)):
@@ -169,8 +156,9 @@ def test_segments_match_the_probe_walk(breaks, data):
 
 def _partials(K, t, X0, X1):
     """(I, J) at t for the space pair (X0, X1), as the Holmstedt
-    right-hand side reads them."""
-    return space_norm(K, X0, 0.0, t), space_norm(K, X1, t, INF)
+    right-hand side reads them: a sweep of the one point t."""
+    (I,), (J,) = norms.sweep_partials(K, X0, X1, [t])
+    return I, J
 
 
 def test_partial_examples(w_l02, w_l03):
@@ -233,9 +221,10 @@ SWEEP_NORMS = ((0.0, 1.0, "log(0,-2)"), (1.0, 2.0, "log(-2,0)"),
 
 
 def _pointwise(curve, theta, q, b, ts):
-    """(I, J) of ``_quasi_norm`` at each point, one call per point and side."""
-    return ([_quasi_norm(curve, theta, q, b, 0.0, t) for t in ts],
-            [_quasi_norm(curve, theta, q, b, t, INF) for t in ts])
+    """(I, J) at each point from a sweep of that point alone, one sweep per
+    point and side."""
+    return ([norms._sweep(curve, theta, q, b, [t], tail=False)[0] for t in ts],
+            [norms._sweep(curve, theta, q, b, [t], tail=True)[0] for t in ts])
 
 
 def _swept(curve, theta, q, b, ts):
@@ -257,8 +246,8 @@ def test_sweep_gives_the_pointwise_values(theta, q, text):
     want = _pointwise(curve, theta, q, b, SWEEP_TS)
     got = _swept(curve, theta, q, b, SWEEP_TS)
     assert all(_agree(g, w) for g, w in zip(got, want))
-    # a point on a break or on t = 1 sums the whole segments as the
-    # pointwise path does, in its order
+    # a point on a break or on t = 1 sums the whole segments as a sweep of
+    # that point alone does, in its order
     edges = [i for i, t in enumerate(SWEEP_TS) if t in (0.1, 0.5, 1.0, 4.0, 20.0)]
     assert len(edges) == 5
     assert all(g[i] == w[i] for g, w in zip(got, want) for i in edges)
@@ -317,8 +306,9 @@ def test_sweep_partials_of_every_profile_kind(text, w_l02):
     for X0, X1 in [(SpaceSpec(0.25, 1.0, w_l02), SpaceSpec(0.75, 2.0, w_l02)),
                    (SpaceSpec(0.25, INF, w_l02), SpaceSpec(0.75, INF, w_l02))]:
         I, J = norms.sweep_partials(K, X0, X1, SWEEP_TS)
-        assert _agree(I, [space_norm(K, X0, 0.0, t) for t in SWEEP_TS])
-        assert _agree(J, [space_norm(K, X1, t, INF) for t in SWEEP_TS])
+        alone = [_partials(K, t, X0, X1) for t in SWEEP_TS]
+        assert _agree(I, [i for i, _ in alone])
+        assert _agree(J, [j for _, j in alone])
         assert (text == "zero") == (I + J == [0.0] * (2 * len(SWEEP_TS)))
 
 
@@ -596,7 +586,7 @@ def test_rho_J_dominates_tail_times_K(w_l02, w_l03):
     for t in GridSpec(1e-4, 1e4, 8).points():
         t = float(t)
         p = index(t, "rho", 1.0, w_l02, 1.0, w_l03)
-        J = space_norm(K, SpaceSpec(0.0, 1.0, w_l03), t, INF)
+        J = norms._sweep(K.curve, 0.0, 1.0, w_l03, [t], tail=True)[0]
         lhs = p.value * J
         rhs = tail_qnorm(w_l02, 1.0, t) * K(t)
         assert lhs >= rhs * (1.0 - 1e-9)
@@ -608,7 +598,7 @@ def test_J_dominates_K_times_weight(w_l02, w_l03):
     for f in profile_suite():
         K = K_from_rearrangement(f)
         for t in (0.01, 1.0, 100.0):
-            J = space_norm(K, SpaceSpec(0.0, 1.0, w_l03), t, INF)
+            J = norms._sweep(K.curve, 0.0, 1.0, w_l03, [t], tail=True)[0]
             assert J >= c * K(t) * w_l03(t) * (1.0 - 1e-9)
 
 

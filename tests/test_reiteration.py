@@ -6,8 +6,8 @@ import pytest
 
 from scipy import integrate as sci_integrate
 
-from kinterp import holmstedt, quadrature
-from kinterp.holmstedt import (HypothesisError, _rhs, rhs_formula,
+from kinterp import norms, quadrature
+from kinterp.holmstedt import (HypothesisError, equivalence_scan, rhs_formula,
                                verify_hypotheses)
 from kinterp.profiles import (
     K_from_rearrangement,
@@ -18,7 +18,7 @@ from kinterp.profiles import (
     random_rearrangement,
     realize_rearrangement,
 )
-from kinterp.norms import weighted_knorm
+from kinterp.norms import sweep_partials, weighted_knorm
 from kinterp.quadrature import GridSpec, integrate_terms, term_memo
 from kinterp.reiteration import (
     CompositeWeight,
@@ -26,7 +26,6 @@ from kinterp.reiteration import (
     ReiterationSpec,
     _composite_norm,
     _index_table,
-    build_tilde_b,
     lk_identification_check,
     log_derivative_check,
     lorentz_karamata_norm,
@@ -71,21 +70,21 @@ def test_spec_theta_range(w_one, w_lm22, w_l03):
 # ---------------------------------------------------------------------------
 
 def test_tilde_b_at_one(spec_main):
-    tb = build_tilde_b(spec_main)
+    tb = CompositeWeight(spec_main)
     assert tb(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_tilde_b_q_equal_q1_drops_tail_factor(spec_main, w_one, w_lm22, w_l03):
     # with q == q1 the tail-integral exponent vanishes, so the weight is
     # exactly index^(1-theta) * b(index) * b1
-    tb = build_tilde_b(spec_main)
+    tb = CompositeWeight(spec_main)
     for t in (0.1, 1.0, 25.0):
         idx = spec_main.index_value(t)
         assert tb(t) == pytest.approx(idx ** 0.5 * w_l03(t), rel=1e-12)
 
 
 def test_hat_flip_duality(spec_main):
-    tb = build_tilde_b(spec_main)
+    tb = CompositeWeight(spec_main)
     hb = CompositeWeight(spec_main.flipped())
     for t in (0.05, 1.0, 40.0):
         assert hb(t) == pytest.approx(tb(1.0 / t), rel=1e-12)
@@ -183,11 +182,6 @@ def test_composite_weight_keeps_the_degenerate_index_error(w_one, w_l02):
     with pytest.raises(ValueError, match="index degenerate at t=1e[+]300"):
         CompositeWeight(spec)(1e300)
     assert CompositeWeight(spec)(2.0) == _composite_reference(spec, 2.0)
-
-
-def test_side_mismatch(spec_main):
-    with pytest.raises(ValueError):
-        build_tilde_b(spec_main.flipped())
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +435,8 @@ def test_index_table_sweep_equals_rhs_formula(side):
         with term_memo() as memo:
             for (t, idx, _), rhs in zip(live, want):
                 assert idx == spec.index_value(t)
-                assert _rhs(spaces, K, t, idx) == rhs
+                (I,), (J,) = sweep_partials(K, *spaces, [t])
+                assert I + idx * J == rhs
         assert memo
 
 
@@ -449,13 +444,14 @@ def test_zero_profile_sweep_is_zero():
     spec = _bench_spec(0)
     t, idx, _ = next(r for r in _index_table(spec, CHECK_GRID)[1] if r)
     zero = KProfile.zero()
-    assert _rhs(spec.inner_case().spaces(), zero, t, idx) == 0.0 \
-        == rhs_formula(spec.inner_case(), zero, t)
+    (I,), (J,) = sweep_partials(zero, *spec.inner_case().spaces(), [t])
+    assert I + idx * J == 0.0 == rhs_formula(spec.inner_case(), zero, t)
 
 
 def _per_row_norm(spec: ReiterationSpec, f: KProfile, table) -> float:
-    """``_composite_norm`` with the rhs of each row from the pointwise path,
-    row by row: +inf at the first row that is not finite."""
+    """``_composite_norm`` with the rhs of each row from a sweep of that
+    row's point alone, row by row: +inf at the first row that is not
+    finite."""
     h, rows = table
     spaces = spec.inner_case().spaces()
     vals = []
@@ -464,7 +460,8 @@ def _per_row_norm(spec: ReiterationSpec, f: KProfile, table) -> float:
             vals.append(0.0)
             continue
         t, idx, ell = row
-        surrogate = _rhs(spaces, f, t, idx)
+        (I,), (J,) = sweep_partials(f, *spaces, [t])
+        surrogate = I + idx * J
         if not (0.0 <= surrogate < INF):
             return INF
         vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)
@@ -487,35 +484,27 @@ def test_composite_norm_equals_the_per_row_loop(side):
             assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_composite_norm_raises_only_where_the_rows_raise(monkeypatch):
-    # where the sweep raises, the rows are evaluated one by one: the norm is
-    # then +inf at a row that is not finite before the row that raises, and
-    # the error surfaces when that row comes first
+def test_an_error_in_the_sweep_reaches_the_caller(monkeypatch):
+    # the sweep is the one path to the partials: what it raises reaches the
+    # scan, the composite norm and the one-point rhs as it was raised (the
+    # same object, so the same class and message), with no second
+    # evaluation of the rows
+    err = quadrature.IntegralOverflowError("the sweep")
+
+    def broken(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(norms, "_sweep", broken)
     spec = _bench_spec(0)
     table = _index_table(spec, CHECK_GRID)
     K = parse_profile(PIECEWISE)
-    want = _per_row_norm(spec, K, table)
-    live = [row[0] for row in table[1] if row is not None]
-
-    def broken(*args):
-        raise quadrature.IntegralOverflowError("the sweep")
-
-    monkeypatch.setattr(holmstedt, "sweep_partials", broken)
-    assert _composite_norm(spec, K, table) == want
-    space_norm = holmstedt.space_norm
-
-    def rows(infinite: float, raising: float) -> None:
-        def row_norm(f, X, lo, hi):  # I at the row's t, then J
-            if raising in (lo, hi):
-                raise quadrature.IntegralOverflowError("a row")
-            return INF if infinite in (lo, hi) else space_norm(f, X, lo, hi)
-        monkeypatch.setattr(holmstedt, "space_norm", row_norm)
-
-    rows(live[3], live[5])
-    assert _composite_norm(spec, K, table) == INF
-    rows(live[5], live[3])
-    with pytest.raises(quadrature.IntegralOverflowError, match="a row"):
-        _composite_norm(spec, K, table)
+    case = spec.inner_case()
+    for call in (lambda: equivalence_scan(case, realize_rearrangement(K)),
+                 lambda: _composite_norm(spec, K, table),
+                 lambda: rhs_formula(case, K, 1.0)):
+        with pytest.raises(quadrature.IntegralOverflowError) as info:
+            call()
+        assert info.value is err
 
 
 def _count_quad(monkeypatch) -> list:

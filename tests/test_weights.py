@@ -153,6 +153,15 @@ def test_head_qnorm_examples(w_lm20, w_one):
     assert head_qnorm(w_one, 1, 1.0) == INF
 
 
+@pytest.mark.parametrize("t", [0.0, -0.0, -1.0])
+@pytest.mark.parametrize("q", [1.0, 2.5, INF])
+def test_head_and_tail_reject_a_t_that_is_not_positive(t, q, w_lm20):
+    # one error for both ends; at t = 0 the head once divided by zero
+    for qnorm in (head_qnorm, tail_qnorm):
+        with pytest.raises(ValueError, match="t must be positive"):
+            qnorm(w_lm20, q, t)
+
+
 def test_head_is_flipped_tail(w_lm20):
     t = math.exp(-1.0)
     assert head_qnorm(w_lm20, 1, t) == tail_qnorm(Flip(w_lm20), 1, 1.0 / t)
