@@ -29,6 +29,7 @@ from .norms import (
     SpaceSpec,
     check_condition_monotone_index,
     index,
+    index_samples,
     quasi_monotone_constant,
     segments_norm,
     space_norm,
@@ -149,12 +150,14 @@ def index_value(case: HolmstedtCase, t: float) -> Optional[float]:
 def rhs_formula(case: HolmstedtCase, f: KProfile, t: float) -> float:
     """The Holmstedt right-hand side I + s J of the given case at t, with
     I = ||f||_{X0} over (0, t) and J = ||f||_{X1} over (t, inf) read from
-    :func:`~kinterp.norms.sweep_partials` at the one point t."""
-    if f.curve.is_zero():
-        return 0.0
+    :func:`~kinterp.norms.sweep_partials` at the one point t.  A t outside
+    (0, inf) or an undefined index raises :class:`ValueError`, also for the
+    zero profile, whose right-hand side is 0 elsewhere."""
     s = index_value(case, t)
     if s is None:
         raise ValueError(f"index undefined at t={t!r}")
+    if f.curve.is_zero():
+        return 0.0
     (I,), (J,) = sweep_partials(f, *case.spaces(), [t])
     return I + s * J
 
@@ -329,10 +332,14 @@ def _quasi_nondecreasing_note(vals, condition: str, name: str) -> str:
 
 def _index_note(case: HolmstedtCase) -> str:
     """The note of a limiting case's index (rho or eta) sampled on
-    :data:`STANDARD_GRID`; raises :class:`HypothesisError` unless every
-    sample is positive and finite and the samples are quasi-nondecreasing."""
+    :data:`STANDARD_GRID` in one pass per side
+    (:func:`~kinterp.norms.index_samples`); raises :class:`HypothesisError`
+    unless every sample is positive and finite and the samples are
+    quasi-nondecreasing."""
     kind = _index_kind(case)
-    vals = [index_value(case, float(t)) for t in STANDARD_GRID.points()]
+    vals = [p.value for p in index_samples(kind, case.q0, case.b0, case.q1,
+                                           case.b1,
+                                           STANDARD_GRID.points().tolist())]
     if any(v is None or not (0.0 < v < _INF) for v in vals):
         raise HypothesisError(f"{kind} positive and finite on the grid")
     return _quasi_nondecreasing_note(vals, f"{kind} increasing", kind)

@@ -33,7 +33,8 @@ from .quadrature import (
     sup_terms,
     term_diverges_at_inf,
 )
-from .weights import WeightExpr, head_qnorm, side_terms, tail_qnorm
+from .weights import (Flip, WeightExpr, head_qnorm, kernel_tail_samples,
+                      side_terms, tail_qnorm)
 
 __all__ = [
     "SpaceSpec",
@@ -44,6 +45,7 @@ __all__ = [
     "sweep_partials",
     "weighted_knorm",
     "index",
+    "index_samples",
     "index_limit",
     "quasi_monotone_constant",
     "sv_quasimonotone_constant",
@@ -402,6 +404,45 @@ def index(t: float, kind: str, q0: float, b0: WeightExpr,
     return IndexPair(num / den if 0.0 < den < _INF else None, num, den)
 
 
+def _qnorm_samples(kind: str, q: float, b: WeightExpr, ts: Sequence[float]
+                   ) -> list[float]:
+    """:func:`~kinterp.weights.tail_qnorm` (``kind`` "rho") or
+    :func:`~kinterp.weights.head_qnorm` ("eta") of b at each of the
+    ascending points ts.
+
+    With 0 < q < inf and every point and its reciprocal in (0, inf) the
+    q-th powers are :func:`~kinterp.weights.kernel_tail_samples`: the tails
+    of b at ts, or, as head_qnorm reads a head, the tails of flip(b) at the
+    points 1/t.  Otherwise, and for q = inf, each point is the norm itself.
+    """
+    qnorm = tail_qnorm if kind == "rho" else head_qnorm
+    ends = (ts[0], ts[-1]) if ts else ()
+    if not (0.0 < q < _INF and all(0.0 < t < _INF and 1.0 / t < _INF
+                                   for t in ends)):
+        return [qnorm(b, q, t) for t in ts]
+    if kind == "rho":
+        values = kernel_tail_samples(b, q, ts)
+    else:
+        values = kernel_tail_samples(Flip(b), q, [1.0 / t for t in ts[::-1]])
+        values.reverse()
+    return [v ** (1.0 / q) if v != _INF else _INF for v in values]
+
+
+def index_samples(kind: str, q0: float, b0: WeightExpr, q1: float,
+                  b1: WeightExpr, ts: Sequence[float]) -> list[IndexPair]:
+    """:func:`index` at each of the ascending points ts in (0, inf), with
+    each side's norms sampled in one pass (:func:`_qnorm_samples`).  A side
+    without a stretched term gives the norms of :func:`index` bit for bit;
+    a stretched side sums them as running Gauss-Kronrod cells from one
+    exact far tail, in place of one adaptive tail per point."""
+    if kind not in ("rho", "eta"):
+        raise ValueError(f"unknown index kind {kind!r}")
+    nums = _qnorm_samples(kind, q0, b0, ts)
+    dens = _qnorm_samples(kind, q1, b1, ts)
+    return [IndexPair(num / den if 0.0 < den < _INF else None, num, den)
+            for num, den in zip(nums, dens)]
+
+
 def _log_norm_order(b: WeightExpr, q: float, side: str, tail: bool
                     ) -> dict[float, float]:
     """The leading terms of ln ||u^{-1/q} b(u)||_q over (t, inf) (``tail``)
@@ -499,11 +540,13 @@ def check_condition_monotone_index(kind: str, q0: float, b0: WeightExpr,
                                    q1: float, b1: WeightExpr) -> ConditionReport:
     """Search DEFAULT_EPS_GRID for a quasi-nondecreasing rho_eps (or eta_eps)
     on STANDARD_GRID, skipping the points where the index is undefined or its
-    numerator is 0 or inf; with no point left it fails with constant inf."""
+    numerator is 0 or inf; with no point left it fails with constant inf.
+    The numerators and denominators are :func:`index_samples` of the grid,
+    one pass per side."""
     if kind not in ("rho_eps", "eta_eps"):
         raise ValueError("kind must be rho_eps or eta_eps")
-    pairs = [index(float(t), kind.split("_")[0], q0, b0, q1, b1)
-             for t in STANDARD_GRID.points()]
+    pairs = index_samples(kind.split("_")[0], q0, b0, q1, b1,
+                          STANDARD_GRID.points().tolist())
     kept = [p for p in pairs if p.defined and p.numerator not in (0.0, _INF)]
     nums = np.array([p.numerator for p in kept])
     dens = np.array([p.denominator for p in kept])

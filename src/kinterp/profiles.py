@@ -565,37 +565,99 @@ def _crossing_point(f: Rearrangement, lam: float,
                     probes: Optional[tuple[float, list]] = None) -> float:
     """Largest t with f*(t) >= lam (0 when f* < lam everywhere, inf when
     f* >= lam everywhere); ``probes`` are f*'s :func:`_crossing_probes`,
-    computed here when not given."""
+    computed here when not given.
+
+    The probes find m on a break, or bracket it between two breaks (or
+    1e-12 and the last probe), so inside one piece.  A piece of one pure
+    power solves exactly; any other is solved on its own atoms by
+    :func:`_piece_crossing`, from the probes' values at the bracket's ends.
+    """
     curve = f.curve
     first, rows = _crossing_probes(curve) if probes is None else probes
-    prev_t = 1e-12
+    prev_t, prev_v = 1e-12, first
     if first < lam:
         return 0.0
     for t, v, v_right in rows:
         if v >= lam and v_right < lam:
             return t
         if v < lam:
-            lo_t, hi_t = prev_t, t
             break
-        prev_t = t
+        prev_t, prev_v = t, v_right
     else:
         return _INF
     # single pure-power atom pieces solve exactly
-    piece = curve.pieces[curve.piece_index(math.sqrt(lo_t * hi_t))]
+    piece = curve.pieces[curve.piece_index(math.sqrt(prev_t * t))]
     if len(piece) == 1 and piece[0].logexp == 0.0 and piece[0].power != 0.0:
         a = piece[0]
         return (lam / a.coef) ** (1.0 / a.power)
-    x_lo, x_hi = math.log(lo_t), math.log(hi_t)
+    return _piece_crossing(piece, lam, (math.log(prev_t), prev_v),
+                           (math.log(t), v))
+
+
+def _piece_value_slope(piece: Sequence[Atom], t: float) -> tuple[float, float]:
+    """(g(t), t g'(t)) for the atom sum g of one piece, g(t) as
+    :meth:`PiecewiseCurve.__call__` computes it.  L = 1 + |ln t| has
+    dL/d(ln t) = -1 for t <= 1 and +1 above, and a piece with a log atom
+    lies on one side of 1."""
+    side = -1.0 if t <= 1.0 else 1.0
+    L = 1.0 + abs(math.log(t))
+    vals = [_atom_eval(a, t) for a in piece]
+    return (math.fsum(vals),
+            math.fsum(v * (a.power + side * a.logexp / L)
+                      for v, a in zip(vals, piece)))
+
+
+def _piece_crossing(piece: Sequence[Atom], lam: float,
+                    lo: tuple[float, float], hi: tuple[float, float]) -> float:
+    """The t in the bracket where the nonincreasing atom sum g of one piece
+    crosses lam; ``lo`` and ``hi`` are (ln t, g) at its ends, with g >= lam
+    at the lower one and g < lam at the upper one.
+
+    Newton on h = ln(g / lam) in x = ln t, which is close to linear on a
+    piece of powers and logs, kept inside the bracket.  Each step evaluates
+    the piece once (:func:`_piece_value_slope`) and moves the end on the
+    same side of lam to it.  The first point, and a Newton point outside
+    the bracket, is the secant root of h between the ends, moved at least
+    d = max(0.5e-15, one ulp) inside, so a root next to an end closes the
+    bracket at once; where g does not fall, or the secant is not finite,
+    the step is the midpoint.
+    It stops when the Newton step is below d, at the point it steps to, or
+    when the bracket is narrower than 1e-15 or one ulp wide, at its
+    midpoint: the bisection's stop width in ln t.
+    """
+    def ln_ratio(g: float) -> float:
+        return math.log(g / lam) if g > 0.0 else -_INF
+
+    def secant() -> float:
+        x = x_lo + (x_hi - x_lo) * h_lo / (h_lo - h_hi) if h_lo > h_hi \
+            else math.nan
+        return min(max(x, x_lo + d), x_hi - d)
+
+    (x_lo, g_lo), (x_hi, g_hi) = lo, hi
+    h_lo, h_hi = ln_ratio(g_lo), ln_ratio(g_hi)
+    d = max(0.5e-15, math.ulp(x_lo), math.ulp(x_hi))
+    x = secant()
     for _ in range(200):
-        m = 0.5 * (x_lo + x_hi)
-        if m == x_lo or m == x_hi:  # the bracket is one ulp wide; m is the answer
-            break
-        if curve(math.exp(m)) >= lam:
-            x_lo = m
+        if not x_lo < x < x_hi:
+            x = 0.5 * (x_lo + x_hi)
+            if x in (x_lo, x_hi):
+                break
+        g, slope = _piece_value_slope(piece, math.exp(x))
+        h = ln_ratio(g)
+        if g >= lam:
+            x_lo, h_lo = x, h
         else:
-            x_hi = m
+            x_hi, h_hi = x, h
         if x_hi - x_lo < 1e-15:
             break
+        d = max(0.5e-15, math.ulp(x_lo), math.ulp(x_hi))
+        if not (g > 0.0 and slope < 0.0):
+            x = math.nan  # the midpoint
+            continue
+        newton = x - h * g / slope
+        if abs(newton - x) < d:
+            return math.exp(min(max(newton, x_lo), x_hi))
+        x = newton if x_lo < newton < x_hi else secant()
     return math.exp(0.5 * (x_lo + x_hi))
 
 

@@ -464,6 +464,10 @@ def kernel_tail_samples(b: WeightExpr, q: float,
     (:func:`running_sums` of each side's canonical term), across t = 1 to
     the points below it.  The cells at the x^alpha cusp of x = 0 stay
     finite segments.  A divergent tail is +inf at every point.
+
+    It samples the A1-A4 kernels (:mod:`kinterp.weighted_ineq`) and the
+    norms of :func:`kinterp.norms.index_samples`: rho's tails of b, and
+    eta's heads as the tails of flip(b) at the points 1/t.
     """
     tail = b._integral("tail", q)
     if not any(form.gammas for form in b.side_forms()):

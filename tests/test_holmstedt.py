@@ -124,12 +124,15 @@ RHS_CASES = (
 )
 
 
+def _rhs_case(kind, params):
+    return HolmstedtCase(kind, **dict(params, b0=parse_weight(params["b0"]),
+                                      b1=parse_weight(params["b1"])))
+
+
 @pytest.mark.parametrize("kind,params", RHS_CASES, ids=[k for k, _ in RHS_CASES])
 def test_one_rhs_for_every_case_kind(kind, params):
     # I over (0, t) in X0 plus s J over (t, inf) in X1, whatever the kind
-    params = dict(params, b0=parse_weight(params["b0"]),
-                  b1=parse_weight(params["b1"]))
-    case = HolmstedtCase(kind, **params)
+    case = _rhs_case(kind, params)
     X0, X1 = case.spaces()
     K = K_from_rearrangement(profile_suite()[2])
     for t in (0.03, 1.0, 7.0):
@@ -138,6 +141,27 @@ def test_one_rhs_for_every_case_kind(kind, params):
         want = I + s * J
         assert rhs_formula(case, K, t) == want
         assert 0.0 < want < INF
+
+
+@pytest.mark.parametrize("kind,params", RHS_CASES, ids=[k for k, _ in RHS_CASES])
+def test_zero_profile_rhs_checks_t_and_the_index_first(kind, params):
+    # the zero profile's rhs is 0 only where the rhs is defined: a t outside
+    # (0, inf) is a ValueError for it as for any other profile
+    case = _rhs_case(kind, params)
+    for t in (0.0, -1.0, INF, math.nan):
+        for f in (KProfile.zero(), KProfile.min1()):
+            with pytest.raises(ValueError):
+                rhs_formula(case, f, t)
+    assert rhs_formula(case, KProfile.zero(), 1.0) == 0.0
+
+
+def test_zero_profile_rhs_where_the_index_is_undefined():
+    # rho's denominator, the tail of b1 = one, is infinite at every t
+    case = HolmstedtCase("limiting00", 1.0, 1.0, parse_weight("log(0,-2)"),
+                         One())
+    for f in (KProfile.zero(), KProfile.min1()):
+        with pytest.raises(ValueError, match="index undefined"):
+            rhs_formula(case, f, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +556,8 @@ def test_scan_sweep_of_every_profile_kind(text, kind, w_l02, w_l03):
 def test_limiting11_rows_read_the_reduced_index_as_one_over_eta(monkeypatch):
     # rho of the reduced case at 1/t is 1/eta(t) up to an ulp or two, so the
     # row's rhs s * rhs_formula(red, conj, 1/t) is s I + J, and the scan
-    # evaluates the index once per row (and once per hypothesis sample)
+    # evaluates the index once per row, and samples it once for the
+    # hypothesis on every point of STANDARD_GRID
     b1 = parse_weight("log(0,-2)")
     case = HolmstedtCase("limiting11", 2.0, 1.0, Flip(b1), Flip(EXPLOG_B0))
     red = HolmstedtCase("limiting00", 1.0, 2.0, EXPLOG_B0, b1)
@@ -546,19 +571,26 @@ def test_limiting11_rows_read_the_reduced_index_as_one_over_eta(monkeypatch):
         (I,), (J,) = sweep_partials(conj, X0, X1, [1.0 / t])
         assert s * rhs_formula(red, conj, 1.0 / t) \
             == pytest.approx(s * I + J, rel=1e-15)
-    calls = []
+    calls, sampled = [], []
     from kinterp import holmstedt, norms
-    index = norms.index
+    index, index_samples = norms.index, norms.index_samples
 
     def counted(*args):
         calls.append(args[0])
         return index(*args)
 
+    def counted_samples(*args):
+        sampled.append(args[-1])
+        return index_samples(*args)
+
     monkeypatch.setattr(norms, "index", counted)
     monkeypatch.setattr(holmstedt, "index", counted)
+    monkeypatch.setattr(norms, "index_samples", counted_samples)
+    monkeypatch.setattr(holmstedt, "index_samples", counted_samples)
     rep = equivalence_scan(case, MIN1, MEMO_GRID)
     assert len(rep.rows) == len(ts)
-    assert len(calls) == len(STANDARD_GRID.points()) + len(ts)
+    assert len(calls) == len(ts)
+    assert sampled == [STANDARD_GRID.points().tolist()]
 
 
 #: the explog-scan scenario of the benchmark's first draw, and its rows

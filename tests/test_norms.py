@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import mpmath
 from mpmath import fp
 
 from kinterp import norms
@@ -395,6 +396,110 @@ def test_eta_rho_duality(w_l02, w_l03):
         assert e == r
 
 
+# ---------------------------------------------------------------------------
+# index samples
+# ---------------------------------------------------------------------------
+
+#: grids below 1, above 1, through 1 (with 1 itself) and the hypothesis grid
+_INDEX_GRIDS = ([1e-6, 1e-3, 0.2, 0.9], [1.5, 10.0, 3e4, 1e8],
+                [1e-8, 0.03, 1.0, 2.0, 5e5], STANDARD_GRID.points().tolist())
+
+_STRETCHED = "mul(log(0,-2),pow(explog(0.294),-1))"
+
+
+def _index_loop(kind, q0, b0, q1, b1, ts):
+    """The per-point loop that :func:`norms.index_samples` replaces."""
+    return [index(t, kind, q0, b0, q1, b1) for t in ts]
+
+
+def _outcome(call):
+    """The value of call(), or the class of the error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the class is the outcome compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind,b0,b1", [
+    ("rho", "log(0,-2)", "log(-1,-3)"),
+    ("rho", "log(1,-4)", "one"),  # b1 has no finite tail: every point skips
+    ("eta", "log(-2,0)", "log(-3,-1)"),
+    ("eta", "flip(log(0,-2.5))", "log(-1.5,2)"),
+])
+@pytest.mark.parametrize("q0,q1", [(0.5, 1.0), (1.0, 2.5), (2.5, 0.5),
+                                   (1.0, INF)])
+def test_index_samples_equal_the_index_without_a_stretched_side(
+        kind, b0, b1, q0, q1):
+    b0, b1 = parse_weight(b0), parse_weight(b1)
+    for ts in _INDEX_GRIDS:
+        assert norms.index_samples(kind, q0, b0, q1, b1, ts) \
+            == _index_loop(kind, q0, b0, q1, b1, ts)
+
+
+def _mp_qnorm(kind, b, q, t):
+    """tail_qnorm (rho) or head_qnorm (eta) of b at t in 30-digit mpmath, in
+    s = ln u with b's side forms."""
+    lo, hi = b.side_forms()
+
+    def b_q(s):
+        form, x = (hi, s) if s >= 0 else (lo, -s)
+        return ((1 + x) ** form.beta * mpmath.exp(
+            sum(g * x ** al for al, g in form.gammas))) ** q
+
+    with mpmath.workdps(30):
+        lt = mpmath.log(t)
+        cuts = sorted({lt, mpmath.mpf(0)})
+        if kind == "rho":
+            value = mpmath.quad(b_q, [c for c in cuts if c >= lt]
+                                + [mpmath.inf])
+        else:
+            value = mpmath.quad(b_q, [-mpmath.inf]
+                                + [c for c in cuts if c <= lt])
+        return value ** (1 / mpmath.mpf(q))
+
+
+@pytest.mark.parametrize("kind,q0,b0,q1,b1", [
+    ("rho", 1.0, _STRETCHED, 2.0, "log(0,-2)"),
+    ("rho", 2.5, "pow(explog(0.5),-1)", 0.5, _STRETCHED),
+    ("rho", 1.0, "explog(0.5)", 1.0, _STRETCHED),  # no finite numerator
+    ("eta", 0.5, f"flip({_STRETCHED})", 1.0, "pow(explog(0.5),-1)"),
+    ("eta", 2.0, "log(-2,0)", 1.0, "explog(0.5)"),  # undefined everywhere
+])
+def test_index_samples_of_stretched_weights(kind, q0, b0, q1, b1):
+    # running sums from one exact far tail, within 1e-13 of 30-digit mpmath;
+    # the same points are skipped as by the per-point loop
+    b0, b1 = parse_weight(b0), parse_weight(b1)
+    ts = STANDARD_GRID.points().tolist()
+    got = norms.index_samples(kind, q0, b0, q1, b1, ts)
+    want = _index_loop(kind, q0, b0, q1, b1, ts)
+    assert [(p.defined, p.numerator == INF, p.denominator == INF)
+            for p in got] == [(p.defined, p.numerator == INF,
+                               p.denominator == INF) for p in want]
+    for i in range(0, len(ts), 32):
+        for q, b, side in ((q0, b0, got[i].numerator),
+                           (q1, b1, got[i].denominator)):
+            if side != INF:
+                exact = _mp_qnorm(kind, b, q, ts[i])
+                assert abs(side - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("kind,q0,b0,q1,b1,ts", [
+    ("rho_eps", 1.0, "log(0,-2)", 1.0, "log(0,-2)", [1.0]),
+    ("rho", -1.0, _STRETCHED, 1.0, "log(0,-2)", [0.5, 2.0]),
+    ("eta", 1.0, f"flip({_STRETCHED})", 0.0, "log(-2,0)", [0.5, 2.0]),
+    ("rho", 1.0, _STRETCHED, 1.0, "log(0,-2)", [0.0, 2.0]),
+    ("eta", 1.0, f"flip({_STRETCHED})", 1.0, "log(-2,0)", [-1.0, 2.0]),
+    ("rho", 3.0, "log(300,-2)", 1.0, "log(0,-2)", [1e-8, 1.0]),
+    ("eta", 3.0, "log(-2,300)", 1.0, "log(-2,0)", [1.0, 1e8]),
+    ("rho", math.nan, _STRETCHED, 1.0, "log(0,-2)", [0.5, 2.0]),
+])
+def test_index_samples_raise_as_the_loop_does(kind, q0, b0, q1, b1, ts):
+    b0, b1 = parse_weight(b0), parse_weight(b1)
+    got = _outcome(lambda: norms.index_samples(kind, q0, b0, q1, b1, ts))
+    want = _outcome(lambda: _index_loop(kind, q0, b0, q1, b1, ts))
+    assert isinstance(want, type) and got is want
+
+
 @pytest.mark.parametrize("b0, q1, b1, zero, inf", [
     # rho -> 0 like 1/ln ln(1/t): a converging head over a ln-growing one
     ("log(-4,-1.2)", 1, "log(-1,-2.7)", -1, 1),
@@ -566,6 +671,26 @@ def test_condition_without_evidence_fails(w_one, w_l02):
     assert rep.skipped_points == len(STANDARD_GRID.points())
     assert not rep.passed
     assert rep.best_constant == INF and rep.best_eps is None
+
+
+def test_condition_reads_no_tail_per_grid_point(monkeypatch):
+    # the rho_eps condition of a stretched numerator on the 257 points of
+    # STANDARD_GRID: one exact far tail and running sums of cells, where a
+    # QUADPACK tail per point made 385 calls
+    from kinterp import quadrature
+    b0 = parse_weight(_STRETCHED)
+    calls = []
+    quad = quadrature._quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_quad", counted)
+    rep = check_condition_monotone_index("rho_eps", 1.0, b0, 2.0,
+                                         parse_weight("log(0,-2)"))
+    assert rep.skipped_points == 0 and math.isfinite(rep.best_constant)
+    assert len(calls) <= 8
 
 
 def test_condition_eta_for_reduced_pairing(w_l02):

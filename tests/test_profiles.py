@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kinterp import profiles
 from kinterp.profiles import (
     Atom,
     CurveClosureError,
@@ -11,6 +13,7 @@ from kinterp.profiles import (
     PiecewiseCurve,
     Rearrangement,
     K_from_rearrangement,
+    _crossing_probes,
     check_quasiconcave,
     conjugate_profile,
     parse_profile,
@@ -255,7 +258,9 @@ def test_parse_profile_literals():
 # ---------------------------------------------------------------------------
 
 def _crossing_point_200(f: Rearrangement, lam: float) -> float:
-    """Reference: the crossing point with the fixed 200-step bisection."""
+    """Reference: the crossing point by the probe walk and a fixed 200-step
+    bisection in ln t, whose m = 0, inf, on-a-break and single-power returns
+    the solver keeps bit for bit."""
     curve = f.curve
     probes = [1e-12] + list(curve.breaks) + [max(list(curve.breaks) or [1.0]) * 1e12]
     prev_t = probes[0]
@@ -288,24 +293,132 @@ def _crossing_point_200(f: Rearrangement, lam: float) -> float:
     return math.exp(0.5 * (x_lo + x_hi))
 
 
+def _piece_root_mp(piece, lam: float, m: float) -> mpmath.mpf:
+    """ln t* with sum of the piece's atoms at t* = lam, by a 50-digit
+    bisection in ln t around ln m."""
+    def excess(x):
+        t = mpmath.exp(x)
+        total = mpmath.mpf(0)
+        for a in piece:
+            term = mpmath.mpf(a.coef) * t ** mpmath.mpf(a.power)
+            if a.logexp:
+                term *= (1 + abs(x)) ** mpmath.mpf(a.logexp)
+            total += term
+        return total - lam
+    with mpmath.workdps(50):
+        lo, hi = mpmath.log(m) - mpmath.mpf("1e-9"), mpmath.log(m) + mpmath.mpf("1e-9")
+        assert excess(lo) >= 0 > excess(hi)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) >= 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+def _crossing_panel():
+    """(rearrangement, levels): multi-atom pieces with log atoms on both
+    sides of 1, a multi-atom piece of pure powers, a single pure power, a
+    staircase and a constant; the levels are f* at points from 1e-9 to
+    1e9 and at every probe of the crossing search, plus one above f* and
+    one below it everywhere."""
+    three = Rearrangement(PiecewiseCurve((1.0, 10.0), (
+        (Atom(1.0, -0.5), Atom(2.0, -0.2, 0.5)),
+        (Atom(2.0, -0.5, -0.5), Atom(0.5, -1.0), Atom(0.25, -0.3, -2.0)),
+        (Atom(1.0, -2.0), Atom(0.5, -1.5)))))
+    panel = []
+    for f in (realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)")),
+              three, Rearrangement.power(0.5, support=1.0),
+              Rearrangement.staircase((0.01, 1.0, 50.0), (4.0, 1.0, 0.25)),
+              Rearrangement.power(0.0)):
+        first, rows = _crossing_probes(f.curve)
+        levels = [f.curve(math.exp(x)) for x in
+                  (-20.7, -12.0, -9.0, -3.0, -0.5, 0.3, 2.0, 9.0, 12.0, 20.7)]
+        levels += [first, 2.0 * first] + [v for _, *vs in rows for v in vs]
+        panel.append((f, sorted({lam for lam in levels if lam > 0.0})
+                      + [1e-30]))
+    return panel
+
+
+def _counted(evals, evaluate):
+    """``evaluate`` with 1 added to evals[0] per call."""
+    def call(obj, t):
+        evals[0] += 1
+        return evaluate(obj, t)
+    return call
+
+
+def _count_piece_evaluations(monkeypatch, evals):
+    """Count every evaluation of a piece: the probes' curve calls and the
+    solver's steps on the piece's atoms."""
+    monkeypatch.setattr(PiecewiseCurve, "__call__",
+                        _counted(evals, PiecewiseCurve.__call__))
+    monkeypatch.setattr(profiles, "_piece_value_slope",
+                        _counted(evals, profiles._piece_value_slope))
+
+
 @pytest.mark.parametrize("log_t", [-12.0, -9.0, 9.0, 12.0])
 def test_crossing_point_stops_when_the_bracket_stops(monkeypatch, log_t):
-    # at |ln t| > 8 one ulp of ln t exceeds the 1e-15 stop width, so the
-    # bracket stops moving long before 200 bisection steps
+    # at |ln t| > 8 one ulp of ln t exceeds the 1e-15 stop width; inside a
+    # two-atom log piece m is within that width (plus two ulps of ln t*) of
+    # the 50-digit root, after at most 20 piece evaluations, probes
+    # included, where bisection made about 58
     from kinterp.profiles import _crossing_point
     f = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
-    assert any(a.logexp != 0.0 for p in f.curve.pieces for a in p)
     lam = f.curve(math.exp(log_t))
-    want = _crossing_point_200(f, lam)
+    piece = f.curve.pieces[f.curve.piece_index(math.exp(log_t))]
+    assert len(piece) == 2 and all(a.logexp != 0.0 for a in piece)
     evals = [0]
-    curve_call = PiecewiseCurve.__call__
+    _count_piece_evaluations(monkeypatch, evals)
+    m = _crossing_point(f, lam)
+    assert evals[0] <= 20
+    x = _piece_root_mp(piece, lam, m)
+    with mpmath.workdps(50):
+        assert abs(mpmath.log(m) - x) <= 1e-15 + 2.0 * math.ulp(float(x))
 
-    def counted(self, t):
-        evals[0] += 1
-        return curve_call(self, t)
 
-    monkeypatch.setattr(PiecewiseCurve, "__call__", counted)
-    got = _crossing_point(f, lam)
-    assert got == want
-    assert got == pytest.approx(math.exp(log_t), rel=1e-12)
-    assert evals[0] <= 60  # probes and bisection together
+def test_crossing_point_panel(monkeypatch):
+    # inside a piece, m is within the bisection's 1e-15 stop width (plus
+    # two ulps of ln t*) of the exact root, found with at most 20 piece
+    # evaluations, probes included; every other return is the bisection's.
+    # Where one ulp of f* moves ln t by more than 4 ulps (cond > 4: f*'s
+    # atoms cancel, or f* is nearly flat in ln t), evaluating f* in double
+    # precision moves the root by up to 4 ulps times cond, and the bound
+    # allows that too; two levels of the panel are such
+    from kinterp.profiles import _crossing_point
+    evals = [0]
+    piece_value_slope = profiles._piece_value_slope
+
+    kinds = set()
+    ill = 0
+    for f, levels in _crossing_panel():
+        curve = f.curve
+        for lam in levels:
+            want = _crossing_point_200(f, lam)
+            _count_piece_evaluations(monkeypatch, evals)
+            evals[0] = 0
+            m = _crossing_point(f, lam)
+            monkeypatch.undo()
+            assert evals[0] <= 20
+            piece = curve.pieces[curve.piece_index(m)] if 0.0 < m < math.inf \
+                else ()
+            if m in (0.0, math.inf) or m in curve.breaks:
+                kinds.add("m = 0" if m == 0.0 else "m = inf"
+                          if m == math.inf else "m on a break")
+                assert m == want
+            elif len(piece) == 1 and piece[0].logexp == 0.0:
+                kinds.add("one power")
+                assert m == want
+            else:
+                kinds.add("log piece, " + ("t < 1" if m < 1.0 else "t > 1")
+                          if any(a.logexp for a in piece) else "power sum")
+                x = _piece_root_mp(piece, lam, m)
+                with mpmath.workdps(50):
+                    err = abs(mpmath.log(m) - x)
+                _, slope = piece_value_slope(piece, m)
+                cond = math.fsum(abs(profiles._atom_eval(a, m))
+                                 for a in piece) / abs(slope)
+                ill += cond > 4.0
+                assert err <= 1e-15 + 2.0 * math.ulp(float(x)) \
+                    + (4.0 * 2.0 ** -53 * cond if cond > 4.0 else 0.0)
+    assert kinds == {"m = 0", "m = inf", "m on a break", "one power",
+                     "log piece, t < 1", "log piece, t > 1", "power sum"}
+    assert ill == 2
