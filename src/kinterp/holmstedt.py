@@ -10,8 +10,10 @@ realizes a near-optimal decomposition, so
 K-functional that the scanned equivalences bound from below.  Reports label this
 quantity the truncation K-functional.
 
-The theta0 = theta1 = 1 frame is evaluated through the substitution t -> 1/t,
-which swaps the couple and conjugates the profile (K(t) -> t K(1/t)); the
+The right-hand side I + s J is read in each case's own frame, theta0 =
+theta1 = 1 included (:func:`~kinterp.norms.sweep_partials`).  Only the
+left-hand side of that frame goes through the substitution t -> 1/t, which
+swaps the couple and conjugates the profile (K(t) -> t K(1/t)); the
 truncation family maps onto itself under that substitution, level by level,
 so the reduction is exact and not an approximation.
 """
@@ -119,12 +121,6 @@ class HolmstedtCase:
             extra = f", theta0={self.theta0:g}, theta1={self.theta1:g}"
         return (f"{self.kind}[q0={self.q0:g}, b0={self.b0.to_text()}, "
                 f"q1={self.q1:g}, b1={self.b1.to_text()}{extra}]")
-
-
-def _flip_reduced(case: HolmstedtCase) -> HolmstedtCase:
-    """The limiting00 case equivalent to a limiting11 case under t -> 1/t."""
-    return HolmstedtCase("limiting00", q0=case.q1, q1=case.q0,
-                         b0=Flip(case.b1), b1=Flip(case.b0))
 
 
 def _index_kind(case: HolmstedtCase) -> str:
@@ -270,10 +266,13 @@ def lhs_decomposition(case: HolmstedtCase, f, s: float,
 def _decomposition_table(case: HolmstedtCase, fr: Rearrangement
                          ) -> DecompositionTable:
     """The table :func:`lhs_decomposition` reads; for limiting11 that of the
-    reduced pair and the conjugate profile (the exact t -> 1/t reduction)."""
+    reduced pair, the limiting00 case of the flipped weights with the slots
+    swapped, and the conjugate profile (the exact t -> 1/t reduction)."""
     if case.kind == "limiting11":
         conj = realize_rearrangement(conjugate_profile(K_from_rearrangement(fr)))
-        return DecompositionTable(conj, *_flip_reduced(case).spaces())
+        reduced = HolmstedtCase("limiting00", q0=case.q1, q1=case.q0,
+                                b0=Flip(case.b1), b1=Flip(case.b0))
+        return DecompositionTable(conj, *reduced.spaces())
     return DecompositionTable(fr, *case.spaces())
 
 
@@ -381,38 +380,31 @@ def equivalence_scan(case: HolmstedtCase, f, t_grid: GridSpec = SCAN_GRID
     The scan runs in one :func:`kinterp.quadrature.term_memo` scope, shared
     by the hypothesis checks, the index at every row, the decomposition
     table and the right-hand sides, so each distinct integral of the scan
-    is computed once.  The partials I and J of every row come from one
-    sweep over the grid (:func:`~kinterp.norms.sweep_partials`), which
-    also visits the rows that are skipped, so an error it raises ends the
-    scan.  In the limiting11 frame they are those of the reduced case and
-    conjugate profile at u = 1/t, where the reduced index is 1/s, so the
-    right-hand side s (I + J / s) reads s I + J.  The lhs are those of
-    ``lhs_decomposition`` called outside a scope, the rhs those of
-    ``rhs_formula``, the sweep at one point, to 1e-13 relative.
+    is computed once.  The partials I and J of every row, of every case
+    kind, come from one sweep over the grid in the case's own frame
+    (:func:`~kinterp.norms.sweep_partials`), as :func:`rhs_formula` reads
+    them, and the rhs is I + s J; the sweep also visits the rows that are
+    skipped, so an error it raises ends the scan.  The lhs are those of
+    ``lhs_decomposition`` called outside a scope (for limiting11 through
+    the exact t -> 1/t reduction), the rhs those of ``rhs_formula``, the
+    sweep at one point, to 1e-13 relative.
     """
     with term_memo():
         notes = verify_hypotheses(case)
         fr = _as_rearrangement(f)
         report = RatioReport(case.label(), notes=notes)
         table = _decomposition_table(case, fr)
-        profile = K_from_rearrangement(table.f)
+        if case.kind == "limiting11":
+            report.notes.append("lhs computed through the t -> 1/t symmetry")
         ts = [float(t) for t in t_grid.points()]
-        flip = case.kind == "limiting11"
-        if flip:
-            report.notes.append("computed through the t -> 1/t symmetry")
-            I, J = sweep_partials(profile, *_flip_reduced(case).spaces(),
-                                  [1.0 / t for t in reversed(ts)])
-            I.reverse()
-            J.reverse()
-        else:
-            I, J = sweep_partials(profile, *case.spaces(), ts)
+        I, J = sweep_partials(K_from_rearrangement(fr), *case.spaces(), ts)
         for i, t in enumerate(ts):
             s = index_value(case, t)
             if s is None or not (0.0 < s < _INF):
                 report.skipped += 1
                 continue
             lhs = lhs_decomposition(case, fr, s, table)
-            report.add(t, lhs, s * I[i] + J[i] if flip else I[i] + s * J[i])
+            report.add(t, lhs, I[i] + s * J[i])
     return report
 
 

@@ -5,8 +5,11 @@ of a profile piece (atom sums) with a weight side form stay inside the
 canonical e^{a x}(1+x)^beta family whenever the piece is a single atom or q is
 a small integer (multinomial expansion); other segments integrate adaptively.
 The Holmstedt partials over (0, t) and (t, inf), at one point or at every
-point of a grid, come from one sweep of the profile's segments
-(:func:`sweep_partials`); every other norm here is over all of (0, inf).
+point of a grid, come from one walk of the profile's segments each
+(:func:`sweep_partials`), in the frame of the spaces themselves for every
+theta: theta0 = theta1 = 1 goes through t -> 1/t for the left-hand side of
+a scan only (:mod:`kinterp.holmstedt`).  Every other norm here is over all
+of (0, inf).
 """
 
 from __future__ import annotations
@@ -273,102 +276,94 @@ def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr
 def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
            ts: Sequence[float], tail: bool) -> list[float]:
     """||u^{-theta} b(u) K(u)||_q over (0, t), or over (t, inf) when ``tail``,
-    at each of the ascending points ts in (0, inf), in one pass over the
+    at each of the ascending points ts in (0, inf), in one walk over the
     segments.
 
-    A point adds up its segments in order from 0 up: the whole ones below
-    it (above it when ``tail``), each integrated once, and the part of the
-    segment that holds it, which a point on a break or on t = 1 does not
-    have.  The parts of one segment are an
-    anchor, the part at its first point (last when ``tail``) through
+    The walk starts at the end of the range that no point bounds: at 0 for
+    the head, visiting the segments and the points upward, at inf for the
+    tail, visiting them downward.  It folds the whole segments it passes,
+    each integrated once, in walk order.  A point takes that fold, plus the
+    part of the segment that holds it, between the segment's near end and
+    the point: (u0, t) for the head and (t, u1) for the tail.  A point on a
+    break or on t = 1 has no part.  The parts of one segment are an anchor,
+    the part at the first point the walk meets, through
     :func:`integrate_terms`, plus the :func:`running_sums` of the segment's
     canonical terms between its points.  With q = inf, or a piece that does
     not expand, each part is computed on its own.  A divergent segment makes
-    every point that reads it +inf without computing that point's part.
+    every point the walk meets after it +inf without computing that point's
+    part, and the walk stops where no point is left.
     """
     sup = q == _INF
     segs = list(_segments(curve))
     terms = [None if sup else _segment_terms(theta, q, b, side, atoms, u0, u1)
              for u0, u1, side, atoms in segs]
 
-    def value(j: int, lo: float, hi: float) -> float:
-        """The integral (supremum) over (lo, hi) inside segment j."""
-        _, _, side, atoms = segs[j]
+    def value(seg: Segment, lo: float, hi: float) -> float:
+        """The integral (supremum) over (lo, hi) inside the segment."""
         if sup:
-            return _segment_sup(theta, b, side, atoms, lo, hi)
-        return _segment_integral(theta, q, b, side, atoms, lo, hi).value
+            return _segment_sup(theta, b, seg[2], seg[3], lo, hi)
+        return _segment_integral(theta, q, b, seg[2], seg[3], lo, hi).value
 
-    def whole(j: int) -> float:
-        return value(j, *segs[j][:2]) if terms[j] is None \
-            else integrate_terms(terms[j]).value
-
-    def parts(j: int, pts: Sequence[float]) -> list[float]:
-        """The values over (u0, t), or (t, u1) when ``tail``, at the points
-        inside segment j."""
-        u0, u1, side, atoms = segs[j]
-        if terms[j] is None:
-            return [value(j, t, u1) if tail else value(j, u0, t) for t in pts]
-        anchor = integrate_terms(_segment_terms(
-            theta, q, b, side, atoms, *((pts[-1], u1) if tail else (u0, pts[0]))))
+    def parts(seg: Segment, seg_terms: Optional[list[LogTerm]], near: float,
+              pts: Sequence[float]) -> list[float]:
+        """The values over the parts (near, t) of the segment, ends in
+        ascending order, at the points pts inside it, in walk order."""
+        cuts = [(near, t)[::step] for t in pts]
+        if seg_terms is None:
+            return [value(seg, *cut) for cut in cuts]
+        _, _, side, atoms = seg
+        anchor = integrate_terms(_segment_terms(theta, q, b, side, atoms,
+                                                *cuts[0]))
         if anchor.divergent:
             return [_INF] * len(pts)
         sign = 1.0 if side == "hi" else -1.0
-        xs = [sign * math.log(t) for t in (pts[::-1] if tail else pts)]
-        sums = running_sums(terms[j], xs, anchor.value)
-        return sums[::-1] if tail else sums
+        return running_sums(seg_terms, [sign * math.log(t) for t in pts],
+                            anchor.value)
 
-    n = len(ts)
-    # the points strictly inside segment j are ts[i0:i1]
-    spans = [(bisect.bisect_right(ts, u0), bisect.bisect_left(ts, u1))
-             for u0, u1, _, _ in segs]
+    step = -1 if tail else 1  # the walk visits ascending step * t
+    pts = ts[::step]
+    keys = [step * t for t in pts]
     out: list[float] = []
-    if not tail:  # the whole segments below each point, summed from 0 up
-        below = 0.0
-        for j, (i0, i1) in enumerate(spans):
-            out += [below] * (i0 - len(out))
-            if i0 < i1:
-                out += [_INF] * (i1 - i0) if below == _INF else \
-                    [_fold(below, [p], sup) for p in parts(j, ts[i0:i1])]
-            if i1 == n or below == _INF:
-                break
-            below = _fold(below, [whole(j)], sup)
-        out += [below] * (n - len(out))
-    else:  # each point's part, then the whole segments above it in order
-        first = next((j for j, (i0, _) in enumerate(spans) if i0 > 0),
-                     len(segs))  # no point lies below a segment before it
-        wholes = [None] * first + [whole(j) for j in range(first, len(segs))]
-        for j, (i0, i1) in enumerate(spans):
-            if i0 > len(out):
-                out += [_fold(0.0, wholes[j:], sup)] * (i0 - len(out))
-            if i0 < i1:
-                above = wholes[j + 1:]
-                out += [_INF] * (i1 - i0) if not sup and _INF in above else \
-                    [_fold(p, above, sup) for p in parts(j, ts[i0:i1])]
-        out += [0.0] * (n - len(out))
+    acc = 0.0  # the whole segments the walk has passed
+    for seg, seg_terms in list(zip(segs, terms))[::step]:
+        near, far = seg[:2][::step]
+        i = bisect.bisect_right(keys, step * near)  # points up to its near end
+        j = bisect.bisect_left(keys, step * far)  # and inside it
+        out += [acc] * (i - len(out))
+        if i < j:
+            out += [_INF] * (j - i) if acc == _INF else [
+                _fold(acc, p, sup)
+                for p in parts(seg, seg_terms, near, pts[i:j])]
+        if j == len(pts) or acc == _INF:
+            break
+        acc = _fold(acc, value(seg, *seg[:2]) if seg_terms is None
+                    else integrate_terms(seg_terms).value, sup)
+    out += [acc] * (len(pts) - len(out))
+    if tail:
+        out.reverse()
     if sup:
         return out
     return [_root(v, q, theta, *((t, _INF) if tail else (0.0, t)))
             for v, t in zip(out, ts)]
 
 
-def _fold(value: float, wholes: Sequence[float], sup: bool) -> float:
-    """``value`` combined with each of ``wholes`` in order: their maximum
-    when ``sup``, otherwise their sum, +inf from the first +inf on."""
-    for w in wholes:
-        value = max(value, w) if sup else value + w
-        if value == _INF:
-            return value
-    return value
+def _fold(acc: float, value: float, sup: bool) -> float:
+    """One step of the sweep's walk: the maximum of ``acc`` and ``value``
+    when ``sup``, otherwise their sum."""
+    return max(acc, value) if sup else acc + value
 
 
 def sweep_partials(f: KProfile, X0: SpaceSpec, X1: SpaceSpec,
                    ts: Sequence[float]) -> tuple[list[float], list[float]]:
     """(I, J) at each of the ascending points ts in (0, inf): I(t) =
     ||f||_{X0} over (0, t) and J(t) = ||f||_{X1} over (t, inf), the
-    partials of the Holmstedt right-hand side I + s J, in one sweep of the
-    profile each (:func:`_sweep`); +inf where divergent.  This is the only
-    code that computes a partial: :func:`~kinterp.holmstedt.rhs_formula`
-    is the sweep at one point."""
+    partials of the Holmstedt right-hand side I + s J, each in one walk of
+    the profile's segments (:func:`_sweep`): I upward from 0, J downward
+    from inf, both in the frame of the spaces themselves for every theta,
+    1 included; +inf where divergent.  This is the only code that computes
+    a partial: :func:`~kinterp.holmstedt.rhs_formula` is the sweep at one
+    point, and :func:`~kinterp.holmstedt.equivalence_scan` the sweep of its
+    grid."""
     return (_sweep(f.curve, X0.theta, X0.q, X0.b, ts, tail=False),
             _sweep(f.curve, X1.theta, X1.q, X1.b, ts, tail=True))
 

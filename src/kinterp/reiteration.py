@@ -43,6 +43,7 @@ from .norms import (
     SpaceSpec,
     index,
     index_limit,
+    index_samples,
     space_norm,
     sweep_partials,
     _quasi_norm,
@@ -202,13 +203,24 @@ LOG_DERIVATIVE_GRID = GridSpec(1e-6, 1e6, 8)
 LOG_DERIVATIVE_BAND = (1e-2, 1e2)
 
 
-def _dlog_index(spec: ReiterationSpec, t: float) -> float:
-    """d ln(index)/d ln t by central differences."""
-    up = spec.index_value(t * math.exp(_LOG_STEP))
-    dn = spec.index_value(t * math.exp(-_LOG_STEP))
-    if up is None or dn is None or up <= 0.0 or dn <= 0.0:
-        return math.nan
-    return (math.log(up) - math.log(dn)) / (2.0 * _LOG_STEP)
+def _index_slopes(spec: ReiterationSpec, ts: Sequence[float]
+                  ) -> list[tuple[Optional[float], float]]:
+    """(index, d ln(index)/d ln t) at each of the points ts.  The index at
+    the points and at their neighbours t e^(+-_LOG_STEP) comes from one
+    :func:`~kinterp.norms.index_samples` call over them all, merged in
+    ascending order; the log-derivative is the central difference of the
+    neighbours, nan where one of them is undefined or not positive."""
+    up, dn = math.exp(_LOG_STEP), math.exp(-_LOG_STEP)
+    pts = sorted({u for t in ts for u in (t * dn, t, t * up)})
+    idx = {u: pair.value for u, pair in zip(pts, index_samples(
+        spec.index_kind(), spec.q0, spec.b0, spec.q1, spec.b1, pts))}
+    out = []
+    for t in ts:
+        hi, lo = idx[t * up], idx[t * dn]
+        ok = all(v is not None and v > 0.0 for v in (hi, lo))
+        out.append((idx[t], (math.log(hi) - math.log(lo)) / (2.0 * _LOG_STEP)
+                    if ok else math.nan))
+    return out
 
 
 @dataclass
@@ -223,14 +235,15 @@ def log_derivative_check(spec: ReiterationSpec) -> LogDerivativeReport:
     """Band of (index'/index) / (t^-1 b1^q1 / b1-block integral) on the grid.
 
     The two sides agree up to constants exactly when the equal-exponent
-    reiteration hypothesis holds; the acceptance band is generous.
+    reiteration hypothesis holds; the acceptance band is generous.  The
+    t index'/index of every grid point is read from one sampling pass
+    (:func:`_index_slopes`).
     """
     s = spec
+    ts = [float(t) for t in LOG_DERIVATIVE_GRID.points()]
     rows: list[tuple[float, float]] = []
     lo_band, hi_band = _INF, 0.0
-    for t in LOG_DERIVATIVE_GRID.points():
-        t = float(t)
-        num = _dlog_index(spec, t)  # = t * index'/index
+    for t, (_, num) in zip(ts, _index_slopes(spec, ts)):
         if s.side == 0:
             block = weight_kernel_integral(s.b1, s.q1, 0.0, t, _INF)
         else:
@@ -260,21 +273,14 @@ REITERATION_GRID = GridSpec(1e-12, 1e12, 12)
 
 
 def _index_table(spec: ReiterationSpec, grid: GridSpec) -> IndexTable:
-    """The profile-independent part of the s = index(t) substitution."""
+    """The profile-independent part of the s = index(t) substitution: the
+    index at every grid point and its log-derivative, the measure factor,
+    from one sampling pass (:func:`_index_slopes`)."""
     xs = np.log(grid.points())
-    rows: list[Optional[tuple[float, float, float]]] = []
-    for x in xs:
-        t = math.exp(float(x))
-        idx = spec.index_value(t)
-        if idx is None or not (0.0 < idx < _INF):
-            rows.append(None)
-            continue
-        ell = _dlog_index(spec, t)  # measure factor d ln(index)
-        if math.isnan(ell) or ell <= 0.0:
-            rows.append(None)
-            continue
-        rows.append((t, idx, ell))
-    return xs[1] - xs[0], rows
+    ts = [math.exp(float(x)) for x in xs]
+    return xs[1] - xs[0], [
+        (t, idx, ell) if idx is not None and 0.0 < idx < _INF and ell > 0.0
+        else None for t, (idx, ell) in zip(ts, _index_slopes(spec, ts))]
 
 
 def _composite_norm(spec: ReiterationSpec, f: KProfile,

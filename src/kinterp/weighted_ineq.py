@@ -85,13 +85,14 @@ class ConstantReport:
 # The four constants
 # ---------------------------------------------------------------------------
 
-_Kernel = Callable[[WeightExpr, float, float], float]
 _Samples = Callable[[WeightExpr, float, list[float]], list[float]]
 
 
 def _bracket(b: WeightExpr, r: float, x: float) -> float:
     """int_0^x s^r b^r ds/s + x^r int_x^inf b^r ds/s (the plug-in identity):
-    the kernel of A1 and A2; +inf, without the head, when the tail is."""
+    the kernel of A1 and A2; +inf, without the head, when the tail is.  The
+    constants read it through :func:`_bracket_samples`; this is its scalar
+    reference."""
     tail = _tail(b, r, x)
     if tail == _INF:
         return _INF
@@ -99,7 +100,9 @@ def _bracket(b: WeightExpr, r: float, x: float) -> float:
 
 
 def _tail(b: WeightExpr, r: float, x: float) -> float:
-    """int_x^inf b^r ds/s: the kernel of A3 and A4."""
+    """int_x^inf b^r ds/s: the kernel of A3 and A4, which the constants read
+    through :func:`~kinterp.weights.kernel_tail_samples`; this is its scalar
+    reference."""
     return weight_kernel_integral(b, r, 0.0, x, _INF)
 
 
@@ -122,18 +125,12 @@ def _times_power(x: float, r: float, tail: float) -> float:
         f"x^{r!r} times the tail at x = {x!r} exceeds the float range"))
 
 
-def _kernel_ratio(spec: InequalitySpec, kernel: _Kernel, x: float) -> float:
-    """kernel(w, q, x)^(1/q) / kernel(v, p, x)^(1/p), the plug-in ratio of
-    A1 (``_bracket``) and A3 (``_tail``)."""
-    return _plug_in_ratio(spec, kernel(spec.w, spec.q, x),
-                          kernel(spec.v, spec.p, x), x)
-
-
 def _ratio_samples(spec: InequalitySpec, samples: _Samples,
                    ts: list[float]) -> list[float]:
-    """``_kernel_ratio`` at each of the ascending points ts, from one pass of
-    ``samples`` (``_bracket_samples`` or ``kernel_tail_samples``) per
-    weight."""
+    """The plug-in ratio kernel(w, q, x)^(1/q) / kernel(v, p, x)^(1/p) of A1
+    (kernel ``_bracket``) or A3 (``_tail``) at each of the ascending points
+    ts, from one pass of their ``samples`` (``_bracket_samples`` or
+    ``kernel_tail_samples``) per weight."""
     nums, dens = samples(spec.w, spec.q, ts), samples(spec.v, spec.p, ts)
     return [_plug_in_ratio(spec, num, den, x)
             for num, den, x in zip(nums, dens, ts)]
@@ -190,11 +187,11 @@ def _log_integrand(spec: InequalitySpec, samples: _Samples, x_power: float,
     return np.array(out)
 
 
-def _sup_on_grid(spec: InequalitySpec, kernel: _Kernel,
+def _sup_on_grid(spec: InequalitySpec,
                  samples: _Samples) -> tuple[float, float]:
     """(sup, argmax) of the plug-in ratio: its largest sample on
     STANDARD_GRID, refined by a golden section over the neighbouring cells
-    with the scalar ``kernel``."""
+    that samples one point at a time."""
     ts = STANDARD_GRID.points().tolist()
     vals = _ratio_samples(spec, samples, ts)
     i = int(np.argmax(vals))
@@ -203,8 +200,8 @@ def _sup_on_grid(spec: InequalitySpec, kernel: _Kernel,
     b = math.log(ts[min(i + 1, len(ts) - 1)])
     if b > a and math.isfinite(best):
         x, y = golden_min(
-            lambda lx: -_kernel_ratio(spec, kernel, math.exp(lx)), a, b,
-            1e-6, 200)
+            lambda lx: -_ratio_samples(spec, samples, [math.exp(lx)])[0],
+            a, b, 1e-6, 200)
         if -y > best:
             best_x, best = math.exp(x), -y
     return best, best_x
@@ -268,13 +265,13 @@ def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
         raise ValueError(f"{which} requires p <= q")
     if which in ("A2", "A4") and not q < p:
         raise ValueError(f"{which} requires q < p")
-    kernel, samples = ((_bracket, _bracket_samples) if which in ("A1", "A2")
-                       else (_tail, kernel_tail_samples))
+    samples = (_bracket_samples if which in ("A1", "A2")
+               else kernel_tail_samples)
     with term_memo():  # each distinct integral of the call is computed once
         if which in ("A3", "A4"):
             spec.require_sv_classes()
         if which in ("A1", "A3"):
-            value, argmax = _sup_on_grid(spec, kernel, samples)
+            value, argmax = _sup_on_grid(spec, samples)
             return ConstantReport(which, value, argmax)
         log_val = _log_integral(spec, samples, q if which == "A2" else 0.0)
         return ConstantReport(which, math.exp(log_val * (1.0 / q - 1.0 / p)))
@@ -298,13 +295,14 @@ def quasiconcave_ratio(spec: InequalitySpec, h: KProfile) -> float:
 def best_constant_probe(spec: InequalitySpec, which: str,
                         x_grid: Sequence[float]) -> float:
     """Empirical supremum of the plug-in ratio over the constant's extremal
-    family: min(s, x) for A1, the tail indicators for A3."""
+    family: min(s, x) for A1, the tail indicators for A3, whose ratios are
+    one pass of :func:`_ratio_samples` over the points."""
     if which == "A1":
         return max(quasiconcave_ratio(spec, _min_profile(float(x)))
                    for x in x_grid)
     if which == "A3":
-        return max([0.0] + [_kernel_ratio(spec, _tail, float(x))
-                            for x in x_grid])
+        return max([0.0] + _ratio_samples(spec, kernel_tail_samples,
+                                          sorted(float(x) for x in x_grid)))
     raise ValueError("probe supports A1 and A3")
 
 

@@ -461,32 +461,33 @@ def kernel_tail_samples(b: WeightExpr, q: float,
     point.  With one, the tail shrinks as t grows, so the points are one
     pass from the far end inward: the exact tail at the largest point, then
     each value the one after it plus the cell between the two points
-    (:func:`running_sums` of each side's canonical term), across t = 1 to
-    the points below it.  The cells at the x^alpha cusp of x = 0 stay
-    finite segments.  A divergent tail is +inf at every point.
+    (:func:`running_sums` of each side's canonical term).  The pass crosses
+    t = 1 only when points lie on both sides of it, so a one-point sample
+    is the compiled tail integral itself.  The cells at the x^alpha cusp of
+    x = 0 stay finite segments.  A divergent tail is +inf at every point.
 
     It samples the A1-A4 kernels (:mod:`kinterp.weighted_ineq`) and the
     norms of :func:`kinterp.norms.index_samples`: rho's tails of b, and
     eta's heads as the tails of flip(b) at the points 1/t.
     """
     tail = b._integral("tail", q)
-    if not any(form.gammas for form in b.side_forms()):
+    if not (ts and any(form.gammas for form in b.side_forms())):
         return [tail(t) for t in ts]
     lo = [t for t in ts if t < 1.0]
     hi = ts[len(lo):]
     atom = [(1.0, 0.0, 0.0)]
-    far = tail(hi[-1] if hi else 1.0)
+    far = tail(ts[-1])
     if far == _INF:
         return [_INF] * len(ts)
     tails: list[float] = []
-    if hi:  # x = ln u, from the largest point to 0, where the tail is at 1
+    if hi:  # x = ln u, from the largest point down, on to 0 when lo follows
         terms = side_terms(b.side("hi").scaled(q), atom, "hi", 1.0, hi[-1])
-        *tails, far = running_sums(
-            terms, [math.log(t) for t in reversed(hi)] + [0.0], far)
-    if lo:  # x = -ln u, from 0 outward
+        tails = running_sums(terms, [math.log(t) for t in reversed(hi)]
+                             + [0.0] * bool(lo), far)
+    if lo:  # x = -ln u, outward from 0 after hi, else from the largest point
         terms = side_terms(b.side("lo").scaled(q), atom, "lo", lo[0], 1.0)
-        tails += running_sums(
-            terms, [0.0] + [-math.log(t) for t in reversed(lo)], far)[1:]
+        xs = [0.0] * bool(hi) + [-math.log(t) for t in reversed(lo)]
+        tails += running_sums(terms, xs, tails.pop() if hi else far)[bool(hi):]
     return tails[::-1]
 
 

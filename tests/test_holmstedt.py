@@ -553,24 +553,16 @@ def test_scan_sweep_of_every_profile_kind(text, kind, w_l02, w_l03):
                               or kind == "nonlimiting" and text != "zero")
 
 
-def test_limiting11_rows_read_the_reduced_index_as_one_over_eta(monkeypatch):
-    # rho of the reduced case at 1/t is 1/eta(t) up to an ulp or two, so the
-    # row's rhs s * rhs_formula(red, conj, 1/t) is s I + J, and the scan
-    # evaluates the index once per row, and samples it once for the
-    # hypothesis on every point of STANDARD_GRID
+def test_limiting11_rows_read_the_direct_frame(monkeypatch):
+    # the rhs of every limiting11 row is I + eta J in the case's own frame,
+    # rhs_formula at that one point to within the 1e-13 of the memoless
+    # rows; the scan evaluates the index once per row, and samples it once
+    # for the hypothesis on every point of STANDARD_GRID
     b1 = parse_weight("log(0,-2)")
     case = HolmstedtCase("limiting11", 2.0, 1.0, Flip(b1), Flip(EXPLOG_B0))
-    red = HolmstedtCase("limiting00", 1.0, 2.0, EXPLOG_B0, b1)
-    conj = K_from_rearrangement(realize_rearrangement(conjugate_profile(
-        K_from_rearrangement(MIN1))))
+    K = K_from_rearrangement(MIN1)
     ts = [float(t) for t in MEMO_GRID.points()]
-    for t in ts:
-        s = index_value(case, t)
-        assert index_value(red, 1.0 / t) == pytest.approx(1.0 / s, rel=5e-16)
-        X0, X1 = red.spaces()
-        (I,), (J,) = sweep_partials(conj, X0, X1, [1.0 / t])
-        assert s * rhs_formula(red, conj, 1.0 / t) \
-            == pytest.approx(s * I + J, rel=1e-15)
+    want = [rhs_formula(case, K, t) for t in ts]
     calls, sampled = [], []
     from kinterp import holmstedt, norms
     index, index_samples = norms.index, norms.index_samples
@@ -588,7 +580,8 @@ def test_limiting11_rows_read_the_reduced_index_as_one_over_eta(monkeypatch):
     monkeypatch.setattr(norms, "index_samples", counted_samples)
     monkeypatch.setattr(holmstedt, "index_samples", counted_samples)
     rep = equivalence_scan(case, MIN1, MEMO_GRID)
-    assert len(rep.rows) == len(ts)
+    assert [r.t for r in rep.rows] == ts
+    assert all(abs(r.rhs - w) <= 1e-13 * w for r, w in zip(rep.rows, want))
     assert len(calls) == len(ts)
     assert sampled == [STANDARD_GRID.points().tolist()]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -209,15 +210,18 @@ def test_an_integrand_beyond_the_float_range_is_a_named_error(q, weight, match):
 
 #: breaks 0.1, 0.5, 4 and 20; t = 1 cuts the piece (0.5, 4)
 SWEEP_PROFILE = "piecewise[(0.1,0.1),(0.5,0.3),(4,1.2),(20,2)]"
-#: the points of a scan grid, plus points on every break, on t = 1, and a
-#: piece holding one point only
+#: the points of a scan grid, plus points on every break, on t = 1, a
+#: piece holding one point only, and points at the ends of the float range
+#: (the smallest subnormal, a subnormal, and near the largest double)
 SWEEP_TS = sorted({float(t) for t in GridSpec(1e-3, 1e3, 8).points()}
-                  | {0.1, 0.15, 0.5, 1.0, 4.0, 20.0})
+                  | {0.1, 0.15, 0.5, 1.0, 4.0, 20.0, 5e-324, 1e-310, 1.7e308})
 #: (theta, q, weight) of the pieces of I and J: canonical terms, the adaptive
-#: fallback (q = 2.5 on a two-atom piece), and divergences at 0 (head of
-#: log(0,-0.5) under u^-1 K -> 1) and at inf (tail of log(0,-0.5) under K -> 2)
+#: fallback (q = 2.5 on a two-atom piece), suprema (q = inf, theta = 0 and
+#: 1), and divergences at 0 (head of log(0,-0.5) under u^-1 K -> 1) and at
+#: inf (tail of log(0,-0.5) under K -> 2)
 SWEEP_NORMS = ((0.0, 1.0, "log(0,-2)"), (1.0, 2.0, "log(-2,0)"),
-               (0.0, 2.5, "log(0,-3)"), (1.0, 1.0, "log(0,-0.5)"),
+               (0.0, 2.5, "log(0,-3)"), (0.0, INF, "log(0,-2)"),
+               (1.0, INF, "log(-2,0)"), (1.0, 1.0, "log(0,-0.5)"),
                (0.0, 1.0, "log(0,-0.5)"))
 
 
@@ -338,11 +342,36 @@ def test_a_divergent_segment_computes_no_part(monkeypatch):
     assert len(sums) == 6 and sum(sums) == len(SWEEP_TS) - 5
 
 
+@pytest.mark.parametrize("theta,text,tail,piece", [
+    (1.0, "log(1,0)", False, (0.0, 0.1)),  # sup of u^-1 b K at 0
+    (0.0, "log(0,1)", True, (20.0, INF)),  # sup of b K at inf
+])
+def test_a_divergent_supremum_computes_no_part_beyond_it(monkeypatch, theta,
+                                                          text, tail, piece):
+    # q = inf: the walk computes the parts and the whole of the piece whose
+    # supremum is +inf, and no part or whole after it
+    curve = parse_profile(SWEEP_PROFILE).curve
+    ranges = []
+    segment_sup = norms._segment_sup
+
+    def recorded(*args):
+        ranges.append(args[-2:])
+        return segment_sup(*args)
+
+    monkeypatch.setattr(norms, "_segment_sup", recorded)
+    got = norms._sweep(curve, theta, INF, parse_weight(text), SWEEP_TS, tail)
+    assert got == [INF] * len(SWEEP_TS)
+    inside = [t for t in SWEEP_TS if piece[0] < t < piece[1]]
+    parts = [(t, piece[1]) if tail else (piece[0], t)
+             for t in (inside[::-1] if tail else inside)]
+    assert ranges == parts + [piece]
+
+
 @pytest.mark.parametrize("q", [2.5, INF])
-def test_unexpanded_parts_are_computed_once_per_point(monkeypatch, q, w_l03):
+def test_unexpanded_parts_are_computed_once_per_point(monkeypatch, q):
     # q = inf and a two-atom piece under q = 2.5 have no canonical terms:
     # each whole segment is computed once, and at each point only the part
-    # of the segment that holds it
+    # of the segment that holds it; in the theta = 0 and the theta = 1 frame
     curve = parse_profile(SWEEP_PROFILE).curve
     name = "_segment_sup" if q == INF else "_segment_integral"
     ranges = []
@@ -353,9 +382,10 @@ def test_unexpanded_parts_are_computed_once_per_point(monkeypatch, q, w_l03):
         return segment(*args)
 
     monkeypatch.setattr(norms, name, recorded)
-    for tail in (False, True):
+    for (theta, text), tail in itertools.product(
+            [(0.0, "log(0,-3)"), (1.0, "log(-2,0)")], (False, True)):
         ranges.clear()
-        norms._sweep(curve, 0.0, q, w_l03, SWEEP_TS, tail)
+        norms._sweep(curve, theta, q, parse_weight(text), SWEEP_TS, tail)
         assert len(ranges) == len(set(ranges))
         edges = {0.0, 0.1, 0.5, 1.0, 4.0, 20.0, INF}
         wholes = [r for r in ranges if set(r) <= edges]

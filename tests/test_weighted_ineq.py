@@ -15,8 +15,8 @@ from kinterp.weighted_ineq import (
     _bracket,
     _bracket_samples,
     _integral,
-    _kernel_ratio,
     _plain_quad,
+    _plug_in_ratio,
     _ratio_samples,
     _root_ratio,
     _tail,
@@ -155,7 +155,7 @@ def test_a1_ratio_whose_roots_leave_the_float_range(tmp_path):
     num, den = _bracket(spec.w, spec.q, 10.0), _bracket(spec.v, spec.p, 10.0)
     with mpmath.workdps(40):
         want = float(mpmath.mpf(num) ** 1000 / mpmath.mpf(den) ** 1000)
-    assert abs(_kernel_ratio(spec, _bracket, 10.0) - want) <= 1e-12
+    assert abs(_plug_in_ratio(spec, num, den, 10.0) - want) <= 1e-12
     cfg = tmp_path / "a1.cfg"
     cfg.write_text("[constants a1]\np = 0.001\nq = 0.001\nv = log(0,-2000)\n"
                    "w = log(0,-1500)\nwhich = A1\nout = a1.csv\n")
@@ -321,7 +321,25 @@ def test_stretched_tails_are_running_sums(monkeypatch, text, r):
             assert abs(tails[i] - exact) <= 1e-13 * exact
 
 
-@pytest.mark.parametrize("ts", [[1e-3, 0.5, 2.0, 1e3], [1e-3, 0.5]])
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_one_point_stretched_tail_is_the_compiled_tail(monkeypatch, r):
+    # a one-point sample anchors on its point: no cell from ln t to the
+    # x^alpha cusp at 0 (or from 0 out to -ln t), so no running sum at all
+    b = parse_weight("mul(log(0,-2),pow(explog(0.3),-1))")
+    cells = []
+    cell_integrals = quadrature.cell_integrals
+
+    def recorded(*args):
+        cells.append(args)
+        return cell_integrals(*args)
+
+    monkeypatch.setattr(quadrature, "cell_integrals", recorded)
+    for t in (1e-6, 0.5, 1.0, 2.0, 1e6):
+        assert kernel_tail_samples(b, r, [t]) == [b._integral("tail", r)(t)]
+    assert cells == []
+
+
+@pytest.mark.parametrize("ts", [[1e-3, 0.5, 2.0, 1e3], [1e-3, 0.5], []])
 def test_divergent_stretched_tails_are_infinite(ts):
     b = parse_weight("mul(log(0,-2),explog(0.3))")
     assert kernel_tail_samples(b, 1.0, ts) == [INF] * len(ts) \
@@ -351,7 +369,9 @@ def test_window_rows_are_the_a3_samples(spec_12):
     # the one-pass ratio samples A3 takes on STANDARD_GRID are the scalar
     # plug-in ratio at every point
     assert _ratio_samples(spec_12, kernel_tail_samples, _STANDARD_TS) \
-        == [_kernel_ratio(spec_12, _tail, t) for t in _STANDARD_TS]
+        == [_plug_in_ratio(spec_12, _tail(spec_12.w, spec_12.q, t),
+                           _tail(spec_12.v, spec_12.p, t), t)
+            for t in _STANDARD_TS]
 
 
 # ---------------------------------------------------------------------------
