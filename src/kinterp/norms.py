@@ -36,7 +36,7 @@ from .quadrature import (
     sup_terms,
     term_diverges_at_inf,
 )
-from .weights import (Flip, WeightExpr, head_qnorm, kernel_tail_samples,
+from .weights import (Flip, WeightExpr, head_qnorm, kernel_samples,
                       side_terms, tail_qnorm)
 
 __all__ = [
@@ -406,9 +406,11 @@ def _qnorm_samples(kind: str, q: float, b: WeightExpr, ts: Sequence[float]
     ascending points ts.
 
     With 0 < q < inf and every point and its reciprocal in (0, inf) the
-    q-th powers are :func:`~kinterp.weights.kernel_tail_samples`: the tails
-    of b at ts, or, as head_qnorm reads a head, the tails of flip(b) at the
-    points 1/t.  Otherwise, and for q = inf, each point is the norm itself.
+    q-th powers are one pass of :func:`~kinterp.weights.kernel_samples`:
+    the tails of b at ts, or, as head_qnorm reads a head, the tails of
+    flip(b) at the points 1/t.  A value past the float range raises
+    :class:`IntegralOverflowError`, as the norm at that point does.
+    Otherwise, and for q = inf, each point is the norm itself.
     """
     qnorm = tail_qnorm if kind == "rho" else head_qnorm
     ends = (ts[0], ts[-1]) if ts else ()
@@ -416,9 +418,10 @@ def _qnorm_samples(kind: str, q: float, b: WeightExpr, ts: Sequence[float]
                                    for t in ends)):
         return [qnorm(b, q, t) for t in ts]
     if kind == "rho":
-        values = kernel_tail_samples(b, q, ts)
+        values = kernel_samples(b, q, 0.0, ts, tail=True)
     else:
-        values = kernel_tail_samples(Flip(b), q, [1.0 / t for t in ts[::-1]])
+        values = kernel_samples(Flip(b), q, 0.0, [1.0 / t for t in ts[::-1]],
+                                tail=True)
         values.reverse()
     return [v ** (1.0 / q) if v != _INF else _INF for v in values]
 

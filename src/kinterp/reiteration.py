@@ -50,8 +50,7 @@ from .norms import (
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
 from .quadrature import GridSpec, term_memo
-from .weights import (Flip, WeightExpr, head_qnorm, tail_qnorm,
-                      weight_kernel_integral)
+from .weights import Flip, WeightExpr, head_qnorm, kernel_samples, tail_qnorm
 
 __all__ = [
     "ReiterationSpec",
@@ -237,17 +236,16 @@ def log_derivative_check(spec: ReiterationSpec) -> LogDerivativeReport:
     The two sides agree up to constants exactly when the equal-exponent
     reiteration hypothesis holds; the acceptance band is generous.  The
     t index'/index of every grid point is read from one sampling pass
-    (:func:`_index_slopes`).
+    (:func:`_index_slopes`), and the b1 blocks, its tails on side 0 and its
+    heads on side 1, from one pass of :func:`~kinterp.weights.kernel_samples`.
     """
     s = spec
     ts = [float(t) for t in LOG_DERIVATIVE_GRID.points()]
+    slopes = _index_slopes(spec, ts)
+    blocks = kernel_samples(s.b1, s.q1, 0.0, ts, tail=s.side == 0)
     rows: list[tuple[float, float]] = []
     lo_band, hi_band = _INF, 0.0
-    for t, (_, num) in zip(ts, _index_slopes(spec, ts)):
-        if s.side == 0:
-            block = weight_kernel_integral(s.b1, s.q1, 0.0, t, _INF)
-        else:
-            block = weight_kernel_integral(s.b1, s.q1, 0.0, 0.0, t)
+    for t, (_, num), block in zip(ts, slopes, blocks):
         den = s.b1(t) ** s.q1 / block if block not in (0.0, _INF) else math.nan
         ratio = num / den if den and not math.isnan(num) else math.nan
         rows.append((t, ratio))

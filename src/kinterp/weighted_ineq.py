@@ -25,8 +25,7 @@ from .quadrature import (DivergentIntegralError, IntegralOverflowError,
                          term_memo)
 from .weights import (
     WeightExpr,
-    kernel_head_samples,
-    kernel_tail_samples,
+    kernel_samples,
     tail_qnorm,
     weight_kernel_integral,
 )
@@ -101,19 +100,23 @@ def _bracket(b: WeightExpr, r: float, x: float) -> float:
 
 def _tail(b: WeightExpr, r: float, x: float) -> float:
     """int_x^inf b^r ds/s: the kernel of A3 and A4, which the constants read
-    through :func:`~kinterp.weights.kernel_tail_samples`; this is its scalar
-    reference."""
+    through :func:`_tail_samples`; this is its scalar reference."""
     return weight_kernel_integral(b, r, 0.0, x, _INF)
 
 
+def _tail_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
+    """``_tail`` at each of the ascending points ts, in one pass."""
+    return kernel_samples(b, r, 0.0, ts, tail=True)
+
+
 def _bracket_samples(b: WeightExpr, r: float, ts: list[float]) -> list[float]:
-    """``_bracket`` at each of the ascending points ts, in one pass: the
-    tails first, then the heads where the tail is finite, as running sums
-    (:func:`kinterp.weights.kernel_head_samples`)."""
-    tails = kernel_tail_samples(b, r, ts)
+    """``_bracket`` at each of the ascending points ts: the tails first, then
+    the heads where the tail is finite, each one pass of
+    :func:`kinterp.weights.kernel_samples` from its outermost point."""
+    tails = _tail_samples(b, r, ts)
     live = [i for i, tail in enumerate(tails) if tail != _INF]
     out = [_INF] * len(ts)
-    heads = kernel_head_samples(b, r, r, [ts[i] for i in live])
+    heads = kernel_samples(b, r, r, [ts[i] for i in live], tail=False)
     for i, head in zip(live, heads):
         out[i] = head + _times_power(ts[i], r, tails[i])
     return out
@@ -130,7 +133,8 @@ def _ratio_samples(spec: InequalitySpec, samples: _Samples,
     """The plug-in ratio kernel(w, q, x)^(1/q) / kernel(v, p, x)^(1/p) of A1
     (kernel ``_bracket``) or A3 (``_tail``) at each of the ascending points
     ts, from one pass of their ``samples`` (``_bracket_samples`` or
-    ``kernel_tail_samples``) per weight."""
+    ``_tail_samples``) per weight; a one-point pass, which each golden step
+    of :func:`_sup_on_grid` takes, is the scalar kernel bit for bit."""
     nums, dens = samples(spec.w, spec.q, ts), samples(spec.v, spec.p, ts)
     return [_plug_in_ratio(spec, num, den, x)
             for num, den, x in zip(nums, dens, ts)]
@@ -164,10 +168,11 @@ def _root_ratio(spec: InequalitySpec, num: float, den: float,
 def _log_integrand(spec: InequalitySpec, samples: _Samples, x_power: float,
                    xs: list[float]) -> np.ndarray:
     """ln of the integrand of A2 (``_bracket_samples``, ``x_power`` = q) or
-    A4 (``kernel_tail_samples``, ``x_power`` = 0) at s = e^x for each of the
-    ascending xs: q/(p-q) ln(kernel(w, q, s) / kernel(v, p, s)) + x_power x
-    + q ln w(s); +inf where the w kernel is +inf (the v kernel is then not
-    sampled), -inf where a kernel is 0 or the v kernel +inf."""
+    A4 (``_tail_samples``, ``x_power`` = 0) at s = e^x for each of the
+    ascending xs, each weight's kernel from one pass of ``samples``:
+    q/(p-q) ln(kernel(w, q, s) / kernel(v, p, s)) + x_power x + q ln w(s);
+    +inf where the w kernel is +inf (the v kernel is then not sampled),
+    -inf where a kernel is 0 or the v kernel +inf."""
     p, q, v, w = spec.p, spec.q, spec.v, spec.w
     expo = q / (p - q)
     ts = [math.exp(x) for x in xs]
@@ -266,7 +271,7 @@ def compute_constant(spec: InequalitySpec, which: str) -> ConstantReport:
     if which in ("A2", "A4") and not q < p:
         raise ValueError(f"{which} requires q < p")
     samples = (_bracket_samples if which in ("A1", "A2")
-               else kernel_tail_samples)
+               else _tail_samples)
     with term_memo():  # each distinct integral of the call is computed once
         if which in ("A3", "A4"):
             spec.require_sv_classes()
@@ -301,7 +306,7 @@ def best_constant_probe(spec: InequalitySpec, which: str,
         return max(quasiconcave_ratio(spec, _min_profile(float(x)))
                    for x in x_grid)
     if which == "A3":
-        return max([0.0] + _ratio_samples(spec, kernel_tail_samples,
+        return max([0.0] + _ratio_samples(spec, _tail_samples,
                                           sorted(float(x) for x in x_grid)))
     raise ValueError("probe supports A1 and A3")
 

@@ -421,74 +421,53 @@ def weight_kernel_integral(b: WeightExpr, q: float, kernel_power: float,
     return integrate_terms(_weight_terms(b, q, lo, hi, kernel_power)).value
 
 
-def kernel_head_samples(b: WeightExpr, q: float, kernel_power: float,
-                        ts: Sequence[float]) -> list[float]:
-    """``weight_kernel_integral(b, q, kernel_power, 0.0, t)`` at each of the
-    ascending points ts in (0, inf), kernel_power > 0, in one pass.
+def kernel_samples(b: WeightExpr, q: float, kernel_power: float,
+                   ts: Sequence[float], tail: bool) -> list[float]:
+    """``weight_kernel_integral(b, q, kernel_power, t, inf)`` (``tail``) or
+    ``weight_kernel_integral(b, q, kernel_power, 0.0, t)`` at each of the
+    ascending points ts in (0, inf), in one pass.
 
-    The head grows with t, so each value is the one before it plus the cell
-    between the two points (:func:`running_sums` of the side's canonical
-    term).  The points t < 1 start from the exact integral up to the
-    smallest of them, the points t >= 1 from the exact integral over (0, 1).
-    Raises :class:`IntegralOverflowError` where a value exceeds the float
-    range.
+    Kernel power 0 on a weight without a stretched side is b's compiled
+    tail or head integral at each point.  Otherwise the pass starts at the
+    outermost point, the largest for a tail and the smallest for a head,
+    with the exact integral there, and walks inward: each value is the one
+    before it plus the cell between the two points (:func:`running_sums` of
+    each side's canonical term).  It crosses t = 1, through x = 0, only when
+    points lie on both sides of 1, so a one-point sample is the exact
+    integral itself.  A divergent kernel is +inf at every point; any other
+    value past the float range raises :class:`IntegralOverflowError`.
+
+    It samples the A1-A4 kernels (:mod:`kinterp.weighted_ineq`), the b1
+    blocks of :func:`kinterp.reiteration.log_derivative_check` and the norms
+    of :func:`kinterp.norms.index_samples`: rho's tails of b, and eta's
+    heads as the tails of flip(b) at the points 1/t.
     """
-    lo = [t for t in ts if t < 1.0]
-    hi = ts[len(lo):]
-    atom = [(1.0, kernel_power, 0.0)]
-    heads: list[float] = []
-    if lo:  # x = -ln u, from the far end inward
-        terms = side_terms(b.side("lo").scaled(q), atom, "lo", lo[0], lo[-1])
-        far = weight_kernel_integral(b, q, kernel_power, 0.0, lo[0])
-        heads += running_sums(terms, [-math.log(t) for t in lo], far)
-    if hi:  # x = ln u, from 0 outward
-        terms = side_terms(b.side("hi").scaled(q), atom, "hi", 1.0, hi[-1])
-        whole = weight_kernel_integral(b, q, kernel_power, 0.0, 1.0)
-        heads += running_sums(terms, [0.0] + [math.log(t) for t in hi],
-                              whole)[1:]
-    if not all(math.isfinite(h) for h in heads):
-        raise IntegralOverflowError(
-            f"the head integral of {b.to_text()}^{q!r} exceeds the float range")
-    return heads
-
-
-def kernel_tail_samples(b: WeightExpr, q: float,
-                        ts: Sequence[float]) -> list[float]:
-    """``weight_kernel_integral(b, q, 0.0, t, inf)`` at each of the ascending
-    points ts in (0, inf).
-
-    Without a stretched side each value is b's compiled tail integral at its
-    point.  With one, the tail shrinks as t grows, so the points are one
-    pass from the far end inward: the exact tail at the largest point, then
-    each value the one after it plus the cell between the two points
-    (:func:`running_sums` of each side's canonical term).  The pass crosses
-    t = 1 only when points lie on both sides of it, so a one-point sample
-    is the compiled tail integral itself.  The cells at the x^alpha cusp of
-    x = 0 stay finite segments.  A divergent tail is +inf at every point.
-
-    It samples the A1-A4 kernels (:mod:`kinterp.weighted_ineq`) and the
-    norms of :func:`kinterp.norms.index_samples`: rho's tails of b, and
-    eta's heads as the tails of flip(b) at the points 1/t.
-    """
-    tail = b._integral("tail", q)
-    if not (ts and any(form.gammas for form in b.side_forms())):
-        return [tail(t) for t in ts]
-    lo = [t for t in ts if t < 1.0]
-    hi = ts[len(lo):]
-    atom = [(1.0, 0.0, 0.0)]
-    far = tail(ts[-1])
+    if kernel_power == 0.0 and not any(form.gammas for form in b.side_forms()):
+        integral = b._integral("tail" if tail else "head", q)
+        return [integral(t) for t in ts]
+    if not ts:
+        return []
+    walk = list(ts[::-1] if tail else ts)  # from the outermost point inward
+    far = weight_kernel_integral(b, q, kernel_power,
+                                 *((walk[0], _INF) if tail else (0.0, walk[0])))
     if far == _INF:
         return [_INF] * len(ts)
-    tails: list[float] = []
-    if hi:  # x = ln u, from the largest point down, on to 0 when lo follows
-        terms = side_terms(b.side("hi").scaled(q), atom, "hi", 1.0, hi[-1])
-        tails = running_sums(terms, [math.log(t) for t in reversed(hi)]
-                             + [0.0] * bool(lo), far)
-    if lo:  # x = -ln u, outward from 0 after hi, else from the largest point
-        terms = side_terms(b.side("lo").scaled(q), atom, "lo", lo[0], 1.0)
-        xs = [0.0] * bool(hi) + [-math.log(t) for t in reversed(lo)]
-        tails += running_sums(terms, xs, tails.pop() if hi else far)[bool(hi):]
-    return tails[::-1]
+    above = walk[0] >= 1.0
+    n = sum((t >= 1.0) == above for t in walk)  # the points on walk[0]'s side
+    atom = [(1.0, kernel_power, 0.0)]
+    values = [far]
+    for k, (side, run) in enumerate(zip(("hi", "lo") if above else ("lo", "hi"),
+                                        (walk[:n], walk[n:]))):
+        if run:  # x = |ln u|: toward 0 on the first side, from 0 on the second
+            terms = side_terms(b.side(side).scaled(q), atom, side,
+                               min(run + [1.0]), max(run + [1.0]))
+            xs = [0.0] * k + [abs(math.log(t)) for t in run] \
+                + [0.0] * (k == 0 and n < len(walk))
+            values += running_sums(terms, xs, values.pop())[k:]
+    if not all(math.isfinite(v) for v in values):
+        raise IntegralOverflowError(
+            f"a kernel integral of {b.to_text()}^{q!r} exceeds the float range")
+    return values[::-1] if tail else values
 
 
 def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:

@@ -435,6 +435,8 @@ _INDEX_GRIDS = ([1e-6, 1e-3, 0.2, 0.9], [1.5, 10.0, 3e4, 1e8],
                 [1e-8, 0.03, 1.0, 2.0, 5e5], STANDARD_GRID.points().tolist())
 
 _STRETCHED = "mul(log(0,-2),pow(explog(0.294),-1))"
+#: its tail exceeds the float range below t = 1e-8
+_HUGE_TAIL = "mul(log(240.95,-2),pow(explog(0.3),-1))"
 
 
 def _index_loop(kind, q0, b0, q1, b1, ts):
@@ -522,6 +524,10 @@ def test_index_samples_of_stretched_weights(kind, q0, b0, q1, b1):
     ("rho", 3.0, "log(300,-2)", 1.0, "log(0,-2)", [1e-8, 1.0]),
     ("eta", 3.0, "log(-2,300)", 1.0, "log(-2,0)", [1.0, 1e8]),
     ("rho", math.nan, _STRETCHED, 1.0, "log(0,-2)", [0.5, 2.0]),
+    # a stretched tail past the float range toward 0, and its eta mirror
+    ("rho", 1.0, _HUGE_TAIL, 1.0, "log(0,-2)", STANDARD_GRID.points().tolist()),
+    ("eta", 1.0, f"flip({_HUGE_TAIL})", 1.0, "log(-2,0)",
+     STANDARD_GRID.points().tolist()),
 ])
 def test_index_samples_raise_as_the_loop_does(kind, q0, b0, q1, b1, ts):
     b0, b1 = parse_weight(b0), parse_weight(b1)

@@ -20,6 +20,7 @@ from kinterp.weighted_ineq import (
     _ratio_samples,
     _root_ratio,
     _tail,
+    _tail_samples,
     DivergentIntegralError,
     InequalitySpec,
     StepFunction,
@@ -30,7 +31,7 @@ from kinterp.weighted_ineq import (
     hmt_check,
     quasiconcave_ratio,
 )
-from kinterp.weights import (WeightExpr, kernel_tail_samples, parse_weight,
+from kinterp.weights import (WeightExpr, kernel_samples, parse_weight,
                              weight_kernel_integral)
 
 INF = math.inf
@@ -256,7 +257,8 @@ def _mp_bracket(b: WeightExpr, r: float, t: float):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
     # the running sums of cells against the scalar kernel on the trapezoid
-    # points and on STANDARD_GRID: the same infinities, and 1e-13 apart.
+    # points, on STANDARD_GRID and on a grid wholly above 1: the same
+    # infinities, and 1e-13 apart.
     # A stretched weight's scalar head and tail go to QUADPACK at every
     # point, up to 8e-10 off here, while its samples take both from running
     # sums: there the grids are thinned to every 16th point, the tails too
@@ -271,12 +273,12 @@ def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
         fallbacks.append(term)
         return scalar(term)
 
-    for ts in (_TRAPEZOID_TS, _STANDARD_TS):
-        ts = ts[::16] if stretched else ts
+    thin = 16 if stretched else 1
+    for ts in (_TRAPEZOID_TS[::thin], _STANDARD_TS[::thin], [2.0, 30.0, 1e5]):
         monkeypatch.setattr(quadrature, "term_value", recorded)
         got = _bracket_samples(b, r, ts)
         monkeypatch.setattr(quadrature, "term_value", scalar)
-        tails = kernel_tail_samples(b, r, ts)
+        tails = kernel_samples(b, r, 0.0, ts, tail=True)
         if stretched:
             assert all(abs(g - w) <= 1e-9 * w for g, w in
                        zip(tails, [_tail(b, r, t) for t in ts]))
@@ -287,7 +289,10 @@ def test_bracket_samples_equal_the_scalar_kernel(monkeypatch, text, r):
         finite = [(t, g, w) for t, g, w in zip(ts, got, want) if w != INF]
         bound = 1e-9 if stretched else 1e-13
         assert all(abs(g - w) <= bound * w for _, g, w in finite)
-        if stretched and finite:
+        # above 1 a head starts on the segment (0, ln t) with the x^alpha
+        # cusp, which the scalar kernel integrates by QUADPACK, up to 3e-13
+        # off mpmath here: there the samples are held to the scalar only
+        if stretched and finite and ts[0] < 1.0:
             with mpmath.workdps(30):
                 for t, g, _ in finite[::len(finite) // 3]:
                     assert abs(g - _mp_bracket(b, r, t)) <= 1e-13 * g
@@ -313,7 +318,7 @@ def test_stretched_tails_are_running_sums(monkeypatch, text, r):
         return scalar(term)
 
     monkeypatch.setattr(quadrature, "term_value", recorded)
-    tails = kernel_tail_samples(b, r, _TRAPEZOID_TS)
+    tails = kernel_samples(b, r, 0.0, _TRAPEZOID_TS, tail=True)
     assert len(calls) <= 8
     with mpmath.workdps(30):
         for i in range(0, len(_TRAPEZOID_TS), 127):
@@ -324,8 +329,9 @@ def test_stretched_tails_are_running_sums(monkeypatch, text, r):
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_one_point_stretched_tail_is_the_compiled_tail(monkeypatch, r):
     # a one-point sample anchors on its point: no cell from ln t to the
-    # x^alpha cusp at 0 (or from 0 out to -ln t), so no running sum at all
-    b = parse_weight("mul(log(0,-2),pow(explog(0.3),-1))")
+    # x^alpha cusp at 0 (or from 0 out to -ln t), so no running sum at all.
+    # A head anchors on its point too, also at t >= 1 (no cell from 0 out
+    # to ln t), for a plain weight as for a stretched one
     cells = []
     cell_integrals = quadrature.cell_integrals
 
@@ -334,15 +340,38 @@ def test_one_point_stretched_tail_is_the_compiled_tail(monkeypatch, r):
         return cell_integrals(*args)
 
     monkeypatch.setattr(quadrature, "cell_integrals", recorded)
-    for t in (1e-6, 0.5, 1.0, 2.0, 1e6):
-        assert kernel_tail_samples(b, r, [t]) == [b._integral("tail", r)(t)]
+    for text in ("mul(log(0,-2),pow(explog(0.3),-1))", "log(0,-2)"):
+        b = parse_weight(text)
+        for t in (1e-6, 0.5, 1.0, 2.0, 1e6):
+            assert kernel_samples(b, r, 0.0, [t], tail=True) \
+                == [b._integral("tail", r)(t)]
+            assert kernel_samples(b, r, r, [t], tail=False) \
+                == [weight_kernel_integral(b, r, r, 0.0, t)]
     assert cells == []
+
+
+def test_a1_golden_steps_integrate_no_cell(monkeypatch):
+    # the grid sample walks each kernel of each weight once, and every
+    # golden step of the refinement is a one-point sample: exact kernels
+    spec = InequalitySpec(1.0, 2.0, parse_weight("log(0,-2)"),
+                          parse_weight("log(0,-1.2)"))
+    cells = []
+    cell_integrals = quadrature.cell_integrals
+
+    def recorded(*args):
+        cells.append(args)
+        return cell_integrals(*args)
+
+    monkeypatch.setattr(quadrature, "cell_integrals", recorded)
+    rep = compute_constant(spec, "A1")
+    assert (rep.value, rep.argmax) == (1.9824101004407664, 1e8)
+    assert len(cells) <= 4
 
 
 @pytest.mark.parametrize("ts", [[1e-3, 0.5, 2.0, 1e3], [1e-3, 0.5], []])
 def test_divergent_stretched_tails_are_infinite(ts):
     b = parse_weight("mul(log(0,-2),explog(0.3))")
-    assert kernel_tail_samples(b, 1.0, ts) == [INF] * len(ts) \
+    assert kernel_samples(b, 1.0, 0.0, ts, tail=True) == [INF] * len(ts) \
         == [_tail(b, 1.0, t) for t in ts]
 
 
@@ -368,7 +397,7 @@ def test_window_divergent_head_fails_every_bound(w_l02):
 def test_window_rows_are_the_a3_samples(spec_12):
     # the one-pass ratio samples A3 takes on STANDARD_GRID are the scalar
     # plug-in ratio at every point
-    assert _ratio_samples(spec_12, kernel_tail_samples, _STANDARD_TS) \
+    assert _ratio_samples(spec_12, _tail_samples, _STANDARD_TS) \
         == [_plug_in_ratio(spec_12, _tail(spec_12.w, spec_12.q, t),
                            _tail(spec_12.v, spec_12.p, t), t)
             for t in _STANDARD_TS]
