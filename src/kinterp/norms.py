@@ -32,6 +32,7 @@ from .quadrature import (
     STANDARD_GRID,
     _quad,
     integrate_terms,
+    leading_exponent,
     running_sums,
     sup_terms,
     term_diverges_at_inf,
@@ -442,10 +443,10 @@ def index_samples(kind: str, q0: float, b0: WeightExpr, q1: float,
 
 
 def _log_norm_order(b: WeightExpr, q: float, side: str, tail: bool
-                    ) -> dict[float, float]:
-    """The leading terms of ln ||u^{-1/q} b(u)||_q over (t, inf) (``tail``)
-    or (0, t) as x = |ln t| grows on ``side`` of 1: {k: c} for c x^k
-    (0 < k < 1), c ln x (k = 0) and c ln ln x (k = -1).
+                    ) -> tuple[float, tuple[tuple[float, float], ...], float]:
+    """The exponents (beta, gammas, loglog) of the leading form of
+    ||u^{-1/q} b(u)||_q over (t, inf) (``tail``) or (0, t) as x = |ln t|
+    grows on ``side`` of 1 (:func:`~kinterp.quadrature.leading_exponent`).
 
     With (1+x)^B exp(sum G x^alpha) the side form of b^q, Karamata's theorem
     (Bingham-Goldie-Teugels 1.5-1.6) gives: a tail int_x^inf converges and
@@ -453,22 +454,20 @@ def _log_norm_order(b: WeightExpr, q: float, side: str, tail: bool
     (alpha the largest with G != 0), otherwise like x^(B+1); a head int_0^x
     tends to a constant when it converges, else grows like that stretched
     form, like x^(B+1) when B > -1 and like ln x when B = -1.  The q-th root
-    divides each coefficient by q.
+    divides each exponent by q.
     """
     form = b.side(side)
     scaled = form.scaled(q)
     if term_diverges_at_inf(0.0, scaled.beta, scaled.gammas) == tail:
         if tail:
             raise ValueError(f"the {q:g}-norm of {b.to_text()} diverges")
-        return {}
-    order = {alpha: gamma for alpha, gamma in form.gammas if gamma != 0.0}
-    if order:
-        order[0.0] = form.beta + (1.0 - max(order)) / q
-    elif scaled.beta != -1.0:
-        order[0.0] = form.beta + 1.0 / q
-    else:
-        order[-1.0] = 1.0 / q
-    return order
+        return 0.0, (), 0.0
+    alpha = max((al for al, g in form.gammas if g != 0.0), default=None)
+    if alpha is not None:
+        return form.beta + (1.0 - alpha) / q, form.gammas, 0.0
+    if scaled.beta != -1.0:
+        return form.beta + 1.0 / q, (), 0.0
+    return 0.0, (), 1.0 / q
 
 
 def index_limit(kind: str, q0: float, b0: WeightExpr, q1: float,
@@ -478,21 +477,20 @@ def index_limit(kind: str, q0: float, b0: WeightExpr, q1: float,
 
     rho at inf is a quotient of tails of the "hi" side forms, at 0+ of heads
     of the "lo" ones plus constants; eta(t) is rho of the flipped weights at
-    1/t.  The sign of the leading term of ln rho decides
-    (:func:`_log_norm_order`).
+    1/t.  The sign of the leading exponent of the quotient of the two norms'
+    forms (:func:`_log_norm_order`) decides.
     """
     if kind not in ("rho", "eta"):
         raise ValueError(f"unknown index kind {kind!r}")
     if end not in ("zero", "inf"):
         raise ValueError("end must be 'zero' or 'inf'")
     tail = (kind == "rho") == (end == "inf")
-    order0, order1 = (_log_norm_order(b, q, "lo" if end == "zero" else "hi",
-                                      tail) for q, b in ((q0, b0), (q1, b1)))
-    for k in sorted(order0.keys() | order1.keys(), reverse=True):
-        d = order0.get(k, 0.0) - order1.get(k, 0.0)
-        if d != 0.0:
-            return 1 if d > 0.0 else -1
-    return 0
+    (beta0, gammas0, loglog0), (beta1, gammas1, loglog1) = (
+        _log_norm_order(b, q, "lo" if end == "zero" else "hi", tail)
+        for q, b in ((q0, b0), (q1, b1)))
+    order = leading_exponent(0.0, beta0 - beta1, gammas0 + tuple(
+        (al, -g) for al, g in gammas1), loglog0 - loglog1)
+    return 1 if order > 0.0 else 0 if order == 0.0 else -1
 
 
 def quasi_monotone_constant(vals, direction: str = "nondecreasing") -> float:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import GridSpec
+from .quadrature import GridSpec, leading_exponent, term_diverges_at_inf
 
 __all__ = [
     "Atom",
@@ -207,13 +207,10 @@ class PiecewiseCurve:
         Raises :class:`CurveClosureError` when a piece leaves the family and
         ValueError when the curve is not integrable at 0.
         """
-        first = self.pieces[0]
-        for a in first:
-            ok = a.power > -1.0 and a.logexp == 0.0
-            ok = ok or (a.power == -1.0 and a.logexp < -1.0)
-            if not ok:
-                if a.power < -1.0 or (a.power == -1.0 and a.logexp >= -1.0):
-                    raise ValueError("curve is not integrable at 0")
+        for a in self.pieces[0]:  # u^p L^l du = e^(-(p+1) x) (1+x)^l dx
+            if term_diverges_at_inf(-(a.power + 1.0), a.logexp):
+                raise ValueError("curve is not integrable at 0")
+            if a.logexp != 0.0 and a.power != -1.0:
                 raise CurveClosureError(
                     "leading piece has no atomic antiderivative vanishing at 0")
         # c/u integrates to +-c ln u, a log atom whose sign depends on the side
@@ -491,14 +488,9 @@ def realize_rearrangement(phi: KProfile) -> Rearrangement:
 
 
 def _vanishes_at_zero(curve: PiecewiseCurve) -> bool:
-    _, hi, first = next(curve.segments())
-    on_lo = hi <= 1.0
-    for a in first:
-        if a.power < 0.0:
-            return False
-        if a.power == 0.0 and not (on_lo and a.logexp < 0.0):
-            return False
-    return True
+    # u^p L^l is e^(-p x) (1+x)^l with x = ln(1/u) -> inf
+    return all(leading_exponent(-a.power, a.logexp) < 0.0
+               for a in curve.pieces[0])
 
 
 def _first_rise(curve: PiecewiseCurve) -> Optional[float]:

@@ -47,6 +47,7 @@ __all__ = [
     "IntegralOverflowError",
     "DivergentIntegralError",
     "LogTerm",
+    "leading_exponent",
     "term_diverges_at_inf",
     "power_integral",
     "running_sums",
@@ -166,24 +167,31 @@ class LogTerm:
         return self.coef * math.exp(self.a * x + extra) * (1.0 + x) ** self.beta
 
 
-def _growth(a: float, beta: float,
-            gammas: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
-    """Order of growth of e^{ax}(1+x)^beta exp(sum gamma x^alpha) as x -> inf.
-
-    The triples compare lexicographically: a decides first, then the gamma of
-    the largest alpha, then beta; (0, 0, p) is the order of (1+x)^p.
+def leading_exponent(a: float, beta: float = 0.0,
+                     gammas: Sequence[tuple[float, float]] = (),
+                     loglog: float = 0.0) -> float:
+    """The leading nonzero exponent of e^{ax} (1+x)^beta exp(sum gamma x^alpha)
+    (ln x)^loglog as x -> inf: a, else the summed gamma of the largest alpha,
+    else beta, else loglog, else 0.0.  Its sign, the one end rule, says
+    whether the form tends to inf, to a constant > 0 or to 0; the sign for a
+    quotient, whose exponents are the differences, orders two forms.  A NaN
+    is returned at its level, so every > 0, >= 0 and == 0 test on it fails.
     """
-    lead_alpha, lead = -1.0, 0.0
-    for alpha, gamma in gammas:
-        if gamma != 0.0 and alpha > lead_alpha:
-            lead_alpha, lead = alpha, gamma
-    return a, lead, beta
+    if a != 0.0:
+        return a
+    if gammas:
+        for alpha in sorted({al for al, _ in gammas}, reverse=True):
+            lead = sum(g for al, g in gammas if al == alpha)
+            if lead != 0.0:
+                return lead
+    return beta if beta != 0.0 else loglog
 
 
 def term_diverges_at_inf(a: float, beta: float,
                          gammas: Sequence[tuple[float, float]] = ()) -> bool:
-    """Whether int^inf e^{ax}(1+x)^beta exp(sum gamma x^alpha) dx diverges."""
-    return _growth(a, beta, gammas) >= (0.0, 0.0, -1.0)
+    """Whether int^inf e^{ax}(1+x)^beta exp(sum gamma x^alpha) dx diverges;
+    for floats, beta + 1.0 >= 0 exactly when beta >= -1."""
+    return leading_exponent(a, beta + 1.0, gammas) >= 0.0
 
 
 #: the messages scipy's ``quad`` returns for the QUADPACK statuses that leave
@@ -378,7 +386,7 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     """
     if x1 == x2:
         return 0.0, 0.0
-    if x2 == _INF and (a > 0.0 or a == 0.0 and beta >= -1.0):
+    if x2 == _INF and term_diverges_at_inf(a, beta):
         raise ValueError("divergent exp_pow_integral")
     if a == 0.0:
         val = power_integral(beta, x1, x2)
@@ -631,9 +639,9 @@ def sup_terms(terms: Sequence[LogTerm]) -> float:
             or len({(t.a, t.beta) for t in terms}) < len(terms):
         raise ValueError("sup_terms needs distinct terms on one segment "
                          "with one stretched factor")
-    top = max(terms, key=lambda t: _growth(t.a, t.beta, gammas))
-    order = _growth(top.a, top.beta, gammas)
-    if x2 == _INF and order > (0.0, 0.0, 0.0) and top.coef > 0.0:
+    top = max(terms, key=lambda t: (t.a, t.beta))
+    order = leading_exponent(top.a, top.beta, gammas)
+    if x2 == _INF and order > 0.0 and top.coef > 0.0:
         return _INF
 
     def value(x: float) -> float:  # -inf below the float range
@@ -646,8 +654,8 @@ def sup_terms(terms: Sequence[LogTerm]) -> float:
 
     if x2 != _INF:
         ends = [value(x2)]
-    elif order <= (0.0, 0.0, 0.0):  # the limit: a constant top term, or 0
-        ends = [top.coef if order == (0.0, 0.0, 0.0) else 0.0]
+    elif order <= 0.0:  # the limit: a constant top term, or 0
+        ends = [top.coef if order == 0.0 else 0.0]
     else:  # falls to -inf
         ends = []
     return max([value(x1)] + ends + [value(x) for x in _falling_turns(terms)])

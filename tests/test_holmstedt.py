@@ -244,6 +244,29 @@ def test_degenerate_rho_fails_one_named_condition(b0, b1):
     assert exc.value.condition == "rho positive and finite on the grid"
 
 
+@pytest.mark.parametrize("kind,b0,b1,condition,detail", [
+    ("limiting00", "log(0,-2.3)", "log(0,-2)", "rho increasing",
+     "it tends to 0 toward inf"),
+    ("limiting11", "log(-2,0)", "log(-2.3,0)", "eta increasing",
+     "it tends to inf toward 0+"),
+    ("interior_equal_q", "log(0,-0.3)", "one", "b0/b1 nondecreasing",
+     "it tends to 0 toward inf"),
+    ("interior_equal_q", "one", "log(-0.3,0)", "b0/b1 nondecreasing",
+     "it tends to inf toward 0+"),
+])
+def test_hypotheses_read_the_exact_ends(kind, b0, b1, condition, detail):
+    # each drifts so slowly that its grid samples are quasi-nondecreasing
+    # (constants 3.13 and 2.43, below the threshold 4), but it tends to 0
+    # toward inf or to inf toward 0+, so no nondecreasing function is
+    # equivalent to it
+    case = HolmstedtCase(kind, 1.0, 1.0, parse_weight(b0), parse_weight(b1),
+                         theta=0.5)
+    with pytest.raises(HypothesisError) as exc:
+        verify_hypotheses(case)
+    assert exc.value.condition == condition
+    assert str(exc.value).endswith(f"({detail})")
+
+
 def test_scan_rows_and_band(case_mixed_q):
     rep = equivalence_scan(case_mixed_q, CHI, GridSpec(1e-4, 1e4, 8))
     assert rep.rows and rep.skipped == 0
@@ -295,6 +318,17 @@ def test_demo_divergent_head(w_one):
     rep = negative_demo(0.5, 1.0, 2.0, w_one, w_one, GridSpec(1e-6, 1e6, 8))
     assert rep.confirmed
     assert all(row[3] == INF for row in rep.rows)
+
+
+@pytest.mark.parametrize("q1,b0", [(1.05, "log(-3,-3)"), (1.2, "log(-3,-3)"),
+                                   (1.5, "log(-1,0)")])
+def test_demo_with_a_slow_growth_is_confirmed(q1, b0, w_one):
+    # M grows like (ln 1/t)^(1/r) toward 0+, 1/r = 1/21, 1/6 and 1/3: over
+    # the six decades below the middle row by a factor of only 1.14, 1.57
+    # and 2.46, but unbounded all the same
+    rep = negative_demo(0.5, 1.0, q1, parse_weight(b0), w_one)
+    assert rep.confirmed and rep.verdict == "nonexistence confirmed"
+    assert 1.0 < rep.growth_ratio < 3.0 and rep.monotone_decades == 6.0
 
 
 def test_demo_closed_form_values(w_one):

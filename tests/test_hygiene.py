@@ -311,6 +311,47 @@ def test_one_overflow_rule_in_quadrature():
     assert found == []
 
 
+def _is_minus_one(node: ast.AST) -> bool:
+    """The literal -1 (or -1.0), or a tuple holding it."""
+    if isinstance(node, ast.Tuple):
+        return any(map(_is_minus_one, node.elts))
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and node.operand.value == 1)
+
+
+#: the order comparisons against -1 that are no end decision, with why
+_MINUS_ONE_ALLOWLIST = {
+    ("power_integral", "beta >= -1.0"):
+        "the domain of its own closed form, on the compiled tails' hot path",
+    ("exp_pow_integral", "beta > -1.0"):
+        "the Q(s, z) route of a convergent gamma tail, s = beta + 1 > 0",
+}
+
+
+def test_one_end_rule():
+    # whether a log-exp form diverges, tends to a constant or vanishes at an
+    # end is quadrature.leading_exponent's sign; an order comparison of an
+    # exponent against -1 elsewhere is a copy of that rule
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        owner = {}  # each node's innermost function: ast.walk goes outside in
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                owner.update((n, node.name) for n in ast.walk(node))
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                    and (_is_minus_one(left) or _is_minus_one(right))
+                    for op, left, right in zip(
+                        node.ops, [node.left, *node.comparators],
+                        node.comparators)):
+                found[owner.get(node, "<module>"),
+                      ast.get_source_segment(text, node)] = \
+                    f"{path.name}:{node.lineno}"
+    assert sorted(found) == sorted(_MINUS_ONE_ALLOWLIST), found
+
+
 def _bench_spans(monkeypatch):
     import importlib.util
     import sys
