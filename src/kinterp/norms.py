@@ -30,6 +30,7 @@ from .quadrature import (
     IntegralResult,
     LogTerm,
     STANDARD_GRID,
+    _qth_root,
     _quad,
     integrate_terms,
     leading_exponent,
@@ -37,8 +38,8 @@ from .quadrature import (
     sup_terms,
     term_diverges_at_inf,
 )
-from .weights import (Flip, WeightExpr, head_qnorm, kernel_samples,
-                      side_terms, tail_qnorm)
+from .weights import (Flip, WeightExpr, _root_overflow, head_qnorm,
+                      kernel_samples, side_terms, tail_qnorm)
 
 __all__ = [
     "SpaceSpec",
@@ -110,7 +111,12 @@ def _expand_piece(atoms: Sequence[Atom], q: float) -> Optional[list[Atom]]:
         a = atoms[0]
         if a.coef < 0.0:
             return None
-        return [Atom(a.coef ** q, a.power * q, a.logexp * q)]
+        try:
+            return [Atom(a.coef ** q, a.power * q, a.logexp * q)]
+        except OverflowError:
+            raise IntegralOverflowError(
+                f"the piece {a} to the power {q!r} exceeds the float range"
+            ) from None
     if q != int(q) or not (1 <= q <= _MAX_EXPAND_Q):
         return None
     n = int(q)
@@ -242,12 +248,9 @@ def _root(value: float, q: float, theta: float, lo: float, hi: float
     """The quasi-norm value^(1/q) of a q-th power integral over (lo, hi);
     raises :class:`IntegralOverflowError` when the root leaves the float
     range."""
-    try:
-        return value ** (1.0 / q) if value != _INF else _INF
-    except OverflowError:  # the integral fits in a double, its root not
-        raise IntegralOverflowError(
-            f"the quasi-norm ||u^-{theta:g} b K||_{q:g} over ({lo:g}, "
-            f"{hi:g}) exceeds the float range") from None
+    return _qth_root(value, q, lambda: IntegralOverflowError(
+        f"the quasi-norm ||u^-{theta:g} b K||_{q:g} over ({lo:g}, "
+        f"{hi:g}) exceeds the float range"))
 
 
 def segments_norm(segs: Iterable[Segment], theta: float, q: float,
@@ -424,7 +427,9 @@ def _qnorm_samples(kind: str, q: float, b: WeightExpr, ts: Sequence[float]
         values = kernel_samples(Flip(b), q, 0.0, [1.0 / t for t in ts[::-1]],
                                 tail=True)
         values.reverse()
-    return [v ** (1.0 / q) if v != _INF else _INF for v in values]
+    return [_qth_root(v, q, lambda: _root_overflow(
+        b, q, *((t, _INF) if kind == "rho" else (0.0, t))))
+        for v, t in zip(values, ts)]
 
 
 def index_samples(kind: str, q0: float, b0: WeightExpr, q1: float,

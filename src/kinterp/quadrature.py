@@ -13,6 +13,10 @@ exponential factor integrate in closed form when a == 0 or beta == 0.  On
 Gamma(beta + 1, z), z = -a (1+x1): through scipy's Q(s, z) when beta > -1,
 and by Legendre's continued fraction when beta <= -1 and z >= 1.  The rest,
 finite segments and heavy tails with z < 1, go to adaptive quadrature.  A
+stretched term's shape picks its route: QUADPACK on the integrand itself when
+it cannot rise (a, beta and every gamma <= 0), else QUADPACK on it over its
+largest value, cut where it turns (:func:`term_value`).  Every term is
+integrated without its coefficient, which :func:`integrate_terms` applies.  A
 term sampled at many points of one grid is integrated cell by cell between
 them, all cells at once by a Gauss-Kronrod pair (:func:`cell_integrals`).
 The q = inf quasi-norms are exact suprema of the same sums (:func:`sup_terms`).
@@ -30,7 +34,7 @@ import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
@@ -162,10 +166,6 @@ class LogTerm:
     gammas: tuple[tuple[float, float], ...] = ()  # (alpha, gamma) pairs
     end: str = "inf"
 
-    def integrand(self, x: float) -> float:
-        extra = sum(g * x ** al for al, g in self.gammas)
-        return self.coef * math.exp(self.a * x + extra) * (1.0 + x) ** self.beta
-
 
 def leading_exponent(a: float, beta: float = 0.0,
                      gammas: Sequence[tuple[float, float]] = (),
@@ -241,6 +241,17 @@ def _times_exp(val: float, log_scale: float,
     if out < _INF:  # finite, or -inf below the float range
         return out
     raise overflow()
+
+
+def _qth_root(value: float, q: float,
+              overflow: Callable[[], IntegralOverflowError]) -> float:
+    """The quasi-norm value^(1/q) of a q-th power integral, +inf for +inf;
+    raises ``overflow()`` where the root, not the value, exceeds the float
+    range (as q < 1 can)."""
+    try:
+        return value ** (1.0 / q) if value != _INF else _INF
+    except OverflowError:
+        raise overflow() from None
 
 
 def power_integral(beta: float, x1: float, x2: float) -> float:
@@ -426,21 +437,22 @@ def exp_pow_integral(a: float, beta: float, x1: float, x2: float) -> tuple[float
     return out, (err / val + _EPS * (abs(a * xm) + abs(beta * lm))) * out
 
 
-def term_value(term: LogTerm) -> tuple[float, float]:
-    """(value, error) of one canonical term; +inf when divergent."""
-    if term.coef == 0.0 or term.x1 == term.x2:
+def term_value(a: float, beta: float, x1: float, x2: float,
+               gammas: tuple[tuple[float, float], ...] = ()
+               ) -> tuple[float, float]:
+    """(value, error) of a convergent canonical term without its coefficient.
+    Its shape picks the route: :func:`exp_pow_integral` when plain, QUADPACK
+    on an integrand <= 1 (a, beta, every gamma <= 0), else on e^(log_f - L)
+    over the cuts where it turns, L its largest log_f there."""
+    if x1 == x2:
         return 0.0, 0.0
-    if term.x2 == _INF and term_diverges_at_inf(term.a, term.beta, term.gammas):
-        return _INF, _INF
-    a, beta, x1, x2, gammas = term.a, term.beta, term.x1, term.x2, term.gammas
     if not gammas:
-        val, err = exp_pow_integral(a, beta, x1, x2)
-        return term.coef * val, abs(term.coef) * err
-    try:
-        return _quad(term.integrand, x1, x2)
-    except OverflowError:  # the integrand leaves the float range: integrate
-        # e^(log_f - L), L its largest value, over the cuts where it turns
-        cuts = [x1, *_falling_turns([LogTerm(1.0, a, beta, x1, x2, gammas)]), x2]
+        return exp_pow_integral(a, beta, x1, x2)
+    if not (a > 0.0 or beta > 0.0 or any(g > 0.0 for _, g in gammas)):
+        return _quad(lambda x: math.exp(a * x + sum(
+            g * x ** al for al, g in gammas)) * (1.0 + x) ** beta, x1, x2)
+    unit = LogTerm(1.0, a, beta, x1, x2, gammas)
+    cuts = [x1, *_falling_turns([unit]), x2]
 
     def log_f(x: float) -> float:
         return a * x + beta * math.log1p(x) + sum(g * x ** al for al, g in gammas)
@@ -450,9 +462,11 @@ def term_value(term: LogTerm) -> tuple[float, float]:
     log_m = max(log_f(x) for x in cuts if x < _INF)
     val, err = map(sum, zip(*(_quad(lambda x: math.exp(min(log_f(x) - log_m, 0.0)),
                                     lo, hi) for lo, hi in zip(cuts, cuts[1:]))))
-    out = _times_exp(abs(term.coef) * val, log_m,
-                     lambda: IntegralOverflowError(f"the integral of {term} overflows"))
-    return math.copysign(out, term.coef), err / val * out
+    if val != val:  # a NaN exponent, which is no overflow
+        return val, val
+    out = _times_exp(val, log_m,
+                     lambda: IntegralOverflowError(f"the integral of {unit} overflows"))
+    return out, err / val * out
 
 
 #: the Gauss-Kronrod pair G7/K15 on [-1, 1] from QUADPACK's qk15 table
@@ -519,8 +533,7 @@ def cell_integrals(a: float, beta: float,
         vals = k15 * np.exp(a * xm + beta * np.log1p(xm))
         fine = (np.abs(k15 - g7) <= KRONROD_RTOL * np.abs(k15)) & np.isfinite(vals)
     for i in np.flatnonzero(~fine):
-        vals[i] = term_value(
-            LogTerm(1.0, a, beta, float(lo[i]), float(hi[i]), gammas))[0]
+        vals[i] = term_value(a, beta, float(lo[i]), float(hi[i]), gammas)[0]
     return vals
 
 
@@ -567,13 +580,11 @@ def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
     decided before any term is evaluated (a finite term of the same sum may
     exceed the float range).
 
-    Inside a :func:`term_memo` scope each term value is stored and reused.
-    A term without ``gammas`` is stored under its coefficient-free integral
-    ``(a, beta, x1, x2)`` and scaled by ``coef`` on every use, which is the
-    arithmetic :func:`term_value` does itself; a stretched-exponential term
-    is stored under the whole :class:`LogTerm`, because QUADPACK integrates
-    its coefficient inside the integrand.  Results are bit-identical inside
-    and outside a scope.
+    Each term with a nonzero coefficient is its :func:`term_value` times
+    ``coef`` (the error times ``|coef|``), the one place a coefficient is
+    applied.  Inside a :func:`term_memo` scope the coefficient-free value
+    is stored under ``(a, beta, x1, x2, gammas)`` and reused for every
+    coefficient, so results are bit-identical inside and outside a scope.
     """
     for term in terms:
         if term.x2 == _INF and term.coef != 0.0 and term.x1 != _INF \
@@ -581,34 +592,28 @@ def integrate_terms(terms: Sequence[LogTerm]) -> IntegralResult:
             return IntegralResult(_INF, _INF,
                                   AT_ZERO if term.end == "zero" else AT_INFINITY)
     memo = _TERM_MEMO.get()
+    if memo is None:  # outside every scope, a memo of this sum only
+        memo = {}
     total = 0.0
     err = 0.0
     for term in terms:
-        v, e = term_value(term) if memo is None else _memo_value(term, memo)
+        if term.coef == 0.0:
+            continue
+        key = (term.a, term.beta, term.x1, term.x2, term.gammas)
+        ve = memo.get(key)
+        if ve is None:
+            ve = memo[key] = term_value(*key)
+        v = term.coef * ve[0]
         if not math.isfinite(v):  # not a divergence, which is decided above
-            if v == v and math.isfinite(term_value(replace(term, coef=1.0))[0]):
+            if v == v and math.isfinite(ve[0]):
                 raise IntegralOverflowError(
                     f"the coefficient times the integral of {term} exceeds "
                     "the float range")
             raise NonFiniteIntegrandError(
                 f"non-finite term value for a={term.a} beta={term.beta}")
         total += v
-        err += e
+        err += abs(term.coef) * ve[1]
     return IntegralResult(total, err)
-
-
-def _memo_value(term: LogTerm, memo: dict) -> tuple[float, float]:
-    """``term_value(term)`` through ``memo`` (see :func:`integrate_terms`)."""
-    if term.gammas or term.coef == 0.0 or term.x1 == term.x2:
-        ve = memo.get(term)
-        if ve is None:
-            ve = memo[term] = term_value(term)
-        return ve
-    key = (term.a, term.beta, term.x1, term.x2)
-    ve = memo.get(key)
-    if ve is None:
-        ve = memo[key] = term_value(LogTerm(1.0, *key))
-    return term.coef * ve[0], abs(term.coef) * ve[1]
 
 
 # ---------------------------------------------------------------------------

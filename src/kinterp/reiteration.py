@@ -49,7 +49,7 @@ from .norms import (
     _quasi_norm,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
-from .quadrature import GridSpec, term_memo
+from .quadrature import GridSpec, IntegralOverflowError, _qth_root, term_memo
 from .weights import Flip, WeightExpr, head_qnorm, kernel_samples, tail_qnorm
 
 __all__ = [
@@ -167,13 +167,17 @@ class CompositeWeight:
         block_of = den_of if side0 else s.b1._integral("head", s.q1)
         expo = (1.0 - s.theta) if side0 else s.theta
 
+        def overflow() -> IntegralOverflowError:
+            return IntegralOverflowError(
+                "a root of the composite weight's index exceeds the float range")
+
         def value(t: float) -> float:
             u = t if side0 else 1.0 / t
             if u <= 0.0:
                 raise ValueError("t must be positive")
             num, den = num_of(u), den_of(u)
-            num = num ** (1.0 / s.q0) if num != _INF else _INF
-            root = den ** (1.0 / s.q1) if den != _INF else _INF
+            num = _qth_root(num, s.q0, overflow)
+            root = _qth_root(den, s.q1, overflow)
             idx = num / root if 0.0 < root < _INF else math.nan
             if not 0.0 < idx < _INF:
                 raise ValueError(f"index degenerate at t={t!r}")
@@ -310,7 +314,8 @@ def _composite_norm(spec: ReiterationSpec, f: KProfile,
             vals.append((idx ** -spec.theta * spec.b(idx) * surrogate)
                         ** spec.q * ell)
     total = float(np.sum(vals)) * h - 0.5 * h * (vals[0] + vals[-1])
-    return total ** (1.0 / spec.q)
+    return _qth_root(total, spec.q, lambda: IntegralOverflowError(
+        f"the composite quasi-norm for q = {spec.q!r} exceeds the float range"))
 
 
 def reiteration_check(spec: ReiterationSpec,

@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .quadrature import (IntegralOverflowError, LogTerm, integrate_terms,
-                         power_integral, running_sums, sup_terms)
+from .quadrature import (IntegralOverflowError, LogTerm, _qth_root,
+                         integrate_terms, power_integral, running_sums,
+                         sup_terms)
 
 __all__ = [
     "WeightExpr",
@@ -470,6 +471,13 @@ def kernel_samples(b: WeightExpr, q: float, kernel_power: float,
     return values[::-1] if tail else values
 
 
+def _root_overflow(b: WeightExpr, q: float, lo: float, hi: float
+                   ) -> IntegralOverflowError:
+    return IntegralOverflowError(
+        f"||u^-1/q b||_q of {b.to_text()} over ({lo!r}, {hi!r}), q = {q!r}, "
+        "exceeds the float range")
+
+
 def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
     """||u^{-1/q} b(u)||_{q,(t,inf)}; +inf when divergent."""
     if t <= 0.0:
@@ -478,8 +486,8 @@ def tail_qnorm(b: WeightExpr, q: float, t: float) -> float:
         return max(sup_terms([term]) for term in _weight_terms(b, 1.0, t, _INF))
     if q <= 0.0:
         raise ValueError("q must be positive or inf")
-    value = b._integral("tail", q)(t)
-    return value ** (1.0 / q) if value != _INF else _INF
+    return _qth_root(b._integral("tail", q)(t), q,
+                     lambda: _root_overflow(b, q, t, _INF))
 
 
 def head_qnorm(b: WeightExpr, q: float, t: float) -> float:
@@ -490,8 +498,8 @@ def head_qnorm(b: WeightExpr, q: float, t: float) -> float:
     s = 1.0 / t
     if not (s > 0.0 and 0.0 < q < _INF):  # the supremum, or the error
         return tail_qnorm(Flip(b), q, s)
-    value = b._integral("flip", q)(s)
-    return value ** (1.0 / q) if value != _INF else _INF
+    return _qth_root(b._integral("flip", q)(s), q,
+                     lambda: _root_overflow(b, q, 0.0, t))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from mpmath import fp
 from kinterp import norms
 from kinterp.norms import (
     SpaceSpec,
+    _qnorm_samples,
     _segments,
     check_condition_monotone_index,
     index,
@@ -22,7 +23,8 @@ from kinterp.profiles import (Atom, KProfile, K_from_rearrangement,
                               PiecewiseCurve, _segment_probe, parse_profile,
                               profile_suite)
 from kinterp.quadrature import GridSpec, IntegralOverflowError, STANDARD_GRID
-from kinterp.weights import Flip, head_qnorm, parse_weight, tail_qnorm
+from kinterp.reiteration import CompositeWeight, ReiterationSpec
+from kinterp.weights import Flip, One, head_qnorm, parse_weight, tail_qnorm
 
 INF = math.inf
 
@@ -182,6 +184,30 @@ def test_partial_monotonicity(w_l02, w_l03):
         Js.append(J)
     assert all(a <= b + 1e-12 for a, b in zip(Is, Is[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(Js, Js[1:]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tail_qnorm(parse_weight("log(300,-3)"), 0.5, 1e-8),
+    lambda: head_qnorm(parse_weight("log(-3,300)"), 0.5, 1e8),
+    lambda: index(1e-8, "rho", 0.5, parse_weight("log(300,-3)"), 0.5,
+                  parse_weight("log(0,-4)")),
+    lambda: _qnorm_samples("rho", 0.5, parse_weight("log(300,-3)"), [1e-8, 1.0]),
+    lambda: _qnorm_samples("eta", 0.5, parse_weight("log(-3,300)"), [1.0, 1e8]),
+    lambda: CompositeWeight(ReiterationSpec(
+        0, 0.5, 1.0, One(), 0.5, parse_weight("log(300,-3)"), 0.5,
+        parse_weight("log(0,-4)")))(1e-8),
+], ids=["tail", "head", "index", "rho-samples", "eta-samples", "composite"])
+def test_a_weight_root_beyond_the_float_range_is_a_named_error(call):
+    # the q-th power integral fits in a double, its root (the square for
+    # q = 0.5) does not
+    with pytest.raises(IntegralOverflowError, match="float range"):
+        call()
+
+
+def test_a_piece_coefficient_power_beyond_the_float_range_is_named():
+    with pytest.raises(IntegralOverflowError, match=r"piece .*1e\+300"):
+        space_norm(parse_profile("piecewise[(1,1e300)]"),
+                   SpaceSpec(0.5, 2.0, One()))
 
 
 def test_a_root_beyond_the_float_range_is_a_named_error():

@@ -10,7 +10,7 @@ from scipy import integrate as sci_integrate
 
 from kinterp import quadrature, weights
 from kinterp.holmstedt import HolmstedtCase, HypothesisError, equivalence_scan
-from kinterp.norms import _segment_adaptive
+from kinterp.norms import SpaceSpec, _segment_adaptive, space_norm
 from kinterp.profiles import KProfile, parse_profile
 from kinterp.quadrature import (
     AT_ZERO,
@@ -194,8 +194,8 @@ def test_stretched_term_whose_integrand_leaves_the_float_range():
     # float range near x = 1, its value does not; with a small coefficient
     # the integrand overflows at its exponential before the product fits
     for coef in (1.0, -1e-10):
-        term = LogTerm(coef, 0.0, 0.0, 0.0, 1.0, ((2.0, 712.0),))
-        got, err = term_value(term)
+        res = integrate_terms([LogTerm(coef, 0.0, 0.0, 0.0, 1.0, ((2.0, 712.0),))])
+        got, err = res.value, res.error_bound
         with mpmath.workdps(40):
             want = coef * mpmath.quad(lambda x: mpmath.exp(712 * x ** 2),
                                       [0, 0.9, 0.99, 1])
@@ -205,7 +205,7 @@ def test_stretched_term_whose_integrand_leaves_the_float_range():
     for term in (LogTerm(1.0, 0.0, 0.0, 0.0, 1.0, ((2.0, 720.0),)),
                  LogTerm(1.0, -0.5, 2.0, 0.0, INF, ((0.9, 12.0),))):
         with pytest.raises(IntegralOverflowError, match="overflows"):
-            term_value(term)
+            term_value(term.a, term.beta, term.x1, term.x2, term.gammas)
 
 
 def test_gamma_tail_bound_covers_mpmath():
@@ -475,10 +475,10 @@ def test_memo_gives_the_unmemoized_values():
     for term in MEMO_TERMS:
         with term_memo():
             assert integrate_terms([term]) == want[term]
-    # coefficient-free integrals are shared across coefficients; a
-    # stretched-exponential term keeps its own entry per coefficient
-    assert (-1.0, 0.5, 0.0, 2.0) in memo
-    assert sum(isinstance(k, LogTerm) and k.gammas != () for k in memo) == 3
+    # coefficient-free integrals are shared across coefficients, and so is
+    # a stretched-exponential term's
+    assert (-1.0, 0.5, 0.0, 2.0, ()) in memo
+    assert sum(k[4] != () for k in memo) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +489,9 @@ def _count_term_values(monkeypatch) -> list:
     calls: list = []
     term_value = quadrature.term_value
 
-    def counted(term):
-        calls.append(term)
-        return term_value(term)
+    def counted(*key):
+        calls.append(key)
+        return term_value(*key)
 
     monkeypatch.setattr(quadrature, "term_value", counted)
     return calls
@@ -500,10 +500,11 @@ def _count_term_values(monkeypatch) -> list:
 def _assert_no_memo_active(calls: list) -> None:
     # outside every scope nothing is stored: the same term is integrated anew
     term = MEMO_TERMS[1]
+    key = (term.a, term.beta, term.x1, term.x2, term.gammas)
     calls.clear()
     integrate_terms([term])
     integrate_terms([term])
-    assert calls == [term, term]
+    assert calls == [key, key]
 
 
 def test_nested_scope_yields_the_outer_memo(monkeypatch):
@@ -512,7 +513,7 @@ def test_nested_scope_yields_the_outer_memo(monkeypatch):
         with term_memo() as inner:
             assert inner is outer
             integrate_terms([MEMO_TERMS[1]])
-        assert (-1.0, 0.5, 0.0, 2.0) in outer
+        assert (-1.0, 0.5, 0.0, 2.0, ()) in outer
         calls.clear()
         integrate_terms([MEMO_TERMS[1]])  # stored by the nested scope
         assert calls == []
@@ -680,7 +681,7 @@ def test_every_quadpack_call_keeps_the_status_policy(monkeypatch, ier):
     monkeypatch.setattr(sci_integrate, "quad", failing_quad)
     calls = [
         lambda: exp_pow_integral(-1.0, 0.5, 0.0, 3.0),
-        lambda: term_value(LogTerm(1.0, -1.0, 0.0, 0.0, 5.0, ((0.5, 1.0),))),
+        lambda: term_value(-1.0, 0.0, 0.0, 5.0, ((0.5, 1.0),)),
         lambda: _segment_adaptive(KProfile.min1().curve, 0.5, 1.0,
                                   parse_weight("log(0,-2)"), 0.5, 2.0),
     ]
@@ -725,14 +726,14 @@ def test_cells_equal_the_scalar_terms(monkeypatch, a, beta, gammas):
     # every cell agrees with term_value on it; the x^alpha cusp of a
     # stretched term at x = 0 sends the first cell to term_value itself
     edges = np.linspace(0.0, 18.0, 1001).tolist()
-    want = [term_value(LogTerm(1.0, a, beta, x1, x2, gammas))[0]
+    want = [term_value(a, beta, x1, x2, gammas)[0]
             for x1, x2 in zip(edges, edges[1:])]
     fallbacks = []
     scalar = quadrature.term_value
 
-    def recorded(term):
-        fallbacks.append(term.x1)
-        return scalar(term)
+    def recorded(a, beta, x1, x2, gammas=()):
+        fallbacks.append(x1)
+        return scalar(a, beta, x1, x2, gammas)
 
     monkeypatch.setattr(quadrature, "term_value", recorded)
     got = cell_integrals(a, beta, gammas, edges)
@@ -750,9 +751,9 @@ def test_wide_cells_go_to_the_scalar_terms(monkeypatch):
     fallbacks = []
     scalar = quadrature.term_value
 
-    def recorded(term):
-        fallbacks.append((term.x1, term.x2))
-        return scalar(term)
+    def recorded(a, beta, x1, x2, gammas=()):
+        fallbacks.append((x1, x2))
+        return scalar(a, beta, x1, x2, gammas)
 
     monkeypatch.setattr(quadrature, "term_value", recorded)
     assert cell_integrals(40.0, 0.0, (), edges).tolist() == want
@@ -784,7 +785,7 @@ def test_running_sums_in_either_direction():
     xs = np.linspace(0.5, 5.0, 40).tolist()
 
     def exact(x1, x2):
-        return sum(t.coef * term_value(LogTerm(1.0, t.a, t.beta, x1, x2))[0]
+        return sum(t.coef * term_value(t.a, t.beta, x1, x2)[0]
                    for t in terms)
 
     up = running_sums(terms, xs, 1.5)
@@ -808,7 +809,7 @@ def test_a_coefficient_past_the_float_range_is_not_a_divergence(monkeypatch):
         integrate_terms([term])
     # a NaN term value is no overflow
     monkeypatch.setattr(quadrature, "term_value",
-                        lambda term: (math.nan, 0.0))
+                        lambda *key: (math.nan, 0.0))
     with pytest.raises(quadrature.NonFiniteIntegrandError):
         integrate_terms([term])
 
@@ -820,9 +821,9 @@ def test_a_divergent_term_decides_before_any_term_is_evaluated(monkeypatch):
     calls = []
     scalar = quadrature.term_value
 
-    def recorded(term):
-        calls.append(term)
-        return scalar(term)
+    def recorded(*key):
+        calls.append(key)
+        return scalar(*key)
 
     monkeypatch.setattr(quadrature, "term_value", recorded)
     big = LogTerm(1.0, 0.0, 2000.0, 0.0, 18.420680743952367, end="zero")
@@ -835,3 +836,87 @@ def test_a_divergent_term_decides_before_any_term_is_evaluated(monkeypatch):
     weight = parse_weight("mul(one,log(1000.0,2.85))")
     assert weights.weight_kernel_integral(weight, 2.0, 0.0, 0.5, math.inf) \
         == math.inf == tail_qnorm(weight, 2.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one rule per canonical term: the shape picks the route, the coefficient
+# is applied once
+# ---------------------------------------------------------------------------
+
+def _mp_stretched_tail(a, gamma, alpha, x1):
+    """int_x1^inf e^{a x + gamma x^alpha} dx in mpmath, cut at its peak."""
+    peak = (gamma * alpha / -a) ** (1.0 / (1.0 - alpha))
+    cuts = sorted({mpmath.mpf(x1), mpmath.mpf(peak),
+                   *(mpmath.mpf(10) ** k for k in range(8) if 10 ** k > x1)})
+    return mpmath.quad(lambda x: mpmath.exp(a * x + gamma * x ** alpha),
+                       cuts + [mpmath.inf])
+
+
+def test_a_rising_stretched_norm_finds_its_peak():
+    # ||u^-0.15 b min(1, u)||_1 with b = explog(0.945)^0.29: on the side
+    # u > 1 the integrand e^(-0.15 x + 0.29 x^0.945) peaks near x = 57 400,
+    # which QUADPACK on the raw integrand missed (9.93e162)
+    b = parse_weight("pow(explog(0.945),0.29)")
+    got = space_norm(KProfile.min1(), SpaceSpec(0.15, 1.0, b))
+    with mpmath.workdps(30):
+        low = mpmath.quad(lambda x: mpmath.exp(
+            -0.85 * x + mpmath.mpf(0.29) * x ** mpmath.mpf(0.945)),
+            [0, 1, 10, 100, mpmath.inf])
+        want = low + _mp_stretched_tail(mpmath.mpf(-0.15), mpmath.mpf(0.29),
+                                        mpmath.mpf(0.945), 0.0)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.27, 0.28, 0.29])
+@pytest.mark.parametrize("coef", [1.0, 3.0])
+def test_rising_stretched_tails_are_integrated_over_their_peak(gamma, coef):
+    # e^(-0.15 x + gamma x^0.945) on [ln 2, inf) rises to a peak near
+    # x = 3.9e3 (gamma = 0.25) .. 5.7e4 (0.29) before it falls
+    res = integrate_terms([LogTerm(coef, -0.15, 0.0, math.log(2.0), INF,
+                                   ((0.945, gamma),))])
+    with mpmath.workdps(30):
+        want = coef * _mp_stretched_tail(mpmath.mpf(-0.15), mpmath.mpf(gamma),
+                                         mpmath.mpf(0.945), math.log(2.0))
+    assert abs(res.value - want) <= max(res.error_bound, 1e-12 * want)
+
+
+@pytest.mark.parametrize("coef", [0.5, 1.0, 1.1062, 2.0, 3.0])
+def test_a_stretched_tail_past_the_float_range_is_an_overflow(coef):
+    # gamma = 0.3: about 1.07e407, whatever the coefficient
+    term = LogTerm(coef, -0.15, 0.0, math.log(2.0), INF, ((0.945, 0.3),))
+    with pytest.raises(IntegralOverflowError, match="overflows"):
+        integrate_terms([term])
+
+
+@pytest.mark.parametrize("term", [
+    LogTerm(1.0, -1.0, 0.5, 0.0, 2.0),
+    LogTerm(1.0, -0.5, -2.0, 1.0, INF),
+    LogTerm(1.0, 0.0, -2.0, 0.0, INF, ((0.3, -1.0),)),
+    LogTerm(1.0, -0.15, 0.0, math.log(2.0), INF, ((0.945, 0.27),)),
+], ids=["plain", "plain-tail", "falling", "rising"])
+def test_the_coefficient_is_applied_once(term):
+    unit = integrate_terms([term]).value
+    for coef in (-0.7, 1e-3, 3.0, 1.1062):
+        scaled = LogTerm(coef, term.a, term.beta, term.x1, term.x2, term.gammas)
+        assert integrate_terms([scaled]).value == coef * unit
+
+
+def test_one_memo_entry_per_stretched_integral(monkeypatch):
+    calls = _count_term_values(monkeypatch)
+    with term_memo() as memo:
+        for coef in (3.0, -3.0, 0.7):
+            integrate_terms([LogTerm(coef, 0.0, -2.0, 0.0, INF, ((0.3, -1.0),))])
+    assert list(memo) == [(0.0, -2.0, 0.0, INF, ((0.3, -1.0),))]
+    assert calls == list(memo)
+
+
+@pytest.mark.parametrize("term", [
+    LogTerm(1.0, math.nan, 0.0, 0.0, 2.0, ((0.5, -1.0),)),
+    LogTerm(1.0, -1.0, 0.0, 0.0, 2.0, ((0.5, math.nan),)),
+    LogTerm(1.0, 1.0, 0.0, 0.0, 2.0, ((0.5, math.nan),)),
+    LogTerm(1.0, -1.0, 0.0, 0.0, 2.0, ((math.nan, 1.0),)),
+    LogTerm(1.0, -1.0, math.nan, 0.0, INF, ((0.5, -1.0),)),
+])
+def test_a_nan_exponent_is_a_non_finite_term(term):
+    with pytest.raises(quadrature.NonFiniteIntegrandError):
+        integrate_terms([term])
