@@ -176,7 +176,7 @@ def _run_constants(s: Scenario):
     spec: InequalitySpec = s.params["_spec"]
     which = s.params["which"]
     probe = None
-    with term_memo():  # the probe integrates terms the constant already has
+    with term_memo():  # the probe's points share terms, none the constant's
         rep = compute_constant(spec, which)
         if which in ("A1", "A3"):
             probe = best_constant_probe(spec, which, PROBE_GRID.points())

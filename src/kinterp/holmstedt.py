@@ -221,8 +221,6 @@ class DecompositionTable:
         return n0 + s * n1
 
     def best(self, s: float) -> float:
-        if self.f.curve.is_zero():
-            return 0.0
         objs = [self.objective(lam, s) for lam in self.levels]
         best = min([self.norm_full_0, s * self.norm_full_1] + objs)
         if not self.levels or best == _INF:

@@ -105,8 +105,6 @@ class SpaceSpec:
 
 def _expand_piece(atoms: Sequence[Atom], q: float) -> Optional[list[Atom]]:
     """(sum of atoms)^q as a list of product atoms, or None if not expandable."""
-    if len(atoms) == 0:
-        return []
     if len(atoms) == 1:
         a = atoms[0]
         if a.coef < 0.0:
@@ -256,12 +254,14 @@ def _root(value: float, q: float, theta: float, lo: float, hi: float
 def segments_norm(segs: Iterable[Segment], theta: float, q: float,
                   b: WeightExpr) -> float:
     """||u^{-theta} b(u) K(u)||_{q,(0,inf)} with the measure du/u, for K
-    given by its nonzero segments, each on one side of 1
-    (:meth:`~kinterp.profiles.PiecewiseCurve.sided_segments`); +inf when
-    divergent.  For q = inf it is the largest exact supremum of the q = 1
-    terms of each segment.  Each segment is integrated whole, through the
-    term memo when a scope is open; partials over (0, t) and (t, inf) come
-    from :func:`sweep_partials` alone."""
+    given by its segments, each on one side of 1
+    (:meth:`~kinterp.profiles.PiecewiseCurve.sided_segments`), of which the
+    empty ones add nothing; +inf when divergent.  For q = inf it is the
+    largest exact supremum of the q = 1 terms of each segment.  Each segment
+    is integrated whole, through the term memo when a scope is open;
+    partials over (0, t) and (t, inf) come from :func:`sweep_partials`
+    alone."""
+    segs = [seg for seg in segs if seg[3]]
     if q != _INF:
         res = _segments_integral(segs, theta, q, b)
         return _root(res.value, q, theta, 0.0, _INF)
@@ -269,12 +269,6 @@ def segments_norm(segs: Iterable[Segment], theta: float, q: float,
     for u0, u1, side, atoms in segs:
         best = max(best, _segment_sup(theta, b, side, atoms, u0, u1))
     return best
-
-
-def _quasi_norm(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr
-                ) -> float:
-    """:func:`segments_norm` of the curve's segments."""
-    return segments_norm(_segments(curve), theta, q, b)
 
 
 def _sweep(curve: PiecewiseCurve, theta: float, q: float, b: WeightExpr,
@@ -374,7 +368,7 @@ def sweep_partials(f: KProfile, X0: SpaceSpec, X1: SpaceSpec,
 
 def space_norm(f: KProfile, s: SpaceSpec) -> float:
     """||t^{-theta-1/q} b(t) K(t,f)||_{q,(0,inf)}; +inf allowed."""
-    return _quasi_norm(f.curve, s.theta, s.q, s.b)
+    return segments_norm(f.curve.sided_segments(), s.theta, s.q, s.b)
 
 
 # ---------------------------------------------------------------------------

@@ -470,10 +470,12 @@ def K_from_rearrangement(f: Rearrangement) -> KProfile:
 def realize_rearrangement(phi: KProfile) -> Rearrangement:
     """A rearrangement whose (L1, Linf) K-functional reproduces the profile.
 
-    Concave profiles differentiate exactly; quasi-concave but non-concave
-    input goes through the least concave majorant (upper hull of the nodes in
-    linear coordinates, which is exact for piecewise-affine profiles), so the
-    output K-functional stays within the documented [1/2, 2] band.
+    Concave profiles differentiate exactly.  A quasi-concave but non-concave
+    piecewise-affine profile through 0 goes through its exact least concave
+    majorant, the upper hull of the origin, its nodes and its last piece's
+    ray, so the output K-functional stays within the documented [1/2, 2]
+    band.  Any other non-concave profile, and one with K(0+) > 0, is a
+    ValueError that names it.
     """
     report = check_quasiconcave(phi)
     if not report.ok:
@@ -508,29 +510,32 @@ def _first_rise(curve: PiecewiseCurve) -> Optional[float]:
 
 
 def _hull_realization(phi: KProfile) -> Rearrangement:
+    """f* of the least concave majorant of a piecewise-affine profile
+    through 0: the upper hull of the origin, the nodes and the last piece's
+    ray, whose slope is f*'s last value.  Any other profile is a ValueError
+    that names it."""
     curve = phi.curve
-    ts: list[float] = list(curve.breaks)
-    if not ts:
-        ts = [1.0]
-    lo = min(ts) * 1e-4
-    hi = max(ts) * 1e4
-    ts = sorted(set(ts) | set(np.logspace(math.log10(lo), math.log10(hi), 129)))
-    pts = [(0.0, 0.0)] + [(t, curve(t)) for t in ts]
-    hull: list[tuple[float, float]] = []
-    for p in pts:  # upper hull, slopes strictly decreasing
-        while len(hull) >= 2:
+    if not _vanishes_at_zero(curve):
+        raise ValueError(f"{phi.label} has K(0+) > 0, which no rearrangement's"
+                         " K-functional has")
+    if any(a.logexp != 0.0 or a.power not in (0.0, 1.0)
+           for p in curve.pieces for a in p):
+        raise ValueError(f"{phi.label} is neither concave nor piecewise "
+                         "affine: its least concave majorant is not built")
+    ray = math.fsum(a.coef for a in curve.pieces[-1] if a.power == 1.0)
+    hull = [(0.0, 0.0)]
+    for p in [(t, curve(t)) for t in curve.breaks] + [None]:  # None: the ray
+        while len(hull) >= 2:  # slopes strictly decreasing, above the ray's
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x2) <= (p[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
+            dx, dy = (1.0, ray) if p is None else (p[0] - x2, p[1] - y2)
+            if (y2 - y1) * dx > dy * (x2 - x1):
                 break
+            hull.pop()
         hull.append(p)
-    breaks = [x for x, _ in hull[1:]]
-    values: list[float] = []
-    for (x1, y1), (x2, y2) in zip(hull[:-1], hull[1:]):
-        values.append(max((y2 - y1) / (x2 - x1), 0.0))
-    f_curve = PiecewiseCurve(breaks, [((Atom(v, 0.0),) if v > 0.0 else ())
-                                      for v in values] + [()])
+    slopes = [(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2)
+              in zip(hull[:-2], hull[1:-1])] + [ray]
+    f_curve = PiecewiseCurve([x for x, _ in hull[1:-1]],
+                             [(Atom(v, 0.0),) for v in slopes])
     return Rearrangement(f_curve, f_curve.antiderivative(),
                          f"hull[{phi.label}]", validate=False)
 

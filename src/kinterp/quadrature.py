@@ -229,7 +229,8 @@ def _times_exp(val: float, log_scale: float,
                overflow: Callable[[], IntegralOverflowError]) -> float:
     """val e^log_scale for val computed at the scale e^-log_scale, the one
     overflow rule: raises ``overflow()`` (-inf for val < 0) where the product,
-    not a factor, exceeds the float range: ln |val| + log_scale > ln(max)."""
+    not a factor, exceeds the float range: ln |val| + log_scale > ln(max).
+    A NaN product raises :class:`NonFiniteIntegrandError`."""
     if log_scale <= _LOG_FLOAT_MAX:
         out = val * math.exp(log_scale)
     else:  # a scale beyond the float range: the product by its log
@@ -240,6 +241,9 @@ def _times_exp(val: float, log_scale: float,
                else math.copysign(math.exp(log_val), val))  # |val| < 1e-308
     if out < _INF:  # finite, or -inf below the float range
         return out
+    if out != out:
+        raise NonFiniteIntegrandError(
+            f"the value {val!r} times e^{log_scale!r} is not a number")
     raise overflow()
 
 

@@ -44,9 +44,9 @@ from .norms import (
     index,
     index_limit,
     index_samples,
+    segments_norm,
     space_norm,
     sweep_partials,
-    _quasi_norm,
 )
 from .profiles import KProfile, K_from_rearrangement, Rearrangement
 from .quadrature import GridSpec, IntegralOverflowError, _qth_root, term_memo
@@ -340,7 +340,8 @@ def reiteration_check(spec: ReiterationSpec,
                 report.skipped += 1
                 continue
             report.add(f.label, lhs,
-                       _quasi_norm(K.curve, theta_side, spec.q, composite))
+                       segments_norm(K.curve.sided_segments(), theta_side,
+                                     spec.q, composite))
     return report
 
 
@@ -362,9 +363,7 @@ class LKSpec:
 def lorentz_karamata_norm(f: Rearrangement, spec: LKSpec) -> float:
     """||t^{1/p-1/q} b(t) f*(t)||_{q,(0,inf)}."""
     theta = 0.0 if spec.p == _INF else -1.0 / spec.p
-    if f.curve.is_zero():
-        return 0.0
-    return _quasi_norm(f.curve, theta, spec.q, spec.b)
+    return segments_norm(f.curve.sided_segments(), theta, spec.q, spec.b)
 
 
 def lk_identification_check(suite: Sequence[Rearrangement], q: float, b: WeightExpr

@@ -336,8 +336,6 @@ def _integral(f: Callable[[float], float], lo: float, hi: float) -> float:
     method (``const``, ``expdecay``) through that method; only an opaque
     callable goes to QUADPACK.
     """
-    if lo >= hi:
-        return 0.0
     if isinstance(f, WeightExpr):
         return weight_kernel_integral(f, 1.0, 1.0, lo, hi)
     integral = getattr(f, "integral", None)

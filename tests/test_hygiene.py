@@ -273,9 +273,21 @@ def _is_number(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
 
+#: the keyword names of a grid builder's point count (its third argument)
+_COUNT_KEYWORDS = {"num", "points_per_decade"}
+
+
+def _literal_count(call: ast.Call) -> bool:
+    """The grid builder's point count is a numeric literal."""
+    counts = call.args[2:3] + [k.value for k in call.keywords
+                               if k.arg in _COUNT_KEYWORDS]
+    return any(map(_is_number, counts))
+
+
 def _hidden_grids(path: pathlib.Path) -> list[str]:
-    """``file:line`` of each grid built from numeric literals alone anywhere
-    but as the value of a module-level constant (an upper-case name)."""
+    """``file:line`` of each grid built from numeric literals alone, or with a
+    numeric literal for its point count whatever its ends, anywhere but as
+    the value of a module-level constant (an upper-case name)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
     for top in tree.body:
@@ -287,15 +299,17 @@ def _hidden_grids(path: pathlib.Path) -> list[str]:
         for n in ast.walk(top):
             if isinstance(n, ast.Call) and n.args and (
                     getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-            ) in _GRID_BUILDERS and all(
-                    map(_is_number, n.args + [k.value for k in n.keywords])):
+            ) in _GRID_BUILDERS and (_literal_count(n) or all(
+                    map(_is_number, n.args + [k.value for k in n.keywords]))):
                 found.append(f"{path.name}:{n.lineno}")
     return found
 
 
 def test_no_hidden_sampling_grid():
     # a grid of literals inside a function is a fixed grid with no name, and
-    # so missing from README's "Fixed grids and thresholds" table
+    # so missing from README's "Fixed grids and thresholds" table; so is a
+    # literal point count between computed ends, a window that moves with
+    # its input but samples it no finer
     found = [g for path in sorted(SRC.glob("*.py")) for g in _hidden_grids(path)]
     assert found == []
 

@@ -17,6 +17,7 @@ from kinterp.norms import (
     index,
     index_limit,
     quasi_monotone_constant,
+    segments_norm,
     space_norm,
 )
 from kinterp.profiles import (Atom, KProfile, K_from_rearrangement,
@@ -104,6 +105,22 @@ def test_space_norm_homogeneous(w_l02):
 
 def test_space_norm_zero(w_l02):
     assert space_norm(KProfile.zero(), SpaceSpec(0.0, 1.0, w_l02)) == 0.0
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5, INF])
+def test_segments_norm_skips_the_empty_segments(w_l02, q):
+    # empty pieces below, between and above the nonzero ones; at q = 2.5
+    # the two-atom piece does not expand and is integrated adaptively
+    curve = PiecewiseCurve((0.1, 0.5, 3.0, 8.0), (
+        (), (Atom(1.0, 1.0),), (), (Atom(2.0, 0.0), Atom(0.5, 0.5)), ()))
+    segs = list(curve.sided_segments())
+    nonzero = [seg for seg in segs if seg[3]]
+    assert len(nonzero) == 2 < len(segs)
+    got = segments_norm(segs, 0.5, q, w_l02)
+    assert 0.0 < got < INF
+    assert got == segments_norm(nonzero, 0.5, q, w_l02)
+    assert segments_norm(PiecewiseCurve.zero().sided_segments(), 0.5, q,
+                         w_l02) == 0.0
 
 
 # ---------------------------------------------------------------------------

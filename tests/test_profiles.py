@@ -110,10 +110,71 @@ def test_hull_realization_band():
          (Atom(2.0, 0.0),))))
     assert check_quasiconcave(k).ok
     f = realize_rearrangement(k)
+    # the hull of (0, 0), (1, 1), (4, 1), (8, 2) and the flat ray
+    assert f.curve.breaks == (1.0, 8.0)
+    assert f.curve.pieces == ((Atom(1.0, 0.0),), (Atom(1.0 / 7.0, 0.0),), ())
     K2 = K_from_rearrangement(f)
     for t in GRID:
         ratio = K2(float(t)) / k(float(t))
         assert 0.5 - 1e-9 <= ratio <= 2.0 + 1e-9
+
+
+def test_the_hull_ends_in_the_last_piece_ray():
+    # K = t, then 1, then t / 2 from t = 2 on: the node (2, 1) lies below
+    # the ray of slope 1/2 from (1, 1), so the majorant is min(t, (t+1)/2)
+    k = KProfile(PiecewiseCurve((1.0, 2.0), (
+        (Atom(1.0, 1.0),), (Atom(1.0, 0.0),), (Atom(0.5, 1.0),))))
+    f = realize_rearrangement(k)
+    assert f.curve.breaks == (1.0,)
+    assert [f(t) for t in (0.5, 1.5, 1e12)] == [1.0, 0.5, 0.5]
+    K2 = K_from_rearrangement(f)
+    for t in (0.5, 1.5, 3e4, 1e6, 1e12):
+        assert K2(t) == pytest.approx(min(t, (t + 1.0) / 2.0), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=6, unique=True),
+       st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7))
+def test_an_affine_profile_realizes_its_least_concave_majorant(half_decades,
+                                                                us):
+    # nodes with K nondecreasing and K(t)/t nonincreasing: each rise is
+    # (t1 / t0)^u for u in [0, 1], and the ray's slope is u K/t at the last
+    # node.  The majorant is concave (f* nonincreasing), lies above K, and
+    # meets K at each of its vertices, so no concave majorant lies below it.
+    # A profile the rearrangement check passes as concave is differentiated,
+    # so its f* is nonincreasing to that check's tolerance
+    ts = [10.0 ** (0.5 * n) for n in sorted(half_decades)]
+    ks = [ts[0]]
+    for t0, t1, u in zip(ts, ts[1:], us):
+        ks.append(ks[-1] * (t1 / t0) ** u)
+    ray = us[-1] * ks[-1] / ts[-1]
+    nodes = KProfile.from_nodes(list(zip(ts, ks))).curve  # flat past them
+    k = KProfile(PiecewiseCurve(nodes.breaks, nodes.pieces[:-1] + (
+        (Atom(ks[-1] - ray * ts[-1], 0.0), Atom(ray, 1.0)),)))
+    assert check_quasiconcave(k).ok
+    f = realize_rearrangement(k)
+    values = [sum(a.coef for a in p) for p in f.curve.pieces]
+    assert all(v >= 0.0 for v in values)
+    assert all(v1 <= v0 * (1.0 + 1e-9) + 1e-300
+               for v0, v1 in zip(values, values[1:]))
+    assert values[-1] == pytest.approx(ray, rel=1e-12, abs=1e-300)
+    K2 = K_from_rearrangement(f)
+    probes = ts + [math.sqrt(a * b) for a, b in zip(ts, ts[1:])] \
+        + [ts[0] / 2.0, ts[-1] * 2.0, ts[-1] * 1e6]
+    for t in probes:
+        assert K2(t) >= k(t) * (1.0 - 1e-12)
+    for b in f.curve.breaks:
+        assert K2(b) == pytest.approx(k(b), rel=1e-12)
+
+
+@pytest.mark.parametrize("text,why", [
+    # curved and not concave: f* = K' rises on (1, 1.53)
+    ("powerlog(0.208,-0.026,-0.168)", "neither concave nor piecewise affine"),
+    ("power(0.0)", r"K\(0\+\) > 0"),  # K = 1, which no f* integrates to
+])
+def test_a_profile_without_an_exact_majorant_is_a_named_error(text, why):
+    with pytest.raises(ValueError, match=why):
+        realize_rearrangement(parse_profile(text))
 
 
 # ---------------------------------------------------------------------------

@@ -916,6 +916,10 @@ def test_one_memo_entry_per_stretched_integral(monkeypatch):
     LogTerm(1.0, 1.0, 0.0, 0.0, 2.0, ((0.5, math.nan),)),
     LogTerm(1.0, -1.0, 0.0, 0.0, 2.0, ((math.nan, 1.0),)),
     LogTerm(1.0, -1.0, math.nan, 0.0, INF, ((0.5, -1.0),)),
+    # plain terms, whose scale e^L is NaN: not above the float range
+    LogTerm(1.0, math.nan, 0.0, 0.0, 2.0),
+    LogTerm(1.0, 1.0, math.nan, 0.0, 2.0),
+    LogTerm(1.0, math.nan, 0.5, 0.0, 2.0),
 ])
 def test_a_nan_exponent_is_a_non_finite_term(term):
     with pytest.raises(quadrature.NonFiniteIntegrandError):
