@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import GridSpec, leading_exponent, term_diverges_at_inf
+from .quadrature import leading_exponent, sup_terms, term_diverges_at_inf
+from .weights import SideForm, side_terms
 
 __all__ = [
     "Atom",
@@ -44,11 +45,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-#: where :func:`check_quasiconcave` samples, besides its segment probes
-QUASICONCAVE_GRID = GridSpec(1e-8, 1e8, 8)
-#: where a rearrangement is checked nonnegative and nonincreasing (with probes)
-REARRANGEMENT_PROBES = np.logspace(-9, 9, 37).tolist()
 
 
 class CurveClosureError(ValueError):
@@ -75,6 +71,21 @@ def _atom_eval(atom: Atom, t: float) -> float:
         L = 1.0 - math.log(t) if t <= 1.0 else 1.0 + math.log(t)
         val *= L ** atom.logexp
     return val
+
+
+def _piece_value(piece: Iterable[Atom], t: float) -> float:
+    return math.fsum(_atom_eval(a, t) for a in piece)
+
+
+def _log_slope(piece: Iterable[Atom], side: str, s: float, v: float
+               ) -> Iterator[Atom]:
+    """The atoms of s t g' + v g for the atom sum g of a piece on one side
+    of 1, each at its own power: c t^p L^l gives c (s p + v) t^p L^l and
+    s c l t^p L^(l-1) dL/d(ln t), with dL/d(ln t) = -1 below 1, +1 above."""
+    ds = -s if side == "lo" else s
+    for a in piece:
+        yield Atom(a.coef * (s * a.power + v), a.power, a.logexp)
+        yield Atom(ds * a.coef * a.logexp, a.power, a.logexp - 1.0)
 
 
 def _merge_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -149,8 +160,7 @@ class PiecewiseCurve:
         t = float(t)
         if not (t > 0.0):
             raise ValueError("curves are defined on (0, inf)")
-        piece = self.pieces[self.piece_index(t)]
-        return math.fsum(_atom_eval(a, t) for a in piece) if piece else 0.0
+        return _piece_value(self.pieces[self.piece_index(t)], t)
 
     # -- algebra -----------------------------------------------------------
 
@@ -163,18 +173,10 @@ class PiecewiseCurve:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "PiecewiseCurve":
-        new_pieces = []
-        for _, hi, piece in self.segments():
-            on_lo_side = hi <= 1.0
-            atoms: list[Atom] = []
-            for a in piece:
-                atoms.append(Atom(a.coef * a.power, a.power - 1.0, a.logexp))
-                if a.logexp != 0.0:
-                    sgn = -1.0 if on_lo_side else 1.0
-                    atoms.append(Atom(sgn * a.coef * a.logexp, a.power - 1.0,
-                                      a.logexp - 1.0))
-            new_pieces.append(tuple(atoms))
-        return PiecewiseCurve(self.breaks, new_pieces)
+        return PiecewiseCurve(self.breaks, [
+            [Atom(a.coef, a.power - 1.0, a.logexp) for a in
+             _log_slope(piece, "lo" if hi <= 1.0 else "hi", 1.0, 0.0)]
+            for _, hi, piece in self.segments()])
 
     def _piece_antiderivative(self, piece: Sequence[Atom], on_lo_side: bool
                               ) -> tuple[Atom, ...]:
@@ -220,10 +222,7 @@ class PiecewiseCurve:
         for b, hi, piece in curve.segments():
             F = self._piece_antiderivative(piece, hi <= 1.0)
             if new_pieces:
-                left_val = math.fsum(_atom_eval(a, b) for a in new_pieces[-1]) \
-                    if new_pieces[-1] else 0.0
-                here_val = math.fsum(_atom_eval(a, b) for a in F) if F else 0.0
-                shift = left_val - here_val
+                shift = _piece_value(new_pieces[-1], b) - _piece_value(F, b)
                 F += (Atom(shift, 0.0),) if shift != 0.0 else ()
             new_pieces.append(F)
         return PiecewiseCurve(curve.breaks, new_pieces)
@@ -340,34 +339,53 @@ class KProfile:
 
 
 def check_quasiconcave(k: KProfile) -> QuasiConcavityReport:
-    """Verify K nondecreasing and K(t)/t nonincreasing at nodes and samples."""
-    curve = k.curve
-    if curve.is_zero():
-        return QuasiConcavityReport(True)
-    deriv = curve.derivative()
-    samples = (list(QUASICONCAVE_GRID.points())
-               + _probe_points(curve.breaks, 1e-9))
-    samples = sorted(set(s for s in samples if s > 0.0))
-    tol = 1e-12
-    prev_t, prev_v = None, None
-    for t in samples:
-        v = curve(t)
-        if v < -tol:
-            return QuasiConcavityReport(False, "negative value", t)
-        d = deriv(t)
-        scale = max(abs(v), abs(d) * t, 1e-300)
-        if d * t < -tol * scale:
-            return QuasiConcavityReport(False, "decreasing segment", t)
-        if d * t - v > tol * scale:
-            return QuasiConcavityReport(False, "K(t)/t increasing", t)
-        if prev_v is not None:
-            scale = max(prev_v, v, 1e-300)
-            if v < prev_v * (1.0 - 1e-12):
-                return QuasiConcavityReport(False, "decreasing across nodes", t)
-            if v / t > (prev_v / prev_t) * (1.0 + 1e-12):
-                return QuasiConcavityReport(False, "K(t)/t increasing across nodes", t)
-        prev_t, prev_v = t, v
+    """Decide exactly that K is nondecreasing with K(t)/t nonincreasing: K
+    is continuous to 1e-12 relative at each break, and -t K' - 1e-12 K <= 0
+    and t K' - (1 + 1e-12) K <= 0 on each segment (located at its start)."""
+    for b, left, right in _break_values(k.curve):
+        if abs(right - left) > 1e-12 * abs(left):
+            return QuasiConcavityReport(False, "jump across a node", b)
+    for seg in k.curve.sided_segments():
+        if not _nonpositive(seg, -1.0, -1e-12):
+            return QuasiConcavityReport(False, "decreasing segment", seg[0])
+        if not _nonpositive(seg, 1.0, -1.0 - 1e-12):
+            return QuasiConcavityReport(False, "K(t)/t increasing", seg[0])
     return QuasiConcavityReport(True)
+
+
+def _break_values(curve: PiecewiseCurve) -> Iterator[tuple[float, float, float]]:
+    """(b, g(b-), g(b+)) at each break b of the curve g."""
+    for b, left, right in zip(curve.breaks, curve.pieces, curve.pieces[1:]):
+        yield b, _piece_value(left, b), _piece_value(right, b)
+
+
+def _nonpositive(seg: Segment, s: float, v: float) -> bool:
+    """Whether s t g' + v g <= 0 on the segment (u0, u1, side, g): at once
+    when no coefficient of :func:`_log_slope` is positive, else by the
+    exact supremum (:func:`sup_terms`) of its canonical terms."""
+    u0, u1, side, piece = seg
+    atoms = _merge_atoms(_log_slope(piece, side, s, v))
+    return all(a.coef <= 0.0 for a in atoms) or sup_terms(side_terms(
+        SideForm(), map(astuple, atoms), side, u0, u1)) <= 0.0
+
+
+def _rearrangement_fault(curve: PiecewiseCurve) -> Optional[str]:
+    """Why the curve g is no rearrangement, or None, decided exactly: g(b-)
+    >= -1e-12 and g(b+) <= g(b-) at each break b, lim g >= 0 at inf, and
+    t g' - 1e-9 g <= 0 on each segment (a rise is named at its start)."""
+    for b, left, right in _break_values(curve):
+        if left < -1e-12:
+            return f"negative at t={b!r}"
+        if right > left:
+            return f"increases at t={b!r}"
+    top = max(curve.pieces[-1], key=lambda a: (a.power, a.logexp),
+              default=Atom(0.0, 0.0))
+    if top.coef < 0.0 and leading_exponent(top.power, top.logexp) >= 0.0:
+        return "negative at t=inf"
+    for seg in curve.sided_segments():
+        if not _nonpositive(seg, 1.0, -1e-9):
+            return f"increases at t={seg[0]!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +407,8 @@ class Rearrangement:
         self.curve = curve
         self.integral_curve = integral_curve
         self.label = label
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        t = _first_rise(self.curve)
-        if t is not None:
-            what = "negative" if self.curve(t) < -1e-12 else "increases"
-            raise ValueError(f"rearrangement {what} at t={t!r}")
+        if validate and (fault := _rearrangement_fault(curve)) is not None:
+            raise ValueError(f"rearrangement {fault}")
 
     def __call__(self, t) -> float:
         return self.curve(t)
@@ -470,22 +482,24 @@ def K_from_rearrangement(f: Rearrangement) -> KProfile:
 def realize_rearrangement(phi: KProfile) -> Rearrangement:
     """A rearrangement whose (L1, Linf) K-functional reproduces the profile.
 
-    Concave profiles differentiate exactly.  A quasi-concave but non-concave
-    piecewise-affine profile through 0 goes through its exact least concave
-    majorant, the upper hull of the origin, its nodes and its last piece's
-    ray, so the output K-functional stays within the documented [1/2, 2]
-    band.  Any other non-concave profile, and one with K(0+) > 0, is a
-    ValueError that names it.
+    f* = K' when K(0+) = 0, K is continuous at its breaks and K' passes the
+    exact rearrangement rule: K is then concave.  Otherwise a profile that
+    passes :func:`check_quasiconcave` and is piecewise affine through 0 goes
+    through its exact least concave majorant (the upper hull of the origin,
+    its nodes and its last piece's ray), within the documented [1/2, 2]
+    band; any other profile is a ValueError that names it.
     """
+    curve = phi.curve
+    if curve.is_zero():
+        return Rearrangement.zero()
+    deriv = curve.derivative()
+    if _vanishes_at_zero(curve) and _rearrangement_fault(deriv) is None \
+            and all(abs(r - l) <= 1e-12 * abs(l) for _, l, r in _break_values(curve)):
+        return Rearrangement(deriv, curve, f"d[{phi.label}]", validate=False)
     report = check_quasiconcave(phi)
     if not report.ok:
         raise ValueError(f"profile is not quasi-concave: {report.violation} "
                          f"near t={report.location!r}")
-    if phi.curve.is_zero():
-        return Rearrangement.zero()
-    deriv = phi.curve.derivative()
-    if _vanishes_at_zero(phi.curve) and _first_rise(deriv) is None:
-        return Rearrangement(deriv, phi.curve, f"d[{phi.label}]", validate=False)
     return _hull_realization(phi)
 
 
@@ -493,20 +507,6 @@ def _vanishes_at_zero(curve: PiecewiseCurve) -> bool:
     # u^p L^l is e^(-p x) (1+x)^l with x = ln(1/u) -> inf
     return all(leading_exponent(-a.power, a.logexp) < 0.0
                for a in curve.pieces[0])
-
-
-def _first_rise(curve: PiecewiseCurve) -> Optional[float]:
-    """The first probe t, in increasing order, where the curve is negative
-    or above its value at the previous probe (beyond 1e-9 relative); None
-    when the curve passes as nonnegative and nonincreasing."""
-    pts = _probe_points(curve.breaks, 1e-9) + REARRANGEMENT_PROBES
-    prev = None
-    for t in sorted(set(pts)):
-        v = curve(t)
-        if v < -1e-12 or (prev is not None and v > prev * (1.0 + 1e-9) + 1e-300):
-            return t
-        prev = v
-    return None
 
 
 def _hull_realization(phi: KProfile) -> Rearrangement:

@@ -381,7 +381,7 @@ def test_nonlimiting_scan_regression(w_one):
                          theta0=0.25, theta1=0.75)
     grid = GridSpec(1e-4, 1e4, 8)
     for f in (CHI,
-              realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))):
+              realize_rearrangement(parse_profile("powerlog(0.55,0.15,-0.15)"))):
         rep = equivalence_scan(case, f, grid)
         assert rep.rows and rep.skipped == 0
         assert rep.variation <= 10.0
@@ -540,7 +540,7 @@ def test_scan_rows_equal_memoless_values(kind):
         # stretched-exponential terms that differ only in their coefficient
         case = HolmstedtCase("nonlimiting", 1.0, 2.0, b1, EXPLOG_B0,
                              theta0=0.25, theta1=0.75)
-        f = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
+        f = realize_rearrangement(parse_profile("powerlog(0.55,0.15,-0.15)"))
     rep = equivalence_scan(case, f, MEMO_GRID)
     want = _memoless_rows(case, f, MEMO_GRID)
     assert len(rep.rows) == len(MEMO_GRID.points()) == len(want)
@@ -556,7 +556,7 @@ def test_scan_rows_equal_memoless_values(kind):
 
 
 #: the profile kinds of the sweep, each with both frames of the scan
-SWEEP_PROFILES = ("min1", "power(0.4)", "powerlog(0.5,0.25,-0.25)",
+SWEEP_PROFILES = ("min1", "power(0.4)", "powerlog(0.55,0.15,-0.15)",
                   "piecewise[(0.1,0.1),(0.5,0.3),(4,1.2),(20,2)]", "zero")
 #: 33 points, 1e-1, 1 and 10 among them
 SWEEP_GRID = GridSpec(1e-2, 1e2, 8)
@@ -662,7 +662,7 @@ def _crossing_kind(f, lam):
 
 def test_table_levels_equal_the_split_norms_bit_for_bit(w_one, w_l02, w_l03):
     stairs = Rearrangement.staircase((0.01, 1.0, 50.0), (4.0, 1.0, 0.25))
-    powerlog = realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)"))
+    powerlog = realize_rearrangement(parse_profile("powerlog(0.55,0.15,-0.15)"))
     flat = realize_rearrangement(KProfile.power(1.0))  # f* = 1 everywhere
     X00 = (SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03))
     # q = inf on one side, and q = 1.5, whose two-atom pieces integrate
@@ -695,7 +695,7 @@ def test_table_levels_equal_the_split_norms_bit_for_bit(w_one, w_l02, w_l03):
 def test_table_levels_build_no_curve(monkeypatch, w_l02, w_l03):
     # a level the table has not seen builds no curve and no rearrangement
     table = DecompositionTable(
-        realize_rearrangement(parse_profile("powerlog(0.5,0.25,-0.25)")),
+        realize_rearrangement(parse_profile("powerlog(0.55,0.15,-0.15)")),
         SpaceSpec(0.0, 1.0, w_l02), SpaceSpec(0.0, 2.0, w_l03))
     lams = [0.5 * (a + b) for a, b in zip(table.levels, table.levels[1:])]
     want = [_split_norms(table.f, table.X0, table.X1, lam) for lam in lams]

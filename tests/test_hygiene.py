@@ -64,8 +64,9 @@ _REACH_ALLOWLIST = {
                              "weight grammar",
     "holmstedt.lhs_decomposition": "the scan's lhs at one point, the pair of "
                                    "rhs_formula",
-    "profiles.check_quasiconcave": "the check realize_rearrangement runs on "
-                                   "every profile",
+    "profiles.check_quasiconcave": "the exact quasi-concavity rule, which "
+                                   "realize_rearrangement runs on a profile "
+                                   "whose derivative is no rearrangement",
     "profiles.truncation_split": "the truncation family as rearrangements, "
                                  "which the benchmark's trace binds; the "
                                  "decomposition table reads its segments "
@@ -311,6 +312,16 @@ def test_no_hidden_sampling_grid():
     # literal point count between computed ends, a window that moves with
     # its input but samples it no finer
     found = [g for path in sorted(SRC.glob("*.py")) for g in _hidden_grids(path)]
+    assert found == []
+
+
+def test_profiles_decide_shape_without_a_grid():
+    # quasi-concavity, a nonincreasing f* and the least concave majorant are
+    # decided on a profile's atoms, so profiles samples no grid, named or not
+    tree = ast.parse((SRC / "profiles.py").read_text(encoding="utf-8"))
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and (
+        getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+    ) in _GRID_BUILDERS]
     assert found == []
 
 
